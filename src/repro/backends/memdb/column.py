@@ -199,8 +199,8 @@ class DictArray:
     def tolist(self) -> list:
         return self.decode().tolist()
 
-    def astype(self, dtype) -> np.ndarray:
-        return self.decode().astype(dtype)
+    def astype(self, dtype, copy: bool = True) -> np.ndarray:
+        return self.decode().astype(dtype, copy=copy)
 
     def is_null(self) -> np.ndarray:
         return self.codes < 0
@@ -315,7 +315,7 @@ def null_mask(values) -> np.ndarray:
         return np.isnan(array)
     if array.dtype == object:
         return _is_none_mask(array)
-    return np.zeros(len(array), dtype=bool)
+    return np.zeros(array.shape, dtype=bool)
 
 
 def encoded_codes(values) -> np.ndarray:
@@ -339,9 +339,9 @@ def encoded_codes(values) -> np.ndarray:
     array = np.asarray(values)
     kind = array.dtype.kind
     if kind in "iub":
-        return array.astype(np.int64)
+        return array.astype(np.int64, copy=False)
     if kind == "f":
-        return _float_order_keys(array.astype(np.float64))
+        return _float_order_keys(array.astype(np.float64, copy=False))
     return text_codes(values)[0]
 
 
@@ -465,12 +465,17 @@ def join_key_codes(left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     right_array = np.asarray(right)
     if left_array.dtype.kind == "f" or right_array.dtype.kind == "f":
         return (
-            _float_order_keys(left_array.astype(np.float64)),
-            _float_order_keys(right_array.astype(np.float64)),
+            _float_order_keys(left_array.astype(np.float64, copy=False)),
+            _float_order_keys(right_array.astype(np.float64, copy=False)),
             left_valid,
             right_valid,
         )
-    return left_array.astype(np.int64), right_array.astype(np.int64), left_valid, right_valid
+    return (
+        left_array.astype(np.int64, copy=False),
+        right_array.astype(np.int64, copy=False),
+        left_valid,
+        right_valid,
+    )
 
 
 def _vec_len(values) -> int:
@@ -589,8 +594,7 @@ class EncodedColumn:
 
         ``dict_encode=None`` is representation-preserving: a
         :class:`DictArray` stays dictionary-encoded and a plain object
-        array stays object, so CTE materialization inside an ablated
-        engine can never smuggle the encoded representation back in.
+        array stays object.
         """
         if isinstance(values, DictArray):
             if dict_encode is False:

@@ -1139,13 +1139,24 @@ class MemDatabase:
             tracer=tracer,
             recursion_limit=self.recursion_limit,
         )
-        self._tables[plan.name] = Table(
-            plan.name,
-            {name: columns[name] for name in names},
+        return self._store_query_result(plan.name, names, columns)
+
+    def _store_query_result(
+        self, name: str, names: list[str], columns: dict[str, np.ndarray]
+    ) -> QueryResult:
+        """``CREATE TABLE AS``: store a query's result columns as a new table.
+
+        The vectors are copied: a block that passes a column through
+        untouched returns the source table's own array, and a stored table
+        must never alias another table's storage.
+        """
+        self._tables[name] = table = Table(
+            name,
+            {column: columns[column].copy() for column in names},
             dict_encode=self.enable_dict_encoding,
         )
-        self._statistics.invalidate(plan.name)
-        return QueryResult([], [], rowcount=self._tables[plan.name].num_rows)
+        self._statistics.invalidate(name)
+        return QueryResult([], [], rowcount=table.num_rows)
 
     def _create_table(self, statement: CreateTable) -> QueryResult:
         if statement.name in self._tables:
@@ -1162,13 +1173,7 @@ class MemDatabase:
             raise SQLExecutionError(f"table {statement.name!r} already exists")
         executor = SelectExecutor(self._tables, recursion_limit=self.recursion_limit)
         names, columns = executor.execute(statement.query)
-        self._tables[statement.name] = Table(
-            statement.name,
-            {name: columns[name] for name in names},
-            dict_encode=self.enable_dict_encoding,
-        )
-        self._statistics.invalidate(statement.name)
-        return QueryResult([], [], rowcount=self._tables[statement.name].num_rows)
+        return self._store_query_result(statement.name, names, columns)
 
     def _insert(self, statement: Insert) -> QueryResult:
         table = self.table(statement.table)
@@ -1186,7 +1191,7 @@ class MemDatabase:
         else:
             frame = table.frame(table.name)
             evaluator = ExpressionEvaluator(frame, table.num_rows)
-            mask = evaluator.evaluate(statement.where).astype(bool)
+            mask = evaluator.evaluate(statement.where).astype(bool, copy=False)
             deleted = int(mask.sum())
         table.delete_where(mask)
         if deleted:

@@ -10,6 +10,8 @@ behaviour the engine substitutes for DuckDB.
 
 from __future__ import annotations
 
+import operator as _operator
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +49,7 @@ from .column import (
     to_pylist,
 )
 from .parser import AGGREGATE_FUNCTIONS
-from .table import Table
+from .table import Table, TransientTable
 
 #: Compute frames map column keys to plain numpy vectors or dictionary-
 #: encoded text vectors (:class:`DictArray`); every kernel below accepts
@@ -66,7 +68,7 @@ def _sql_round(values: np.ndarray, decimals: int = 0) -> np.ndarray:
     return np.trunc(scaled + np.copysign(0.5, scaled)) / scale
 
 
-#: Scalar functions available in expressions.
+#: One-argument scalar functions that are a single numpy ufunc.
 #: ``log`` is base-10 to match SQLite/DuckDB (natural log is ``ln``).
 _SCALAR_FUNCTIONS = {
     "abs": np.abs,
@@ -81,25 +83,12 @@ _SCALAR_FUNCTIONS = {
     "log2": np.log2,
     "sin": np.sin,
     "cos": np.cos,
-    "round": None,  # handled specially (one or two arguments)
-    "power": None,  # handled specially (two arguments)
-    "pow": None,
-    "coalesce": None,
-    "min2": None,
-    "max2": None,
 }
 
 
-def _frame_length(frame: Frame) -> int:
-    for values in frame.values():
-        return int(len(values))
-    return 0
-
-
-def _broadcast(value, length: int) -> np.ndarray:
-    if isinstance(value, DictArray) and len(value) == length:
-        return value
-    if isinstance(value, np.ndarray) and value.ndim == 1 and len(value) == length:
+def _broadcast(value, length: int):
+    """``value`` as a column of ``length`` rows; row-aligned vectors pass through."""
+    if getattr(value, "ndim", 0) == 1 and len(value) == length:
         return value
     return np.full(length, value)
 
@@ -146,8 +135,168 @@ def _concat_strings(left, right) -> np.ndarray:
     return result
 
 
+# ---------------------------------------------------------------------------
+# Operator kernels
+# ---------------------------------------------------------------------------
+#
+# Every kernel takes operands that are either row-aligned vectors or 0-d
+# scalars (literals and constant subtrees stay 0-d until the evaluator's
+# single top-level broadcast) and relies on numpy broadcasting between the
+# two, so a literal costs no ``np.full`` and an operand that already has
+# the wanted dtype is never copied.
+
+#: dtype kinds of plain numeric operands.  Anything else (``<U`` text,
+#: object, dictionary codes) is row-aligned before it reaches a kernel.
+_NUMERIC_KINDS = frozenset("iufb")
+
+#: The NULL literal: NaN, like a NULL in any nullable numeric column.
+_NULL = np.asarray(np.nan)
+
+
+def _int_operand(values):
+    """``(int64 values, NULL mask)`` of a bitwise operand.
+
+    The mask is the plain ``False`` for integer operands, which cannot hold
+    NULL: they pass through uncopied and unchecked, and only float and
+    object operands pay for a ``null_mask``.  Reals truncate toward zero
+    like SQLite's cast to INTEGER.
+    """
+    if values.dtype.kind in "iub":
+        return values.astype(np.int64, copy=False), False
+    nulls = null_mask(values)
+    if not nulls.any():
+        return values.astype(np.int64), False
+    return np.where(nulls, 0, values).astype(np.int64), nulls
+
+
+def _bitwise(operation):
+    """Kernel for one of ``& | << >>``: int64 arithmetic, NULL in -> NULL out."""
+
+    def kernel(left, right):
+        left, left_nulls = _int_operand(left)
+        right, right_nulls = _int_operand(right)
+        nulls = left_nulls | right_nulls
+        result = operation(left, right)
+        return result if nulls is False else np.where(nulls, np.nan, result)
+
+    return kernel
+
+
+def _bit_not(operand):
+    values, nulls = _int_operand(operand)
+    return ~values if nulls is False else np.where(nulls, np.nan, ~values)
+
+
+def _divide(left, right):
+    # SQL semantics: integer / integer stays integral and truncates toward
+    # zero (SQLite/DuckDB), unlike Python's floor division; a zero divisor
+    # yields NULL (NaN), not an error.
+    if left.dtype.kind in "iu" and right.dtype.kind in "iu":
+        zero = right == 0
+        divisor = np.where(zero, 1, right)
+        with np.errstate(divide="ignore"):
+            quotient = left // divisor
+            remainder = left - quotient * divisor
+        # Floor division rounded away from zero on sign mismatch: bump back
+        # toward zero to get truncation.
+        truncated = quotient + ((remainder != 0) & ((left < 0) != (divisor < 0)))
+        if zero.any():
+            return np.where(zero, np.nan, truncated.astype(np.float64))
+        return truncated
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(right == 0, np.nan, left / np.where(right == 0, 1, right))
+
+
+def _modulo(left, right):
+    # SQL modulo truncates toward zero (sign of the dividend), unlike
+    # Python's floored modulo: -7 % 3 is -1 in SQLite, 2 in Python.  Float
+    # operands keep fmod semantics like DuckDB (2.5 % 2 = 0.5); SQLite
+    # instead casts both sides to INTEGER first.  A zero divisor yields NULL
+    # (NaN) like both engines.
+    zero = right == 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        remainder = np.fmod(left, np.where(zero, 1, right))
+    if zero.any():
+        return np.where(zero, np.nan, remainder.astype(np.float64))
+    return remainder
+
+
+def _logical_and(left, right):
+    return left.astype(bool, copy=False) & right.astype(bool, copy=False)
+
+
+def _logical_or(left, right):
+    return left.astype(bool, copy=False) | right.astype(bool, copy=False)
+
+
+#: operator -> (kernel, whether the kernel is defined on text operands).
+_BINARY_OPERATORS = {
+    "+": (_operator.add, False),
+    "-": (_operator.sub, False),
+    "*": (_operator.mul, False),
+    "/": (_divide, False),
+    "%": (_modulo, False),
+    "&": (_bitwise(_operator.and_), False),
+    "|": (_bitwise(_operator.or_), False),
+    "<<": (_bitwise(_operator.lshift), False),
+    ">>": (_bitwise(_operator.rshift), False),
+    "and": (_logical_and, False),
+    "or": (_logical_or, False),
+    "||": (_concat_strings, True),
+    # One comparison kernel for every representation (numeric, object,
+    # dictionary codes) with SQL's three-valued logic collapsed to filter
+    # semantics: NULL on either side is False.
+    **{op: (partial(compare_values, op), True) for op in ("=", "!=", "<", "<=", ">", ">=")},
+}
+
+_UNARY_OPERATORS = {
+    "-": _operator.neg,
+    "+": lambda operand: operand,
+    "~": _bit_not,
+    "not": lambda operand: ~operand.astype(bool, copy=False),
+}
+
+
+def _row_aligned(value, length: int):
+    """Broadcast a non-numeric scalar; the text kernels index their operands."""
+    if value.dtype.kind in _NUMERIC_KINDS:
+        return value
+    return _broadcast(value, length)
+
+
+def apply_binary(operator: str, left, right, length: int):
+    """Apply a binary SQL operator to two evaluated operands of ``length`` rows."""
+    try:
+        kernel, on_text = _BINARY_OPERATORS[operator]
+    except KeyError:
+        raise SQLExecutionError(f"unsupported binary operator {operator!r}") from None
+    if on_text and not (
+        left.dtype.kind in _NUMERIC_KINDS and right.dtype.kind in _NUMERIC_KINDS
+    ):
+        left = _broadcast(left, length)
+        right = _broadcast(right, length)
+    return kernel(left, right)
+
+
+def apply_unary(operator: str, operand):
+    """Apply a unary SQL operator to one evaluated operand."""
+    try:
+        kernel = _UNARY_OPERATORS[operator]
+    except KeyError:
+        raise SQLExecutionError(f"unsupported unary operator {operator!r}") from None
+    return kernel(operand)
+
+
 class ExpressionEvaluator:
-    """Evaluates scalar (non-aggregate) expressions over a column frame."""
+    """Evaluates scalar (non-aggregate) expressions over a column frame.
+
+    The one expression evaluator of the engine: the interpreter, compiled
+    plans and the morsel-parallel operators all call :meth:`evaluate`.
+    Internally a node evaluates to a row-aligned vector or — for literals
+    and constant subtrees — a 0-d scalar; only :meth:`evaluate` broadcasts.
+    """
+
+    __slots__ = ("_frame", "_length")
 
     def __init__(self, frame: Frame, length: int) -> None:
         self._frame = frame
@@ -155,134 +304,59 @@ class ExpressionEvaluator:
 
     def evaluate(self, expression: Expression) -> np.ndarray:
         """Evaluate ``expression`` to a column of ``length`` values."""
-        result = self._eval(expression)
-        return _broadcast(result, self._length)
-
-    # ------------------------------------------------------------ dispatch
+        return _broadcast(self._eval(expression), self._length)
 
     def _eval(self, expression: Expression):
-        if isinstance(expression, Literal):
-            return self._literal(expression.value)
-        if isinstance(expression, ColumnRef):
-            return self._column(expression)
-        if isinstance(expression, UnaryOp):
-            return self._unary(expression)
-        if isinstance(expression, BinaryOp):
-            return self._binary(expression)
-        if isinstance(expression, FunctionCall):
-            return self._function(expression)
-        if isinstance(expression, CaseExpression):
-            return self._case(expression)
-        if isinstance(expression, IsNull):
-            operand = self.evaluate(expression.operand)
-            nulls = null_mask(operand)
-            return ~nulls if expression.negated else nulls
-        if isinstance(expression, InList):
-            operand = self.evaluate(expression.operand)
-            mask = np.zeros(self._length, dtype=bool)
-            for value in expression.values:
-                mask |= compare_values("=", operand, self.evaluate(value))
-            if expression.negated:
-                # NULL NOT IN (...) is unknown, never true: a NULL operand
-                # must not pass the negated filter either.
-                return ~mask & ~null_mask(operand)
-            return mask
-        if isinstance(expression, Star):
-            raise SQLExecutionError("'*' is only allowed as a projection or inside COUNT(*)")
-        if isinstance(expression, WindowFunction):
+        try:
+            handler = _NODE_HANDLERS[type(expression)]
+        except KeyError:
             raise SQLExecutionError(
-                "window functions are only allowed in the SELECT list"
-            )
-        raise SQLExecutionError(f"unsupported expression node {type(expression).__name__}")
+                f"unsupported expression node {type(expression).__name__}"
+            ) from None
+        return handler(self, expression)
 
-    def _literal(self, value):
-        if value is None:
-            return np.full(self._length, np.nan)
-        return value
+    # ------------------------------------------------------- node handlers
 
-    def _column(self, ref: ColumnRef) -> np.ndarray:
-        key = ref.key()
-        if key in self._frame:
-            return self._frame[key]
-        if ref.table is None and ref.name in self._frame:
-            return self._frame[ref.name]
-        available = sorted(k for k in self._frame if "." not in k)
-        raise SQLExecutionError(f"unknown column {key!r}; available columns: {available}")
+    def _literal(self, node: Literal):
+        return _NULL if node.value is None else np.asarray(node.value)
+
+    def _column(self, ref: ColumnRef):
+        try:
+            return self._frame[ref.key()]
+        except KeyError:
+            available = sorted(k for k in self._frame if "." not in k)
+            raise SQLExecutionError(
+                f"unknown column {ref.key()!r}; available columns: {available}"
+            ) from None
 
     def _unary(self, node: UnaryOp):
-        operand = self.evaluate(node.operand)
-        if node.operator == "-":
-            return -operand
-        if node.operator == "+":
-            return operand
-        if node.operator == "~":
-            return ~operand.astype(np.int64)
-        if node.operator == "not":
-            return ~operand.astype(bool)
-        raise SQLExecutionError(f"unsupported unary operator {node.operator!r}")
+        return apply_unary(node.operator, self._eval(node.operand))
 
     def _binary(self, node: BinaryOp):
-        left = self.evaluate(node.left)
-        right = self.evaluate(node.right)
-        operator = node.operator
-        if operator in ("&", "|", "<<", ">>"):
-            left_int = left.astype(np.int64)
-            right_int = right.astype(np.int64)
-            if operator == "&":
-                return left_int & right_int
-            if operator == "|":
-                return left_int | right_int
-            if operator == "<<":
-                return left_int << right_int
-            return left_int >> right_int
-        if operator == "+":
-            return left + right
-        if operator == "-":
-            return left - right
-        if operator == "*":
-            return left * right
-        if operator == "/":
-            # SQL semantics: integer / integer stays integral and truncates
-            # toward zero (SQLite/DuckDB), unlike Python's floor division;
-            # a zero divisor yields NULL (NaN), not an error.
-            if left.dtype.kind in "iu" and right.dtype.kind in "iu":
-                zero = right == 0
-                divisor = np.where(zero, 1, right)
-                with np.errstate(divide="ignore"):
-                    quotient = left // divisor
-                    remainder = left - quotient * divisor
-                # Floor division rounded away from zero on sign mismatch: bump
-                # back toward zero to get truncation.
-                truncated = quotient + ((remainder != 0) & ((left < 0) != (divisor < 0)))
-                if zero.any():
-                    return np.where(zero, np.nan, truncated.astype(np.float64))
-                return truncated
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(right == 0, np.nan, left / np.where(right == 0, 1, right))
-        if operator == "%":
-            # SQL modulo truncates toward zero (sign of the dividend), unlike
-            # Python's floored modulo: -7 % 3 is -1 in SQLite, 2 in Python.
-            # Float operands keep fmod semantics like DuckDB (2.5 % 2 = 0.5);
-            # SQLite instead casts both sides to INTEGER first.  A zero
-            # divisor yields NULL (NaN) like both engines.
-            zero = right == 0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                remainder = np.fmod(left, np.where(zero, 1, right))
-            if zero.any():
-                return np.where(zero, np.nan, remainder.astype(np.float64))
-            return remainder
-        if operator in ("=", "!=", "<", "<=", ">", ">="):
-            # One comparison kernel for every representation (numeric,
-            # object, dictionary codes) with SQL's three-valued logic
-            # collapsed to filter semantics: NULL on either side is False.
-            return compare_values(operator, left, right)
-        if operator == "and":
-            return left.astype(bool) & right.astype(bool)
-        if operator == "or":
-            return left.astype(bool) | right.astype(bool)
-        if operator == "||":
-            return _concat_strings(left, right)
-        raise SQLExecutionError(f"unsupported binary operator {operator!r}")
+        return apply_binary(
+            node.operator, self._eval(node.left), self._eval(node.right), self._length
+        )
+
+    def _is_null(self, node: IsNull):
+        nulls = null_mask(_row_aligned(self._eval(node.operand), self._length))
+        return ~nulls if node.negated else nulls
+
+    def _in_list(self, node: InList):
+        operand = _row_aligned(self._eval(node.operand), self._length)
+        mask = np.zeros(self._length, dtype=bool)
+        for value in node.values:
+            mask |= apply_binary("=", operand, self._eval(value), self._length)
+        if node.negated:
+            # NULL NOT IN (...) is unknown, never true: a NULL operand
+            # must not pass the negated filter either.
+            return ~mask & ~null_mask(operand)
+        return mask
+
+    def _star(self, node: Star):
+        raise SQLExecutionError("'*' is only allowed as a projection or inside COUNT(*)")
+
+    def _window(self, node: WindowFunction):
+        raise SQLExecutionError("window functions are only allowed in the SELECT list")
 
     def _function(self, node: FunctionCall):
         name = node.name
@@ -290,67 +364,90 @@ class ExpressionEvaluator:
             raise SQLExecutionError(
                 f"aggregate {name.upper()}() used outside of an aggregating SELECT"
             )
-        if name in ("power", "pow"):
-            if len(node.arguments) != 2:
-                raise SQLExecutionError(f"{name}() takes two arguments")
-            return np.power(self.evaluate(node.arguments[0]), self.evaluate(node.arguments[1]))
-        if name == "round":
-            if len(node.arguments) not in (1, 2):
-                raise SQLExecutionError("round() takes one or two arguments")
-            values = self.evaluate(node.arguments[0])
-            decimals = 0
-            if len(node.arguments) == 2:
-                digits = node.arguments[1]
-                sign = 1
-                if isinstance(digits, UnaryOp) and digits.operator in ("-", "+"):
-                    sign = -1 if digits.operator == "-" else 1
-                    digits = digits.operand
-                if not isinstance(digits, Literal) or not isinstance(digits.value, (int, float)):
-                    raise SQLExecutionError("round() requires a literal number of digits")
-                decimals = sign * int(digits.value)
-            return _sql_round(values, decimals)
-        if name == "coalesce":
-            if not node.arguments:
-                raise SQLExecutionError("coalesce() needs at least one argument")
-            operands = [self.evaluate(argument) for argument in node.arguments]
-            if any(
-                isinstance(operand, DictArray) or operand.dtype.kind in ("O", "U")
-                for operand in operands
-            ):
-                # Text-capable path: fill NULL slots left to right.
-                result = np.array(np.asarray(operands[0], dtype=object), dtype=object)
-                missing = null_mask(result)
-                for candidate in operands[1:]:
-                    if not missing.any():
-                        break
-                    candidate = np.asarray(candidate, dtype=object)
-                    result[missing] = candidate[missing]
-                    missing = null_mask(result)
-                return result
-            result = operands[0].astype(float)
+        handler = _FUNCTION_HANDLERS.get(name)
+        if handler is not None:
+            return handler(self, node)
+        function = _SCALAR_FUNCTIONS.get(name)
+        if function is None:
+            raise SQLExecutionError(f"unknown function {name!r}")
+        if len(node.arguments) != 1:
+            raise SQLExecutionError(f"{name}() takes exactly one argument")
+        return function(self._eval(node.arguments[0]))
+
+    def _power(self, node: FunctionCall):
+        if len(node.arguments) != 2:
+            raise SQLExecutionError(f"{node.name}() takes two arguments")
+        return np.power(self._eval(node.arguments[0]), self._eval(node.arguments[1]))
+
+    def _round(self, node: FunctionCall):
+        if len(node.arguments) not in (1, 2):
+            raise SQLExecutionError("round() takes one or two arguments")
+        decimals = 0
+        if len(node.arguments) == 2:
+            digits = node.arguments[1]
+            sign = 1
+            if isinstance(digits, UnaryOp) and digits.operator in ("-", "+"):
+                sign = -1 if digits.operator == "-" else 1
+                digits = digits.operand
+            if not isinstance(digits, Literal) or not isinstance(digits.value, (int, float)):
+                raise SQLExecutionError("round() requires a literal number of digits")
+            decimals = sign * int(digits.value)
+        return _sql_round(self._eval(node.arguments[0]), decimals)
+
+    def _coalesce(self, node: FunctionCall):
+        if not node.arguments:
+            raise SQLExecutionError("coalesce() needs at least one argument")
+        operands = [self.evaluate(argument) for argument in node.arguments]
+        if any(
+            isinstance(operand, DictArray) or operand.dtype.kind in ("O", "U")
+            for operand in operands
+        ):
+            # Text-capable path: fill NULL slots left to right.
+            result = np.array(np.asarray(operands[0], dtype=object), dtype=object)
+            missing = null_mask(result)
             for candidate in operands[1:]:
-                result = np.where(np.isnan(result), candidate, result)
+                if not missing.any():
+                    break
+                candidate = np.asarray(candidate, dtype=object)
+                result[missing] = candidate[missing]
+                missing = null_mask(result)
             return result
-        if name in _SCALAR_FUNCTIONS and _SCALAR_FUNCTIONS[name] is not None:
-            if len(node.arguments) != 1:
-                raise SQLExecutionError(f"{name}() takes exactly one argument")
-            return _SCALAR_FUNCTIONS[name](self.evaluate(node.arguments[0]))
-        raise SQLExecutionError(f"unknown function {name!r}")
+        result = operands[0].astype(float)
+        for candidate in operands[1:]:
+            result = np.where(np.isnan(result), candidate, result)
+        return result
 
     def _case(self, node: CaseExpression):
         result = None
         decided = np.zeros(self._length, dtype=bool)
         for condition, branch in zip(node.conditions, node.results):
-            mask = self.evaluate(condition).astype(bool) & ~decided
-            value = self.evaluate(branch)
-            if result is None:
-                result = np.where(mask, value, np.nan)
-            else:
-                result = np.where(mask, value, result)
+            mask = self._eval(condition).astype(bool, copy=False) & ~decided
+            result = np.where(mask, self._eval(branch), np.nan if result is None else result)
             decided |= mask
-        default = self.evaluate(node.default) if node.default is not None else np.full(self._length, np.nan)
-        result = np.where(decided, result, default)
-        return result
+        default = _NULL if node.default is None else self._eval(node.default)
+        return np.where(decided, result, default)
+
+
+_NODE_HANDLERS = {
+    Literal: ExpressionEvaluator._literal,
+    ColumnRef: ExpressionEvaluator._column,
+    UnaryOp: ExpressionEvaluator._unary,
+    BinaryOp: ExpressionEvaluator._binary,
+    FunctionCall: ExpressionEvaluator._function,
+    CaseExpression: ExpressionEvaluator._case,
+    IsNull: ExpressionEvaluator._is_null,
+    InList: ExpressionEvaluator._in_list,
+    Star: ExpressionEvaluator._star,
+    WindowFunction: ExpressionEvaluator._window,
+}
+
+#: Scalar functions that are more than one numpy ufunc over one argument.
+_FUNCTION_HANDLERS = {
+    "power": ExpressionEvaluator._power,
+    "pow": ExpressionEvaluator._power,
+    "round": ExpressionEvaluator._round,
+    "coalesce": ExpressionEvaluator._coalesce,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -450,38 +547,25 @@ class GroupedEvaluator:
 
     def evaluate(self, expression: Expression) -> np.ndarray:
         """Evaluate ``expression`` to one value per group."""
-        result = self._eval(expression)
-        return _broadcast(result, self._num_groups)
+        return _broadcast(self._eval(expression), self._num_groups)
 
     def _eval(self, expression: Expression):
         if isinstance(expression, FunctionCall) and expression.name in AGGREGATE_FUNCTIONS:
             return self._aggregate(expression)
         if isinstance(expression, BinaryOp):
-            left = self.evaluate(expression.left)
-            right = self.evaluate(expression.right)
-            surrogate = BinaryOp(expression.operator, Literal(0), Literal(0))
-            return self._combine_binary(surrogate.operator, left, right)
+            return apply_binary(
+                expression.operator,
+                self._eval(expression.left),
+                self._eval(expression.right),
+                self._num_groups,
+            )
         if isinstance(expression, UnaryOp):
-            operand = self.evaluate(expression.operand)
-            if expression.operator == "-":
-                return -operand
-            if expression.operator == "+":
-                return operand
-            if expression.operator == "~":
-                return ~operand.astype(np.int64)
-            if expression.operator == "not":
-                return ~operand.astype(bool)
-            raise SQLExecutionError(f"unsupported unary operator {expression.operator!r}")
+            return apply_unary(expression.operator, self._eval(expression.operand))
         # No aggregate inside: evaluate on the full frame and take each group's
         # first row (legal because grouped non-aggregate expressions must be
         # functions of the grouping key in the supported SQL subset).
-        full = self._scalar.evaluate(expression)
-        return full[self._first_indices]
-
-    def _combine_binary(self, operator: str, left: np.ndarray, right: np.ndarray):
-        evaluator = ExpressionEvaluator({"__left": left, "__right": right}, self._num_groups)
-        surrogate = BinaryOp(operator, ColumnRef("__left"), ColumnRef("__right"))
-        return evaluator.evaluate(surrogate)
+        value = self._scalar._eval(expression)
+        return value[self._first_indices] if value.ndim else value
 
     def _aggregate(self, call: FunctionCall) -> np.ndarray:
         name = call.name
@@ -516,7 +600,7 @@ class GroupedEvaluator:
                 raise SQLExecutionError(f"{name.upper()}() is not defined on text columns")
             return self._reduce_text_minmax(name, raw, mask, inverse, counts)
 
-        values = raw.astype(np.float64)[mask]
+        values = raw.astype(np.float64, copy=False)[mask]
         if name in ("sum", "total"):
             sums = np.bincount(inverse, weights=values, minlength=self._num_groups)
             if name == "sum":
@@ -1078,7 +1162,7 @@ def run_compound_cte(
     recursive: bool,
     alias_columns: Sequence[str],
     run_base: "Callable[[], tuple[list[str], dict[str, np.ndarray]]]",
-    run_step: "Callable[[Table | None], tuple[list[str], dict[str, np.ndarray]]]",
+    run_step: "Callable[[TransientTable | None], tuple[list[str], dict[str, np.ndarray]]]",
     recursion_limit: int = DEFAULT_RECURSION_LIMIT,
     observe_iteration: "Callable[[int, int], None] | None" = None,
 ) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -1161,7 +1245,7 @@ def run_compound_cte(
                 "the recursion does not converge — bound the recursive term "
                 "or use UNION instead of UNION ALL"
             )
-        frontier_table = Table(name, columns_from_rows(names, frontier))
+        frontier_table = TransientTable(name, names, columns_from_rows(names, frontier))
         step_names, step_columns = run_step(frontier_table)
         if len(step_names) != len(names):
             raise SQLExecutionError(
@@ -1193,7 +1277,7 @@ def run_compound_cte(
 
 def apply_filter(frame: Frame, length: int, predicate: Expression) -> tuple[Frame, int]:
     """Filter a frame by a predicate (used for optimizer-pushed scan filters)."""
-    mask = ExpressionEvaluator(frame, length).evaluate(predicate).astype(bool)
+    mask = ExpressionEvaluator(frame, length).evaluate(predicate).astype(bool, copy=False)
     return {key: values[mask] for key, values in frame.items()}, int(mask.sum())
 
 
@@ -1371,6 +1455,52 @@ def _empty_aggregate_value(expression: Expression) -> np.ndarray:
     return np.full(1, np.nan)
 
 
+#: Direct-address grouping is chosen while the observed key span
+#: (``max - min + 1``) is below this many slots per input row: the slot
+#: tables then stay within a small multiple of the input, and one
+#: ``bincount`` pass beats the ``np.unique`` sort.  Wider domains (sparse
+#: states over many qubits, float keys) sort instead.
+_DENSE_SLOTS_PER_ROW = 4
+
+
+def factorize_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(first_indices, inverse, num_groups)`` of one int64 code column.
+
+    Exactly ``np.unique(codes, return_index=True, return_inverse=True)``
+    minus the unique values: groups are numbered in ascending code order,
+    ``first_indices`` holds each group's first input row and ``inverse``
+    each row's group.  Small dense domains — the paper's state indices —
+    are grouped by direct addressing on ``code - min``; everything else
+    takes the sort.  Both produce identical arrays, so per-group
+    accumulation order (and with it every float SUM) does not depend on
+    the choice.
+    """
+    length = len(codes)
+    if length == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, 0
+    low = int(codes.min())
+    # Python ints: the span of keys near the int64 extremes must not wrap.
+    span = int(codes.max()) - low + 1
+    if span > _DENSE_SLOTS_PER_ROW * length:
+        _unique, first_indices, inverse = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        return first_indices, inverse, len(first_indices)
+    slots = codes - low
+    first_by_slot = np.empty(span, dtype=np.int64)
+    # Repeated indices keep the last assignment, so storing the row numbers
+    # back to front leaves each slot's first row.
+    first_by_slot[slots[::-1]] = np.arange(length - 1, -1, -1, dtype=np.int64)
+    occupied = np.zeros(span, dtype=bool)
+    occupied[slots] = True
+    num_groups = int(np.count_nonzero(occupied))
+    if num_groups == span:
+        return first_by_slot, slots, span
+    group_of_slot = np.cumsum(occupied) - 1
+    return first_by_slot[occupied], group_of_slot[slots], num_groups
+
+
 def grouped_projection(select: Select, frame: Frame, length: int) -> tuple[list[str], dict[str, np.ndarray]]:
     """Evaluate a GROUP BY / aggregate projection (including HAVING)."""
     evaluator = ExpressionEvaluator(frame, length)
@@ -1383,16 +1513,12 @@ def grouped_projection(select: Select, frame: Frame, length: int) -> tuple[list[
         code_columns = [
             encoded_codes(evaluator.evaluate(expression)) for expression in select.group_by
         ]
-        if length:
-            if len(code_columns) == 1:
-                _unique, first_indices, inverse = np.unique(
-                    code_columns[0], return_index=True, return_inverse=True
-                )
-            else:
-                stacked = np.stack(code_columns, axis=1)
-                _unique, first_indices, inverse = np.unique(
-                    stacked, axis=0, return_index=True, return_inverse=True
-                )
+        if len(code_columns) == 1:
+            first_indices, inverse, num_groups = factorize_codes(code_columns[0])
+        elif length:
+            _unique, first_indices, inverse = np.unique(
+                np.stack(code_columns, axis=1), axis=0, return_index=True, return_inverse=True
+            )
             inverse = inverse.ravel()
             num_groups = len(first_indices)
         else:
@@ -1421,7 +1547,7 @@ def grouped_projection(select: Select, frame: Frame, length: int) -> tuple[list[
             columns[name] = grouped.evaluate(item.expression)
 
     if select.having is not None:
-        having_values = grouped.evaluate(select.having).astype(bool)
+        having_values = grouped.evaluate(select.having).astype(bool, copy=False)
         columns = {name: values[having_values] for name, values in columns.items()}
     return names, columns
 
@@ -1651,7 +1777,9 @@ class SelectExecutor:
 
     # ------------------------------------------------------------- plumbing
 
-    def _resolve(self, name: str, ctes: Mapping[str, Table]) -> Table:
+    def _resolve(
+        self, name: str, ctes: Mapping[str, TransientTable]
+    ) -> Table | TransientTable:
         if name in ctes:
             return ctes[name]
         if name in self._catalog:
@@ -1661,7 +1789,7 @@ class SelectExecutor:
     def execute(self, statement: Select | WithSelect) -> tuple[list[str], dict[str, np.ndarray]]:
         """Run a query; returns (column names, column arrays)."""
         if isinstance(statement, WithSelect):
-            ctes: dict[str, Table] = {}
+            ctes: dict[str, TransientTable] = {}
             for cte in statement.ctes:
                 if isinstance(cte.query, CompoundSelect):
                     names, columns = run_compound_cte(
@@ -1691,19 +1819,19 @@ class SelectExecutor:
                             alias: columns[name] for alias, name in zip(cte.columns, names)
                         }
                         names = list(cte.columns)
-                ctes[cte.name] = Table(cte.name, {name: columns[name] for name in names})
+                ctes[cte.name] = TransientTable(cte.name, names, columns)
             return self._execute_select(statement.query, ctes)
         return self._execute_select(statement, {})
 
     # -------------------------------------------------------------- pipeline
 
-    def _execute_select(self, select: Select, ctes: Mapping[str, Table]) -> tuple[list[str], dict[str, np.ndarray]]:
+    def _execute_select(
+        self, select: Select, ctes: Mapping[str, TransientTable]
+    ) -> tuple[list[str], dict[str, np.ndarray]]:
         frame, length = self._build_frame(select, ctes)
 
         if select.where is not None:
-            mask = ExpressionEvaluator(frame, length).evaluate(select.where).astype(bool)
-            frame = {key: values[mask] for key, values in frame.items()}
-            length = int(mask.sum())
+            frame, length = apply_filter(frame, length, select.where)
 
         has_aggregates = select_has_aggregates(select)
         has_windows = validate_window_usage(select, has_aggregates)
@@ -1717,7 +1845,9 @@ class SelectExecutor:
 
         return postprocess_select(select, names, columns, frame, length, has_aggregates)
 
-    def _build_frame(self, select: Select, ctes: Mapping[str, Table]) -> tuple[Frame, int]:
+    def _build_frame(
+        self, select: Select, ctes: Mapping[str, TransientTable]
+    ) -> tuple[Frame, int]:
         if select.source is None:
             # SELECT without FROM: a single synthetic row.
             return {}, 1

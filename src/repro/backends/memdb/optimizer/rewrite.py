@@ -28,6 +28,7 @@ rewritten statement is observationally identical to the original on SQLite.
 
 from __future__ import annotations
 
+import operator as _operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
@@ -154,6 +155,14 @@ def _fits_int64(value: int) -> bool:
     return _INT64_MIN <= value <= _INT64_MAX
 
 
+_INT_FOLDS = {
+    "&": _operator.and_,
+    "|": _operator.or_,
+    "<<": _operator.lshift,
+    ">>": _operator.rshift,
+}
+
+
 def _fold_node(expression: Expression, counter: list[int]) -> Expression:
     """Fold one already-rebuilt node if its operands are numeric literals.
 
@@ -187,15 +196,12 @@ def _fold_node(expression: Expression, counter: list[int]) -> Expression:
         result: object = None
         if operator in ("+", "-", "*"):
             result = {"+": left + right, "-": left - right, "*": left * right}[operator]
-        elif operator in ("&", "|", "<<", ">>") and both_int:
+        elif operator in _INT_FOLDS and both_int:
             if operator in ("<<", ">>") and not (0 <= right < 64):
                 return expression
-            result = {
-                "&": left & right,
-                "|": left | right,
-                "<<": left << right,
-                ">>": left >> right,
-            }[operator]
+            # Only the operator at hand is applied: ``5 & -3`` must not
+            # evaluate ``5 << -3`` (a ValueError in Python) along the way.
+            result = _INT_FOLDS[operator](left, right)
         elif operator == "/" and right != 0:
             if both_int:
                 quotient = abs(left) // abs(right)

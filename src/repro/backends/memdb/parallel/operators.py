@@ -117,7 +117,9 @@ def parallel_apply_filter(
     def filter_morsel(bounds: tuple[int, int]) -> tuple[list[np.ndarray], int]:
         start, stop = bounds
         morsel = _slice_frame(frame, length, start, stop)
-        mask = ExpressionEvaluator(morsel, stop - start).evaluate(predicate).astype(bool)
+        mask = ExpressionEvaluator(morsel, stop - start).evaluate(predicate).astype(
+            bool, copy=False
+        )
         return [morsel[key][mask] for key in keys], int(mask.sum())
 
     pieces = pool.map(filter_morsel, ranges)
@@ -510,7 +512,7 @@ def parallel_grouped_projection(
                     result[group] = value
             columns[name] = result
         else:
-            values = raw.astype(np.float64)
+            values = raw.astype(np.float64, copy=False)
             if call.name in ("sum", "total"):
                 sums = groups.sums(values, pool, mask=mask)
                 columns[name] = np.where(counts == 0, np.nan, sums) if call.name == "sum" else sums
@@ -556,6 +558,8 @@ def parallel_fused_aggregate(
         elif kind == "count":
             columns[name] = groups.counts()
         else:
-            weights = parallel_evaluate(joined, joined_length, argument, pool).astype(np.float64)
+            weights = parallel_evaluate(joined, joined_length, argument, pool).astype(
+                np.float64, copy=False
+            )
             columns[name] = groups.sums(weights, pool)
     return names, columns

@@ -62,6 +62,7 @@ from .executor import (
     Frame,
     apply_filter,
     column_refs,
+    factorize_codes,
     grouped_projection,
     hash_join_frames,
     item_output_name,
@@ -86,10 +87,10 @@ from .parallel import (
     parallel_join_indices,
     parallel_plain_projection,
 )
-from .table import Table
+from .table import Table, TransientTable
 
-#: Resolves a table name to a Table (catalog + CTE environment lookup).
-Resolver = Callable[[str], Table]
+#: Resolves a table name to a stored table or an earlier block's result.
+Resolver = Callable[[str], Table | TransientTable]
 
 
 class PlanNotSupported(Exception):
@@ -284,19 +285,10 @@ class _FusedJoinAggregateOp:
         evaluator = ExpressionEvaluator(joined, joined_length)
 
         key_values = evaluator.evaluate(self.key_expr)
-        if joined_length:
-            # Factorize on exact int64 codes (shared with the generic
-            # grouped path): int64 keys pass through, floats/text become
-            # injective order-preserving codes, all NULL keys form one
-            # group sorted first.
-            _unique, first_indices, inverse = np.unique(
-                encoded_codes(key_values), return_index=True, return_inverse=True
-            )
-            num_groups = len(first_indices)
-        else:
-            first_indices = np.empty(0, dtype=np.int64)
-            inverse = np.empty(0, dtype=np.int64)
-            num_groups = 0
+        # Factorize on exact int64 codes (shared with the generic grouped
+        # path): int64 keys pass through, floats/text become injective
+        # order-preserving codes, all NULL keys form one group sorted first.
+        first_indices, inverse, num_groups = factorize_codes(encoded_codes(key_values))
 
         names: list[str] = []
         columns: dict[str, np.ndarray] = {}
@@ -309,7 +301,7 @@ class _FusedJoinAggregateOp:
             elif kind == "count":
                 columns[name] = np.bincount(inverse, minlength=num_groups).astype(np.int64)
             else:
-                weights = evaluator.evaluate(argument).astype(np.float64)
+                weights = evaluator.evaluate(argument).astype(np.float64, copy=False)
                 columns[name] = np.bincount(inverse, weights=weights, minlength=num_groups)
         return names, columns
 
@@ -428,9 +420,7 @@ class CompiledQuery:
             if pool is not None:
                 frame, length = parallel_apply_filter(frame, length, select.where, pool)
             else:
-                mask = ExpressionEvaluator(frame, length).evaluate(select.where).astype(bool)
-                frame = {key: values[mask] for key, values in frame.items()}
-                length = int(mask.sum())
+                frame, length = apply_filter(frame, length, select.where)
 
         if self.grouped:
             names = columns = None
@@ -508,9 +498,7 @@ class CompiledQuery:
                 if pool is not None:
                     frame, length = parallel_apply_filter(frame, length, select.where, pool)
                 else:
-                    mask = ExpressionEvaluator(frame, length).evaluate(select.where).astype(bool)
-                    frame = {key: values[mask] for key, values in frame.items()}
-                    length = int(mask.sum())
+                    frame, length = apply_filter(frame, length, select.where)
                 span.set(rows=length)
 
         if self.grouped:
@@ -590,11 +578,13 @@ class CompiledCompoundCTE:
         def run_base() -> tuple[list[str], dict[str, np.ndarray]]:
             return self.base.execute(resolve, pool=pool, tracer=tracer)
 
-        def run_step(frontier: Table | None) -> tuple[list[str], dict[str, np.ndarray]]:
+        def run_step(
+            frontier: TransientTable | None,
+        ) -> tuple[list[str], dict[str, np.ndarray]]:
             if frontier is None:
                 step_resolve = resolve
             else:
-                def step_resolve(name: str, frontier=frontier) -> Table:
+                def step_resolve(name: str, frontier=frontier) -> Table | TransientTable:
                     return frontier if name == self.name else resolve(name)
             if tracer is not None and frontier is not None:
                 iteration_box[0] += 1
@@ -662,9 +652,9 @@ class CompiledScript:
         a traced span tree and an EXPLAIN ANALYZE of the same execution can
         never disagree, because they read one observation.
         """
-        ctes: dict[str, Table] = {}
+        ctes: dict[str, TransientTable] = {}
 
-        def resolve(name: str) -> Table:
+        def resolve(name: str) -> Table | TransientTable:
             if name in ctes:
                 return ctes[name]
             if name in catalog:
@@ -686,13 +676,13 @@ class CompiledScript:
                     names, columns = plan.execute(
                         resolve, observe=observe, pool=pool, tracer=tracer, **extra
                     )
-                    ctes[name] = Table(name, {column: columns[column] for column in names})
+                    ctes[name] = TransientTable(name, names, columns)
                     span.attrs["rows"] = observed[-1] if observed else ctes[name].num_rows
                     if isinstance(plan, CompiledCompoundCTE):
                         span.attrs["iterations"] = plan.last_iterations
             else:
                 names, columns = plan.execute(resolve, observe=observe, pool=pool, **extra)
-                ctes[name] = Table(name, {column: columns[column] for column in names})
+                ctes[name] = TransientTable(name, names, columns)
             if trace is not None:
                 trace(name, observed[-1] if observed else ctes[name].num_rows)
             observed.clear()

@@ -42,6 +42,30 @@ def dtype_for_sql_type(type_name: str) -> type:
     return _TYPE_MAP.get(type_name.upper(), np.float64)
 
 
+#: dtype -> its schema-signature name.  ``str(np.dtype)`` runs numpy's
+#: Python-level name builder; a table signs every column at construction,
+#: and the engine only ever sees a handful of distinct dtypes.
+_DTYPE_NAMES: dict[np.dtype, str] = {}
+
+
+def _dtype_name(dtype: np.dtype) -> str:
+    name = _DTYPE_NAMES.get(dtype)
+    if name is None:
+        name = _DTYPE_NAMES[dtype] = str(dtype)
+    return name
+
+
+def _bound_frame(
+    binding: str, columns: Iterable[tuple[str, np.ndarray | DictArray]]
+) -> dict[str, np.ndarray | DictArray]:
+    """The scan surface of a relation: vectors keyed ``binding.column`` and ``column``."""
+    frame: dict[str, np.ndarray | DictArray] = {}
+    for column, values in columns:
+        frame[f"{binding}.{column}"] = values
+        frame.setdefault(column, values)
+    return frame
+
+
 class Table:
     """A named collection of equally-long encoded columns."""
 
@@ -58,10 +82,9 @@ class Table:
         if len(lengths) > 1:
             raise SQLExecutionError(f"table {name!r}: column lengths differ ({lengths})")
         # dict_encode=None is *representation-preserving*: DictArray inputs
-        # stay encoded, object arrays stay object.  CTE materialization uses
-        # this so an ablated engine (enable_dict_encoding=False) can never
-        # re-introduce the encoded representation mid-query; the engine
-        # passes an explicit flag at CREATE TABLE / INSERT sites.
+        # stay encoded, object arrays stay object.  The engine passes an
+        # explicit flag at every CREATE TABLE / INSERT site (results that
+        # only cross a CTE edge never become a Table: see TransientTable).
         self._dict_encode = dict_encode
         self._columns: dict[str, EncodedColumn] = {}
         for column, values in columns.items():
@@ -81,7 +104,7 @@ class Table:
         # as "object" regardless of encoding, keeping compiled plans
         # representation-agnostic.
         self._schema_signature = tuple(
-            (column, str(dtype)) for column, dtype in self._dtypes.items()
+            (column, _dtype_name(dtype)) for column, dtype in self._dtypes.items()
         )
 
     # ------------------------------------------------------------- factories
@@ -304,13 +327,10 @@ class Table:
 
     def frame(self, binding: str | None = None) -> dict[str, np.ndarray | DictArray]:
         """Column dictionary keyed by both qualified and bare names."""
-        binding = binding or self.name
-        frame: dict[str, np.ndarray | DictArray] = {}
-        for column in self._columns:
-            values = self._columns[column].materialize()
-            frame[f"{binding}.{column}"] = values
-            frame.setdefault(column, values)
-        return frame
+        return _bound_frame(
+            binding or self.name,
+            ((column, encoded.materialize()) for column, encoded in self._columns.items()),
+        )
 
     def rows(self) -> list[tuple]:
         """Materialize all rows as Python tuples (column order preserved)."""
@@ -335,3 +355,33 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, columns={self.column_names}, rows={self.num_rows})"
+
+
+class TransientTable:
+    """A query block's result handed to the next block as its column vectors.
+
+    CTE results (and the recursive frontier) live for one statement and are
+    only ever scanned, so they skip everything a stored :class:`Table`
+    pays for — chunking, validity bitmaps, a schema signature — and expose
+    just the scan surface: :meth:`frame` and :attr:`num_rows`.  The vectors
+    are shared, not copied; ``CREATE TABLE AS`` builds a real
+    :class:`Table` from copies instead.
+    """
+
+    __slots__ = ("name", "num_rows", "_columns")
+
+    def __init__(
+        self, name: str, names: Sequence[str], columns: dict[str, np.ndarray | DictArray]
+    ) -> None:
+        self.name = name
+        self.num_rows = len(columns[names[0]]) if names else 0
+        self._columns: dict[str, np.ndarray | DictArray] = {}
+        for column in names:
+            values = columns[column]
+            # Text a block computed (literals, ``||``) is fixed-width ``<U``;
+            # stored text is object/dictionary.  Scans see the stored forms.
+            self._columns[column] = values.astype(object) if values.dtype.kind == "U" else values
+
+    def frame(self, binding: str | None = None) -> dict[str, np.ndarray | DictArray]:
+        """Column dictionary keyed by both qualified and bare names."""
+        return _bound_frame(binding or self.name, self._columns.items())

@@ -188,12 +188,14 @@ def _null_tables(draw, count: int = 1):
 
 
 @st.composite
-def _expr(draw, columns, depth: int = 2, division: bool = False):
+def _expr(draw, columns, depth: int = 2, division: bool = False, bitwise: bool = False):
     """A scalar expression over ``columns``; returns (sql, kind).
 
     ``division`` additionally allows ``/`` (and integer ``%``) — safe in
     projections, excluded from predicates and ORDER BY keys (NULL vs NaN
-    ordering / three-valued logic divergences).
+    ordering / three-valued logic divergences).  ``bitwise`` additionally
+    allows ``& | << >> ~`` nodes (see :func:`_bitwise_node`); with no
+    ``columns`` the result is a literal-only subtree.
     """
     if depth <= 0 or draw(st.booleans()):
         if columns and draw(st.integers(min_value=0, max_value=3)) > 0:
@@ -201,12 +203,14 @@ def _expr(draw, columns, depth: int = 2, division: bool = False):
         if draw(st.booleans()):
             return str(draw(st.integers(min_value=-9, max_value=9))), _INT
         return repr(draw(st.integers(min_value=-12, max_value=12)) / 4.0), _FLOAT
+    if bitwise and draw(st.booleans()):
+        return draw(_bitwise_node(columns, depth, division))
     choice = draw(st.integers(min_value=0, max_value=5 if division else 3))
     if choice == 3:
-        inner, kind = draw(_expr(columns, depth - 1, division))
+        inner, kind = draw(_expr(columns, depth - 1, division, bitwise))
         return f"abs({inner})", kind
-    left, left_kind = draw(_expr(columns, depth - 1, division))
-    right, right_kind = draw(_expr(columns, depth - 1, division))
+    left, left_kind = draw(_expr(columns, depth - 1, division, bitwise))
+    right, right_kind = draw(_expr(columns, depth - 1, division, bitwise))
     kind = _INT if (left_kind, right_kind) == (_INT, _INT) else _FLOAT
     if choice <= 2:
         operator = ["+", "-", "*"][choice]
@@ -219,6 +223,25 @@ def _expr(draw, columns, depth: int = 2, division: bool = False):
     if right_kind != _INT:
         right = str(draw(st.integers(min_value=-9, max_value=9)))
     return f"({left} % {right})", _INT
+
+
+@st.composite
+def _bitwise_node(draw, columns, depth: int, division: bool):
+    """One ``& | << >> ~`` node over arbitrary (REAL, NULL-able) operands.
+
+    Both engines cast REAL operands to INTEGER by truncation and yield NULL
+    for a NULL operand.  Shift counts are small non-negative literals:
+    SQLite turns a negative count into a shift the other way, numpy does
+    not.
+    """
+    operator = draw(st.sampled_from(["&", "|", "<<", ">>", "~"]))
+    left, _kind = draw(_expr(columns, depth - 1, division, True))
+    if operator == "~":
+        return f"(~{left})", _INT
+    if operator in ("<<", ">>"):
+        return f"({left} {operator} {draw(st.integers(min_value=0, max_value=6))})", _INT
+    right, _kind = draw(_expr(columns, depth - 1, division, True))
+    return f"({left} {operator} {right})", _INT
 
 
 @st.composite
@@ -591,6 +614,59 @@ _NULL_SHAPES = {
     "join": (2, _null_text_join_query),
     "grouped": (1, _null_grouped_query),
 }
+
+
+# ---------------------------------------------------------------------------
+# Bitwise-operator query shapes (nullable DOUBLE operands, literal subtrees)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _bitwise_query(draw, tables):
+    """``& | << >> ~`` over a NULL-heavy table, four ways.
+
+    Projections and filters over the nullable DOUBLE columns (NULL in ->
+    NULL out; a NULL comparison filters the row in both engines), GROUP BY
+    on a bitwise key (all NULL keys form one group), and literal-only
+    subtrees with and without a FROM clause — the scalar-preserving
+    evaluator must broadcast those to the same rows either way.
+    """
+    table = tables[0]
+    name = table["name"]
+    numeric, _texts, _nullable = _split_null_columns(table)
+    shape = draw(st.integers(min_value=0, max_value=3))
+    if shape <= 1:
+        # Literal-only: the first item always has a bitwise root.
+        items = [f"{draw(_bitwise_node([], 2, False))[0]} AS e0"]
+        for position in range(1, draw(st.integers(min_value=1, max_value=3))):
+            expression, _ = draw(_expr([], depth=2, bitwise=True))
+            items.append(f"{expression} AS e{position}")
+        if shape == 0:
+            return f"SELECT {', '.join(items)}", False
+        return f"SELECT {name}.id AS id0, {', '.join(items)} FROM {name}", False
+    if shape == 2:
+        key, _ = draw(_bitwise_node(numeric, 2, False))
+        sql = (
+            f"SELECT {key} AS k0, COUNT(*) AS n, SUM({name}.id) AS a0 "
+            f"FROM {name} GROUP BY {key}"
+        )
+        tail, _limited = draw(_limit_tail(["k0"], []))
+        if draw(st.booleans()):
+            return sql + tail, True
+        return sql, False
+    items = [f"{name}.id AS id0", f"{draw(_bitwise_node(numeric, 2, True))[0]} AS e0"]
+    for position in range(1, draw(st.integers(min_value=1, max_value=3))):
+        expression, _ = draw(_expr(numeric, depth=2, division=True, bitwise=True))
+        items.append(f"{expression} AS e{position}")
+    sql = f"SELECT {', '.join(items)} FROM {name}"
+    if draw(st.booleans()):
+        left, _ = draw(_bitwise_node(numeric, 1, False))
+        right, _ = draw(_expr(numeric, depth=1, bitwise=True))
+        sql += f" WHERE {left} {draw(st.sampled_from(['<', '<=', '>', '>=', '=', '!=']))} {right}"
+    tail, _limited = draw(_limit_tail(["id0"], []))
+    if draw(st.booleans()):
+        return sql + tail, True
+    return sql, False
 
 
 # ---------------------------------------------------------------------------
@@ -1145,6 +1221,21 @@ def test_fuzz_parallel_null_and_text_matches_serial(data):
     count, shape_strategy = _NULL_SHAPES[shape]
     tables = data.draw(_null_tables(count=count))
     query = data.draw(shape_strategy(tables))
+    _parallel_check(tables, query)
+
+
+@given(data=st.data())
+@_FAST
+def test_fuzz_bitwise_expressions_match_sqlite(data):
+    """``& | << >> ~`` over nullable operands and literal-only subtrees.
+
+    Serial engines (optimizer on and off — constant folding vs the
+    evaluator's scalar subtrees) against SQLite, then the morsel-parallel
+    engine bit-for-bit against serial.
+    """
+    tables = data.draw(_null_tables(count=1))
+    query = data.draw(_bitwise_query(tables))
+    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
     _parallel_check(tables, query)
 
 
