@@ -61,7 +61,7 @@ def _load_text(db: MemDatabase, fact_rows: int, seed: int = 42) -> None:
     rng = np.random.default_rng(seed)
     dim_keys = np.array([f"sku-{i:05d}" for i in range(_DIM_ROWS)], dtype=object)
     group_names = np.array([f"region-{i:03d}" for i in range(_GROUPS)], dtype=object)
-    db.create_table_from_columns(
+    db.load_table(
         "f",
         {
             "id": np.arange(fact_rows, dtype=np.int64),
@@ -70,7 +70,7 @@ def _load_text(db: MemDatabase, fact_rows: int, seed: int = 42) -> None:
             "v": np.round(rng.normal(size=fact_rows), 4),
         },
     )
-    db.create_table_from_columns(
+    db.load_table(
         "d",
         {
             "id": dim_keys.copy(),
@@ -82,7 +82,7 @@ def _load_text(db: MemDatabase, fact_rows: int, seed: int = 42) -> None:
 
 def _load_numeric(db: MemDatabase, fact_rows: int, seed: int = 42) -> None:
     rng = np.random.default_rng(seed)
-    db.create_table_from_columns(
+    db.load_table(
         "f",
         {
             "id": np.arange(fact_rows, dtype=np.int64),

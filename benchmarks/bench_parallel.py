@@ -49,7 +49,7 @@ def _effective_cpus() -> int:
 
 def _load(db: MemDatabase, fact_rows: int, seed: int = 42) -> None:
     rng = np.random.default_rng(seed)
-    db.create_table_from_columns(
+    db.load_table(
         "f",
         {
             "id": np.arange(fact_rows, dtype=np.int64),
@@ -58,7 +58,7 @@ def _load(db: MemDatabase, fact_rows: int, seed: int = 42) -> None:
             "v": np.round(rng.normal(size=fact_rows), 4),
         },
     )
-    db.create_table_from_columns(
+    db.load_table(
         "d",
         {
             "id": np.arange(_DIM_ROWS, dtype=np.int64),

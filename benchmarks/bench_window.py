@@ -43,7 +43,7 @@ _RECURSION_ROWS = min(_TREE_ROWS, 30_000)
 
 def _load_tree(num_nodes: int) -> MemDatabase:
     db = MemDatabase(plan_cache=PlanCache(maxsize=8))
-    db.create_table_from_columns("tree", dblp_tree_columns(num_nodes))
+    db.load_table("tree", dblp_tree_columns(num_nodes))
     db.execute("ANALYZE")
     return db
 

@@ -6,13 +6,17 @@ carry the same metadata and plug into the same benchmarking framework as the
 state-vector / MPS / DD baselines.  Internally it
 
 1. asks the Translation Layer for the relational program of the circuit,
-2. creates the gate tables and the initial state table ``T0``,
+2. creates the gate tables and the initial state table ``T0``
+   (:meth:`RelationalBackend._load_tables`),
 3. executes the program either as one CTE query (Fig. 2c) or step by step
    in materialized mode (out-of-core; per-step row statistics and pruning),
-4. reads the final state table back into a :class:`SparseState`.
+4. reads the final state table back as its three columns ``(s, r, i)``
+   (:meth:`RelationalBackend._fetch_state`) into a :class:`SparseState`.
 
 Concrete subclasses only provide connection management and raw statement
-execution for their engine (SQLite, DuckDB, memdb).
+execution for their engine (SQLite, DuckDB, memdb); memdb additionally
+loads the tables and reads the state as arrays instead of SQL text and row
+tuples.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ from __future__ import annotations
 from abc import abstractmethod
 from typing import Sequence
 
+import numpy as np
+
 from ..core.circuit import QuantumCircuit
 from ..errors import BackendError, ResourceLimitExceeded
+from ..obs.tracing import maybe_span
 from ..output.result import SparseState
 from ..simulators.base import BaseSimulator, EvolutionStats, Executable
 from ..sql.dialect import Dialect
@@ -100,6 +107,29 @@ class RelationalBackend(BaseSimulator):
     def _fetch(self, sql: str) -> list[tuple]:
         """Execute a query and return all rows."""
 
+    def _load_tables(self, translation: SQLTranslation) -> None:
+        """Create and fill the gate tables and ``T0``.
+
+        The only place a backend learns how tables arrive.  A real RDBMS is
+        handed the translation's SQL script, statement by statement — that
+        script is the paper's artifact.
+        """
+        for statement in translation.setup_statements():
+            self._execute(statement)
+
+    def _fetch_state(self, sql: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run a query producing state rows; returns the columns ``(s, r, i)``.
+
+        ``s`` is built as int64 directly: a float64 detour is exact only up
+        to 2**53, and the capacity runs reach 62 qubits.
+        """
+        s, r, i = tuple(zip(*self._fetch(sql))) or ((), (), ())
+        return (
+            np.array(s, dtype=np.int64),
+            np.array(r, dtype=np.float64),
+            np.array(i, dtype=np.float64),
+        )
+
     def _table_row_count(self, table: str) -> int:
         """Row count of a state table (used for per-step statistics)."""
         rows = self._fetch(f"SELECT COUNT(*) FROM {table}")
@@ -166,7 +196,7 @@ class RelationalBackend(BaseSimulator):
         if initial_state is None and circuit is executable.circuit:
             translation = executable.artifact.get("translation")
         if translation is None:
-            translation = self.translate(circuit, initial_state=initial_state)
+            return self._evolve(circuit, initial_state, stats)
         return self._evolve_translation(translation, stats)
 
     def _evolve(
@@ -175,12 +205,14 @@ class RelationalBackend(BaseSimulator):
         initial_state: SparseState | None,
         stats: EvolutionStats,
     ) -> SparseState:
-        return self._evolve_translation(self.translate(circuit, initial_state=initial_state), stats)
+        with maybe_span("translate", gates=circuit.size()):
+            translation = self.translate(circuit, initial_state=initial_state)
+        return self._evolve_translation(translation, stats)
 
     def _evolve_translation(self, translation: SQLTranslation, stats: EvolutionStats) -> SparseState:
         self._connect()
         try:
-            rows = self._execute_translation(translation, stats)
+            columns = self._execute_translation(translation, stats)
         finally:
             self._disconnect()
         stats.extras["sql"] = {
@@ -188,19 +220,28 @@ class RelationalBackend(BaseSimulator):
             "dialect": self.dialect.name,
             **translation.describe(),
         }
-        return SparseState.from_rows(translation.num_qubits, rows)
+        with maybe_span("state", rows=len(columns[0])):
+            return SparseState.from_columns(translation.num_qubits, *columns)
 
-    def _execute_translation(self, translation: SQLTranslation, stats: EvolutionStats) -> list[tuple]:
-        for statement in translation.setup_statements():
-            self._execute(statement)
+    def _execute_translation(
+        self, translation: SQLTranslation, stats: EvolutionStats
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Load the tables and run the program; returns the final ``(s, r, i)`` columns."""
         initial_rows = len(translation.initial_rows)
+        with maybe_span(
+            "load",
+            tables=len(translation.gate_tables) + 1,
+            rows=sum(table.num_rows for table in translation.gate_tables) + initial_rows,
+        ):
+            self._load_tables(translation)
         stats.observe(initial_rows, ROW_BYTES * initial_rows)
 
         if self.mode == MODE_CTE:
-            rows = self._fetch(translation.cte_query(pretty=False))
-            stats.observe(len(rows), ROW_BYTES * len(rows))
-            self._check_budget(ROW_BYTES * len(rows), "final state")
-            return [(int(s), float(r), float(i)) for s, r, i in rows]
+            columns = self._fetch_state(translation.cte_query(pretty=False))
+            rows = len(columns[0])
+            stats.observe(rows, ROW_BYTES * rows)
+            self._check_budget(ROW_BYTES * rows, "final state")
+            return columns
 
         # Materialized mode: run step by step, recording row counts.
         step_rows: list[int] = []
@@ -213,8 +254,7 @@ class RelationalBackend(BaseSimulator):
                 stats.observe(count, estimate)
                 self._check_budget(estimate, f"state table {item['table']}")
         stats.extras["step_rows"] = step_rows
-        rows = self._fetch(translation.final_select())
-        return [(int(s), float(r), float(i)) for s, r, i in rows]
+        return self._fetch_state(translation.final_select())
 
     # ------------------------------------------------------------- utilities
 
@@ -228,8 +268,7 @@ class RelationalBackend(BaseSimulator):
         translation = self.translate(circuit)
         self._connect()
         try:
-            for statement in translation.setup_statements():
-                self._execute(statement)
+            self._load_tables(translation)
             for item in translation.materialized_statements(keep_intermediate=self.keep_intermediate):
                 self._execute(item["sql"])
             return self._fetch(query_builder(translation.final_table, *args))

@@ -776,13 +776,6 @@ class EncodedColumn:
             "null_count": self.null_count(),
         }
 
-    def copy(self) -> "EncodedColumn":
-        clone = EncodedColumn(self.kind, self._dtype, self._dictionary)
-        clone._chunks = [chunk.copy() for chunk in self._chunks]
-        clone._validity = [bitmap.copy() if bitmap is not None else None for bitmap in self._validity]
-        clone.dictionary_rebuilds = self.dictionary_rebuilds
-        return clone
-
     #: Cost-model width weight: dictionary codes and numerics move 8-byte
     #: (or narrower) machine words; object columns move pointers plus
     #: interned python strings, roughly 4x the touch cost.

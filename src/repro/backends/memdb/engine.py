@@ -60,7 +60,7 @@ from .optimizer import (
 from .optimizer.rewrite import referenced_stored_tables
 from .parallel import WorkerPool, parallel_env_enabled, shared_worker_pool
 from .parallel.pool import default_worker_count
-from .column import DictArray, dict_encoding_default, to_pylist
+from .column import EncodedColumn, dict_encoding_default
 from .parser import parse_sql
 from .planner import CompiledCreateTableAs, CompiledScript, compile_statement
 from .table import Table, dtype_for_sql_type
@@ -683,28 +683,52 @@ class MemDatabase:
             return self.table(name).estimated_bytes()
         return sum(table.estimated_bytes() for table in self._tables.values())
 
-    def create_table_from_columns(self, name: str, columns: Mapping[str, np.ndarray]) -> Table:
-        """Bulk-load a table straight from numpy columns (no SQL round-trip).
+    def load_table(self, name: str, columns: Mapping[str, np.ndarray]) -> Table:
+        """Create ``name`` from column arrays: ``CREATE TABLE`` + ``INSERT`` in one step.
 
-        The columnar fast path for benchmark and service loaders: building a
-        million-row table from INSERT literals would spend orders of
-        magnitude longer tokenizing than the engine spends executing.  The
-        table participates in everything a CREATE'd table does (statistics
-        invalidation included).
+        The columnar way in.  The catalog ends up exactly as if the
+        equivalent DDL and INSERT texts had been executed — same schema
+        signature, same storage, statistics invalidated — but nothing is
+        tokenized or parsed and the plan cache is not touched, so a sweep
+        point swapping its gate tables pays for the rows, not for a
+        program text describing them.  Integer arrays store as ``BIGINT``,
+        float arrays as ``DOUBLE`` (NaN is NULL), ``str``/``None`` arrays
+        as ``TEXT`` (dictionary-encoded when the engine is).  The arrays
+        are copied.  An existing name, columns of unequal length and
+        arrays that fit no column type raise :class:`SQLExecutionError`
+        and leave the catalog unchanged.
         """
         if name in self._tables:
             raise SQLExecutionError(f"table {name!r} already exists")
-        table = Table(
-            name,
-            {
-                column: values if isinstance(values, DictArray) else np.asarray(values)
-                for column, values in columns.items()
-            },
-            dict_encode=self.enable_dict_encoding,
-        )
-        self._tables[name] = table
+        encoded: dict[str, EncodedColumn] = {}
+        for column, values in columns.items():
+            values = self._storable(name, column, values)
+            # CREATE TABLE's empty column, then INSERT's append.
+            encoded[column] = EncodedColumn.empty(values.dtype, self.enable_dict_encoding)
+            encoded[column].append(values)
+        self._tables[name] = table = Table(name, encoded, dict_encode=self.enable_dict_encoding)
         self._statistics.invalidate(name)
         return table
+
+    @staticmethod
+    def _storable(table: str, column: str, values) -> np.ndarray:
+        """A copy of ``values`` as the int64 / float64 / object vector of a column type."""
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        storable = array.ndim == 1 and (
+            kind in "ifU"
+            # One pass at C speed: text loads run to millions of rows.
+            or (kind == "O" and all(
+                issubclass(found, str) or found is type(None)
+                for found in set(map(type, array.tolist()))
+            ))
+        )
+        if not storable:
+            raise SQLExecutionError(
+                f"cannot load {array.dtype} values of shape {array.shape} "
+                f"into column {column!r} of table {table!r}"
+            )
+        return array.astype(np.int64 if kind == "i" else np.float64 if kind == "f" else object)
 
     def storage_stats(self, name: str | None = None) -> dict:
         """Encoded-storage accounting for one table or the whole catalog.
@@ -755,7 +779,7 @@ class MemDatabase:
         tracer = self._tracer
         with tracer.query(sql) as root:
             result = self._execute_script(sql, tracer=tracer)
-            root.set(rows=len(result.rows), rowcount=result.rowcount)
+            root.set(rows=len(result), rowcount=result.rowcount)
             root.plan_provider = lambda: self._render_plan_snapshot(sql)
         return result
 
@@ -780,7 +804,7 @@ class MemDatabase:
                 root.set(cache=cache_state)
         else:
             cached = self._plan_cache.get(sql, self._tables, self.plan_flavor)
-        result = QueryResult([], [])
+        result = QueryResult([])
         if cached is not None:
             for item in cached.items:
                 result = self._execute_compiled(
@@ -934,7 +958,7 @@ class MemDatabase:
                 "execute", statement=type(statement).__name__, parallel=parallel
             ) as span:
                 result = self._run_compiled(plan, trace, pool, tracer)
-                span.set(rows=len(result.rows), rowcount=result.rowcount)
+                span.set(rows=len(result), rowcount=result.rowcount)
         else:
             result = self._run_compiled(plan, trace, pool, None)
         if collect and actuals:
@@ -950,7 +974,7 @@ class MemDatabase:
     ) -> QueryResult:
         if isinstance(plan, CompiledCreateTableAs):
             return self._run_compiled_create(plan, trace=trace, pool=pool, tracer=tracer)
-        return self._materialize(
+        return QueryResult(
             *plan.execute(
                 self._tables,
                 trace=trace,
@@ -1107,21 +1131,7 @@ class MemDatabase:
 
     def _run_query(self, statement: Select | WithSelect) -> QueryResult:
         executor = SelectExecutor(self._tables, recursion_limit=self.recursion_limit)
-        names, columns = executor.execute(statement)
-        return self._materialize(names, columns)
-
-    @staticmethod
-    def _materialize(names: list[str], columns: dict[str, np.ndarray]) -> QueryResult:
-        """Turn result columns into a row-oriented :class:`QueryResult`.
-
-        ``ndarray.tolist`` converts whole columns to Python scalars at C
-        speed, which beats per-value unboxing by an order of magnitude on
-        dense final states; dictionary-encoded text decodes once here, at
-        the representation boundary.
-        """
-        materialized = [to_pylist(columns[name]) for name in names]
-        rows = [tuple(row) for row in zip(*materialized)] if materialized else []
-        return QueryResult(list(names), rows)
+        return QueryResult(*executor.execute(statement))
 
     def _run_compiled_create(
         self,
@@ -1132,17 +1142,17 @@ class MemDatabase:
     ) -> QueryResult:
         if plan.name in self._tables:
             raise SQLExecutionError(f"table {plan.name!r} already exists")
-        names, columns = plan.script.execute(
+        names, vectors = plan.script.execute(
             self._tables,
             trace=trace,
             pool=pool,
             tracer=tracer,
             recursion_limit=self.recursion_limit,
         )
-        return self._store_query_result(plan.name, names, columns)
+        return self._store_query_result(plan.name, names, vectors)
 
     def _store_query_result(
-        self, name: str, names: list[str], columns: dict[str, np.ndarray]
+        self, name: str, names: list[str], vectors: list[np.ndarray]
     ) -> QueryResult:
         """``CREATE TABLE AS``: store a query's result columns as a new table.
 
@@ -1150,13 +1160,15 @@ class MemDatabase:
         untouched returns the source table's own array, and a stored table
         must never alias another table's storage.
         """
+        if len(set(names)) != len(names):
+            raise SQLExecutionError(f"duplicate column name in CREATE TABLE {name} AS: {names}")
         self._tables[name] = table = Table(
             name,
-            {column: columns[column].copy() for column in names},
+            {column: values.copy() for column, values in zip(names, vectors)},
             dict_encode=self.enable_dict_encoding,
         )
         self._statistics.invalidate(name)
-        return QueryResult([], [], rowcount=table.num_rows)
+        return QueryResult([], rowcount=table.num_rows)
 
     def _create_table(self, statement: CreateTable) -> QueryResult:
         if statement.name in self._tables:
@@ -1166,14 +1178,14 @@ class MemDatabase:
             statement.name, column_types, dict_encode=self.enable_dict_encoding
         )
         self._statistics.invalidate(statement.name)
-        return QueryResult([], [], rowcount=0)
+        return QueryResult([], rowcount=0)
 
     def _create_table_as(self, statement: CreateTableAs) -> QueryResult:
         if statement.name in self._tables:
             raise SQLExecutionError(f"table {statement.name!r} already exists")
         executor = SelectExecutor(self._tables, recursion_limit=self.recursion_limit)
-        names, columns = executor.execute(statement.query)
-        return self._store_query_result(statement.name, names, columns)
+        names, vectors = executor.execute(statement.query)
+        return self._store_query_result(statement.name, names, vectors)
 
     def _insert(self, statement: Insert) -> QueryResult:
         table = self.table(statement.table)
@@ -1181,7 +1193,7 @@ class MemDatabase:
         inserted = table.append_rows(statement.columns, rows)
         if inserted:
             self._statistics.invalidate(statement.table)
-        return QueryResult([], [], rowcount=inserted)
+        return QueryResult([], rowcount=inserted)
 
     def _delete(self, statement: Delete) -> QueryResult:
         table = self.table(statement.table)
@@ -1196,22 +1208,22 @@ class MemDatabase:
         table.delete_where(mask)
         if deleted:
             self._statistics.invalidate(statement.table)
-        return QueryResult([], [], rowcount=deleted)
+        return QueryResult([], rowcount=deleted)
 
     def _drop(self, statement: DropTable) -> QueryResult:
         if statement.name not in self._tables:
             if statement.if_exists:
-                return QueryResult([], [], rowcount=0)
+                return QueryResult([], rowcount=0)
             raise SQLExecutionError(f"no such table: {statement.name}")
         del self._tables[statement.name]
         self._statistics.invalidate(statement.name)
-        return QueryResult([], [], rowcount=0)
+        return QueryResult([], rowcount=0)
 
     # ------------------------------------------------- optimizer statements
 
     def _analyze(self, statement: Analyze) -> QueryResult:
         """ANALYZE [table]: refresh the statistics catalog."""
-        return QueryResult([], [], rowcount=self._refresh_statistics(statement.table))
+        return QueryResult([], rowcount=self._refresh_statistics(statement.table))
 
     def _explain(self, statement: Explain) -> QueryResult:
         """EXPLAIN [ANALYZE]: optimize, compile, (optionally execute), render.
@@ -1255,19 +1267,18 @@ class MemDatabase:
                 )
 
         lines = render_explain(statement.inner_sql, report, plan, cache_state, actual)
-        return QueryResult(["plan"], [(line,) for line in lines])
+        return QueryResult(["plan"], [np.array(lines, dtype=object)])
 
     def _run_script_with_actuals(self, script: CompiledScript) -> tuple[list[tuple[str, int]], int]:
         """Execute a compiled script, capturing per-block actual cardinalities."""
         cardinalities: list[tuple[str, int]] = []
-        _names, columns = script.execute(
+        _names, vectors = script.execute(
             self._tables,
             trace=lambda label, rows: cardinalities.append((label, rows)),
             pool=self.worker_pool(),
             recursion_limit=self.recursion_limit,
         )
-        rowcount = len(next(iter(columns.values()))) if columns else 0
-        return cardinalities, rowcount
+        return cardinalities, len(vectors[0]) if vectors else 0
 
     def _run_create_with_actuals(self, plan: CompiledCreateTableAs) -> tuple[list[tuple[str, int]], int]:
         cardinalities: list[tuple[str, int]] = []

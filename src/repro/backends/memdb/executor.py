@@ -1048,7 +1048,7 @@ def compute_window_columns(
 
 def windowed_projection(
     select: Select, frame: Frame, length: int
-) -> tuple[list[str], dict[str, np.ndarray], Frame]:
+) -> tuple[list[str], list[np.ndarray], Frame]:
     """Window physical operator: compute window columns, then project.
 
     Window results are 1:1 with the (post-WHERE) input rows, so the
@@ -1075,8 +1075,8 @@ def windowed_projection(
         )
         for position, item in enumerate(select.items)
     )
-    names, columns = plain_projection(items, extended, length)
-    return names, columns, extended
+    names, vectors = plain_projection(items, extended, length)
+    return names, vectors, extended
 
 
 # ---------------------------------------------------------------------------
@@ -1113,12 +1113,14 @@ def _dedup_key(row: tuple) -> tuple:
     return tuple(key)
 
 
-def rows_from_columns(names: Sequence[str], columns: Mapping[str, np.ndarray]) -> list[tuple]:
-    """Materialize a column dict as Python row tuples (``None`` for NULL)."""
-    if not names:
-        return []
-    lists = [to_pylist(columns[name]) for name in names]
-    return list(zip(*lists))
+def rows_from_vectors(vectors: Sequence[np.ndarray]) -> list[tuple]:
+    """Materialize result vectors as Python row tuples (``None`` for NULL).
+
+    ``ndarray.tolist`` converts whole columns to Python scalars at C speed;
+    dictionary-encoded text decodes once here, at the representation
+    boundary.
+    """
+    return list(zip(*[to_pylist(values) for values in vectors]))
 
 
 def _column_array(values: list):
@@ -1149,11 +1151,9 @@ def _column_array(values: list):
     return np.array(clean, dtype=np.float64)
 
 
-def columns_from_rows(names: Sequence[str], rows: Sequence[tuple]) -> dict[str, np.ndarray]:
-    """Inverse of :func:`rows_from_columns`."""
-    return {
-        name: _column_array([row[index] for row in rows]) for index, name in enumerate(names)
-    }
+def vectors_from_rows(width: int, rows: Sequence[tuple]) -> list[np.ndarray]:
+    """Inverse of :func:`rows_from_vectors` for ``width`` columns."""
+    return [_column_array([row[index] for row in rows]) for index in range(width)]
 
 
 def run_compound_cte(
@@ -1161,11 +1161,11 @@ def run_compound_cte(
     compound: CompoundSelect,
     recursive: bool,
     alias_columns: Sequence[str],
-    run_base: "Callable[[], tuple[list[str], dict[str, np.ndarray]]]",
-    run_step: "Callable[[TransientTable | None], tuple[list[str], dict[str, np.ndarray]]]",
+    run_base: "Callable[[], tuple[list[str], list[np.ndarray]]]",
+    run_step: "Callable[[TransientTable | None], tuple[list[str], list[np.ndarray]]]",
     recursion_limit: int = DEFAULT_RECURSION_LIMIT,
     observe_iteration: "Callable[[int, int], None] | None" = None,
-) -> tuple[list[str], dict[str, np.ndarray]]:
+) -> tuple[list[str], list[np.ndarray]]:
     """Evaluate a ``UNION [ALL]`` CTE body, recursively when self-referencing.
 
     The shared fixpoint driver behind both the interpreter and the compiled
@@ -1199,14 +1199,14 @@ def run_compound_cte(
             f"the recursive term of CTE {name!r} may not use aggregates, GROUP BY or DISTINCT"
         )
 
-    base_names, base_columns = run_base()
+    base_names, base_vectors = run_base()
     names = list(alias_columns) if alias_columns else list(base_names)
     if alias_columns and len(alias_columns) != len(base_names):
         raise SQLExecutionError(
             f"CTE {name!r} declares {len(alias_columns)} columns "
             f"but its query returns {len(base_names)}"
         )
-    base_rows = rows_from_columns(base_names, base_columns)
+    base_rows = rows_from_vectors(base_vectors)
 
     dedup = not compound.all
     seen: set = set()
@@ -1221,19 +1221,19 @@ def run_compound_cte(
         result_rows = list(base_rows)
 
     if not references:
-        step_names, step_columns = run_step(None)
+        step_names, step_vectors = run_step(None)
         if len(step_names) != len(names):
             raise SQLExecutionError(
                 f"UNION branches of CTE {name!r} return different column counts"
             )
-        for row in rows_from_columns(step_names, step_columns):
+        for row in rows_from_vectors(step_vectors):
             if dedup:
                 key = _dedup_key(row)
                 if key in seen:
                     continue
                 seen.add(key)
             result_rows.append(row)
-        return names, columns_from_rows(names, result_rows)
+        return names, vectors_from_rows(len(names), result_rows)
 
     frontier = list(result_rows) if dedup else list(base_rows)
     iteration = 0
@@ -1245,14 +1245,14 @@ def run_compound_cte(
                 "the recursion does not converge — bound the recursive term "
                 "or use UNION instead of UNION ALL"
             )
-        frontier_table = TransientTable(name, names, columns_from_rows(names, frontier))
-        step_names, step_columns = run_step(frontier_table)
+        frontier_table = TransientTable(name, names, vectors_from_rows(len(names), frontier))
+        step_names, step_vectors = run_step(frontier_table)
         if len(step_names) != len(names):
             raise SQLExecutionError(
                 f"recursive CTE {name!r}: the recursive term returns "
                 f"{len(step_names)} columns, expected {len(names)}"
             )
-        new_rows = rows_from_columns(step_names, step_columns)
+        new_rows = rows_from_vectors(step_vectors)
         if dedup:
             fresh = []
             for row in new_rows:
@@ -1267,7 +1267,7 @@ def run_compound_cte(
         result_rows.extend(frontier)
         if observe_iteration is not None:
             observe_iteration(iteration, len(frontier))
-    return names, columns_from_rows(names, result_rows)
+    return names, vectors_from_rows(len(names), result_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1421,15 +1421,17 @@ def plain_projection(
     frame: Frame,
     length: int,
     evaluate: "Callable[[Expression], np.ndarray] | None" = None,
-) -> tuple[list[str], dict[str, np.ndarray]]:
+) -> tuple[list[str], list[np.ndarray]]:
     """Evaluate a non-aggregating projection (including ``*`` expansion).
 
-    ``evaluate`` overrides the expression strategy (the morsel-parallel
-    path passes its pool-backed evaluator); the ``*`` expansion and output
-    naming have exactly one body either way.
+    Returns the output names and, aligned with them, the result vectors —
+    positional, so two items with the same output name (``SELECT x.s,
+    y.s``) stay two columns.  ``evaluate`` overrides the expression
+    strategy (the morsel-parallel path passes its pool-backed evaluator);
+    the ``*`` expansion and output naming have exactly one body either way.
     """
     names: list[str] = []
-    columns: dict[str, np.ndarray] = {}
+    vectors: list[np.ndarray] = []
     if evaluate is None:
         evaluate = ExpressionEvaluator(frame, length).evaluate
     for position, item in enumerate(items):
@@ -1439,14 +1441,13 @@ def plain_projection(
                     binding, column = key.split(".", 1)
                     if item.expression.table and binding != item.expression.table:
                         continue
-                    if column not in columns:
+                    if column not in names:
                         names.append(column)
-                        columns[column] = values
+                        vectors.append(values)
             continue
-        name = item_output_name(item, position)
-        names.append(name)
-        columns[name] = evaluate(item.expression)
-    return names, columns
+        names.append(item_output_name(item, position))
+        vectors.append(evaluate(item.expression))
+    return names, vectors
 
 
 def _empty_aggregate_value(expression: Expression) -> np.ndarray:
@@ -1501,7 +1502,7 @@ def factorize_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return first_by_slot[occupied], group_of_slot[slots], num_groups
 
 
-def grouped_projection(select: Select, frame: Frame, length: int) -> tuple[list[str], dict[str, np.ndarray]]:
+def grouped_projection(select: Select, frame: Frame, length: int) -> tuple[list[str], list[np.ndarray]]:
     """Evaluate a GROUP BY / aggregate projection (including HAVING)."""
     evaluator = ExpressionEvaluator(frame, length)
     if select.group_by:
@@ -1534,22 +1535,21 @@ def grouped_projection(select: Select, frame: Frame, length: int) -> tuple[list[
     grouped = GroupedEvaluator(frame, length, inverse, num_groups, first_indices)
 
     names: list[str] = []
-    columns: dict[str, np.ndarray] = {}
+    vectors: list[np.ndarray] = []
     for position, item in enumerate(select.items):
         if isinstance(item.expression, Star):
             raise SQLExecutionError("'*' projection cannot be combined with GROUP BY / aggregates")
-        name = item_output_name(item, position)
-        names.append(name)
+        names.append(item_output_name(item, position))
         if length == 0 and not select.group_by:
             # Aggregates over an empty input: COUNT -> 0, SUM/MIN/MAX -> NULL.
-            columns[name] = _empty_aggregate_value(item.expression)
+            vectors.append(_empty_aggregate_value(item.expression))
         else:
-            columns[name] = grouped.evaluate(item.expression)
+            vectors.append(grouped.evaluate(item.expression))
 
     if select.having is not None:
         having_values = grouped.evaluate(select.having).astype(bool, copy=False)
-        columns = {name: values[having_values] for name, values in columns.items()}
-    return names, columns
+        vectors = [values[having_values] for values in vectors]
+    return names, vectors
 
 
 #: Highest Unicode code point; the reverse-collation terminator.
@@ -1585,15 +1585,9 @@ def _reverse_collation(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(flipped).view(f"<U{width}").reshape(len(text))
 
 
-def _order_keys(
-    columns: dict[str, np.ndarray],
-    order_by: Sequence[OrderItem],
-    length: int,
-    order_frame: Frame | None = None,
-) -> list[np.ndarray]:
+def _order_keys(order_by: Sequence[OrderItem], length: int, order_frame: Frame) -> list[np.ndarray]:
     """The ``np.lexsort`` key stack for ORDER BY (last key = highest priority)."""
-    output_frame: Frame = dict(order_frame) if order_frame else dict(columns)
-    evaluator = ExpressionEvaluator(output_frame, length)
+    evaluator = ExpressionEvaluator(order_frame, length)
     keys: list[np.ndarray] = []
     for item in reversed(order_by):
         values = evaluator.evaluate(item.expression)
@@ -1634,26 +1628,28 @@ def top_k_indices(keys: list[np.ndarray], k: int) -> np.ndarray:
     return candidates[order]
 
 
-def order_columns(
-    columns: dict[str, np.ndarray],
-    names: list[str],
+def order_vectors(
+    vectors: list[np.ndarray],
     order_by: Sequence[OrderItem],
     length: int,
-    order_frame: Frame | None = None,
+    order_frame: Frame,
     prefix: int | None = None,
-) -> dict[str, np.ndarray]:
-    """Sort result columns by the ORDER BY keys (last key has lowest priority).
+) -> list[np.ndarray]:
+    """Sort result vectors by the ORDER BY keys (last key has lowest priority).
+
+    ``order_frame`` is what the key expressions may name: the output
+    columns, plus the source columns while rows are still aligned 1:1.
 
     ``prefix`` (the top-k fast path) keeps only the first ``prefix`` rows of
     the sorted order, computed with a partition-based selection instead of a
     full sort; the kept rows and their order are identical to a full sort.
     """
-    keys = _order_keys(columns, order_by, length, order_frame)
+    keys = _order_keys(order_by, length, order_frame)
     if prefix is not None and prefix < length:
         order = top_k_indices(keys, prefix)
     else:
         order = np.lexsort(keys)
-    return {name: columns[name][order] for name in names}
+    return [values[order] for values in vectors]
 
 
 #: Runtime fallback threshold: with no compiled decision, the ordered-prefix
@@ -1677,13 +1673,13 @@ def limit_bounds(select: Select) -> tuple[int, int | None]:
 def postprocess_select(
     select: Select,
     names: list[str],
-    columns: dict[str, np.ndarray],
+    vectors: list[np.ndarray],
     frame: Frame | None,
     length: int,
     has_aggregates: bool,
     use_topk: bool | None = None,
     observe: "Callable[[int], None] | None" = None,
-) -> tuple[list[str], dict[str, np.ndarray]]:
+) -> tuple[list[str], list[np.ndarray]]:
     """Apply the shared SELECT tail: HAVING validation, DISTINCT, ORDER BY, LIMIT.
 
     ``use_topk`` carries the compiled plan's costed top-k decision (push the
@@ -1696,7 +1692,7 @@ def postprocess_select(
     *pre-limit* row count — the cardinality the optimizer's pre-limit
     estimate predicts, which the LIMIT would otherwise mask.
     """
-    result_length = len(next(iter(columns.values()))) if columns else 0
+    result_length = len(vectors[0]) if vectors else 0
 
     if select.having is not None and not (select.group_by or has_aggregates):
         raise SQLExecutionError("HAVING requires GROUP BY or aggregates")
@@ -1704,10 +1700,10 @@ def postprocess_select(
     if select.distinct and result_length:
         # DISTINCT on exact int64 codes: NULLs compare equal (SQLite), wide
         # int64 values never collide, text dedups on dictionary codes.
-        stacked = np.stack([encoded_codes(columns[name]) for name in names], axis=1)
+        stacked = np.stack([encoded_codes(values) for values in vectors], axis=1)
         _unique, indices = np.unique(stacked, axis=0, return_index=True)
         keep = np.sort(indices)
-        columns = {name: columns[name][keep] for name in names}
+        vectors = [values[keep] for values in vectors]
         result_length = len(keep)
 
     if observe is not None:
@@ -1723,22 +1719,23 @@ def postprocess_select(
             and not (select.group_by or has_aggregates or select.distinct)
             and result_length == length
         )
+        # Of two output columns with one name ORDER BY sees the first.
         order_frame: Frame = dict(frame) if aligned else {}
-        order_frame.update(columns)
+        order_frame.update(zip(reversed(names), reversed(vectors)))
         prefix = None
         if stop is not None and stop < result_length:
             if use_topk or (
                 use_topk is None and result_length >= _TOPK_RUNTIME_FACTOR * max(stop, 1)
             ):
                 prefix = stop
-        columns = order_columns(
-            columns, names, select.order_by, result_length, order_frame, prefix=prefix
+        vectors = order_vectors(
+            vectors, select.order_by, result_length, order_frame, prefix=prefix
         )
 
     if select.limit is not None or start:
-        columns = {name: values[start:stop] for name, values in columns.items()}
+        vectors = [values[start:stop] for values in vectors]
 
-    return names, columns
+    return names, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -1746,24 +1743,56 @@ def postprocess_select(
 # ---------------------------------------------------------------------------
 
 
+def _read_only(values: np.ndarray | DictArray) -> np.ndarray | DictArray:
+    """A view of a result vector that refuses writes (no data is copied)."""
+    if isinstance(values, DictArray):
+        return DictArray(_read_only(values.codes), _read_only(values.dictionary))
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
 class QueryResult:
-    """Column names plus materialized rows returned by the engine."""
+    """Column names plus the result's column vectors, carried positionally.
 
-    __slots__ = ("columns", "rows", "rowcount")
+    ``vectors[k]`` belongs to ``columns[k]``.  ``rows`` — the same tuples a
+    DB-API cursor would return — are built on first use and cached, so a
+    caller that stays columnar (the memdb backend reading the final state)
+    never pays for per-value Python objects.  The vectors are read-only
+    views: a projection that passes a column through untouched hands back
+    the stored table's own array, and a result must not be a way to write
+    to a table.  ``rowcount`` is the number of result rows, or the rows a
+    DDL / DML statement affected.
+    """
 
-    def __init__(self, columns: list[str], rows: list[tuple], rowcount: int | None = None) -> None:
+    __slots__ = ("columns", "vectors", "rowcount", "_rows")
+
+    def __init__(
+        self,
+        columns: list[str],
+        vectors: Sequence[np.ndarray | DictArray] = (),
+        rowcount: int | None = None,
+    ) -> None:
         self.columns = columns
-        self.rows = rows
-        self.rowcount = len(rows) if rowcount is None else rowcount
+        self.vectors = [_read_only(values) for values in vectors]
+        self.rowcount = len(self) if rowcount is None else rowcount
+        self._rows: list[tuple] | None = None
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The result as Python row tuples (``None`` for NULL)."""
+        if self._rows is None:
+            self._rows = rows_from_vectors(self.vectors)
+        return self._rows
 
     def __iter__(self):
         return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.vectors[0]) if self.vectors else 0
 
     def __repr__(self) -> str:
-        return f"QueryResult(columns={self.columns}, rows={len(self.rows)})"
+        return f"QueryResult(columns={self.columns}, rows={len(self)})"
 
 
 class SelectExecutor:
@@ -1786,13 +1815,13 @@ class SelectExecutor:
             return self._catalog[name]
         raise SQLExecutionError(f"no such table: {name}")
 
-    def execute(self, statement: Select | WithSelect) -> tuple[list[str], dict[str, np.ndarray]]:
-        """Run a query; returns (column names, column arrays)."""
+    def execute(self, statement: Select | WithSelect) -> tuple[list[str], list[np.ndarray]]:
+        """Run a query; returns (column names, aligned column vectors)."""
         if isinstance(statement, WithSelect):
             ctes: dict[str, TransientTable] = {}
             for cte in statement.ctes:
                 if isinstance(cte.query, CompoundSelect):
-                    names, columns = run_compound_cte(
+                    names, vectors = run_compound_cte(
                         cte.name,
                         cte.query,
                         statement.recursive,
@@ -1808,18 +1837,15 @@ class SelectExecutor:
                         recursion_limit=self._recursion_limit,
                     )
                 else:
-                    names, columns = self._execute_select(cte.query, ctes)
+                    names, vectors = self._execute_select(cte.query, ctes)
                     if cte.columns:
                         if len(cte.columns) != len(names):
                             raise SQLExecutionError(
                                 f"CTE {cte.name!r} declares {len(cte.columns)} columns "
                                 f"but its query returns {len(names)}"
                             )
-                        columns = {
-                            alias: columns[name] for alias, name in zip(cte.columns, names)
-                        }
                         names = list(cte.columns)
-                ctes[cte.name] = TransientTable(cte.name, names, columns)
+                ctes[cte.name] = TransientTable(cte.name, names, vectors)
             return self._execute_select(statement.query, ctes)
         return self._execute_select(statement, {})
 
@@ -1827,7 +1853,7 @@ class SelectExecutor:
 
     def _execute_select(
         self, select: Select, ctes: Mapping[str, TransientTable]
-    ) -> tuple[list[str], dict[str, np.ndarray]]:
+    ) -> tuple[list[str], list[np.ndarray]]:
         frame, length = self._build_frame(select, ctes)
 
         if select.where is not None:
@@ -1837,13 +1863,13 @@ class SelectExecutor:
         has_windows = validate_window_usage(select, has_aggregates)
 
         if select.group_by or has_aggregates:
-            names, columns = grouped_projection(select, frame, length)
+            names, vectors = grouped_projection(select, frame, length)
         elif has_windows:
-            names, columns, frame = windowed_projection(select, frame, length)
+            names, vectors, frame = windowed_projection(select, frame, length)
         else:
-            names, columns = plain_projection(select.items, frame, length)
+            names, vectors = plain_projection(select.items, frame, length)
 
-        return postprocess_select(select, names, columns, frame, length, has_aggregates)
+        return postprocess_select(select, names, vectors, frame, length, has_aggregates)
 
     def _build_frame(
         self, select: Select, ctes: Mapping[str, TransientTable]

@@ -417,7 +417,7 @@ def partitioned_groups(
 
 def parallel_plain_projection(
     items: Sequence[SelectItem], frame: Frame, length: int, pool: WorkerPool
-) -> tuple[list[str], dict[str, np.ndarray]]:
+) -> tuple[list[str], list[np.ndarray]]:
     """:func:`~..executor.plain_projection` with the pool-backed evaluator."""
     return plain_projection(
         items,
@@ -433,7 +433,7 @@ _PARTITIONED_AGGREGATES = frozenset({"count", "sum", "total", "avg", "min", "max
 
 def parallel_grouped_projection(
     select: Select, frame: Frame, length: int, pool: WorkerPool
-) -> tuple[list[str], dict[str, np.ndarray]] | None:
+) -> tuple[list[str], list[np.ndarray]] | None:
     """Partitioned replica of :func:`~..executor.grouped_projection`.
 
     Covers GROUP BY over any number of keys — partitioned on the exact
@@ -477,26 +477,26 @@ def parallel_grouped_projection(
 
     star_counts = groups.counts()
     names: list[str] = []
-    columns: dict[str, np.ndarray] = {}
+    vectors: list[np.ndarray] = []
     for position, item in enumerate(select.items):
         name = item_output_name(item, position)
         names.append(name)
         expression = item.expression
         if not contains_aggregate(expression):
             full = parallel_evaluate(frame, length, expression, pool)
-            columns[name] = full[groups.first_indices]
+            vectors.append(full[groups.first_indices])
             continue
         call = expression
         assert isinstance(call, FunctionCall)
         if call.is_star or not call.arguments:
-            columns[name] = star_counts.copy()
+            vectors.append(star_counts.copy())
             continue
         raw = parallel_evaluate(frame, length, call.arguments[0], pool)
         is_text = isinstance(raw, DictArray) or raw.dtype.kind in ("O", "U")
         mask = ~null_mask(raw)
         counts = groups.masked_counts(mask)
         if call.name == "count":
-            columns[name] = counts
+            vectors.append(counts)
         elif is_text:
             if call.name not in ("min", "max"):
                 return None  # serial path raises the text-aggregate error
@@ -510,23 +510,23 @@ def parallel_grouped_projection(
                 decoded = vocabulary[reduced]
                 for group, value in zip(ids.tolist(), decoded.tolist()):
                     result[group] = value
-            columns[name] = result
+            vectors.append(result)
         else:
             values = raw.astype(np.float64, copy=False)
             if call.name in ("sum", "total"):
                 sums = groups.sums(values, pool, mask=mask)
-                columns[name] = np.where(counts == 0, np.nan, sums) if call.name == "sum" else sums
+                vectors.append(np.where(counts == 0, np.nan, sums) if call.name == "sum" else sums)
             elif call.name == "avg":
                 sums = groups.sums(values, pool, mask=mask)
-                columns[name] = np.where(counts == 0, np.nan, sums / np.maximum(counts, 1))
+                vectors.append(np.where(counts == 0, np.nan, sums / np.maximum(counts, 1)))
             else:
                 result = np.full(groups.num_groups, np.nan)
                 ids, reduced = groups.reduce_minmax(
                     values, minimum=call.name == "min", pool=pool, mask=mask
                 )
                 result[ids] = reduced
-                columns[name] = result
-    return names, columns
+                vectors.append(result)
+    return names, vectors
 
 
 def parallel_fused_aggregate(
@@ -535,7 +535,7 @@ def parallel_fused_aggregate(
     key_expr: Expression,
     outputs: Sequence[tuple[str, str, Expression | None]],
     pool: WorkerPool,
-) -> tuple[list[str], dict[str, np.ndarray]] | None:
+) -> tuple[list[str], list[np.ndarray]] | None:
     """Partitioned replica of the fused join-aggregate's grouping stage.
 
     ``outputs`` is the fused operator's (name, kind, argument) list.  The
@@ -550,16 +550,16 @@ def parallel_fused_aggregate(
     key_values = parallel_evaluate(joined, joined_length, key_expr, pool)
     groups = partitioned_groups([encoded_codes(key_values)], pool)
     names: list[str] = []
-    columns: dict[str, np.ndarray] = {}
+    vectors: list[np.ndarray] = []
     for name, kind, argument in outputs:
         names.append(name)
         if kind == "key":
-            columns[name] = key_values[groups.first_indices]
+            vectors.append(key_values[groups.first_indices])
         elif kind == "count":
-            columns[name] = groups.counts()
+            vectors.append(groups.counts())
         else:
             weights = parallel_evaluate(joined, joined_length, argument, pool).astype(
                 np.float64, copy=False
             )
-            columns[name] = groups.sums(weights, pool)
-    return names, columns
+            vectors.append(groups.sums(weights, pool))
+    return names, vectors

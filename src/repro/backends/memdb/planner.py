@@ -248,7 +248,7 @@ class _FusedJoinAggregateOp:
 
     def run(
         self, resolve: Resolver, pool: WorkerPool | None = None
-    ) -> tuple[list[str], dict[str, np.ndarray]]:
+    ) -> tuple[list[str], list[np.ndarray]]:
         left_frame, left_length = self.left_scan.run(resolve, pool)
         right_frame, right_length = self.right_scan.run(resolve, pool)
         if pool is not None:
@@ -291,19 +291,19 @@ class _FusedJoinAggregateOp:
         first_indices, inverse, num_groups = factorize_codes(encoded_codes(key_values))
 
         names: list[str] = []
-        columns: dict[str, np.ndarray] = {}
+        vectors: list[np.ndarray] = []
         for name, kind, argument in self.outputs:
             names.append(name)
             if kind == "key":
                 # Gather from the evaluated key column so the dtype survives
                 # (np.unique on the stacked-float path would widen int64 keys).
-                columns[name] = key_values[first_indices]
+                vectors.append(key_values[first_indices])
             elif kind == "count":
-                columns[name] = np.bincount(inverse, minlength=num_groups).astype(np.int64)
+                vectors.append(np.bincount(inverse, minlength=num_groups).astype(np.int64))
             else:
                 weights = evaluator.evaluate(argument).astype(np.float64, copy=False)
-                columns[name] = np.bincount(inverse, weights=weights, minlength=num_groups)
-        return names, columns
+                vectors.append(np.bincount(inverse, weights=weights, minlength=num_groups))
+        return names, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +381,8 @@ class CompiledQuery:
 
     def execute(
         self, resolve: Resolver, observe=None, pool: WorkerPool | None = None, tracer=None
-    ) -> tuple[list[str], dict[str, np.ndarray]]:
-        """Run the plan against the given name resolver; returns (names, columns).
+    ) -> tuple[list[str], list[np.ndarray]]:
+        """Run the plan against the given name resolver; returns (names, aligned vectors).
 
         ``observe`` receives the block's pre-limit row count (see
         :func:`~.executor.postprocess_select`).  ``pool`` is the executing
@@ -402,9 +402,9 @@ class CompiledQuery:
             return self._execute_traced(resolve, observe, pool, use_topk, tracer)
 
         if self.fused is not None:
-            names, columns = self.fused.run(resolve, pool)
+            names, vectors = self.fused.run(resolve, pool)
             return postprocess_select(
-                select, names, columns, None, 0, self.has_aggregates,
+                select, names, vectors, None, 0, self.has_aggregates,
                 use_topk=use_topk, observe=observe,
             )
 
@@ -423,29 +423,29 @@ class CompiledQuery:
                 frame, length = apply_filter(frame, length, select.where)
 
         if self.grouped:
-            names = columns = None
+            names = vectors = None
             if pool is not None:
                 aggregated = parallel_grouped_projection(select, frame, length, pool)
                 if aggregated is not None:
-                    names, columns = aggregated
+                    names, vectors = aggregated
             if names is None:
-                names, columns = grouped_projection(select, frame, length)
+                names, vectors = grouped_projection(select, frame, length)
         elif self.windowed:
             # Window blocks always run serially (their ParallelDecision
             # declines): the sort-once kernels need the whole partition.
-            names, columns, frame = windowed_projection(select, frame, length)
+            names, vectors, frame = windowed_projection(select, frame, length)
         elif pool is not None:
-            names, columns = parallel_plain_projection(select.items, frame, length, pool)
+            names, vectors = parallel_plain_projection(select.items, frame, length, pool)
         else:
-            names, columns = plain_projection(select.items, frame, length)
+            names, vectors = plain_projection(select.items, frame, length)
         return postprocess_select(
-            select, names, columns, frame, length, self.has_aggregates,
+            select, names, vectors, frame, length, self.has_aggregates,
             use_topk=use_topk, observe=observe,
         )
 
     def _execute_traced(
         self, resolve: Resolver, observe, pool: WorkerPool | None, use_topk, tracer
-    ) -> tuple[list[str], dict[str, np.ndarray]]:
+    ) -> tuple[list[str], list[np.ndarray]]:
         """The :meth:`execute` pipeline with a span per physical operator.
 
         Mirrors the untraced branch operator for operator (same kernels,
@@ -471,9 +471,9 @@ class CompiledQuery:
                 attrs["op"] = "fused-join-aggregate"
                 attrs["table"] = self.fused.left_scan.name
                 attrs["join_table"] = self.fused.right_scan.name
-            names, columns = self.fused.run(resolve, pool)
+            names, vectors = self.fused.run(resolve, pool)
             return postprocess_select(
-                select, names, columns, None, 0, self.has_aggregates,
+                select, names, vectors, None, 0, self.has_aggregates,
                 use_topk=use_topk, observe=observe,
             )
 
@@ -503,27 +503,27 @@ class CompiledQuery:
 
         if self.grouped:
             with tracer.span("operator", op="aggregate", parallel=parallel) as span:
-                names = columns = None
+                names = vectors = None
                 if pool is not None:
                     aggregated = parallel_grouped_projection(select, frame, length, pool)
                     if aggregated is not None:
-                        names, columns = aggregated
+                        names, vectors = aggregated
                 if names is None:
-                    names, columns = grouped_projection(select, frame, length)
-                span.set(rows=len(columns[names[0]]) if names else 0)
+                    names, vectors = grouped_projection(select, frame, length)
+                span.set(rows=len(vectors[0]) if vectors else 0)
         elif self.windowed:
             with tracer.span("operator", op="window", parallel=False) as span:
-                names, columns, frame = windowed_projection(select, frame, length)
+                names, vectors, frame = windowed_projection(select, frame, length)
                 span.set(rows=length)
         else:
             with tracer.span("operator", op="project", parallel=parallel) as span:
                 if pool is not None:
-                    names, columns = parallel_plain_projection(select.items, frame, length, pool)
+                    names, vectors = parallel_plain_projection(select.items, frame, length, pool)
                 else:
-                    names, columns = plain_projection(select.items, frame, length)
+                    names, vectors = plain_projection(select.items, frame, length)
                 span.set(rows=length)
         return postprocess_select(
-            select, names, columns, frame, length, self.has_aggregates,
+            select, names, vectors, frame, length, self.has_aggregates,
             use_topk=use_topk, observe=observe,
         )
 
@@ -571,16 +571,16 @@ class CompiledCompoundCTE:
         pool: WorkerPool | None = None,
         tracer=None,
         recursion_limit: int = DEFAULT_RECURSION_LIMIT,
-    ) -> tuple[list[str], dict[str, np.ndarray]]:
+    ) -> tuple[list[str], list[np.ndarray]]:
         self.last_iterations = 0
         iteration_box = [0]
 
-        def run_base() -> tuple[list[str], dict[str, np.ndarray]]:
+        def run_base() -> tuple[list[str], list[np.ndarray]]:
             return self.base.execute(resolve, pool=pool, tracer=tracer)
 
         def run_step(
             frontier: TransientTable | None,
-        ) -> tuple[list[str], dict[str, np.ndarray]]:
+        ) -> tuple[list[str], list[np.ndarray]]:
             if frontier is None:
                 step_resolve = resolve
             else:
@@ -591,15 +591,15 @@ class CompiledCompoundCTE:
                 with tracer.span(
                     "operator", op="recursive-step", iteration=iteration_box[0]
                 ) as span:
-                    names, columns = self.step.execute(step_resolve, pool=pool, tracer=tracer)
-                    span.set(rows=len(columns[names[0]]) if names else 0)
-                    return names, columns
+                    names, vectors = self.step.execute(step_resolve, pool=pool, tracer=tracer)
+                    span.set(rows=len(vectors[0]) if vectors else 0)
+                    return names, vectors
             return self.step.execute(step_resolve, pool=pool, tracer=tracer)
 
         def note(iteration: int, _new_rows: int) -> None:
             self.last_iterations = iteration
 
-        names, columns = run_compound_cte(
+        names, vectors = run_compound_cte(
             self.name,
             self.compound,
             self.recursive,
@@ -610,8 +610,8 @@ class CompiledCompoundCTE:
             observe_iteration=note,
         )
         if observe is not None:
-            observe(len(columns[names[0]]) if names else 0)
-        return names, columns
+            observe(len(vectors[0]) if vectors else 0)
+        return names, vectors
 
 
 class CompiledScript:
@@ -638,7 +638,7 @@ class CompiledScript:
         pool: WorkerPool | None = None,
         tracer=None,
         recursion_limit: int = DEFAULT_RECURSION_LIMIT,
-    ) -> tuple[list[str], dict[str, np.ndarray]]:
+    ) -> tuple[list[str], list[np.ndarray]]:
         """Run CTEs then the main query against a table catalog.
 
         ``trace`` (EXPLAIN ANALYZE and adaptive feedback) receives
@@ -673,16 +673,16 @@ class CompiledScript:
                 with tracer.span(
                     "block", block=name, parallel=plan.parallel.use_parallel
                 ) as span:
-                    names, columns = plan.execute(
+                    names, vectors = plan.execute(
                         resolve, observe=observe, pool=pool, tracer=tracer, **extra
                     )
-                    ctes[name] = TransientTable(name, names, columns)
+                    ctes[name] = TransientTable(name, names, vectors)
                     span.attrs["rows"] = observed[-1] if observed else ctes[name].num_rows
                     if isinstance(plan, CompiledCompoundCTE):
                         span.attrs["iterations"] = plan.last_iterations
             else:
-                names, columns = plan.execute(resolve, observe=observe, pool=pool, **extra)
-                ctes[name] = TransientTable(name, names, columns)
+                names, vectors = plan.execute(resolve, observe=observe, pool=pool, **extra)
+                ctes[name] = TransientTable(name, names, vectors)
             if trace is not None:
                 trace(name, observed[-1] if observed else ctes[name].num_rows)
             observed.clear()
@@ -690,17 +690,17 @@ class CompiledScript:
             with tracer.span(
                 "block", block="main", parallel=self.query.parallel.use_parallel
             ) as span:
-                names, columns = self.query.execute(
+                names, vectors = self.query.execute(
                     resolve, observe=observe, pool=pool, tracer=tracer
                 )
-                output_rows = len(next(iter(columns.values()))) if columns else 0
+                output_rows = len(vectors[0]) if vectors else 0
                 span.attrs["rows"] = observed[-1] if observed else output_rows
         else:
-            names, columns = self.query.execute(resolve, observe=observe, pool=pool)
+            names, vectors = self.query.execute(resolve, observe=observe, pool=pool)
         if trace is not None:
-            output_rows = len(next(iter(columns.values()))) if columns else 0
+            output_rows = len(vectors[0]) if vectors else 0
             trace("main", observed[-1] if observed else output_rows)
-        return names, columns
+        return names, vectors
 
 
 class CompiledCreateTableAs:

@@ -61,7 +61,9 @@ def _bound_frame(
     """The scan surface of a relation: vectors keyed ``binding.column`` and ``column``."""
     frame: dict[str, np.ndarray | DictArray] = {}
     for column, values in columns:
-        frame[f"{binding}.{column}"] = values
+        # setdefault twice: of two result columns with one name (a CTE
+        # projecting ``x.s, y.s``) a scan sees the first, as SQLite does.
+        frame.setdefault(f"{binding}.{column}", values)
         frame.setdefault(column, values)
     return frame
 
@@ -74,13 +76,10 @@ class Table:
     def __init__(
         self,
         name: str,
-        columns: dict[str, np.ndarray | DictArray],
+        columns: dict[str, np.ndarray | DictArray | EncodedColumn],
         dict_encode: bool | None = None,
     ) -> None:
         self.name = name
-        lengths = {len(values) for values in columns.values()}
-        if len(lengths) > 1:
-            raise SQLExecutionError(f"table {name!r}: column lengths differ ({lengths})")
         # dict_encode=None is *representation-preserving*: DictArray inputs
         # stay encoded, object arrays stay object.  The engine passes an
         # explicit flag at every CREATE TABLE / INSERT site (results that
@@ -96,6 +95,9 @@ class Table:
                 array = np.asarray(values)
                 encode = dict_encode if array.dtype.kind in ("O", "U") else None
                 self._columns[column] = EncodedColumn.from_array(array, dict_encode=encode)
+        lengths = {encoded.num_rows for encoded in self._columns.values()}
+        if len(lengths) > 1:
+            raise SQLExecutionError(f"table {name!r}: column lengths differ ({lengths})")
         self._dtypes = {column: encoded.dtype for column, encoded in self._columns.items()}
         # Column set and *logical* dtypes are fixed for the table's lifetime
         # (append_rows coerces to the declared dtypes; dictionary growth
@@ -343,16 +345,6 @@ class Table:
             for index in range(self.num_rows)
         ]
 
-    def copy(self, name: str | None = None) -> "Table":
-        """A deep copy (used when a CTE result must not alias a stored table)."""
-        clone = Table.__new__(Table)
-        clone.name = name or self.name
-        clone._dict_encode = self._dict_encode
-        clone._columns = {column: encoded.copy() for column, encoded in self._columns.items()}
-        clone._dtypes = dict(self._dtypes)
-        clone._schema_signature = self._schema_signature
-        return clone
-
     def __repr__(self) -> str:
         return f"Table({self.name!r}, columns={self.column_names}, rows={self.num_rows})"
 
@@ -368,20 +360,20 @@ class TransientTable:
     :class:`Table` from copies instead.
     """
 
-    __slots__ = ("name", "num_rows", "_columns")
+    __slots__ = ("name", "num_rows", "_names", "_vectors")
 
     def __init__(
-        self, name: str, names: Sequence[str], columns: dict[str, np.ndarray | DictArray]
+        self, name: str, names: Sequence[str], vectors: Sequence[np.ndarray | DictArray]
     ) -> None:
         self.name = name
-        self.num_rows = len(columns[names[0]]) if names else 0
-        self._columns: dict[str, np.ndarray | DictArray] = {}
-        for column in names:
-            values = columns[column]
-            # Text a block computed (literals, ``||``) is fixed-width ``<U``;
-            # stored text is object/dictionary.  Scans see the stored forms.
-            self._columns[column] = values.astype(object) if values.dtype.kind == "U" else values
+        self.num_rows = len(vectors[0]) if vectors else 0
+        self._names = names
+        # Text a block computed (literals, ``||``) is fixed-width ``<U``;
+        # stored text is object/dictionary.  Scans see the stored forms.
+        self._vectors = [
+            values.astype(object) if values.dtype.kind == "U" else values for values in vectors
+        ]
 
     def frame(self, binding: str | None = None) -> dict[str, np.ndarray | DictArray]:
         """Column dictionary keyed by both qualified and bare names."""
-        return _bound_frame(binding or self.name, self._columns.items())
+        return _bound_frame(binding or self.name, zip(self._names, self._vectors))

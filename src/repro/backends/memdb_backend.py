@@ -177,15 +177,14 @@ class MemDBBackend(RelationalBackend):
             if cache.peek_state(query, catalog=None, flavor=database.plan_flavor) == "hit":
                 provenance["plan_cache"] = {"prepared": True, "state_at_compile": "hit"}
                 return
-            # The setup statements are executed in full (not DDL-only): the
+            # The tables are loaded with their rows (not created empty): the
             # cost model falls back to live catalog row counts when ANALYZE
             # has not run, so preparing against empty tables would cache
             # plans costed at zero cardinality for every later execution.
             # Gate tables are tiny (<= 4 rows each, deduplicated per
             # distinct gate), so a cold compile's extra setup is bounded;
             # warm compiles return early above.
-            for statement in translation.setup_statements():
-                self._execute(statement)
+            self._load_tables(translation)
             outcome = database.prepare(query)
         finally:
             self._disconnect()
@@ -292,8 +291,7 @@ class MemDBBackend(RelationalBackend):
         translation = self.translate(circuit)
         self._connect()
         try:
-            for statement in translation.setup_statements():
-                self._execute(statement)
+            self._load_tables(translation)
             if refresh_statistics:
                 self._require_database().execute("ANALYZE")
             keyword = "EXPLAIN ANALYZE" if analyze else "EXPLAIN"
@@ -316,6 +314,16 @@ class MemDBBackend(RelationalBackend):
 
     def _fetch(self, sql: str) -> list[tuple]:
         return list(self._require_database().execute(sql).rows)
+
+    def _load_tables(self, translation: SQLTranslation) -> None:
+        # Arrays in: nothing is tokenized or parsed, the plan cache is not touched.
+        database = self._require_database()
+        for table in translation.tables():
+            database.load_table(table.name, table.columns)
+
+    def _fetch_state(self, sql: str) -> tuple:
+        # Arrays out: the result vectors themselves, no row tuples.
+        return tuple(self._require_database().execute(sql).vectors)
 
     def _table_row_count(self, table: str) -> int:
         # Cheaper than COUNT(*): the catalog already knows the row count.

@@ -221,7 +221,7 @@ TREE_NO_PARENT = -1
 
 
 def dblp_tree_columns(num_nodes: int, seed: int = 7) -> dict[str, np.ndarray]:
-    """A random recursive tree as columnar arrays (``create_table_from_columns``).
+    """A random recursive tree as columnar arrays (``load_table``).
 
     Node 0 is the root; every later node attaches uniformly at random to an
     earlier node, which keeps the expected depth logarithmic — recursive-CTE

@@ -2,9 +2,9 @@
 
 The relational representation of the paper stores a quantum state as rows
 ``(s, r, i)`` — only nonzero basis states.  :class:`SparseState` is the
-in-memory equivalent: a mapping from basis index to complex amplitude.  Every
-backend (SQL or otherwise) produces one, so results from different methods
-can be compared directly.
+in-memory equivalent: the same columns, sorted by ``s``, read like a mapping
+from basis index to complex amplitude.  Every backend (SQL or otherwise)
+produces one, so results from different methods can be compared directly.
 
 :class:`SimulationResult` wraps a final state together with the execution
 metadata the paper's Output Layer reports: method name, wall-clock time,
@@ -23,37 +23,92 @@ from ..errors import AnalysisError
 #: Amplitudes with squared magnitude below this are treated as zero by default.
 DEFAULT_PRUNE_ATOL = 1e-12
 
+_INT64_MAX = np.iinfo(np.int64).max
+_NO_INDICES = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.complex128)
+
 
 class SparseState:
-    """A quantum state stored as {basis index: complex amplitude}.
+    """A quantum state stored as the relational columns ``T(s, r, i)``.
 
-    Mirrors the relational schema ``T(s, r, i)``: only nonzero entries are
-    kept.  Instances are mutable mappings but most methods return new states.
+    Only nonzero entries are kept, as two aligned arrays: ``int64`` basis
+    indices in strictly ascending order and their ``complex128`` amplitudes.
+    Indices are never routed through ``float64`` (which is exact only up to
+    ``2**53``), so a basis state of a 62-qubit register survives unchanged.
+    Instances are immutable: every method that changes the state returns a
+    new one.
     """
 
-    __slots__ = ("_num_qubits", "_amplitudes")
+    __slots__ = ("_num_qubits", "_indices", "_values")
 
     def __init__(self, num_qubits: int, amplitudes: Mapping[int, complex] | None = None) -> None:
         if num_qubits < 1:
             raise AnalysisError("a state needs at least one qubit")
         self._num_qubits = int(num_qubits)
-        self._amplitudes: dict[int, complex] = {}
+        self._indices = _NO_INDICES
+        self._values = _NO_VALUES
         if amplitudes:
-            dimension = 1 << self._num_qubits
-            for index, amplitude in amplitudes.items():
-                index = int(index)
-                if not 0 <= index < dimension:
-                    raise AnalysisError(f"basis index {index} out of range for {num_qubits} qubits")
-                value = complex(amplitude)
-                if value != 0:
-                    self._amplitudes[index] = value
+            values = np.array(list(amplitudes.values()), dtype=np.complex128)
+            self._set_columns(list(amplitudes), values.real, values.imag)
+
+    def _set_columns(self, s, r, i) -> None:
+        """Canonicalize ``(s, r, i)`` columns: validate, sort, dedupe, drop zeros."""
+        num_qubits = self._num_qubits
+        try:
+            indices = np.array(s, dtype=np.int64).ravel()
+        except OverflowError:
+            raise AnalysisError(f"basis index out of range for {num_qubits} qubits") from None
+        r = np.asarray(r, dtype=np.float64).ravel()
+        i = np.asarray(i, dtype=np.float64).ravel()
+        # Checked, not left to assignment: a length-1 column would broadcast.
+        if not len(indices) == len(r) == len(i):
+            raise AnalysisError("state columns s, r, i differ in length")
+        values = np.empty(len(indices), dtype=np.complex128)
+        values.real = r
+        values.imag = i
+        if len(indices):
+            low, high = int(indices.min()), int(indices.max())
+            if low < 0 or high >= 1 << num_qubits:
+                bad = low if low < 0 else high
+                raise AnalysisError(f"basis index {bad} out of range for {num_qubits} qubits")
+            if len(indices) > 1 and not (indices[1:] > indices[:-1]).all():
+                # Stable sort, then keep the last row of every run of equal
+                # indices: a later row overwrites an earlier one.
+                order = np.argsort(indices, kind="stable")
+                indices, values = indices[order], values[order]
+                last = np.append(indices[1:] != indices[:-1], True)
+                indices, values = indices[last], values[last]
+            nonzero = values != 0
+            if not nonzero.all():
+                indices, values = indices[nonzero], values[nonzero]
+        self._indices = indices
+        self._values = values
 
     # ------------------------------------------------------------ factories
 
     @classmethod
+    def from_columns(cls, num_qubits: int, s, r, i) -> "SparseState":
+        """Build from the relational columns ``s`` (index), ``r``, ``i`` (amplitude parts).
+
+        The one constructor every other funnels into.  Rows may come in any
+        order; of several rows with the same index the last wins, and exact
+        zeros are dropped.  The inputs are copied.
+        """
+        state = cls(num_qubits)
+        state._set_columns(s, r, i)
+        return state
+
+    def _with(self, indices: np.ndarray, values: np.ndarray) -> "SparseState":
+        """A state over the same register from already canonical columns."""
+        state = SparseState(self._num_qubits)
+        state._indices = indices
+        state._values = values
+        return state
+
+    @classmethod
     def zero_state(cls, num_qubits: int) -> "SparseState":
         """The |0...0> state: a single row ``(0, 1.0, 0.0)``."""
-        return cls(num_qubits, {0: 1.0 + 0.0j})
+        return cls.from_columns(num_qubits, (0,), (1.0,), (0.0,))
 
     @classmethod
     def from_dense(cls, vector: np.ndarray, atol: float = DEFAULT_PRUNE_ATOL) -> "SparseState":
@@ -63,12 +118,14 @@ class SparseState:
         if 1 << num_qubits != vector.size:
             raise AnalysisError(f"dense vector length {vector.size} is not a power of two")
         indices = np.nonzero(np.abs(vector) > atol)[0]
-        return cls(num_qubits, {int(index): complex(vector[index]) for index in indices})
+        kept = vector[indices]
+        return cls.from_columns(num_qubits, indices, kept.real, kept.imag)
 
     @classmethod
     def from_rows(cls, num_qubits: int, rows: Iterable[tuple[int, float, float]]) -> "SparseState":
-        """Build from relational rows ``(s, r, i)`` as returned by the SQL backends."""
-        return cls(num_qubits, {int(s): complex(r, i) for s, r, i in rows})
+        """Build from relational rows ``(s, r, i)``."""
+        columns = tuple(zip(*rows))
+        return cls.from_columns(num_qubits, *(columns or ((), (), ())))
 
     # ------------------------------------------------------------ properties
 
@@ -85,55 +142,68 @@ class SparseState:
     @property
     def num_nonzero(self) -> int:
         """Number of stored (nonzero) amplitudes — the relational row count."""
-        return len(self._amplitudes)
+        return len(self._indices)
 
     @property
     def density(self) -> float:
         """Fraction of basis states with nonzero amplitude."""
         return self.num_nonzero / self.dimension
 
+    def _position(self, index: int) -> int:
+        """Where ``index`` is stored, or -1."""
+        index = int(index)
+        if 0 <= index <= _INT64_MAX:
+            position = int(np.searchsorted(self._indices, index))
+            if position < len(self._indices) and self._indices[position] == index:
+                return position
+        return -1
+
     def amplitude(self, index: int) -> complex:
         """Amplitude of basis state ``index`` (0 if not stored)."""
-        return self._amplitudes.get(int(index), 0.0 + 0.0j)
+        position = self._position(index)
+        return complex(self._values[position]) if position >= 0 else 0.0 + 0.0j
 
     def items(self) -> Iterator[tuple[int, complex]]:
         """Iterate over (index, amplitude) pairs in ascending index order."""
-        return iter(sorted(self._amplitudes.items()))
+        return zip(self._indices.tolist(), self._values.tolist())
 
     def to_rows(self) -> list[tuple[int, float, float]]:
         """Relational rows ``(s, r, i)`` sorted by ``s`` (the paper's output format)."""
-        return [(index, amplitude.real, amplitude.imag) for index, amplitude in sorted(self._amplitudes.items())]
+        values = self._values
+        return list(zip(self._indices.tolist(), values.real.tolist(), values.imag.tolist()))
 
     def to_dense(self) -> np.ndarray:
         """Dense complex vector of length ``2**num_qubits``."""
         vector = np.zeros(self.dimension, dtype=np.complex128)
-        for index, amplitude in self._amplitudes.items():
-            vector[index] = amplitude
+        vector[self._indices] = self._values
         return vector
 
     # -------------------------------------------------------------- algebra
 
+    def _masses(self) -> np.ndarray:
+        """Squared magnitude of every stored amplitude."""
+        values = self._values
+        return values.real**2 + values.imag**2
+
     def norm(self) -> float:
         """The 2-norm of the state."""
-        return math.sqrt(sum(abs(amplitude) ** 2 for amplitude in self._amplitudes.values()))
+        return math.sqrt(float(self._masses().sum()))
 
     def normalized(self) -> "SparseState":
         """Return the state scaled to unit norm."""
         norm = self.norm()
         if norm == 0:
             raise AnalysisError("cannot normalize the zero vector")
-        return SparseState(self._num_qubits, {index: amplitude / norm for index, amplitude in self._amplitudes.items()})
+        return self._with(self._indices, self._values / norm)
 
     def pruned(self, atol: float = DEFAULT_PRUNE_ATOL) -> "SparseState":
         """Drop amplitudes with magnitude at or below ``atol``."""
-        return SparseState(
-            self._num_qubits,
-            {index: amplitude for index, amplitude in self._amplitudes.items() if abs(amplitude) > atol},
-        )
+        keep = np.abs(self._values) > atol
+        return self if keep.all() else self._with(self._indices[keep], self._values[keep])
 
     def probabilities(self) -> dict[int, float]:
         """Measurement probabilities of the nonzero basis states."""
-        return {index: abs(amplitude) ** 2 for index, amplitude in sorted(self._amplitudes.items())}
+        return dict(zip(self._indices.tolist(), self._masses().tolist()))
 
     def probability_of(self, index: int) -> float:
         """Measurement probability of one basis state."""
@@ -145,11 +215,9 @@ class SparseState:
             raise AnalysisError(f"qubit {qubit} out of range")
         if value not in (0, 1):
             raise AnalysisError("measurement value must be 0 or 1")
-        total = 0.0
-        for index, amplitude in self._amplitudes.items():
-            if (index >> qubit) & 1 == value:
-                total += abs(amplitude) ** 2
-        return total
+        # Stored indices are below 2**63, so bit 63 and above read as 0.
+        bits = (self._indices >> min(qubit, 63)) & 1
+        return float(self._masses()[bits == value].sum())
 
     def bitstring_probabilities(self) -> dict[str, float]:
         """Probabilities keyed by bitstring (qubit 0 is the rightmost character)."""
@@ -166,6 +234,15 @@ class SparseState:
 
     # -------------------------------------------------------------- compare
 
+    def _amplitudes_at(self, indices: np.ndarray) -> np.ndarray:
+        """Amplitudes at the given basis indices (0 where nothing is stored)."""
+        out = np.zeros(len(indices), dtype=np.complex128)
+        if len(self._indices):
+            positions = np.minimum(np.searchsorted(self._indices, indices), len(self._indices) - 1)
+            found = self._indices[positions] == indices
+            out[found] = self._values[positions[found]]
+        return out
+
     def equiv(self, other: "SparseState", atol: float = 1e-8, up_to_global_phase: bool = True) -> bool:
         """True if both states are equal (optionally up to a global phase)."""
         if not isinstance(other, SparseState):
@@ -174,39 +251,34 @@ class SparseState:
             return False
         if up_to_global_phase:
             return abs(abs(self.inner(other)) - self.norm() * other.norm()) <= atol
-        keys = set(self._amplitudes) | set(other._amplitudes)
-        return all(abs(self.amplitude(key) - other.amplitude(key)) <= atol for key in keys)
+        keys = np.union1d(self._indices, other._indices)
+        difference = self._amplitudes_at(keys) - other._amplitudes_at(keys)
+        return bool((np.abs(difference) <= atol).all())
 
     def inner(self, other: "SparseState") -> complex:
         """The inner product <self|other>."""
         if self._num_qubits != other._num_qubits:
             raise AnalysisError("states have different qubit counts")
-        smaller, larger = (self, other) if self.num_nonzero <= other.num_nonzero else (other, self)
-        total = 0.0 + 0.0j
-        for index, amplitude in smaller._amplitudes.items():
-            partner = larger._amplitudes.get(index)
-            if partner is not None:
-                if smaller is self:
-                    total += amplitude.conjugate() * partner
-                else:
-                    total += partner.conjugate() * amplitude
-        return total
+        _common, mine, theirs = np.intersect1d(
+            self._indices, other._indices, assume_unique=True, return_indices=True
+        )
+        return complex(np.vdot(self._values[mine], other._values[theirs]))
 
     # -------------------------------------------------------------- dunders
 
     def __len__(self) -> int:
-        return len(self._amplitudes)
+        return len(self._indices)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._amplitudes))
+        return iter(self._indices.tolist())
 
     def __contains__(self, index: int) -> bool:
-        return int(index) in self._amplitudes
+        return self._position(index) >= 0
 
     def __repr__(self) -> str:
         preview = ", ".join(
             f"{index}: {amplitude.real:+.4f}{amplitude.imag:+.4f}j"
-            for index, amplitude in list(sorted(self._amplitudes.items()))[:4]
+            for index, amplitude in zip(self._indices[:4].tolist(), self._values[:4].tolist())
         )
         suffix = ", ..." if self.num_nonzero > 4 else ""
         return f"SparseState(qubits={self._num_qubits}, nonzero={self.num_nonzero}, {{{preview}{suffix}}})"
@@ -282,7 +354,7 @@ class SimulationResult:
             "peak_state_rows": self.peak_state_rows,
             "peak_state_bytes": self.peak_state_bytes,
             "nonzero_amplitudes": self.state.num_nonzero,
-            "rows": [[s, r, i] for s, r, i in self.state.to_rows()],
+            "rows": [list(row) for row in self.state.to_rows()],
             "metadata": self.metadata,
         }
 

@@ -9,14 +9,18 @@ Sec. 2.1 of the paper defines two schemas:
   amplitude of the gate's (local) unitary matrix.
 
 This module holds the column definitions, table-name conventions (``T0``,
-``T1``, ... for state snapshots; upper-cased gate names for gate tables) and
-the DDL / INSERT statement generation shared by every RDBMS backend.
+``T1``, ... for state snapshots; upper-cased gate names for gate tables),
+the tables as data (:class:`TableData`) and the DDL / INSERT statement
+generation from that data shared by every RDBMS backend.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import TranslationError
 
@@ -57,45 +61,59 @@ def sanitize_identifier(name: str, fallback: str = "tbl") -> str:
     return cleaned
 
 
-def state_table_ddl(name: str, integer_type: str = "BIGINT", real_type: str = "DOUBLE") -> str:
-    """``CREATE TABLE`` statement for a state table ``T(s, r, i)``."""
+@dataclass(frozen=True)
+class TableData:
+    """One table of a relational program as data: its name and column arrays.
+
+    ``int64`` columns are the dialect's integer type, ``float64`` columns
+    its real type; every column is ``NOT NULL``.  The SQL script is rendered
+    from this (:func:`create_table_sql`, :func:`insert_sql`), and an engine
+    with a columnar way in is handed the arrays themselves — one source, so
+    the printed script and the loaded tables cannot drift.
+    """
+
+    name: str
+    columns: dict[str, np.ndarray]
+
+
+def _table_data(kind: str, name: str, names: Sequence[str], dtypes: Sequence[type], rows) -> TableData:
     if not is_valid_identifier(name):
-        raise TranslationError(f"invalid state table name {name!r}")
-    return (
-        f"CREATE TABLE {name} (s {integer_type} NOT NULL, "
-        f"r {real_type} NOT NULL, i {real_type} NOT NULL)"
-    )
-
-
-def gate_table_ddl(name: str, integer_type: str = "BIGINT", real_type: str = "DOUBLE") -> str:
-    """``CREATE TABLE`` statement for a gate table ``T(in_s, out_s, r, i)``."""
-    if not is_valid_identifier(name):
-        raise TranslationError(f"invalid gate table name {name!r}")
-    return (
-        f"CREATE TABLE {name} (in_s {integer_type} NOT NULL, out_s {integer_type} NOT NULL, "
-        f"r {real_type} NOT NULL, i {real_type} NOT NULL)"
-    )
-
-
-def _format_number(value: float) -> str:
-    """Render a float literal exactly (repr keeps full double precision)."""
-    return repr(float(value))
-
-
-def state_insert_sql(name: str, rows: Sequence[tuple[int, float, float]]) -> str:
-    """Multi-row ``INSERT`` statement for a state table."""
+        raise TranslationError(f"invalid {kind} table name {name!r}")
     if not rows:
-        raise TranslationError(f"state table {name!r} needs at least one row")
-    values = ", ".join(f"({int(s)}, {_format_number(r)}, {_format_number(i)})" for s, r, i in rows)
-    return f"INSERT INTO {name} (s, r, i) VALUES {values}"
-
-
-def gate_insert_sql(name: str, rows: Sequence[tuple[int, int, float, float]]) -> str:
-    """Multi-row ``INSERT`` statement for a gate table."""
-    if not rows:
-        raise TranslationError(f"gate table {name!r} needs at least one row")
-    values = ", ".join(
-        f"({int(in_s)}, {int(out_s)}, {_format_number(r)}, {_format_number(i)})"
-        for in_s, out_s, r, i in rows
+        raise TranslationError(f"{kind} table {name!r} needs at least one row")
+    # Column by column: a 2-D array would route the indices through float64.
+    return TableData(
+        name,
+        {
+            column: np.array(values, dtype=dtype)
+            for column, dtype, values in zip(names, dtypes, zip(*rows))
+        },
     )
-    return f"INSERT INTO {name} (in_s, out_s, r, i) VALUES {values}"
+
+
+def state_table_data(name: str, rows: Sequence[tuple[int, float, float]]) -> TableData:
+    """A state table ``T(s, r, i)`` holding ``rows``."""
+    return _table_data("state", name, STATE_COLUMNS, (np.int64, np.float64, np.float64), rows)
+
+
+def gate_table_data(name: str, rows: Sequence[tuple[int, int, float, float]]) -> TableData:
+    """A gate table ``T(in_s, out_s, r, i)`` holding ``rows``."""
+    return _table_data(
+        "gate", name, GATE_COLUMNS, (np.int64, np.int64, np.float64, np.float64), rows
+    )
+
+
+def create_table_sql(table: TableData, integer_type: str = "BIGINT", real_type: str = "DOUBLE") -> str:
+    """``CREATE TABLE`` statement for ``table``."""
+    columns = ", ".join(
+        f"{column} {integer_type if values.dtype.kind == 'i' else real_type} NOT NULL"
+        for column, values in table.columns.items()
+    )
+    return f"CREATE TABLE {table.name} ({columns})"
+
+
+def insert_sql(table: TableData) -> str:
+    """Multi-row ``INSERT`` statement for ``table`` (``repr`` keeps full double precision)."""
+    rows = zip(*(values.tolist() for values in table.columns.values()))
+    values = ", ".join(f"({', '.join(map(repr, row))})" for row in rows)
+    return f"INSERT INTO {table.name} ({', '.join(table.columns)}) VALUES {values}"

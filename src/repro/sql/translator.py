@@ -43,10 +43,11 @@ from .encoding import (
 )
 from .gate_tables import GateTable, GateTableRegistry
 from .schema import (
-    gate_insert_sql,
-    gate_table_ddl,
-    state_insert_sql,
-    state_table_ddl,
+    TableData,
+    create_table_sql,
+    gate_table_data,
+    insert_sql,
+    state_table_data,
     state_table_name,
 )
 
@@ -122,16 +123,24 @@ class SQLTranslation:
         """Name of the table holding the final state."""
         return self.steps[-1].output_table if self.steps else state_table_name(0)
 
+    def tables(self) -> list[TableData]:
+        """The gate tables and the initial state ``T0`` as data, in creation order.
+
+        What an engine with a columnar way in loads directly; everything
+        else gets the same data as text (:meth:`setup_statements`).
+        """
+        tables = [gate_table_data(table.name, table.rows) for table in self.gate_tables]
+        tables.append(state_table_data(state_table_name(0), self.initial_rows))
+        return tables
+
     def setup_statements(self) -> list[str]:
         """DDL and INSERTs creating the gate tables and the initial state ``T0``."""
         statements: list[str] = []
-        integer_type = self.dialect.integer_type
-        real_type = self.dialect.real_type
-        for table in self.gate_tables:
-            statements.append(gate_table_ddl(table.name, integer_type, real_type))
-            statements.append(gate_insert_sql(table.name, table.rows))
-        statements.append(state_table_ddl(state_table_name(0), integer_type, real_type))
-        statements.append(state_insert_sql(state_table_name(0), self.initial_rows))
+        for table in self.tables():
+            statements.append(
+                create_table_sql(table, self.dialect.integer_type, self.dialect.real_type)
+            )
+            statements.append(insert_sql(table))
         return statements
 
     def cte_query(self, pretty: bool = True) -> str:

@@ -208,7 +208,7 @@ class TestMultiKeyParallelParity:
         values[rng.integers(0, rows, rows // 10)] = np.nan
         try:
             for db in (parallel, serial):
-                db.create_table_from_columns(
+                db.load_table(
                     "t", {"id": ids, "k": ks.copy(), "s": names.copy(), "v": values.copy()}
                 )
             for sql in [

@@ -138,6 +138,22 @@ class TestQueries:
             db.execute("SELECT * FROM t JOIN u ON u.a > t.a")
 
 
+class TestResultVectorsAreReadOnly:
+    """A pass-through projection returns the stored array; it must not be writable."""
+
+    @pytest.mark.parametrize("dict_encoding", [True, False])
+    def test_write_to_a_result_vector_raises_and_the_table_is_unchanged(self, dict_encoding):
+        database = MemDatabase(enable_dict_encoding=dict_encoding)
+        database.execute("CREATE TABLE w (s BIGINT NOT NULL, name TEXT)")
+        database.execute("INSERT INTO w (s, name) VALUES (1, 'a'), (2, 'b')")
+        numbers, names = database.execute("SELECT s, name FROM w").vectors
+        with pytest.raises(ValueError, match="read-only"):
+            numbers[0] = 777
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(names, "codes", names)[0] = 1
+        assert database.execute("SELECT s, name FROM w").rows == [(1, "a"), (2, "b")]
+
+
 class TestAgainstSQLiteReference:
     """The embedded engine must agree with SQLite on the query shapes Qymera generates."""
 
@@ -160,6 +176,66 @@ class TestAgainstSQLiteReference:
         expected = reference.execute(query).fetchall()
         got = db.execute(query).rows
         assert [tuple(row) for row in got] == pytest.approx(expected)
+
+
+class TestSameNamedResultColumns:
+    """Two projection items with one output name are still two result columns.
+
+    Result vectors travel positionally: ``SELECT x.s, y.s`` used to return
+    ``y.s`` twice because the second ``s`` overwrote the first in a dict
+    keyed by output name — on the compiled and the interpreted path alike.
+    """
+
+    SETUP = [
+        "CREATE TABLE x (id BIGINT NOT NULL, s BIGINT NOT NULL)",
+        "CREATE TABLE y (id BIGINT NOT NULL, s BIGINT NOT NULL)",
+        "INSERT INTO x (id, s) VALUES (1, 10), (2, 20), (3, 30)",
+        "INSERT INTO y (id, s) VALUES (1, 7), (2, 8), (3, 9)",
+    ]
+
+    @pytest.mark.parametrize("enable_optimizer", [True, False])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT x.s, y.s FROM x JOIN y ON x.id = y.id ORDER BY x.id",
+            "SELECT x.s, y.s, x.s + y.s AS s FROM x JOIN y ON x.id = y.id ORDER BY x.id DESC LIMIT 2",
+            "SELECT DISTINCT y.s, x.s FROM x JOIN y ON x.id = y.id",
+            "SELECT x.s, y.s, COUNT(*) AS s FROM x JOIN y ON x.id = y.id GROUP BY x.s, y.s",
+            "WITH j AS (SELECT x.s, y.s FROM x JOIN y ON x.id = y.id) SELECT j.s, j.s * 2 AS s FROM j",
+            "SELECT s, s + 1 AS s FROM x ORDER BY id",
+        ],
+    )
+    def test_matches_sqlite(self, query, enable_optimizer):
+        import sqlite3
+
+        from repro.backends.memdb.engine import PlanCache
+
+        reference = sqlite3.connect(":memory:")
+        database = MemDatabase(plan_cache=PlanCache(8), enable_optimizer=enable_optimizer)
+        for statement in self.SETUP:
+            reference.execute(statement)
+            database.execute(statement)
+        expected = reference.execute(query).fetchall()
+        for _attempt in ("cold", "cached"):
+            result = database.execute(query)
+            assert sorted(result.rows) == sorted(expected)
+            assert len(result.columns) == len(result.vectors) == len(expected[0])
+
+    def test_issue_example(self):
+        database = MemDatabase()
+        for statement in self.SETUP:
+            database.execute(statement)
+        result = database.execute("SELECT x.s, y.s FROM x JOIN y ON x.id = y.id")
+        assert result.columns == ["s", "s"]
+        assert sorted(result.rows) == [(10, 7), (20, 8), (30, 9)]
+
+    def test_create_table_as_rejects_duplicate_column_names(self):
+        database = MemDatabase()
+        for statement in self.SETUP:
+            database.execute(statement)
+        with pytest.raises(SQLExecutionError, match="duplicate column name"):
+            database.execute("CREATE TABLE j AS SELECT x.s, y.s FROM x JOIN y ON x.id = y.id")
+        assert not database.has_table("j")
 
 
 class TestInsertTyping:

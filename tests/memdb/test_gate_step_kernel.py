@@ -311,7 +311,7 @@ class TestFusedStepSerialVsParallel:
     @staticmethod
     def _load(db: MemDatabase, states: np.ndarray) -> None:
         rng = np.random.default_rng(11)
-        db.create_table_from_columns(
+        db.load_table(
             "T0",
             {
                 "s": states,
@@ -319,7 +319,7 @@ class TestFusedStepSerialVsParallel:
                 "i": rng.normal(size=len(states)),
             },
         )
-        db.create_table_from_columns(
+        db.load_table(
             "G",
             {
                 "in_s": np.array([0, 0, 1, 1], dtype=np.int64),

@@ -234,8 +234,8 @@ def _build_pair(rows: int = 4_000, seed: int = 3):
     weights = np.round(np.linspace(-2.0, 2.0, len(dim_ids)), 2)
 
     for db in (parallel, serial, interpreter):
-        db.create_table_from_columns("t", {"id": ids, "v": values.copy(), "k": keys, "g": groups})
-        db.create_table_from_columns("d", {"id": dim_ids, "w": weights})
+        db.load_table("t", {"id": ids, "v": values.copy(), "k": keys, "g": groups})
+        db.load_table("d", {"id": dim_ids, "w": weights})
     return parallel, serial, interpreter, pool
 
 
@@ -311,7 +311,7 @@ class TestParallelSerialDifferential:
         ids = np.arange(len(names), dtype=np.int64)
         try:
             for db in (parallel, serial):
-                db.create_table_from_columns("s", {"id": ids, "name": names.copy()})
+                db.load_table("s", {"id": ids, "name": names.copy()})
             for sql in [
                 "SELECT s.id AS id, s.name AS name FROM s ORDER BY s.name DESC, s.id ASC LIMIT 9",
                 "SELECT s.id AS id, s.name || '!' AS tagged FROM s WHERE s.id < 100 ORDER BY s.id",
@@ -342,28 +342,28 @@ class TestParallelCostGate:
 
     def test_small_input_chooses_serial_large_chooses_parallel(self):
         small = MemDatabase(plan_cache=PlanCache(), enable_parallel=True, parallel_workers=4)
-        small.create_table_from_columns("t", {"id": np.arange(100, dtype=np.int64)})
+        small.load_table("t", {"id": np.arange(100, dtype=np.int64)})
         select = _select_of("SELECT t.id AS id FROM t WHERE t.id > 3")
         model = small._optimizer().cost_model()
         decision = model.parallel_decision(select)
         assert decision.eligible and not decision.use_parallel
 
         big = MemDatabase(plan_cache=PlanCache(), enable_parallel=True, parallel_workers=4)
-        big.create_table_from_columns("t", {"id": np.arange(1_000_000, dtype=np.int64)})
+        big.load_table("t", {"id": np.arange(1_000_000, dtype=np.int64)})
         decision = big._optimizer().cost_model().parallel_decision(select)
         assert decision.use_parallel
         assert decision.parallel_cost < decision.serial_cost
 
     def test_explain_shows_the_decision(self):
         db = MemDatabase(plan_cache=PlanCache(), enable_parallel=True, parallel_workers=4)
-        db.create_table_from_columns("t", {"id": np.arange(1_000_000, dtype=np.int64)})
+        db.load_table("t", {"id": np.arange(1_000_000, dtype=np.int64)})
         plan = "\n".join(
             row[0] for row in db.execute("EXPLAIN SELECT t.id AS id FROM t WHERE t.id > 5").rows
         )
         assert "morsel-parallel (4 workers)" in plan
 
         serial_db = MemDatabase(plan_cache=PlanCache(), enable_parallel=True, parallel_workers=4)
-        serial_db.create_table_from_columns("t", {"id": np.arange(10, dtype=np.int64)})
+        serial_db.load_table("t", {"id": np.arange(10, dtype=np.int64)})
         plan = "\n".join(
             row[0] for row in serial_db.execute("EXPLAIN SELECT t.id AS id FROM t WHERE t.id > 5").rows
         )
@@ -398,8 +398,8 @@ class TestParallelCostGate:
             plan_cache=cache, enable_parallel=True, parallel_threshold_rows=0, worker_pool=pool
         )
         data = {"id": np.arange(2_000, dtype=np.int64), "g": np.arange(2_000) % 5}
-        serial.create_table_from_columns("t", dict(data))
-        parallel.create_table_from_columns("t", dict(data))
+        serial.load_table("t", dict(data))
+        parallel.load_table("t", dict(data))
         sql = "SELECT t.g AS g, COUNT(*) AS n FROM t GROUP BY t.g"
         try:
             expected = serial.execute(sql).rows
@@ -427,7 +427,7 @@ class TestParallelCostGate:
             parallel_threshold_rows=0,
             parallel_workers=2,
         )
-        db.create_table_from_columns("t", {"id": np.arange(500, dtype=np.int64)})
+        db.load_table("t", {"id": np.arange(500, dtype=np.int64)})
         from repro.backends.memdb.planner import compile_statement
 
         statement = _select_of("SELECT t.id AS id FROM t WHERE t.id >= 250 ORDER BY t.id")
@@ -437,7 +437,7 @@ class TestParallelCostGate:
         try:
             with_pool = plan.execute(db._tables, pool=pool)
             without_pool = plan.execute(db._tables, pool=None)
-            np.testing.assert_array_equal(with_pool[1]["id"], without_pool[1]["id"], strict=True)
+            np.testing.assert_array_equal(with_pool[1][0], without_pool[1][0], strict=True)
         finally:
             pool.shutdown()
 
@@ -457,7 +457,7 @@ class TestPoolLifecycle:
             worker_pool=pool,
         )
         rng = np.random.default_rng(5)
-        db.create_table_from_columns(
+        db.load_table(
             "t",
             {
                 "id": np.arange(30_000, dtype=np.int64),
@@ -497,7 +497,7 @@ class TestPoolLifecycle:
             worker_pool=pool,
         )
         try:
-            db.create_table_from_columns(
+            db.load_table(
                 "t", {"id": np.arange(5_000, dtype=np.int64), "name": np.array(["x"] * 5_000, dtype=object)}
             )
             # Comparing text to text with '<' works; sqrt of text raises
@@ -558,9 +558,9 @@ class TestParallelPlumbing:
         provenance = executable.provenance
         assert provenance["last_execution"]["parallel"]["enabled"] is True
 
-    def test_create_table_from_columns_rejects_duplicates(self):
+    def test_load_table_rejects_duplicates(self):
         db = MemDatabase(plan_cache=PlanCache())
-        db.create_table_from_columns("t", {"id": np.arange(3, dtype=np.int64)})
+        db.load_table("t", {"id": np.arange(3, dtype=np.int64)})
         assert db.row_count("t") == 3
         with pytest.raises(SQLExecutionError, match="already exists"):
-            db.create_table_from_columns("t", {"id": np.arange(3, dtype=np.int64)})
+            db.load_table("t", {"id": np.arange(3, dtype=np.int64)})

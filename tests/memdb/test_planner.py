@@ -216,13 +216,14 @@ class TestPlanVsInterpreter:
         statement = parse_one(query)
         plan = compile_statement(statement)
         assert plan is not None
-        names, columns = plan.execute(db._tables)
-        interpreter_names, interpreter_columns = SelectExecutor(db._tables).execute(statement)
+        names, vectors = plan.execute(db._tables)
+        interpreter_names, interpreter_vectors = SelectExecutor(db._tables).execute(statement)
         assert names == interpreter_names
-        for name in names:
+        assert len(vectors) == len(interpreter_vectors) == len(names)
+        for values, interpreted in zip(vectors, interpreter_vectors):
             np.testing.assert_allclose(
-                np.asarray(columns[name], dtype=np.float64),
-                np.asarray(interpreter_columns[name], dtype=np.float64),
+                np.asarray(values, dtype=np.float64),
+                np.asarray(interpreted, dtype=np.float64),
                 atol=1e-12,
             )
 

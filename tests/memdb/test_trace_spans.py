@@ -243,3 +243,68 @@ class TestSlowQueryLogEndToEnd:
         db.execute(_STAR_QUERY)
         assert tracer.slow_queries() == []
         assert tracer.slow_log.stats()["captured"] == 0
+
+
+class TestSimulateLifecycleSpans:
+    """``simulate`` is accounted for by translate -> load -> query -> state."""
+
+    @staticmethod
+    def _simulate(tracer: Tracer, run) -> "Span":
+        with tracer.span("request") as request:
+            run()
+        (simulate,) = [child for child in request.children if child.name == "simulate"]
+        return simulate
+
+    def test_sweep_point_has_no_dark_gap(self):
+        from repro.backends.memdb_backend import MemDBBackend
+        from repro.circuits import hardware_efficient_ansatz
+
+        tracer = _make_tracer()
+        template = hardware_efficient_ansatz(8, reps=1, rotation_gates=("ry",))
+        names = sorted(parameter.name for parameter in template.parameters)
+        backend = MemDBBackend(plan_cache=PlanCache(maxsize=8), tracer=tracer)
+        executable = backend.compile(template)
+        # compile() planned the representative binding, whose equal angles
+        # share one RY table; the first real point plans the 16-table text.
+        executable.bind({name: 0.05 * (k + 1) for k, name in enumerate(names)}).execute()
+        coverage = []
+        for attempt in range(5):
+            point = {name: 0.1 * (attempt + 1) * (k + 1) for k, name in enumerate(names)}
+            simulate = self._simulate(tracer, lambda: executable.bind(point).execute())
+            children = simulate.children
+            assert [child.name for child in children] == ["translate", "load", "query", "state"]
+            translate, load, query, state = children
+            assert translate.attrs["gates"] == template.size()
+            # 16 distinct RY tables + CX, and T0; 4 rows per rotation, 4 for CX, 1 for T0.
+            assert load.attrs == {"tables": 18, "rows": 16 * 4 + 4 + 1}
+            assert query.attrs["cache"] == "hit"
+            assert state.attrs["rows"] == query.attrs["rows"] == 256
+            for earlier, later in zip(children, children[1:]):
+                assert later.start_s >= earlier.start_s + earlier.duration_s - 1e-9
+            coverage.append(sum(child.duration_s for child in children) / simulate.duration_s)
+        # Connect, disconnect and the bookkeeping between the spans are what
+        # is left; a scheduling hiccup can land there, so judge the best run.
+        assert max(coverage) >= 0.85
+
+    def test_cached_translation_skips_the_translate_span(self):
+        from repro.backends.memdb_backend import MemDBBackend
+        from repro.circuits import qft_circuit
+
+        tracer = _make_tracer()
+        backend = MemDBBackend(plan_cache=PlanCache(maxsize=8), tracer=tracer, mode="materialized")
+        executable = backend.compile(qft_circuit(3))
+        simulate = self._simulate(tracer, lambda: executable.bind().execute())
+        names = [child.name for child in simulate.children]
+        assert names[0] == "load" and names[-1] == "state"
+        assert set(names[1:-1]) == {"query"}  # one per CREATE TABLE AS / DROP / final SELECT
+        assert simulate.children[-1].attrs["rows"] == 8
+
+    def test_sql_text_backends_get_the_same_lifecycle_spans(self):
+        from repro.backends.sqlite_backend import SQLiteBackend
+        from repro.circuits import ghz_circuit
+
+        tracer = _make_tracer()
+        simulate = self._simulate(tracer, lambda: SQLiteBackend().run(ghz_circuit(3)))
+        assert [child.name for child in simulate.children] == ["load", "state"]
+        assert simulate.children[0].attrs == {"tables": 3, "rows": 4 + 4 + 1}
+        assert simulate.children[1].attrs == {"rows": 2}

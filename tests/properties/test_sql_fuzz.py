@@ -369,6 +369,48 @@ def _join_query(draw, tables):
 
 
 @st.composite
+def _same_name_join_query(draw, tables):
+    """Projection items that share an output name: ``SELECT t0.id, t1.id, ...``.
+
+    Unaliased references to equally named columns of the two join sides
+    (every generated table has ``id`` and ``c0``), optionally joined by an
+    expression aliased to the same name.  The result must carry one vector
+    per item, in item order — through plain, DISTINCT and grouped
+    projections, and across a CTE edge, where a scan of the shared name
+    sees the first of the columns (SQLite's rule).  ORDER BY only names
+    qualified source columns, which stay unambiguous.
+    """
+    left, right = tables[0]["name"], tables[1]["name"]
+    left_key, _ = draw(st.sampled_from(_columns_of(tables[0], _INT)))
+    right_key, _ = draw(st.sampled_from(_columns_of(tables[1], _INT)))
+    items = [f"{left}.id", f"{right}.id"]
+    if draw(st.booleans()):
+        items += [f"{left}.c0", f"{right}.c0"]
+    items = list(draw(st.permutations(items)))
+    joined = f"FROM {left} JOIN {right} ON {left_key} = {right_key}"
+    shape = draw(st.sampled_from(["plain", "distinct", "grouped", "cte"]))
+    if shape == "plain":
+        if draw(st.booleans()):
+            items.append(f"{left}.id + {right}.c0 AS id")
+        tail, _limited = draw(
+            _limit_tail([f"{left}.id", f"{right}.id"], _columns_of(tables[0]) + _columns_of(tables[1]))
+        )
+        return f"SELECT {', '.join(items)} {joined}{tail}", True
+    if shape == "distinct":
+        return f"SELECT DISTINCT {', '.join(items)} {joined}", False
+    if shape == "grouped":
+        return (
+            f"SELECT {', '.join(items)}, COUNT(*) AS id {joined} GROUP BY {', '.join(items)}",
+            False,
+        )
+    return (
+        f"WITH j AS (SELECT {', '.join(items)} {joined}) "
+        f"SELECT j.id, j.id + 1 AS id, j.id AS first_id FROM j",
+        False,
+    )
+
+
+@st.composite
 def _grouped_query(draw, tables):
     table = tables[0]
     columns = _columns_of(table)
@@ -1074,6 +1116,16 @@ def test_fuzz_joins_match_sqlite(data):
     tables = data.draw(_tables(count=2))
     query = data.draw(_join_query(tables))
     _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+
+
+@given(data=st.data())
+@_FAST
+def test_fuzz_same_named_columns_match_sqlite(data):
+    """Two result columns may share a name; they are still two columns."""
+    tables = data.draw(_tables(count=2))
+    query = data.draw(_same_name_join_query(tables))
+    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _parallel_check(tables, query)
 
 
 @given(data=st.data())

@@ -1,6 +1,7 @@
 """Tests for the durable job journal: folding, replay, and purge interaction."""
 
 import json
+import threading
 
 import pytest
 
@@ -12,6 +13,20 @@ from repro.service.server.journal import serialize_request
 
 _PARAMS = [f"theta[{i}]" for i in range(6)]
 _GRID = [{name: round(0.1 * k, 3) for name in _PARAMS} for k in range(1, 5)]
+
+
+class _GatedJournal(JobJournal):
+    """Holds the worker inside its first grid-point record until released."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def record_point(self, job_id: int, index: int) -> None:
+        super().record_point(job_id, index)
+        self.reached.set()
+        self.release.wait(timeout=60)
 
 
 def _sweep_request(grid=None):
@@ -202,25 +217,29 @@ class TestPurgeInteraction:
             service.shutdown(wait=True)
 
     def test_purge_never_drops_unfinished_jobs(self, tmp_path):
-        service = JobService(
-            max_workers=1, journal=JobJournal(tmp_path / "j.journal")
-        )
+        journal = _GatedJournal(tmp_path / "j.journal")
+        service = JobService(max_workers=1, journal=journal)
         try:
-            # A sweep occupies the single worker; the queued job is pending.
+            # The sweep is held inside its first grid point, occupying the
+            # single worker; the job submitted behind it stays queued.
             running = service.submit(
                 circuit=hardware_efficient_ansatz(3, rotation_gates=("ry",)),
                 method="memdb",
                 param_grid=_GRID,
             )
+            assert journal.reached.wait(timeout=60)
             queued = service.submit(circuit=ghz_circuit(2), method="statevector")
+            assert running.status() == "running" and queued.status() == "queued"
             assert service.purge() == 0  # nothing terminal yet: nothing dropped
             assert {handle.job_id for handle in service.jobs()} == {
                 running.job_id,
                 queued.job_id,
             }
+            journal.release.set()
             running.result(timeout=60)
             queued.result(timeout=30)
         finally:
+            journal.release.set()
             service.shutdown(wait=True)
 
     def test_final_status_is_none_without_a_journal(self):
