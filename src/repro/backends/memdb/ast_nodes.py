@@ -4,12 +4,24 @@ The node classes are small frozen dataclasses; the parser builds them and the
 executor pattern-matches on their types.  Expressions and statements are kept
 deliberately close to the SQL grammar so the executor's behaviour is easy to
 audit against the statements the translator generates.
+
+Every generic traversal goes through one method, :meth:`Expression.children`
+(with :meth:`Expression.with_children` as its inverse): the derived *facts*
+(``has_aggregate``, ``has_window``, ``column_refs``) and
+:func:`transform_expression` are written once against it instead of once per
+node type.  Nodes are immutable, so a fact is computed on first read from
+the children's facts and then kept on the node.  Expression nodes are
+slotted: an AST is most of what a cached plan keeps alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from operator import is_not
+from typing import Callable, Optional
+
+#: Aggregate function names recognized by the executor.
+AGGREGATE_FUNCTIONS = {"sum", "count", "min", "max", "avg", "total"}
 
 
 # ---------------------------------------------------------------------------
@@ -18,20 +30,84 @@ from typing import Optional, Sequence
 
 
 class Expression:
-    """Marker base class for expression nodes."""
+    """Base class for expression nodes."""
 
     __slots__ = ()
 
+    #: True when the expression calls a plain aggregate function anywhere.
+    #: The single aggregate detector shared by the executor, the planner and
+    #: the optimizer, so none of them can classify an expression differently
+    #: than the engine that executes it.
+    has_aggregate: bool
+    #: True when the expression contains a window function call.
+    has_window: bool
+    #: Every column reference in the expression tree, in visit order.
+    column_refs: tuple["ColumnRef", ...]
 
-@dataclass(frozen=True)
-class Literal(Expression):
+    def children(self) -> tuple["Expression", ...]:
+        """The direct sub-expressions, in source order."""
+        return ()
+
+    def with_children(self, children: tuple["Expression", ...]) -> "Expression":
+        """This node over replacement sub-expressions (same order as :meth:`children`)."""
+        return self
+
+
+class _Leaf(Expression):
+    """An expression without sub-expressions: its facts are constants."""
+
+    __slots__ = ()
+    has_aggregate = False
+    has_window = False
+    column_refs = ()
+
+
+def _any_child(node: Expression, fact_name: str) -> bool:
+    for child in node.children():
+        if getattr(child, fact_name):
+            return True
+    return False
+
+
+class _Composite(Expression):
+    """An expression over sub-expressions: its facts derive from theirs.
+
+    Each fact is a slot the constructor leaves unset.  Reading an unset slot
+    falls through to :meth:`__getattr__`, which derives the value from the
+    children's facts and stores it; every later read is a plain slot read.
+    The slots are not dataclass fields, so a stored fact never shows in
+    ``repr`` / ``==`` / ``hash`` and never survives ``replace``.
+    """
+
+    __slots__ = ("has_aggregate", "has_window", "column_refs")
+
+    def __getattr__(self, name: str):
+        derive = getattr(type(self), "_derive_" + name, None)
+        if derive is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = derive(self)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _derive_has_aggregate(self) -> bool:
+        return _any_child(self, "has_aggregate")
+
+    def _derive_has_window(self) -> bool:
+        return _any_child(self, "has_window")
+
+    def _derive_column_refs(self) -> tuple["ColumnRef", ...]:
+        return tuple([ref for child in self.children() for ref in child.column_refs])
+
+
+@dataclass(frozen=True, slots=True)
+class Literal(_Leaf):
     """A numeric, string or NULL literal."""
 
     value: object
 
 
-@dataclass(frozen=True)
-class ColumnRef(Expression):
+@dataclass(frozen=True, slots=True)
+class ColumnRef(_Leaf):
     """A column reference, optionally qualified with a table name/alias."""
 
     name: str
@@ -41,33 +117,49 @@ class ColumnRef(Expression):
         """The lookup key used by the executor's frames."""
         return f"{self.table}.{self.name}" if self.table else self.name
 
+    @property
+    def column_refs(self) -> tuple["ColumnRef", ...]:
+        return (self,)
 
-@dataclass(frozen=True)
-class Star(Expression):
+
+@dataclass(frozen=True, slots=True)
+class Star(_Leaf):
     """The ``*`` projection (optionally ``table.*``)."""
 
     table: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class UnaryOp(Expression):
+@dataclass(frozen=True, slots=True)
+class UnaryOp(_Composite):
     """Unary operator: ``-x``, ``+x``, ``~x``, ``NOT x``."""
 
     operator: str
     operand: Expression
 
+    def children(self):
+        return (self.operand,)
 
-@dataclass(frozen=True)
-class BinaryOp(Expression):
+    def with_children(self, children):
+        return UnaryOp(self.operator, children[0])
+
+
+@dataclass(frozen=True, slots=True)
+class BinaryOp(_Composite):
     """Binary operator over two sub-expressions."""
 
     operator: str
     left: Expression
     right: Expression
 
+    def children(self):
+        return (self.left, self.right)
 
-@dataclass(frozen=True)
-class FunctionCall(Expression):
+    def with_children(self, children):
+        return BinaryOp(self.operator, children[0], children[1])
+
+
+@dataclass(frozen=True, slots=True)
+class FunctionCall(_Composite):
     """A function or aggregate call, e.g. ``SUM(expr)`` or ``COUNT(*)``."""
 
     name: str
@@ -75,14 +167,35 @@ class FunctionCall(Expression):
     is_star: bool = False
     distinct: bool = False
 
+    def children(self):
+        return self.arguments
 
-@dataclass(frozen=True)
-class CaseExpression(Expression):
+    def with_children(self, children):
+        return FunctionCall(self.name, children, self.is_star, self.distinct)
+
+    def _derive_has_aggregate(self) -> bool:
+        return self.name in AGGREGATE_FUNCTIONS or _any_child(self, "has_aggregate")
+
+
+@dataclass(frozen=True, slots=True)
+class CaseExpression(_Composite):
     """``CASE WHEN cond THEN value [...] ELSE default END``."""
 
     conditions: tuple[Expression, ...]
     results: tuple[Expression, ...]
     default: Optional[Expression] = None
+
+    def children(self):
+        tail = () if self.default is None else (self.default,)
+        return self.conditions + self.results + tail
+
+    def with_children(self, children):
+        count = len(self.conditions)
+        return CaseExpression(
+            children[:count],
+            children[count : 2 * count],
+            None if self.default is None else children[-1],
+        )
 
 
 @dataclass(frozen=True)
@@ -112,8 +225,8 @@ class WindowSpec:
     frame: Optional[tuple[FrameBound, FrameBound]] = None
 
 
-@dataclass(frozen=True)
-class WindowFunction(Expression):
+@dataclass(frozen=True, slots=True)
+class WindowFunction(_Composite):
     """``fn(args) OVER (PARTITION BY ... ORDER BY ... [ROWS ...])``.
 
     Deliberately distinct from :class:`FunctionCall` so aggregate detection
@@ -125,22 +238,73 @@ class WindowFunction(Expression):
     spec: WindowSpec
     is_star: bool = False
 
+    #: A window call is not a plain aggregate, and neither are its arguments.
+    has_aggregate = False
+    has_window = True
 
-@dataclass(frozen=True)
-class IsNull(Expression):
+    def children(self):
+        spec = self.spec
+        return self.arguments + spec.partition_by + tuple([o.expression for o in spec.order_by])
+
+    def with_children(self, children):
+        spec = self.spec
+        split = len(self.arguments)
+        ordered = split + len(spec.partition_by)
+        order_by = tuple(
+            [OrderItem(e, o.descending) for e, o in zip(children[ordered:], spec.order_by)]
+        )
+        return WindowFunction(
+            self.name,
+            children[:split],
+            WindowSpec(children[split:ordered], order_by, spec.frame),
+            self.is_star,
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class IsNull(_Composite):
     """``expr IS [NOT] NULL``."""
 
     operand: Expression
     negated: bool = False
 
+    def children(self):
+        return (self.operand,)
 
-@dataclass(frozen=True)
-class InList(Expression):
+    def with_children(self, children):
+        return IsNull(children[0], self.negated)
+
+
+@dataclass(frozen=True, slots=True)
+class InList(_Composite):
     """``expr [NOT] IN (literal, ...)``."""
 
     operand: Expression
     values: tuple[Expression, ...]
     negated: bool = False
+
+    def children(self):
+        return (self.operand,) + self.values
+
+    def with_children(self, children):
+        return InList(children[0], children[1:], self.negated)
+
+
+def transform_expression(
+    expression: Expression, fn: Callable[[Expression], Expression]
+) -> Expression:
+    """Apply ``fn`` to every node, bottom-up.
+
+    A node whose children all came back as the same objects is passed to
+    ``fn`` as is, not rebuilt: a transform that changes nothing returns its
+    input, and unchanged subtrees keep their facts.
+    """
+    children = expression.children()
+    if children:
+        rebuilt = tuple([transform_expression(child, fn) for child in children])
+        if any(map(is_not, rebuilt, children)):
+            expression = expression.with_children(rebuilt)
+    return fn(expression)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +375,11 @@ class Select:
     limit: Optional[int] = None
     offset: Optional[int] = None
     distinct: bool = False
+
+    @property
+    def has_windows(self) -> bool:
+        """True when any projection item contains a window function."""
+        return any(item.expression.has_window for item in self.items)
 
 
 @dataclass(frozen=True)

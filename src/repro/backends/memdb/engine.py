@@ -55,15 +55,15 @@ from .optimizer import (
     OptimizerReport,
     StatisticsCatalog,
     render_explain,
-    select_shape,
 )
 from .optimizer.rewrite import referenced_stored_tables
 from .parallel import WorkerPool, parallel_env_enabled, shared_worker_pool
 from .parallel.pool import default_worker_count
 from .column import EncodedColumn, dict_encoding_default
-from .parser import parse_sql
+from .parser import Parser, parse_sql
 from .planner import CompiledCreateTableAs, CompiledScript, compile_statement
 from .table import Table, dtype_for_sql_type
+from .tokenizer import scan
 
 
 @dataclass(frozen=True)
@@ -818,8 +818,9 @@ class MemDatabase:
         # statements are never cached (their output depends on live state).
         if tracer is not None:
             with tracer.span("parse") as span:
-                statements = parse_sql(sql)
-                span.set(statements=len(statements))
+                tokens = scan(sql)
+                statements = Parser(tokens, sql).parse_script()
+                span.set(chars=len(sql), tokens=len(tokens) - 1, statements=len(statements))
         else:
             statements = parse_sql(sql)
         cacheable = not any(isinstance(s, (Explain, Analyze)) for s in statements)
@@ -1055,7 +1056,7 @@ class MemDatabase:
                     if residual > self.adaptive_threshold:
                         table = select.source.name
                         factor = self._statistics.record_correction(
-                            table, select_shape(select), residual
+                            table, info.shape, residual
                         )
                         event["correction"] = {"table": table, "factor": factor}
                         self._optimizer_counters["feedback_corrections"] = (
@@ -1073,7 +1074,7 @@ class MemDatabase:
                 # re-plan so the cheaper operators get picked up.
                 decayed = self._statistics.observe_correction(
                     select.source.name,
-                    select_shape(select),
+                    info.shape,
                     actual / estimated,
                     self.adaptive_threshold,
                 )

@@ -18,6 +18,7 @@ import numpy as np
 
 from ...errors import SQLExecutionError
 from .ast_nodes import (
+    AGGREGATE_FUNCTIONS,
     BinaryOp,
     CaseExpression,
     ColumnRef,
@@ -36,6 +37,7 @@ from .ast_nodes import (
     WindowFunction,
     WindowSpec,
     WithSelect,
+    transform_expression,
 )
 from .column import (
     DictArray,
@@ -48,7 +50,6 @@ from .column import (
     text_codes,
     to_pylist,
 )
-from .parser import AGGREGATE_FUNCTIONS
 from .table import Table, TransientTable
 
 #: Compute frames map column keys to plain numpy vectors or dictionary-
@@ -109,7 +110,7 @@ def _text_operand(values) -> tuple[np.ndarray, np.ndarray]:
         else:
             text = np.full(len(values), "", dtype="<U1")
         return text, valid
-    array = np.asarray(values)
+    array = np.atleast_1d(values)
     valid = ~null_mask(array)
     if array.dtype == object:
         filled = array.copy()
@@ -264,18 +265,27 @@ def _row_aligned(value, length: int):
     return _broadcast(value, length)
 
 
+#: What numpy raises when an arithmetic kernel meets a text operand: no ufunc
+#: loop or common dtype (TypeError), ``int('x')`` (ValueError), an object
+#: array's elements lacking the ufunc's method (AttributeError).
+_KERNEL_ERRORS = (TypeError, ValueError, AttributeError)
+
+
 def apply_binary(operator: str, left, right, length: int):
     """Apply a binary SQL operator to two evaluated operands of ``length`` rows."""
     try:
         kernel, on_text = _BINARY_OPERATORS[operator]
     except KeyError:
         raise SQLExecutionError(f"unsupported binary operator {operator!r}") from None
-    if on_text and not (
-        left.dtype.kind in _NUMERIC_KINDS and right.dtype.kind in _NUMERIC_KINDS
-    ):
-        left = _broadcast(left, length)
-        right = _broadcast(right, length)
-    return kernel(left, right)
+    if on_text:
+        if not (left.dtype.kind in _NUMERIC_KINDS and right.dtype.kind in _NUMERIC_KINDS):
+            left = _broadcast(left, length)
+            right = _broadcast(right, length)
+        return kernel(left, right)
+    try:
+        return kernel(left, right)
+    except _KERNEL_ERRORS as error:
+        raise _text_operand_error(operator, error, left, right) from error
 
 
 def apply_unary(operator: str, operand):
@@ -284,7 +294,22 @@ def apply_unary(operator: str, operand):
         kernel = _UNARY_OPERATORS[operator]
     except KeyError:
         raise SQLExecutionError(f"unsupported unary operator {operator!r}") from None
-    return kernel(operand)
+    try:
+        return kernel(operand)
+    except _KERNEL_ERRORS as error:
+        raise _text_operand_error(operator, error, operand) from error
+
+
+def _text_operand_error(operator: str, error: Exception, *operands) -> Exception:
+    """What a failed arithmetic kernel raises: numpy's error only when no operand is text.
+
+    SQLite would coerce a text operand to a number; this engine defines
+    arithmetic on numbers only and says so instead of leaking the kernel's
+    ``TypeError`` / ``ValueError``.
+    """
+    if all(values.dtype.kind in _NUMERIC_KINDS for values in operands):
+        return error
+    return SQLExecutionError(f"operator {operator!r} is not defined on text operands")
 
 
 class ExpressionEvaluator:
@@ -455,79 +480,6 @@ _FUNCTION_HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def contains_aggregate(expression: Expression) -> bool:
-    """True when the expression calls an aggregate function anywhere.
-
-    The single aggregate detector shared by the executor, the planner's
-    analysis and the optimizer's rewrite rules — keeping one traversal means
-    the optimizer can never classify an expression differently than the
-    engine that executes it.
-    """
-    return _contains_aggregate(expression)
-
-
-def column_refs(expression: Expression) -> list[ColumnRef]:
-    """Every column reference in an expression tree, in visit order.
-
-    The single reference collector shared by the planner's join-side
-    analysis and the optimizer's rewrite rules: a new expression node type
-    added here is seen by both, so the optimizer can never miss references
-    the planner resolves (or vice versa).
-    """
-    refs: list[ColumnRef] = []
-
-    def visit(node: Expression) -> None:
-        if isinstance(node, ColumnRef):
-            refs.append(node)
-        elif isinstance(node, UnaryOp):
-            visit(node.operand)
-        elif isinstance(node, BinaryOp):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, FunctionCall):
-            for argument in node.arguments:
-                visit(argument)
-        elif isinstance(node, CaseExpression):
-            for child in node.conditions + node.results:
-                visit(child)
-            if node.default is not None:
-                visit(node.default)
-        elif isinstance(node, (IsNull, InList)):
-            visit(node.operand)
-            if isinstance(node, InList):
-                for value in node.values:
-                    visit(value)
-        elif isinstance(node, WindowFunction):
-            for argument in node.arguments:
-                visit(argument)
-            for partition in node.spec.partition_by:
-                visit(partition)
-            for item in node.spec.order_by:
-                visit(item.expression)
-
-    visit(expression)
-    return refs
-
-
-def _contains_aggregate(expression: Expression) -> bool:
-    if isinstance(expression, FunctionCall):
-        if expression.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(_contains_aggregate(argument) for argument in expression.arguments)
-    if isinstance(expression, BinaryOp):
-        return _contains_aggregate(expression.left) or _contains_aggregate(expression.right)
-    if isinstance(expression, UnaryOp):
-        return _contains_aggregate(expression.operand)
-    if isinstance(expression, CaseExpression):
-        children = list(expression.conditions) + list(expression.results)
-        if expression.default is not None:
-            children.append(expression.default)
-        return any(_contains_aggregate(child) for child in children)
-    if isinstance(expression, (IsNull, InList)):
-        return _contains_aggregate(expression.operand)
-    return False
-
-
 class GroupedEvaluator:
     """Evaluates expressions (possibly containing aggregates) per group."""
 
@@ -660,30 +612,6 @@ WINDOW_RANKING_FUNCTIONS = {"row_number", "rank", "dense_rank", "lag", "lead"}
 WINDOW_AGGREGATE_FUNCTIONS = {"sum", "count", "min", "max", "avg", "total"}
 
 
-def _contains_window(expression: Expression) -> bool:
-    if isinstance(expression, WindowFunction):
-        return True
-    if isinstance(expression, BinaryOp):
-        return _contains_window(expression.left) or _contains_window(expression.right)
-    if isinstance(expression, UnaryOp):
-        return _contains_window(expression.operand)
-    if isinstance(expression, FunctionCall):
-        return any(_contains_window(argument) for argument in expression.arguments)
-    if isinstance(expression, CaseExpression):
-        children = list(expression.conditions) + list(expression.results)
-        if expression.default is not None:
-            children.append(expression.default)
-        return any(_contains_window(child) for child in children)
-    if isinstance(expression, (IsNull, InList)):
-        return _contains_window(expression.operand)
-    return False
-
-
-def select_has_windows(select: Select) -> bool:
-    """True when any projection item contains a window function."""
-    return any(_contains_window(item.expression) for item in select.items)
-
-
 def validate_window_usage(select: Select, has_aggregates: bool) -> bool:
     """Check window placement rules; returns whether the SELECT has windows.
 
@@ -692,7 +620,6 @@ def validate_window_usage(select: Select, has_aggregates: bool) -> bool:
     with GROUP BY / plain aggregates (evaluation order would be ambiguous
     in the supported subset).
     """
-    has_windows = select_has_windows(select)
     outside: list[Expression] = []
     if select.where is not None:
         outside.append(select.where)
@@ -703,76 +630,31 @@ def validate_window_usage(select: Select, has_aggregates: bool) -> bool:
     for join in select.joins:
         outside.append(join.condition)
     for expression in outside:
-        if _contains_window(expression):
+        if expression.has_window:
             raise SQLExecutionError("window functions are only allowed in the SELECT list")
-    if has_windows and (select.group_by or has_aggregates):
+    if select.has_windows and (select.group_by or has_aggregates):
         raise SQLExecutionError(
             "window functions cannot be combined with GROUP BY or plain aggregates"
         )
-    return has_windows
+    return select.has_windows
 
 
 def _collect_windows(expression: Expression, out: list[WindowFunction]) -> None:
     if isinstance(expression, WindowFunction):
         if expression not in out:
             out.append(expression)
-        return
-    if isinstance(expression, BinaryOp):
-        _collect_windows(expression.left, out)
-        _collect_windows(expression.right, out)
-    elif isinstance(expression, UnaryOp):
-        _collect_windows(expression.operand, out)
-    elif isinstance(expression, FunctionCall):
-        for argument in expression.arguments:
-            _collect_windows(argument, out)
-    elif isinstance(expression, CaseExpression):
-        for child in expression.conditions + expression.results:
+    elif expression.has_window:
+        for child in expression.children():
             _collect_windows(child, out)
-        if expression.default is not None:
-            _collect_windows(expression.default, out)
-    elif isinstance(expression, (IsNull, InList)):
-        _collect_windows(expression.operand, out)
-        if isinstance(expression, InList):
-            for value in expression.values:
-                _collect_windows(value, out)
 
 
 def _replace_windows(
     expression: Expression, mapping: Mapping[WindowFunction, ColumnRef]
 ) -> Expression:
     """Substitute computed window columns for their WindowFunction nodes."""
-    if isinstance(expression, WindowFunction):
-        return mapping[expression]
-    if isinstance(expression, BinaryOp):
-        return BinaryOp(
-            expression.operator,
-            _replace_windows(expression.left, mapping),
-            _replace_windows(expression.right, mapping),
-        )
-    if isinstance(expression, UnaryOp):
-        return UnaryOp(expression.operator, _replace_windows(expression.operand, mapping))
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name,
-            tuple(_replace_windows(argument, mapping) for argument in expression.arguments),
-            is_star=expression.is_star,
-            distinct=expression.distinct,
-        )
-    if isinstance(expression, CaseExpression):
-        return CaseExpression(
-            tuple(_replace_windows(child, mapping) for child in expression.conditions),
-            tuple(_replace_windows(child, mapping) for child in expression.results),
-            None if expression.default is None else _replace_windows(expression.default, mapping),
-        )
-    if isinstance(expression, IsNull):
-        return IsNull(_replace_windows(expression.operand, mapping), expression.negated)
-    if isinstance(expression, InList):
-        return InList(
-            _replace_windows(expression.operand, mapping),
-            tuple(_replace_windows(value, mapping) for value in expression.values),
-            expression.negated,
-        )
-    return expression
+    return transform_expression(
+        expression, lambda node: mapping[node] if isinstance(node, WindowFunction) else node
+    )
 
 
 class _SortedWindow:
@@ -1402,8 +1284,8 @@ def hash_join_frames(
 
 def select_has_aggregates(select: Select) -> bool:
     """True when the projection or HAVING clause contains an aggregate call."""
-    return any(_contains_aggregate(item.expression) for item in select.items) or (
-        select.having is not None and _contains_aggregate(select.having)
+    return any(item.expression.has_aggregate for item in select.items) or (
+        select.having is not None and select.having.has_aggregate
     )
 
 

@@ -53,9 +53,9 @@ from ..ast_nodes import (
     TableSource,
     UnaryOp,
 )
-from ..executor import _self_reference_count, limit_bounds, select_has_windows
+from ..executor import _self_reference_count, limit_bounds
 from ..table import Table
-from .rewrite import column_refs, contains_aggregate, split_conjuncts
+from .rewrite import split_conjuncts
 from .stats import StatisticsCatalog, TableStats
 
 #: Row count assumed for tables the catalog knows nothing about.
@@ -80,7 +80,7 @@ RECURSIVE_FIXPOINT_ITERATIONS = 8.0
 
 def _conjunct_shape(conjunct: Expression) -> str:
     """Canonical shape of one predicate conjunct (columns + operator, no literals)."""
-    columns = ",".join(sorted({ref.name for ref in column_refs(conjunct)}))
+    columns = ",".join(sorted({ref.name for ref in conjunct.column_refs}))
     if isinstance(conjunct, BinaryOp) and conjunct.operator in ("=", "!=", "<", "<=", ">", ">="):
         operator = conjunct.operator if conjunct.operator in ("=", "!=") else "range"
         return f"{operator}({columns})"
@@ -121,7 +121,7 @@ def select_shape(select: Select) -> str:
         parts.append(f"group:{len(select.group_by)}")
     if select.distinct:
         parts.append("distinct")
-    if select_has_windows(select):
+    if select.has_windows:
         # Windowed and plain projections of the same scan are different
         # physical shapes; corrections learned on one must not leak.
         parts.append("window")
@@ -312,7 +312,7 @@ class CostModel:
             if column is not None and column.ndv > 0:
                 return max(1.0, rows / column.ndv)
         else:
-            refs = column_refs(key)
+            refs = key.column_refs
             if len(refs) == 1:
                 # A deterministic function of one column has at most that
                 # column's NDV distinct values, so the frequency bound holds.
@@ -432,7 +432,7 @@ class CostModel:
             return select, None
         if any(join.kind != "inner" for join in select.joins):
             return select, None
-        if select_has_windows(select):
+        if select.has_windows:
             # Tie-breaking inside window partitions follows the stable sort
             # of the *input* order, which a join reorder would change.
             return select, None
@@ -444,7 +444,7 @@ class CostModel:
             for item in select.items
         )
         grouped = bool(select.group_by) or any(
-            not isinstance(item.expression, Star) and contains_aggregate(item.expression)
+            not isinstance(item.expression, Star) and item.expression.has_aggregate
             for item in select.items
         )
         if has_star or not (grouped or select.order_by):
@@ -454,7 +454,7 @@ class CostModel:
         join_refs: list[set[str]] = []
         bindings = {select.source.binding} | {join.source.binding for join in select.joins}
         for join in select.joins:
-            refs = column_refs(join.condition)
+            refs = join.condition.column_refs
             if any(ref.table is None for ref in refs):
                 return select, None  # cannot attribute; keep written order
             touched = {ref.table for ref in refs}
@@ -512,7 +512,7 @@ class CostModel:
         """Max frequency of the join key on the newly joined side."""
         if isinstance(condition, BinaryOp) and condition.operator == "=":
             for side in (condition.left, condition.right):
-                refs = column_refs(side)
+                refs = side.column_refs
                 if refs and all(ref.table == source.binding for ref in refs):
                     # Map through the alias: stats live under the table name.
                     key = side
@@ -548,7 +548,7 @@ class CostModel:
         if select.where is not None and select.source is not None:
             rows *= self.selectivity(select.where, select.source.name)
         grouped = bool(select.group_by) or any(
-            not isinstance(item.expression, Star) and contains_aggregate(item.expression)
+            not isinstance(item.expression, Star) and item.expression.has_aggregate
             for item in select.items
         )
         if grouped:
@@ -585,7 +585,7 @@ class CostModel:
         ndv_product = 1.0
         known = False
         for key in select.group_by:
-            refs = column_refs(key)
+            refs = key.column_refs
             if len(refs) == 1:
                 stats = None
                 for source in [select.source, *[j.source for j in select.joins]]:
@@ -695,7 +695,7 @@ class CostModel:
         dispatch-and-merge overhead is charged per block.
         """
         workers = self.parallel_workers
-        if select_has_windows(select):
+        if select.has_windows:
             # The window operator is a single sort-once pass over every
             # partition; morsel-splitting it would tear partitions apart.
             return ParallelDecision(

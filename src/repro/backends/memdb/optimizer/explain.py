@@ -26,12 +26,16 @@ class QueryPlanInfo:
     ``estimated_input_rows`` is the pre-limit cardinality estimate — what
     EXPLAIN ANALYZE's traced actuals and the adaptive feedback loop compare
     against.  It equals ``estimated_rows`` for blocks without a LIMIT.
+    ``shape`` is the block's :func:`~.cost.select_shape`, computed here once
+    so the per-execution feedback loop never walks the AST (None for UNION
+    bodies, which record no corrections).
     """
 
     label: str
     estimated_rows: float
     join_order: Optional[JoinOrderDecision] = None
     estimated_input_rows: Optional[float] = None
+    shape: Optional[str] = None
 
     @property
     def feedback_rows(self) -> float:

@@ -30,19 +30,16 @@ from __future__ import annotations
 
 import operator as _operator
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Optional
 
 from ..ast_nodes import (
     BinaryOp,
-    CaseExpression,
     ColumnRef,
     CommonTableExpression,
     CompoundSelect,
     CreateTableAs,
     Expression,
-    FunctionCall,
-    InList,
-    IsNull,
     Join,
     Literal,
     OrderItem,
@@ -52,11 +49,10 @@ from ..ast_nodes import (
     Statement,
     TableSource,
     UnaryOp,
-    WindowFunction,
-    WindowSpec,
     WithSelect,
+    transform_expression,
 )
-from ..executor import column_refs, contains_aggregate, item_output_name, select_has_windows
+from ..executor import item_output_name
 from ..table import Table
 
 _INT64_MIN = -(2**63)
@@ -66,59 +62,6 @@ _INT64_MAX = 2**63 - 1
 # ---------------------------------------------------------------------------
 # Expression utilities (shared with the cost model)
 # ---------------------------------------------------------------------------
-
-
-def transform_expression(
-    expression: Expression, fn: Callable[[Expression], Expression]
-) -> Expression:
-    """Rebuild an expression bottom-up, applying ``fn`` to every node."""
-    if isinstance(expression, UnaryOp):
-        rebuilt: Expression = UnaryOp(
-            expression.operator, transform_expression(expression.operand, fn)
-        )
-    elif isinstance(expression, BinaryOp):
-        rebuilt = BinaryOp(
-            expression.operator,
-            transform_expression(expression.left, fn),
-            transform_expression(expression.right, fn),
-        )
-    elif isinstance(expression, FunctionCall):
-        rebuilt = replace(
-            expression,
-            arguments=tuple(transform_expression(a, fn) for a in expression.arguments),
-        )
-    elif isinstance(expression, WindowFunction):
-        rebuilt = replace(
-            expression,
-            arguments=tuple(transform_expression(a, fn) for a in expression.arguments),
-            spec=WindowSpec(
-                tuple(transform_expression(e, fn) for e in expression.spec.partition_by),
-                tuple(
-                    replace(item, expression=transform_expression(item.expression, fn))
-                    for item in expression.spec.order_by
-                ),
-                expression.spec.frame,
-            ),
-        )
-    elif isinstance(expression, CaseExpression):
-        rebuilt = CaseExpression(
-            tuple(transform_expression(c, fn) for c in expression.conditions),
-            tuple(transform_expression(r, fn) for r in expression.results),
-            None
-            if expression.default is None
-            else transform_expression(expression.default, fn),
-        )
-    elif isinstance(expression, IsNull):
-        rebuilt = IsNull(transform_expression(expression.operand, fn), expression.negated)
-    elif isinstance(expression, InList):
-        rebuilt = InList(
-            transform_expression(expression.operand, fn),
-            tuple(transform_expression(v, fn) for v in expression.values),
-            expression.negated,
-        )
-    else:
-        rebuilt = expression
-    return fn(rebuilt)
 
 
 def split_conjuncts(expression: Expression) -> list[Expression]:
@@ -221,7 +164,7 @@ def _fold_node(expression: Expression, counter: list[int]) -> Expression:
 def fold_expression(expression: Expression) -> tuple[Expression, int]:
     """Constant-fold an expression; returns (folded expression, #folds)."""
     counter = [0]
-    folded = transform_expression(expression, lambda node: _fold_node(node, counter))
+    folded = transform_expression(expression, partial(_fold_node, counter=counter))
     return folded, counter[0]
 
 
@@ -230,39 +173,54 @@ def fold_expression(expression: Expression) -> tuple[Expression, int]:
 # ---------------------------------------------------------------------------
 
 
+def _same(new: tuple, old: tuple) -> tuple:
+    """``old`` itself when ``new`` holds the very same objects."""
+    return old if all(map(_operator.is_, new, old)) else new
+
+
 def map_select_expressions(
     select: Select, fn: Callable[[Expression], Expression]
 ) -> Select:
-    """Apply an expression transform to every expression slot of a Select."""
-    items = tuple(
-        item
-        if isinstance(item.expression, Star)
-        else replace(item, expression=fn(item.expression))
-        for item in select.items
-    )
-    source = select.source
-    if source is not None and source.filter is not None:
-        source = replace(source, filter=fn(source.filter))
-    joins = tuple(
-        replace(
-            join,
-            condition=fn(join.condition),
-            source=join.source
-            if join.source.filter is None
-            else replace(join.source, filter=fn(join.source.filter)),
-        )
-        for join in select.joins
-    )
-    return replace(
-        select,
-        items=items,
-        source=source,
-        joins=joins,
-        where=None if select.where is None else fn(select.where),
-        group_by=tuple(fn(e) for e in select.group_by),
-        having=None if select.having is None else fn(select.having),
-        order_by=tuple(replace(o, expression=fn(o.expression)) for o in select.order_by),
-    )
+    """Apply an expression transform to every expression slot of a Select.
+
+    Identity-preserving like :func:`transform_expression`: a slot ``fn``
+    returns unchanged keeps its node, and a Select none of whose slots
+    changed is returned as is.
+    """
+
+    def slot(node):  # SelectItem | OrderItem
+        if isinstance(node.expression, Star):
+            return node
+        mapped = fn(node.expression)
+        return node if mapped is node.expression else replace(node, expression=mapped)
+
+    def scan(source: Optional[TableSource]) -> Optional[TableSource]:
+        if source is None or source.filter is None:
+            return source
+        mapped = fn(source.filter)
+        return source if mapped is source.filter else replace(source, filter=mapped)
+
+    def join(node: Join) -> Join:
+        condition, source = fn(node.condition), scan(node.source)
+        if condition is node.condition and source is node.source:
+            return node
+        return replace(node, condition=condition, source=source)
+
+    def optional(expression: Optional[Expression]) -> Optional[Expression]:
+        return None if expression is None else fn(expression)
+
+    mapped = {
+        "items": _same(tuple(map(slot, select.items)), select.items),
+        "source": scan(select.source),
+        "joins": _same(tuple(map(join, select.joins)), select.joins),
+        "where": optional(select.where),
+        "group_by": _same(tuple(map(fn, select.group_by)), select.group_by),
+        "having": optional(select.having),
+        "order_by": _same(tuple(map(slot, select.order_by)), select.order_by),
+    }
+    if all(value is getattr(select, name) for name, value in mapped.items()):
+        return select
+    return replace(select, **mapped)
 
 
 def fold_select(select: Select) -> tuple[Select, int]:
@@ -391,7 +349,7 @@ def push_predicates_into_scans(
         return select, 0
     if not select.joins and (select.source is None or select.source.name not in cte_names):
         return select, 0
-    if contains_aggregate(select.where):
+    if select.where.has_aggregate:
         return select, 0
     # An unaliased self-join binds two scans to one name; a predicate
     # attributed to that binding would attach to (and filter) both sides,
@@ -403,7 +361,7 @@ def push_predicates_into_scans(
     pushed: dict[str, list[Expression]] = {}
     residual: list[Expression] = []
     for conjunct in split_conjuncts(select.where):
-        refs = column_refs(conjunct)
+        refs = conjunct.column_refs
         owners = {scope.owner_of(ref) for ref in refs}
         if len(owners) == 1 and None not in owners and refs:
             pushed.setdefault(owners.pop(), []).append(conjunct)
@@ -441,9 +399,9 @@ def _cte_is_filter_transparent(select: Select) -> bool:
         or select.distinct
         or select.limit is not None
         or select.offset is not None
-        or select_has_windows(select)
+        or select.has_windows
         or any(
-            not isinstance(item.expression, Star) and contains_aggregate(item.expression)
+            not isinstance(item.expression, Star) and item.expression.has_aggregate
             for item in select.items
         )
     )
@@ -594,7 +552,7 @@ def prune_cte_projections(statement: WithSelect) -> tuple[WithSelect, int]:
                     needed[cte].add(ref.name)
 
         def scan_expression(expression: Expression) -> None:
-            for ref in column_refs(expression):
+            for ref in expression.column_refs:
                 note_ref(ref)
 
         for item in select.items:
@@ -644,7 +602,7 @@ def prune_cte_projections(statement: WithSelect) -> tuple[WithSelect, int]:
         # names must survive pruning.
         self_needed = set(keep)
         for order in cte.query.order_by:
-            for ref in column_refs(order.expression):
+            for ref in order.expression.column_refs:
                 if ref.table is None:
                     self_needed.add(ref.name)
         kept_items = [
@@ -695,8 +653,8 @@ def _cte_is_inlinable(select: Select) -> bool:
         and not select.order_by
         and select.source.filter is None
         and select_output_names(select) is not None
-        and not select_has_windows(select)
-        and not any(contains_aggregate(item.expression) for item in select.items)
+        and not select.has_windows
+        and not any(item.expression.has_aggregate for item in select.items)
     )
 
 
@@ -827,18 +785,18 @@ def _inline_into(consumer: Select, cte: CommonTableExpression) -> Optional[Selec
         ref
         for item in consumer.items
         if not isinstance(item.expression, Star)
-        for ref in column_refs(item.expression)
+        for ref in item.expression.column_refs
     ]
     for expr in [consumer.where, consumer.having, *consumer.group_by]:
         if expr is not None:
-            all_refs.extend(column_refs(expr))
+            all_refs.extend(expr.column_refs)
     for order in consumer.order_by:
-        all_refs.extend(ref for ref in column_refs(order.expression) if not order_protected(ref))
+        all_refs.extend(ref for ref in order.expression.column_refs if not order_protected(ref))
     for join in consumer.joins:
-        all_refs.extend(column_refs(join.condition))
+        all_refs.extend(join.condition.column_refs)
     for source in sources:
         if source.filter is not None:
-            all_refs.extend(column_refs(source.filter))
+            all_refs.extend(source.filter.column_refs)
     has_bare = any(ref.table is None for ref in all_refs)
     if consumer.joins and has_bare:
         return None

@@ -54,7 +54,6 @@ from ..executor import (
     ExpressionEvaluator,
     Frame,
     apply_filter,
-    contains_aggregate,
     hash_join_frames,
     item_output_name,
     plain_projection,
@@ -452,14 +451,14 @@ def parallel_grouped_projection(
         return None
     for item in select.items:
         expression = item.expression
-        if not contains_aggregate(expression):
+        if not expression.has_aggregate:
             continue
         if (
             not isinstance(expression, FunctionCall)
             or expression.name not in _PARTITIONED_AGGREGATES
             or expression.distinct
             or len(expression.arguments) > 1
-            or any(contains_aggregate(argument) for argument in expression.arguments)
+            or any(argument.has_aggregate for argument in expression.arguments)
         ):
             return None
         if (expression.is_star or not expression.arguments) and expression.name != "count":
@@ -482,7 +481,7 @@ def parallel_grouped_projection(
         name = item_output_name(item, position)
         names.append(name)
         expression = item.expression
-        if not contains_aggregate(expression):
+        if not expression.has_aggregate:
             full = parallel_evaluate(frame, length, expression, pool)
             vectors.append(full[groups.first_indices])
             continue

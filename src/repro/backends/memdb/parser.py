@@ -1,21 +1,25 @@
-"""Recursive-descent SQL parser for the embedded columnar engine.
+"""Precedence-climbing SQL parser for the embedded columnar engine.
 
 Grammar (informal)::
 
     statement   := select | with_select | create_table | create_table_as
-                 | insert | delete | drop
+                 | insert | delete | drop | analyze | explain statement
     select      := SELECT [DISTINCT] items FROM source join* [WHERE expr]
                    [GROUP BY expr_list] [HAVING expr]
                    [ORDER BY order_list] [LIMIT n [OFFSET m]]
-    expr        := or_expr with the usual precedence chain
-                   (OR < AND < NOT < comparison < bitwise or < bitwise and
-                    < shifts < additive < multiplicative < unary)
+    expr        := one loop over the binding-power table below
+                   (OR < AND < NOT < comparison < | < & < shifts
+                    < additive < multiplicative < || < unary)
 
-Operator precedence follows SQLite, which is what the translation layer's
-generated expressions (bitwise masks inside comparisons) rely on.
+Statements are recursive descent; expressions are one precedence-climbing
+loop, so a leaf costs one frame instead of one per precedence level.  The
+bitwise-below-comparison order is what the translation layer's generated
+expressions (masks inside comparisons) rely on.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from ...errors import SQLParseError
 from .ast_nodes import (
@@ -50,192 +54,180 @@ from .ast_nodes import (
     WindowSpec,
     WithSelect,
 )
-from .tokenizer import END, IDENTIFIER, KEYWORD, NUMBER, OPERATOR, PUNCT, STRING, Token, tokenize
+from .tokenizer import END, IDENTIFIER, KEYWORD, NUMBER, OPERATOR, PUNCT, STRING, scan
 
-#: Aggregate function names recognized by the executor.
-AGGREGATE_FUNCTIONS = {"sum", "count", "min", "max", "avg", "total"}
+#: Binding power of prefix NOT (its operand extends over comparisons) and of
+#: the prefix ``-`` / ``+`` / ``~`` (tighter than every infix operator).
+_NOT_POWER = 3
+_UNARY_POWER = 11
 
 
 class Parser:
-    """Parses one SQL statement from a token stream."""
+    """Parses SQL statements from a token stream.
 
-    def __init__(self, tokens: list[Token], sql: str) -> None:
+    The stream ends in an ``END`` sentinel that nothing consumes, so
+    ``tokens[index]`` needs no bounds check.
+    """
+
+    def __init__(self, tokens: Sequence[tuple[str, str, int]], sql: str) -> None:
         self._tokens = tokens
         self._sql = sql
-        self._position = 0
+        self._index = 0
 
     # ------------------------------------------------------------- utilities
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._position + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._position]
-        if token.kind != END:
-            self._position += 1
-        return token
-
     def _check(self, kind: str, text: str | None = None) -> bool:
-        return self._peek().matches(kind, text)
+        token = self._tokens[self._index]
+        return token[0] == kind and (text is None or token[1] == text)
 
-    def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self._check(kind, text):
-            return self._advance()
-        return None
+    def _accept(self, kind: str, text: str | None = None) -> bool:
+        token = self._tokens[self._index]
+        if token[0] == kind and (text is None or token[1] == text):
+            self._index += 1
+            return True
+        return False
 
-    def _expect(self, kind: str, text: str | None = None) -> Token:
-        token = self._peek()
-        if not token.matches(kind, text):
-            expectation = text or kind
+    def _expect(self, kind: str, text: str | None = None) -> str:
+        """Consume a token of the given kind (and text); returns its text."""
+        token = self._tokens[self._index]
+        if token[0] != kind or (text is not None and token[1] != text):
             raise SQLParseError(
-                f"expected {expectation!r} but found {token.text!r} at offset {token.position} in: {self._sql[:120]}..."
+                f"expected {text or kind!r} but found {token[1]!r} at offset {token[2]} in: {self._sql[:120]}..."
             )
-        return self._advance()
+        self._index += 1
+        return token[1]
 
-    def at_end(self) -> bool:
-        """True when all meaningful tokens have been consumed."""
-        return self._check(END)
+    def _unexpected(self) -> SQLParseError:
+        _, text, position = self._tokens[self._index]
+        return SQLParseError(f"unexpected token {text!r} at offset {position}")
+
+    def _comma_separated(self, parse_one):
+        """``item [, item ...]`` as a tuple."""
+        items = [parse_one()]
+        while self._accept(PUNCT, ","):
+            items.append(parse_one())
+        return tuple(items)
+
+    def _column_list(self) -> tuple[str, ...]:
+        """An optional ``(name, ...)``."""
+        if not self._accept(PUNCT, "("):
+            return ()
+        names = self._comma_separated(lambda: self._expect(IDENTIFIER))
+        self._expect(PUNCT, ")")
+        return names
+
+    def _alias(self) -> str | None:
+        """``[AS] name`` after a select item or table."""
+        if self._accept(KEYWORD, "as"):
+            return self._expect(IDENTIFIER)
+        if self._check(IDENTIFIER):
+            return self._expect(IDENTIFIER)
+        return None
 
     # ------------------------------------------------------------ statements
 
+    def parse_script(self) -> list[Statement]:
+        """Every ``;``-separated statement up to the end of the stream (at least one)."""
+        statements: list[Statement] = []
+        while not self._check(END):
+            statements.append(self.parse_statement())
+            if not self._check(END) and not self._check(PUNCT, ";"):
+                raise self._unexpected()
+            while self._accept(PUNCT, ";"):
+                pass
+        if not statements:
+            raise SQLParseError("empty SQL statement")
+        return statements
+
     def parse_statement(self) -> Statement:
-        """Parse a single statement (semicolons are handled by the engine)."""
-        if self._check(KEYWORD, "explain"):
-            return self._parse_explain()
-        if self._check(KEYWORD, "analyze"):
-            return self._parse_analyze()
-        if self._check(KEYWORD, "with"):
-            return self._parse_with_select()
-        if self._check(KEYWORD, "select"):
-            return self._parse_select()
-        if self._check(KEYWORD, "create"):
-            return self._parse_create()
-        if self._check(KEYWORD, "insert"):
-            return self._parse_insert()
-        if self._check(KEYWORD, "delete"):
-            return self._parse_delete()
-        if self._check(KEYWORD, "drop"):
-            return self._parse_drop()
-        token = self._peek()
-        raise SQLParseError(f"unsupported statement starting with {token.text!r}")
+        """Parse a single statement (semicolons are handled by the caller)."""
+        kind, text, _ = self._tokens[self._index]
+        parse = _STATEMENTS.get(text) if kind == KEYWORD else None
+        if parse is None:
+            raise SQLParseError(f"unsupported statement starting with {text!r}")
+        return parse(self)
 
     def _parse_explain(self) -> Explain:
         self._expect(KEYWORD, "explain")
-        analyze = bool(self._accept(KEYWORD, "analyze"))
-        start = self._peek().position
+        analyze = self._accept(KEYWORD, "analyze")
+        start = self._tokens[self._index][2]
         statement = self.parse_statement()
         if isinstance(statement, (Analyze, Explain)):
             raise SQLParseError("EXPLAIN cannot wrap EXPLAIN or ANALYZE statements")
-        inner_sql = self._sql[start:self._peek().position].strip().rstrip(";").strip()
+        end = self._tokens[self._index][2]
+        inner_sql = self._sql[start:end].strip().rstrip(";").strip()
         return Explain(statement, analyze=analyze, inner_sql=inner_sql)
 
     def _parse_analyze(self) -> Analyze:
         self._expect(KEYWORD, "analyze")
-        table = None
-        if self._check(IDENTIFIER):
-            table = self._advance().text
-        return Analyze(table)
+        return Analyze(self._expect(IDENTIFIER) if self._check(IDENTIFIER) else None)
 
     def _parse_with_select(self) -> WithSelect:
         self._expect(KEYWORD, "with")
-        recursive = bool(self._accept(KEYWORD, "recursive"))
-        ctes: list[CommonTableExpression] = []
-        while True:
-            name = self._expect(IDENTIFIER).text
-            columns: list[str] = []
-            if self._accept(PUNCT, "("):
-                columns.append(self._expect(IDENTIFIER).text)
-                while self._accept(PUNCT, ","):
-                    columns.append(self._expect(IDENTIFIER).text)
-                self._expect(PUNCT, ")")
-            self._expect(KEYWORD, "as")
-            self._expect(PUNCT, "(")
-            query: Select | CompoundSelect = self._parse_select()
+        recursive = self._accept(KEYWORD, "recursive")
+        ctes = self._comma_separated(self._parse_cte)
+        return WithSelect(ctes, self._parse_select(), recursive=recursive)
+
+    def _parse_cte(self) -> CommonTableExpression:
+        name = self._expect(IDENTIFIER)
+        columns = self._column_list()
+        self._expect(KEYWORD, "as")
+        self._expect(PUNCT, "(")
+        query: Select | CompoundSelect = self._parse_select()
+        if self._accept(KEYWORD, "union"):
+            union_all = self._accept(KEYWORD, "all")
+            right = self._parse_select()
             if self._check(KEYWORD, "union"):
-                self._advance()
-                union_all = bool(self._accept(KEYWORD, "all"))
-                right = self._parse_select()
-                if self._check(KEYWORD, "union"):
-                    raise SQLParseError("CTE bodies support a single UNION [ALL]")
-                query = CompoundSelect(query, right, all=union_all)
-            self._expect(PUNCT, ")")
-            ctes.append(CommonTableExpression(name, query, tuple(columns)))
-            if not self._accept(PUNCT, ","):
-                break
-        query = self._parse_select()
-        return WithSelect(tuple(ctes), query, recursive=recursive)
+                raise SQLParseError("CTE bodies support a single UNION [ALL]")
+            query = CompoundSelect(query, right, all=union_all)
+        self._expect(PUNCT, ")")
+        return CommonTableExpression(name, query, columns)
 
     def _parse_select(self) -> Select:
         self._expect(KEYWORD, "select")
-        distinct = bool(self._accept(KEYWORD, "distinct"))
-        items = [self._parse_select_item()]
-        while self._accept(PUNCT, ","):
-            items.append(self._parse_select_item())
+        distinct = self._accept(KEYWORD, "distinct")
+        items = self._comma_separated(self._parse_select_item)
 
         source: TableSource | None = None
         joins: list[Join] = []
         if self._accept(KEYWORD, "from"):
             source = self._parse_table_source()
             while True:
-                kind = None
-                if self._check(KEYWORD, "join"):
-                    self._advance()
+                if self._accept(KEYWORD, "join"):
                     kind = "inner"
-                elif self._check(KEYWORD, "inner") and self._peek(1).matches(KEYWORD, "join"):
-                    self._advance()
-                    self._advance()
+                elif self._check(KEYWORD, "inner") and self._tokens[self._index + 1][:2] == (KEYWORD, "join"):
+                    self._index += 2
                     kind = "inner"
-                elif self._check(KEYWORD, "left"):
-                    self._advance()
+                elif self._accept(KEYWORD, "left"):
                     self._expect(KEYWORD, "join")
                     kind = "left"
                 else:
                     break
                 join_source = self._parse_table_source()
                 self._expect(KEYWORD, "on")
-                condition = self._parse_expression()
-                joins.append(Join(join_source, condition, kind))
+                joins.append(Join(join_source, self._parse_expression(), kind))
 
-        where = None
-        if self._accept(KEYWORD, "where"):
-            where = self._parse_expression()
-
-        group_by: list[Expression] = []
-        if self._check(KEYWORD, "group"):
-            self._advance()
+        where = self._parse_expression() if self._accept(KEYWORD, "where") else None
+        group_by: tuple[Expression, ...] = ()
+        if self._accept(KEYWORD, "group"):
             self._expect(KEYWORD, "by")
-            group_by.append(self._parse_expression())
-            while self._accept(PUNCT, ","):
-                group_by.append(self._parse_expression())
-
-        having = None
-        if self._accept(KEYWORD, "having"):
-            having = self._parse_expression()
-
-        order_by: list[OrderItem] = []
-        if self._check(KEYWORD, "order"):
-            self._advance()
-            self._expect(KEYWORD, "by")
-            order_by.append(self._parse_order_item())
-            while self._accept(PUNCT, ","):
-                order_by.append(self._parse_order_item())
-
+            group_by = self._comma_separated(self._parse_expression)
+        having = self._parse_expression() if self._accept(KEYWORD, "having") else None
+        order_by = self._parse_order_by()
         limit = None
         offset = None
         if self._accept(KEYWORD, "limit"):
             limit = self._parse_signed_int()
             if self._accept(KEYWORD, "offset"):
                 offset = self._parse_signed_int()
-
         return Select(
-            items=tuple(items),
+            items=items,
             source=source,
             joins=tuple(joins),
             where=where,
-            group_by=tuple(group_by),
+            group_by=group_by,
             having=having,
-            order_by=tuple(order_by),
+            order_by=order_by,
             limit=limit,
             offset=offset,
             distinct=distinct,
@@ -248,315 +240,215 @@ class Parser:
         SQLite's "datatype mismatch" rule for LIMIT/OFFSET.
         """
         sign = 1
-        while self._check(OPERATOR) and self._peek().text in ("-", "+"):
-            if self._advance().text == "-":
+        while self._check(OPERATOR, "-") or self._check(OPERATOR, "+"):
+            if self._expect(OPERATOR) == "-":
                 sign = -sign
-        token = self._expect(NUMBER)
-        value = float(token.text)
+        text = self._expect(NUMBER)
+        value = float(text)
         if not value.is_integer():
             raise SQLParseError(
-                f"LIMIT/OFFSET requires an integer, got {token.text!r} (datatype mismatch)"
+                f"LIMIT/OFFSET requires an integer, got {text!r} (datatype mismatch)"
             )
         return sign * int(value)
 
     def _parse_select_item(self) -> SelectItem:
-        if self._check(OPERATOR, "*"):
-            self._advance()
+        if self._accept(OPERATOR, "*"):
             return SelectItem(Star())
-        # table.* projection
-        if (
-            self._check(IDENTIFIER)
-            and self._peek(1).matches(PUNCT, ".")
-            and self._peek(2).matches(OPERATOR, "*")
+        tokens, index = self._tokens, self._index
+        if (  # table.* projection
+            tokens[index][0] == IDENTIFIER
+            and tokens[index + 1][:2] == (PUNCT, ".")
+            and tokens[index + 2][:2] == (OPERATOR, "*")
         ):
-            table = self._advance().text
-            self._advance()
-            self._advance()
-            return SelectItem(Star(table=table))
+            self._index = index + 3
+            return SelectItem(Star(table=tokens[index][1]))
         expression = self._parse_expression()
-        alias = None
-        if self._accept(KEYWORD, "as"):
-            alias = self._expect(IDENTIFIER).text
-        elif self._check(IDENTIFIER):
-            alias = self._advance().text
-        return SelectItem(expression, alias)
+        return SelectItem(expression, self._alias())
+
+    def _parse_order_by(self) -> tuple[OrderItem, ...]:
+        if not self._accept(KEYWORD, "order"):
+            return ()
+        self._expect(KEYWORD, "by")
+        return self._comma_separated(self._parse_order_item)
 
     def _parse_order_item(self) -> OrderItem:
         expression = self._parse_expression()
-        descending = False
-        if self._accept(KEYWORD, "desc"):
-            descending = True
-        elif self._accept(KEYWORD, "asc"):
-            descending = False
+        descending = self._accept(KEYWORD, "desc")
+        if not descending:
+            self._accept(KEYWORD, "asc")
         return OrderItem(expression, descending)
 
     def _parse_table_source(self) -> TableSource:
-        name = self._expect(IDENTIFIER).text
-        alias = None
-        if self._accept(KEYWORD, "as"):
-            alias = self._expect(IDENTIFIER).text
-        elif self._check(IDENTIFIER):
-            alias = self._advance().text
-        return TableSource(name, alias)
+        return TableSource(self._expect(IDENTIFIER), self._alias())
 
     def _parse_create(self) -> Statement:
         self._expect(KEYWORD, "create")
-        temporary = bool(self._accept(KEYWORD, "temp") or self._accept(KEYWORD, "temporary"))
+        temporary = self._accept(KEYWORD, "temp") or self._accept(KEYWORD, "temporary")
         self._expect(KEYWORD, "table")
-        name = self._expect(IDENTIFIER).text
+        name = self._expect(IDENTIFIER)
         if self._accept(KEYWORD, "as"):
             if self._check(KEYWORD, "with"):
-                query: Select | WithSelect = self._parse_with_select()
-            else:
-                query = self._parse_select()
-            return CreateTableAs(name, query, temporary)
+                return CreateTableAs(name, self._parse_with_select(), temporary)
+            return CreateTableAs(name, self._parse_select(), temporary)
         self._expect(PUNCT, "(")
-        columns: list[ColumnDefinition] = []
-        while True:
-            column_name = self._expect(IDENTIFIER).text
-            type_name = self._expect(IDENTIFIER).text
-            not_null = False
-            while True:
-                if self._accept(KEYWORD, "not"):
-                    self._expect(KEYWORD, "null")
-                    not_null = True
-                elif self._accept(KEYWORD, "primary"):
-                    self._expect(KEYWORD, "key")
-                else:
-                    break
-            columns.append(ColumnDefinition(column_name, type_name.upper(), not_null))
-            if not self._accept(PUNCT, ","):
-                break
+        columns = self._comma_separated(self._parse_column_definition)
         self._expect(PUNCT, ")")
-        return CreateTable(name, tuple(columns), temporary)
+        return CreateTable(name, columns, temporary)
+
+    def _parse_column_definition(self) -> ColumnDefinition:
+        name = self._expect(IDENTIFIER)
+        type_name = self._expect(IDENTIFIER)
+        not_null = False
+        while True:
+            if self._accept(KEYWORD, "not"):
+                self._expect(KEYWORD, "null")
+                not_null = True
+            elif self._accept(KEYWORD, "primary"):
+                self._expect(KEYWORD, "key")
+            else:
+                return ColumnDefinition(name, type_name.upper(), not_null)
 
     def _parse_insert(self) -> Insert:
         self._expect(KEYWORD, "insert")
         self._expect(KEYWORD, "into")
-        table = self._expect(IDENTIFIER).text
-        columns: list[str] = []
-        if self._accept(PUNCT, "("):
-            columns.append(self._expect(IDENTIFIER).text)
-            while self._accept(PUNCT, ","):
-                columns.append(self._expect(IDENTIFIER).text)
-            self._expect(PUNCT, ")")
+        table = self._expect(IDENTIFIER)
+        columns = self._column_list()
         self._expect(KEYWORD, "values")
-        rows: list[tuple[Expression, ...]] = []
-        while True:
-            self._expect(PUNCT, "(")
-            values = [self._parse_expression()]
-            while self._accept(PUNCT, ","):
-                values.append(self._parse_expression())
-            self._expect(PUNCT, ")")
-            rows.append(tuple(values))
-            if not self._accept(PUNCT, ","):
-                break
-        return Insert(table, tuple(columns), tuple(rows))
+        return Insert(table, columns, self._comma_separated(self._parse_parenthesized_list))
+
+    def _parse_parenthesized_list(self) -> tuple[Expression, ...]:
+        self._expect(PUNCT, "(")
+        values = self._comma_separated(self._parse_expression)
+        self._expect(PUNCT, ")")
+        return values
 
     def _parse_delete(self) -> Delete:
         self._expect(KEYWORD, "delete")
         self._expect(KEYWORD, "from")
-        table = self._expect(IDENTIFIER).text
-        where = None
-        if self._accept(KEYWORD, "where"):
-            where = self._parse_expression()
-        return Delete(table, where)
+        table = self._expect(IDENTIFIER)
+        return Delete(table, self._parse_expression() if self._accept(KEYWORD, "where") else None)
 
     def _parse_drop(self) -> DropTable:
         self._expect(KEYWORD, "drop")
         self._expect(KEYWORD, "table")
-        if_exists = False
-        if self._accept(KEYWORD, "if"):
+        if_exists = self._accept(KEYWORD, "if")
+        if if_exists:
             self._expect(KEYWORD, "exists")
-            if_exists = True
-        name = self._expect(IDENTIFIER).text
-        return DropTable(name, if_exists)
+        return DropTable(self._expect(IDENTIFIER), if_exists)
 
     # ----------------------------------------------------------- expressions
 
-    def _parse_expression(self) -> Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expression:
-        left = self._parse_and()
-        while self._check(KEYWORD, "or"):
-            self._advance()
-            left = BinaryOp("or", left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> Expression:
-        left = self._parse_not()
-        while self._check(KEYWORD, "and"):
-            self._advance()
-            left = BinaryOp("and", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> Expression:
-        if self._check(KEYWORD, "not"):
-            self._advance()
-            return UnaryOp("not", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Expression:
-        left = self._parse_bitor()
+    def _parse_expression(self, min_power: int = 0) -> Expression:
+        """Precedence climbing: a prefix or primary, then every infix
+        operator binding at least as tightly as ``min_power``."""
+        tokens = self._tokens
+        kind, text, _ = tokens[self._index]
+        if kind == OPERATOR and text in ("-", "+", "~"):
+            self._index += 1
+            left: Expression = UnaryOp(text, self._parse_expression(_UNARY_POWER))
+        elif kind == KEYWORD and text == "not" and min_power <= _NOT_POWER:
+            self._index += 1
+            left = UnaryOp("not", self._parse_expression(_NOT_POWER))
+        else:
+            left = self._parse_primary()
         while True:
-            if self._check(OPERATOR) and self._peek().text in ("=", "<", ">", "<=", ">=", "<>", "!="):
-                operator = self._advance().text
-                operator = "!=" if operator == "<>" else operator
-                left = BinaryOp(operator, left, self._parse_bitor())
-                continue
-            if self._check(KEYWORD, "is"):
-                self._advance()
-                negated = bool(self._accept(KEYWORD, "not"))
-                self._expect(KEYWORD, "null")
-                left = IsNull(left, negated)
-                continue
-            if self._check(KEYWORD, "in") or (
-                self._check(KEYWORD, "not") and self._peek(1).matches(KEYWORD, "in")
-            ):
-                negated = False
-                if self._check(KEYWORD, "not"):
-                    self._advance()
-                    negated = True
-                self._advance()  # IN
-                self._expect(PUNCT, "(")
-                values = [self._parse_expression()]
-                while self._accept(PUNCT, ","):
-                    values.append(self._parse_expression())
-                self._expect(PUNCT, ")")
-                left = InList(left, tuple(values), negated)
-                continue
-            return left
+            kind, text, _ = tokens[self._index]
+            if kind != OPERATOR and kind != KEYWORD:
+                return left
+            power, build = _INFIX.get(text, _NOT_INFIX)
+            if power < min_power:
+                return left
+            if build.__class__ is str:
+                self._index += 1
+                left = BinaryOp(build, left, self._parse_expression(power + 1))
+            else:
+                extended = build(self, left)
+                if extended is None:
+                    return left
+                left = extended
 
-    def _parse_bitor(self) -> Expression:
-        left = self._parse_bitand()
-        while self._check(OPERATOR, "|"):
-            self._advance()
-            left = BinaryOp("|", left, self._parse_bitand())
-        return left
+    def _parse_is_null(self, operand: Expression) -> IsNull:
+        self._expect(KEYWORD, "is")
+        negated = self._accept(KEYWORD, "not")
+        self._expect(KEYWORD, "null")
+        return IsNull(operand, negated)
 
-    def _parse_bitand(self) -> Expression:
-        left = self._parse_shift()
-        while self._check(OPERATOR, "&"):
-            self._advance()
-            left = BinaryOp("&", left, self._parse_shift())
-        return left
+    def _parse_in_list(self, operand: Expression, negated: bool = False) -> InList:
+        self._expect(KEYWORD, "in")
+        return InList(operand, self._parse_parenthesized_list(), negated)
 
-    def _parse_shift(self) -> Expression:
-        left = self._parse_additive()
-        while self._check(OPERATOR) and self._peek().text in ("<<", ">>"):
-            operator = self._advance().text
-            left = BinaryOp(operator, left, self._parse_additive())
-        return left
-
-    def _parse_additive(self) -> Expression:
-        left = self._parse_multiplicative()
-        while self._check(OPERATOR) and self._peek().text in ("+", "-", "||"):
-            operator = self._advance().text
-            left = BinaryOp(operator, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> Expression:
-        left = self._parse_unary()
-        while self._check(OPERATOR) and self._peek().text in ("*", "/", "%"):
-            operator = self._advance().text
-            left = BinaryOp(operator, left, self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> Expression:
-        if self._check(OPERATOR) and self._peek().text in ("-", "+", "~"):
-            operator = self._advance().text
-            return UnaryOp(operator, self._parse_unary())
-        return self._parse_primary()
+    def _parse_not_in(self, operand: Expression) -> InList | None:
+        """``NOT IN (...)``; an infix NOT followed by anything else ends the expression."""
+        if self._tokens[self._index + 1][:2] != (KEYWORD, "in"):
+            return None
+        self._index += 1
+        return self._parse_in_list(operand, negated=True)
 
     def _parse_primary(self) -> Expression:
-        token = self._peek()
-
-        if token.kind == NUMBER:
-            self._advance()
-            text = token.text
-            if "." in text or "e" in text.lower():
+        tokens, index = self._tokens, self._index
+        kind, text, _ = tokens[index]
+        if kind == IDENTIFIER:
+            following = tokens[index + 1]
+            if following[0] == PUNCT:
+                if following[1] == ".":
+                    self._index = index + 2
+                    return ColumnRef(self._expect(IDENTIFIER), text)
+                if following[1] == "(":
+                    return self._parse_call()
+            self._index = index + 1
+            return ColumnRef(text)
+        if kind == NUMBER:
+            self._index = index + 1
+            if "." in text or "e" in text or "E" in text:
                 return Literal(float(text))
             return Literal(int(text))
-
-        if token.kind == STRING:
-            self._advance()
-            return Literal(token.text)
-
-        if token.matches(KEYWORD, "null"):
-            self._advance()
-            return Literal(None)
-
-        if token.matches(KEYWORD, "case"):
-            return self._parse_case()
-
-        if token.matches(PUNCT, "("):
-            self._advance()
+        if kind == PUNCT and text == "(":
+            self._index = index + 1
             expression = self._parse_expression()
             self._expect(PUNCT, ")")
             return expression
+        if kind == STRING:
+            self._index = index + 1
+            return Literal(text)
+        if kind == KEYWORD and text == "null":
+            self._index = index + 1
+            return Literal(None)
+        if kind == KEYWORD and text == "case":
+            return self._parse_case()
+        raise self._unexpected()
 
-        if token.kind == IDENTIFIER:
-            # Function call?
-            if self._peek(1).matches(PUNCT, "("):
-                name = self._advance().text
-                self._advance()  # (
-                distinct = bool(self._accept(KEYWORD, "distinct"))
-                is_star = False
-                arguments: list[Expression] = []
-                if self._check(OPERATOR, "*"):
-                    self._advance()
-                    is_star = True
-                elif not self._check(PUNCT, ")"):
-                    arguments.append(self._parse_expression())
-                    while self._accept(PUNCT, ","):
-                        arguments.append(self._parse_expression())
-                self._expect(PUNCT, ")")
-                if self._check(KEYWORD, "over"):
-                    self._advance()
-                    if distinct:
-                        raise SQLParseError("DISTINCT is not supported in window functions")
-                    spec = self._parse_window_spec()
-                    return WindowFunction(
-                        name.lower(), tuple(arguments), spec, is_star=is_star
-                    )
-                return FunctionCall(
-                    name.lower(), tuple(arguments), is_star=is_star, distinct=distinct
-                )
-            # Qualified or bare column reference.
-            name = self._advance().text
-            if self._accept(PUNCT, "."):
-                column = self._expect(IDENTIFIER).text
-                return ColumnRef(column, table=name)
-            return ColumnRef(name)
-
-        raise SQLParseError(f"unexpected token {token.text!r} at offset {token.position}")
+    def _parse_call(self) -> FunctionCall | WindowFunction:
+        """``name([DISTINCT] args | *)`` with an optional ``OVER (...)``."""
+        name = self._expect(IDENTIFIER).lower()
+        self._expect(PUNCT, "(")
+        distinct = self._accept(KEYWORD, "distinct")
+        is_star = self._accept(OPERATOR, "*")
+        arguments: tuple[Expression, ...] = ()
+        if not is_star and not self._check(PUNCT, ")"):
+            arguments = self._comma_separated(self._parse_expression)
+        self._expect(PUNCT, ")")
+        if self._accept(KEYWORD, "over"):
+            if distinct:
+                raise SQLParseError("DISTINCT is not supported in window functions")
+            return WindowFunction(name, arguments, self._parse_window_spec(), is_star=is_star)
+        return FunctionCall(name, arguments, is_star=is_star, distinct=distinct)
 
     def _parse_window_spec(self) -> WindowSpec:
         """``( [PARTITION BY exprs] [ORDER BY keys] [ROWS BETWEEN ... AND ...] )``."""
         self._expect(PUNCT, "(")
-        partition: list[Expression] = []
+        partition: tuple[Expression, ...] = ()
         if self._accept(KEYWORD, "partition"):
             self._expect(KEYWORD, "by")
-            partition.append(self._parse_expression())
-            while self._accept(PUNCT, ","):
-                partition.append(self._parse_expression())
-        order: list[OrderItem] = []
-        if self._check(KEYWORD, "order"):
-            self._advance()
-            self._expect(KEYWORD, "by")
-            order.append(self._parse_order_item())
-            while self._accept(PUNCT, ","):
-                order.append(self._parse_order_item())
+            partition = self._comma_separated(self._parse_expression)
+        order = self._parse_order_by()
         frame = None
         if self._accept(KEYWORD, "rows"):
             self._expect(KEYWORD, "between")
             start = self._parse_frame_bound()
             self._expect(KEYWORD, "and")
-            end = self._parse_frame_bound()
-            frame = (start, end)
+            frame = (start, self._parse_frame_bound())
         self._expect(PUNCT, ")")
-        return WindowSpec(tuple(partition), tuple(order), frame)
+        return WindowSpec(partition, order, frame)
 
     def _parse_frame_bound(self) -> FrameBound:
         if self._accept(KEYWORD, "unbounded"):
@@ -583,27 +475,55 @@ class Parser:
             conditions.append(self._parse_expression())
             self._expect(KEYWORD, "then")
             results.append(self._parse_expression())
-        default = None
-        if self._accept(KEYWORD, "else"):
-            default = self._parse_expression()
+        default = self._parse_expression() if self._accept(KEYWORD, "else") else None
         self._expect(KEYWORD, "end")
         if not conditions:
             raise SQLParseError("CASE expression needs at least one WHEN branch")
         return CaseExpression(tuple(conditions), tuple(results), default)
 
 
+def _binary(power: int, *operators: str) -> dict:
+    return {operator: (power, operator) for operator in operators}
+
+
+#: Infix token text -> (binding power, node builder), loosest first.  A
+#: ``str`` builder is the operator of a left-associative :class:`BinaryOp`
+#: whose right operand binds one step tighter; a method builds one of the
+#: postfix forms.  ``||`` sits above ``*`` as in SQLite; SQLite's one
+#: shared level for ``& | << >>`` is three levels here (see ARCHITECTURE.md).
+_INFIX = {
+    **_binary(1, "or"),
+    **_binary(2, "and"),
+    **_binary(4, "=", "<", ">", "<=", ">=", "!="),
+    "<>": (4, "!="),
+    "is": (4, Parser._parse_is_null),
+    "in": (4, Parser._parse_in_list),
+    "not": (4, Parser._parse_not_in),
+    **_binary(5, "|"),
+    **_binary(6, "&"),
+    **_binary(7, "<<", ">>"),
+    **_binary(8, "+", "-"),
+    **_binary(9, "*", "/", "%"),
+    **_binary(10, "||"),
+}
+_NOT_INFIX = (-1, "")
+
+#: Leading keyword -> statement parser.
+_STATEMENTS = {
+    "explain": Parser._parse_explain,
+    "analyze": Parser._parse_analyze,
+    "with": Parser._parse_with_select,
+    "select": Parser._parse_select,
+    "create": Parser._parse_create,
+    "insert": Parser._parse_insert,
+    "delete": Parser._parse_delete,
+    "drop": Parser._parse_drop,
+}
+
+
 def parse_sql(sql: str) -> list[Statement]:
     """Parse a SQL script (one or more ;-separated statements)."""
-    tokens = tokenize(sql)
-    statements: list[Statement] = []
-    parser = Parser(tokens, sql)
-    while not parser.at_end():
-        statements.append(parser.parse_statement())
-        while parser._accept(PUNCT, ";"):
-            pass
-    if not statements:
-        raise SQLParseError("empty SQL statement")
-    return statements
+    return Parser(scan(sql), sql).parse_script()
 
 
 def parse_one(sql: str) -> Statement:

@@ -61,7 +61,6 @@ from .executor import (
     ExpressionEvaluator,
     Frame,
     apply_filter,
-    column_refs,
     factorize_codes,
     grouped_projection,
     hash_join_frames,
@@ -104,11 +103,11 @@ class PlanNotSupported(Exception):
 
 def _qualified_refs(expression: Expression) -> list[ColumnRef]:
     """Column refs of an expression, or raise if any is unqualified."""
-    refs = column_refs(expression)
+    refs = expression.column_refs
     for ref in refs:
         if ref.table is None:
             raise PlanNotSupported("unqualified column reference")
-    return refs
+    return list(refs)
 
 
 def _split_by_binding(
@@ -127,7 +126,7 @@ def _split_by_binding(
         return None
 
     def side(expression: Expression) -> str | None:
-        refs = column_refs(expression)
+        refs = expression.column_refs
         sides = set()
         for ref in refs:
             if ref.table is None:

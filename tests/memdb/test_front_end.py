@@ -1,0 +1,221 @@
+"""The cold-compile front end: lexer properties, operator binding, errors, work done once."""
+
+from __future__ import annotations
+
+import sqlite3
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.backends.memdb import MemDatabase, PlanCache, parse_one, parse_sql, tokenize
+from repro.backends.memdb import ast_nodes
+from repro.backends.memdb.ast_nodes import BinaryOp, Expression, Literal
+from repro.backends.memdb.optimizer.rewrite import fold_select
+from repro.backends.memdb.tokenizer import END, IDENTIFIER, KEYWORD, STRING
+from repro.circuits import ghz_circuit
+from repro.errors import SQLExecutionError, SQLParseError
+from repro.sql.translator import SQLTranslator
+
+# ---------------------------------------------------------------------------
+# Tokenizer
+# ---------------------------------------------------------------------------
+
+_SQL_ALPHABET = st.sampled_from(
+    list("abcxyzSELECTfromE_ 0123456789.'\"`-+*/%&|~<>=!(),;\n\t#é²")
+)
+
+
+def _source_of(sql: str, kind: str, text: str, position: int) -> str:
+    """The token's normalized text, recovered from the source at its position."""
+    if kind == STRING:
+        assert sql[position] == "'"
+        end = position + 1
+        while not (sql[end] == "'" and sql[end + 1 : end + 2] != "'"):
+            end += 2 if sql[end] == "'" else 1
+        return sql[position + 1 : end].replace("''", "'")
+    if kind == IDENTIFIER and sql[position] in '"`':
+        return sql[position + 1 : position + 1 + len(text)]
+    source = sql[position : position + len(text)]
+    return source.lower() if kind == KEYWORD else source
+
+
+@given(st.one_of(st.text(), st.text(_SQL_ALPHABET, max_size=40)))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_raises_only_parse_errors_and_positions_slice_back(sql):
+    try:
+        tokens = tokenize(sql)
+    except SQLParseError:
+        return
+    assert tokens[-1] == (END, "", len(sql))
+    positions = [token.position for token in tokens]
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    for kind, text, position in tokens[:-1]:
+        assert _source_of(sql, kind, text, position) == text
+
+
+@pytest.mark.parametrize(
+    "sql, offset",
+    [("SELECT 1e", 7), ("SELECT 1e+", 7), ("SELECT 0x10", 7), ("SELECT 12abc", 7), ("SELECT 1.5e3x", 7)],
+)
+def test_malformed_numbers_are_parse_errors_naming_the_offset(sql, offset):
+    with pytest.raises(SQLParseError, match=f"malformed number at offset {offset}"):
+        parse_sql(sql)
+
+
+def test_well_formed_numbers_still_lex():
+    numbers = [t.text for t in tokenize("SELECT 1., .5, 1.e5, 2.5E+4, 1e-3, 7") if t.kind == "number"]
+    assert numbers == ["1.", ".5", "1.e5", "2.5E+4", "1e-3", "7"]
+
+
+@pytest.mark.parametrize(
+    "sql, message",
+    [
+        ("SELECT 'a' 'b'", "unexpected token 'b' at offset 11"),
+        ("SELECT 1 LIKE 1", "unexpected token 'like' at offset 9"),
+        ("SELECT 1 SELECT 2", "unexpected token 'select' at offset 9"),
+        ("DROP TABLE t u", "unexpected token 'u' at offset 13"),
+    ],
+)
+def test_tokens_left_after_a_statement_are_reported_where_they_are(sql, message):
+    with pytest.raises(SQLParseError, match=message):
+        parse_sql(sql)
+
+
+# ---------------------------------------------------------------------------
+# || binds tighter than * (SQLite); arithmetic over text never leaks numpy
+# ---------------------------------------------------------------------------
+
+
+def test_concat_binds_tighter_than_multiplication():
+    expression = parse_one("SELECT 2 * 3 || 4").items[0].expression
+    assert expression == BinaryOp("*", Literal(2), BinaryOp("||", Literal(3), Literal(4)))
+
+
+_CONCAT_EXPRESSIONS = [
+    "2 * 3 || 4", "1 || 2 + 3", "1 + 2 || 3", "(2 * 3) || 4", "2 || 3 * 4", "1 || 2 || 3",
+    "-1 || 2", "~1 || 2", "- 1 || - 2", "1 || NULL", "NULL || 'x'", "'a' || 1.5", "1.5 || 'a'",
+    "'a' || 'b' = 'ab'", "'ab' = 'a' || 'b'", "NOT 'a' || 'b' = 'ab'", "'a' || 'b' IS NULL",
+    "1 || 2 & 3", "1 << 2 || 3", "a || b", "a * 2 || b", "(a * 2) || b", "a || b || c",
+    "b || a + 1", "a + 1 || b", "(a + 1) || b", "b || b", "a || a * a", "-a || b",
+    "CASE WHEN b || 'x' = 'xx' THEN 1 ELSE 0 END", "a || a IN ('11', '33')",
+]
+
+
+def test_concat_expressions_match_sqlite_wherever_memdb_defines_them():
+    setup = [
+        "CREATE TABLE t (a BIGINT, b TEXT, c DOUBLE)",
+        "INSERT INTO t VALUES (1, 'x', 1.5), (2, '12', 2.5), (3, NULL, NULL)",
+    ]
+    db = MemDatabase(plan_cache=PlanCache(0))
+    connection = sqlite3.connect(":memory:")
+    for statement in setup:
+        db.execute(statement)
+        connection.execute(statement)
+    compared = 0
+    for expression in _CONCAT_EXPRESSIONS:
+        sql = f"SELECT {expression} FROM t ORDER BY a"
+        try:
+            rows = db.execute(sql).rows
+        except SQLExecutionError as error:
+            # SQLite coerces text to numbers; memdb declines, and says so.
+            assert "is not defined on text operands" in str(error), sql
+            continue
+        expected = connection.execute(sql).fetchall()
+        assert [tuple(int(v) if isinstance(v, bool) else v for v in row) for row in rows] == expected, sql
+        compared += 1
+    connection.close()
+    assert compared >= 18
+
+
+@pytest.mark.parametrize(
+    "expression", ["2 * 3 || 4", "1 || 2 + 3", "'a' + 1", "b * 2", "-b", "b & 1", "7 % b", "'x' / 2"]
+)
+def test_arithmetic_over_text_is_an_execution_error_not_a_numpy_one(expression):
+    db = MemDatabase(plan_cache=PlanCache(0))
+    db.execute("CREATE TABLE t (a BIGINT, b TEXT)")
+    db.execute("INSERT INTO t VALUES (1, 'x'), (2, NULL)")
+    with pytest.raises(SQLExecutionError, match="is not defined on text operands"):
+        db.execute(f"SELECT {expression} FROM t")
+
+
+# ---------------------------------------------------------------------------
+# Work is done once
+# ---------------------------------------------------------------------------
+
+
+class _WalkCounter:
+    """Counts ``children()`` calls per node and fact derivations overall."""
+
+    def __init__(self, monkeypatch):
+        self.visits: dict[int, list] = {}  # id -> [node (pinned), count]
+        self.facts = 0
+        classes = [Expression] + [
+            cls for cls in vars(ast_nodes).values()
+            if isinstance(cls, type) and issubclass(cls, Expression) and "children" in vars(cls)
+        ]
+        for cls in dict.fromkeys(classes):
+            monkeypatch.setattr(cls, "children", self._counting(cls.children))
+        derive = ast_nodes._Composite.__getattr__
+
+        def counted(node, name):
+            self.facts += 1
+            return derive(node, name)
+
+        monkeypatch.setattr(ast_nodes._Composite, "__getattr__", counted)
+
+    def _counting(self, children):
+        def counted(node):
+            self.visits.setdefault(id(node), [node, 0])[1] += 1
+            return children(node)
+
+        return counted
+
+    @property
+    def calls(self) -> int:
+        return sum(count for _, count in self.visits.values())
+
+    def reset(self) -> None:
+        self.visits.clear()
+        self.facts = 0
+
+
+def _gate_chain(blocks: int) -> tuple[MemDatabase, str]:
+    translation = SQLTranslator().translate(ghz_circuit(blocks))
+    db = MemDatabase(plan_cache=PlanCache(8))
+    for table in translation.tables():
+        db.load_table(table.name, table.columns)
+    return db, translation.cte_query(pretty=False)
+
+
+def test_cold_prepare_visits_each_node_a_bounded_number_of_times(monkeypatch):
+    counter = _WalkCounter(monkeypatch)
+    totals = {}
+    for blocks in (30, 60):
+        db, query = _gate_chain(blocks)
+        counter.reset()
+        assert db.prepare(query) == "prepared"
+        # has_aggregate, has_window, column_refs, and the constant-folding pass.
+        assert max(count for _, count in counter.visits.values()) <= 4
+        totals[blocks] = counter.calls
+    assert totals[60] <= 2.1 * totals[30]
+
+
+def test_warm_execution_of_a_cached_plan_walks_no_ast(monkeypatch):
+    db, query = _gate_chain(30)
+    cold = db.execute(query).rows
+    counter = _WalkCounter(monkeypatch)
+    assert db.execute(query).rows == cold
+    assert db.plan_cache_stats()["hits"] >= 1
+    assert counter.calls == 0 and counter.facts == 0
+
+
+def test_folding_a_folded_select_returns_the_same_object():
+    select = parse_one(
+        "SELECT ((T0.s & ~1) | H.out_s) AS s, SUM(T0.r * H.r) AS r FROM T0 "
+        "JOIN H ON H.in_s = (T0.s & (3 - 2)) WHERE T0.s < 1 << 4 GROUP BY ((T0.s & ~1) | H.out_s)"
+    )
+    folded, folds = fold_select(select)
+    assert folds == 4 and folded is not select
+    assert folded.items[1] is select.items[1], "an unchanged slot keeps its node"
+    again, more = fold_select(folded)
+    assert more == 0 and again is folded

@@ -12,11 +12,7 @@ from repro.backends.memdb.ast_nodes import (
     WithSelect,
 )
 from repro.backends.memdb.optimizer import CostModel, Optimizer, StatisticsCatalog
-from repro.backends.memdb.optimizer.rewrite import (
-    column_refs,
-    fold_expression,
-    rewrite_statement,
-)
+from repro.backends.memdb.optimizer.rewrite import fold_expression, rewrite_statement
 from repro.backends.memdb.planner import CompiledScript, compile_statement
 from repro.errors import SQLExecutionError
 
@@ -177,7 +173,7 @@ class TestPredicatePushdown:
         assert rewritten.joins[0].source.filter is not None
         # The cross-table conjunct stays in WHERE.
         assert rewritten.where is not None
-        assert {ref.table for ref in column_refs(rewritten.where)} == {"T0", "G"}
+        assert {ref.table for ref in rewritten.where.column_refs} == {"T0", "G"}
 
     def test_pushdown_preserves_results(self):
         db = _gate_db()

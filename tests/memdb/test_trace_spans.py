@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from repro.backends.memdb import MemDatabase
+from repro.backends.memdb import MemDatabase, tokenize
 from repro.backends.memdb.engine import PlanCache
 from repro.backends.memdb.parallel import WorkerPool
 from repro.obs import MetricsRegistry, SlowQueryLog, TraceRingBuffer, Tracer
@@ -104,6 +104,19 @@ class TestTraceShape:
         assert root["attrs"]["cache"] == "miss"
         stages = [child["name"] for child in root["children"]]
         assert stages == ["parse", "optimize", "plan", "execute"]
+
+    def test_parse_span_sizes_the_text_it_was_handed(self, traced_db):
+        db, tracer = traced_db
+        script = f"{_STAR_QUERY} ;  -- trailing comment\nSELECT 1"
+        db.execute(script)
+        parse = tracer.recent_traces()[-1]["children"][0]
+        assert parse["name"] == "parse"
+        # END is a sentinel, not a token of the text.
+        assert parse["attrs"] == {
+            "chars": len(script),
+            "tokens": len(tokenize(script)) - 1,
+            "statements": 2,
+        }
 
     def test_warm_query_skips_compile_stages(self, traced_db):
         db, tracer = traced_db
