@@ -16,6 +16,7 @@ slotted: an AST is most of what a cached plan keeps alive.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import is_not
 from typing import Callable, Optional
@@ -106,16 +107,31 @@ class Literal(_Leaf):
     value: object
 
 
+class _FrameKey(_Leaf):
+    __slots__ = ("frame_key",)
+
+
 @dataclass(frozen=True, slots=True)
-class ColumnRef(_Leaf):
-    """A column reference, optionally qualified with a table name/alias."""
+class ColumnRef(_FrameKey):
+    """A column reference, optionally qualified with a table name/alias.
+
+    ``frame_key`` is the lookup key used by the executor's frames,
+    ``table.name`` or the bare name: spelled once, when the node is built —
+    it is looked up on every execution of every plan that keeps the node —
+    and interned, since gate steps read the same few keys (``T7.s``,
+    ``H.r``).  Like the composites' facts it is a plain slot, not a field.
+    """
 
     name: str
     table: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        key = f"{self.table}.{self.name}" if self.table else self.name
+        object.__setattr__(self, "frame_key", sys.intern(key))
+
     def key(self) -> str:
         """The lookup key used by the executor's frames."""
-        return f"{self.table}.{self.name}" if self.table else self.name
+        return self.frame_key
 
     @property
     def column_refs(self) -> tuple["ColumnRef", ...]:

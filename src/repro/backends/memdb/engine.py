@@ -987,23 +987,6 @@ class MemDatabase:
 
     # ------------------------------------------------- adaptive re-planning
 
-    @staticmethod
-    def _query_blocks(statement: Statement) -> dict[str, Select]:
-        """Label -> Select for every traced block of a plannable statement."""
-        query = statement.query if isinstance(statement, CreateTableAs) else statement
-        if isinstance(query, WithSelect):
-            # UNION [ALL] (possibly recursive) CTE bodies are not single
-            # Selects; adaptive feedback re-plans them on a misestimate but
-            # never records a shape correction for them.
-            blocks = {
-                cte.name: cte.query for cte in query.ctes if isinstance(cte.query, Select)
-            }
-            blocks["main"] = query.query
-            return blocks
-        if isinstance(query, Select):
-            return {"main": query}
-        return {}
-
     def _adaptive_feedback(
         self, sql: str, item: CompiledStatement, actuals: Mapping[str, int]
     ) -> None:
@@ -1021,14 +1004,13 @@ class MemDatabase:
         report = item.report
         if report is None:
             return
-        blocks = self._query_blocks(item.statement)
         model = None
         triggered: list[dict] = []
         for info in report.queries:
             actual = actuals.get(info.label)
             if actual is None:
                 continue
-            select = blocks.get(info.label)
+            select = info.select
             if model is None:
                 model = self._optimizer().cost_model()
             estimated = max(float(info.feedback_rows), 1.0)

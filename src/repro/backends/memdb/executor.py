@@ -10,8 +10,9 @@ behaviour the engine substitutes for DuckDB.
 
 from __future__ import annotations
 
+import math
 import operator as _operator
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -152,6 +153,19 @@ _NUMERIC_KINDS = frozenset("iufb")
 
 #: The NULL literal: NaN, like a NULL in any nullable numeric column.
 _NULL = np.asarray(np.nan)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _scalar_array(value: object, negative_zero: bool) -> np.ndarray:
+    """A literal's value as a read-only 0-d array, one per distinct value and type.
+
+    Gate steps spell the same few shifts and masks in every block of every
+    plan: wrapped once, not once per evaluation, and shared instead of kept
+    per node.  ``0.0 == -0.0``, so the sign of a zero is part of the key.
+    """
+    array = np.array(value)
+    array.flags.writeable = False
+    return array
 
 
 def _int_operand(values):
@@ -343,11 +357,14 @@ class ExpressionEvaluator:
     # ------------------------------------------------------- node handlers
 
     def _literal(self, node: Literal):
-        return _NULL if node.value is None else np.asarray(node.value)
+        value = node.value
+        if value is None:
+            return _NULL
+        return _scalar_array(value, value == 0 and math.copysign(1, value) < 0)
 
     def _column(self, ref: ColumnRef):
         try:
-            return self._frame[ref.key()]
+            return self._frame[ref.frame_key]
         except KeyError:
             available = sorted(k for k in self._frame if "." not in k)
             raise SQLExecutionError(
@@ -1163,18 +1180,68 @@ def apply_filter(frame: Frame, length: int, predicate: Expression) -> tuple[Fram
     return {key: values[mask] for key, values in frame.items()}, int(mask.sum())
 
 
-def join_indices(left_keys, right_keys) -> tuple[np.ndarray, np.ndarray]:
+#: Direct addressing — of groups in :func:`factorize_codes`, of the build
+#: side in :func:`join_indices` — is chosen while the observed key span
+#: (``max - min + 1``) is below this many slots per input row: the slot
+#: tables then stay within a small multiple of the input.  Wider domains
+#: (sparse states over many qubits, float keys) sort instead.
+_DENSE_SLOTS_PER_ROW = 4
+
+
+def _is_integer_vector(values) -> bool:
+    # Signed only: a uint64 key past 2**63 has no int64 slot to address.
+    return isinstance(values, np.ndarray) and values.dtype.kind == "i"
+
+
+def join_indices(left_keys, right_keys) -> tuple[np.ndarray | slice, np.ndarray]:
     """Row indices ``(left_idx, right_idx)`` of the inner equi-join of two key columns.
 
-    Every key representation — int64 state indices (the hot path), floats,
-    dictionary codes, plain object strings — is translated into a shared
-    exact ``int64`` code space (:func:`join_key_codes`) and joined with one
-    vectorized sort + ``searchsorted`` kernel; the old per-row dict-bucket
-    fallback for object keys is gone (it also wrongly matched
-    ``None == None``).  Matches are emitted in left-row order with ties in
-    right-row order — the order a build-right/probe-left hash join produces.
-    NULL keys never match, per SQL semantics.
+    Matches are emitted in left-row order with ties in right-row order — the
+    order a build-right/probe-left hash join produces.  NULL keys never
+    match, per SQL semantics.  When every left row matches exactly one right
+    row, ``left_idx`` is the identity ``slice(None)``: gathering a left
+    column by it is a view, not a copy.
+
+    The kernel is picked from the keys, as :func:`factorize_codes` picks its
+    grouping: integer keys whose right (build) side spans few slots per row
+    — a gate table's ``in_s`` covers ``[0, 2**k)`` — are joined by direct
+    addressing, everything else in the exact ``int64`` code space of
+    :func:`join_key_codes` by sort + ``searchsorted``.  Both kernels return
+    the same index arrays.
     """
+    if _is_integer_vector(left_keys) and _is_integer_vector(right_keys) and len(right_keys):
+        low = int(right_keys.min())
+        # Python ints: the span of keys near the int64 extremes must not wrap.
+        span = int(right_keys.max()) - low + 1
+        if span <= _DENSE_SLOTS_PER_ROW * len(right_keys):
+            left = left_keys.astype(np.int64, copy=False)
+            return _join_direct(left, right_keys.astype(np.int64, copy=False), low, span)
+    return _join_sorted(left_keys, right_keys)
+
+
+def _join_direct(
+    left: np.ndarray, right: np.ndarray, low: int, span: int
+) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Join int64 keys by addressing the right side's ``span`` slots from ``low``.
+
+    The right side is bucketed once (``bincount`` + stable ``argsort``);
+    each left row reads its match count and first match at ``key - low``.
+    Slot ``span`` is an always-empty sentinel for keys outside the span.
+    """
+    slots = right - low
+    per_slot = np.bincount(slots, minlength=span + 1)
+    first_of_slot = per_slot.cumsum() - per_slot
+    # The difference wraps for keys below ``low``; read as unsigned it then
+    # lies above every real slot, like the difference of keys past the span.
+    probe = (left - low).view(np.uint64)
+    probe = np.minimum(probe, span, out=probe).view(np.int64)
+    return _expand_matches(
+        slots.argsort(kind="stable"), first_of_slot[probe], per_slot[probe]
+    )
+
+
+def _join_sorted(left_keys, right_keys) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Join any two key columns in the exact code space, by sort + ``searchsorted``."""
     left, right, left_valid, right_valid = join_key_codes(left_keys, right_keys)
 
     left_map = right_map = None
@@ -1189,17 +1256,27 @@ def join_indices(left_keys, right_keys) -> tuple[np.ndarray, np.ndarray]:
     sorted_right = right[order]
     lo = np.searchsorted(sorted_right, left, side="left")
     hi = np.searchsorted(sorted_right, left, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(left.size, dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[starts + within]
+    left_idx, right_idx = _expand_matches(order, lo, hi - lo)
     if left_map is not None:
         left_idx = left_map[left_idx]
     if right_map is not None:
         right_idx = right_map[right_idx]
     return left_idx, right_idx
+
+
+def _expand_matches(
+    order: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Index pairs from per-left-row match runs ``order[start : start + count]``."""
+    rows = len(counts)
+    if rows and counts.min() == 1 == counts.max():
+        # One match per left row (a gate that permutes or rephases basis
+        # states has one row per ``in_s``): the left side is the identity.
+        return slice(None), order[starts]
+    total = int(counts.sum())
+    left_idx = np.repeat(np.arange(rows, dtype=np.int64), counts)
+    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return left_idx, order[np.repeat(starts, counts) + within]
 
 
 def split_join_condition(
@@ -1274,7 +1351,7 @@ def hash_join_frames(
             del merged[key]
             continue
         merged[key] = gathered
-    return merged, len(left_idx)
+    return merged, len(right_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -1336,14 +1413,6 @@ def _empty_aggregate_value(expression: Expression) -> np.ndarray:
     if isinstance(expression, FunctionCall) and expression.name == "count":
         return np.zeros(1, dtype=np.int64)
     return np.full(1, np.nan)
-
-
-#: Direct-address grouping is chosen while the observed key span
-#: (``max - min + 1``) is below this many slots per input row: the slot
-#: tables then stay within a small multiple of the input, and one
-#: ``bincount`` pass beats the ``np.unique`` sort.  Wider domains (sparse
-#: states over many qubits, float keys) sort instead.
-_DENSE_SLOTS_PER_ROW = 4
 
 
 def factorize_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

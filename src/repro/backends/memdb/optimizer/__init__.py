@@ -160,5 +160,6 @@ class Optimizer:
         if select.limit is not None:
             input_rows = cost.estimate_select_input_rows(select)
         return QueryPlanInfo(
-            label, estimate, decision, estimated_input_rows=input_rows, shape=select_shape(select)
+            label, estimate, decision, estimated_input_rows=input_rows,
+            shape=select_shape(select), select=select,
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..ast_nodes import Select
 from .cost import FusionDecision, JoinOrderDecision, ParallelDecision, TopKDecision
 from .rewrite import RewriteLog
 
@@ -26,9 +27,10 @@ class QueryPlanInfo:
     ``estimated_input_rows`` is the pre-limit cardinality estimate — what
     EXPLAIN ANALYZE's traced actuals and the adaptive feedback loop compare
     against.  It equals ``estimated_rows`` for blocks without a LIMIT.
-    ``shape`` is the block's :func:`~.cost.select_shape`, computed here once
-    so the per-execution feedback loop never walks the AST (None for UNION
-    bodies, which record no corrections).
+    ``shape`` is the block's :func:`~.cost.select_shape` and ``select`` the
+    block itself, as planned: both kept here once so the per-execution
+    feedback loop neither walks nor searches the statement's AST (None for
+    UNION bodies, which record no corrections).
     """
 
     label: str
@@ -36,6 +38,7 @@ class QueryPlanInfo:
     join_order: Optional[JoinOrderDecision] = None
     estimated_input_rows: Optional[float] = None
     shape: Optional[str] = None
+    select: Optional[Select] = field(default=None, repr=False, compare=False)
 
     @property
     def feedback_rows(self) -> float:

@@ -560,5 +560,8 @@ def parallel_fused_aggregate(
             weights = parallel_evaluate(joined, joined_length, argument, pool).astype(
                 np.float64, copy=False
             )
-            vectors.append(groups.sums(weights, pool))
+            # SUM skips NULL arguments and is NULL where it skipped every row.
+            valid = ~np.isnan(weights)
+            sums = groups.sums(weights, pool, mask=valid)
+            vectors.append(np.where(groups.masked_counts(valid) == 0, np.nan, sums))
     return names, vectors

@@ -31,6 +31,8 @@ tests compare against.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
+from operator import getitem, is_not
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -220,30 +222,45 @@ class _FusedJoinAggregateOp:
     """The paper's gate step, join and grouped SUMs fused into one pass.
 
     ``SELECT key AS s, SUM(e1) AS r, SUM(e2) AS i FROM T JOIN G ON .. GROUP
-    BY key`` runs as: evaluate the join keys on the two *base* tables, compute
-    the matching row-index pairs, gather only the columns the group key and
-    the SUM arguments reference, then aggregate with ``bincount`` over the
-    factorized key — the joined relation itself is never materialized.
+    BY key`` runs as: evaluate, on the two *base* tables, the join keys and
+    every part of the group key and the SUM arguments that reads one table
+    only (``left_parts`` / ``right_parts``: the columns themselves, ``T.s &
+    ~m`` over the state rows, the ``out_s`` deposit over the gate rows);
+    compute the matching row-index pairs; gather those parts' *results*;
+    evaluate what is left — the operators that mix the two sides — over the
+    joined rows; aggregate with ``bincount`` over the factorized key — the
+    joined relation itself is never materialized.
     """
 
-    __slots__ = ("left_scan", "right_scan", "left_key", "right_key", "key_expr", "outputs", "needed")
+    __slots__ = (
+        "left_scan", "right_scan", "left_key", "right_key", "left_keys", "left_parts",
+        "right_keys", "right_parts", "key_expr", "outputs", "columns_read",
+    )
 
     def __init__(
         self,
         left_scan: _ScanOp,
         right_scan: _ScanOp,
         split: tuple[Expression, Expression],
+        left_parts: Mapping[str, Expression],
+        right_parts: Mapping[str, Expression],
         key_expr: Expression,
         outputs: list[tuple[str, str, Expression | None]],
-        needed: list[ColumnRef],
+        columns_read: int,
     ) -> None:
         self.left_scan = left_scan
         self.right_scan = right_scan
         self.left_key, self.right_key = split
+        #: Per side, the one-sided expressions and, aligned with them, the
+        #: joined-frame keys of their results.
+        self.left_keys, self.left_parts = tuple(left_parts), tuple(left_parts.values())
+        self.right_keys, self.right_parts = tuple(right_parts), tuple(right_parts.values())
+        #: The group key and, in ``outputs``, the (output name, kind in
+        #: {"key", "sum", "count"}, argument) triples — over the joined frame.
         self.key_expr = key_expr
-        #: (output name, kind in {"key", "sum", "count"}, argument expression).
         self.outputs = outputs
-        self.needed = needed
+        #: Distinct columns the block reads (the cost model's gather width).
+        self.columns_read = columns_read
 
     def run(
         self, resolve: Resolver, pool: WorkerPool | None = None
@@ -251,27 +268,22 @@ class _FusedJoinAggregateOp:
         left_frame, left_length = self.left_scan.run(resolve, pool)
         right_frame, right_length = self.right_scan.run(resolve, pool)
         if pool is not None:
-            left_keys = parallel_evaluate(left_frame, left_length, self.left_key, pool)
-            right_keys = parallel_evaluate(right_frame, right_length, self.right_key, pool)
-            left_idx, right_idx = parallel_join_indices(left_keys, right_keys, pool)
+            left_values = partial(parallel_evaluate, left_frame, left_length, pool=pool)
+            right_values = partial(parallel_evaluate, right_frame, right_length, pool=pool)
+            gather = partial(parallel_gather, pool=pool)
+            join = partial(parallel_join_indices, pool=pool)
         else:
-            left_keys = ExpressionEvaluator(left_frame, left_length).evaluate(self.left_key)
-            right_keys = ExpressionEvaluator(right_frame, right_length).evaluate(self.right_key)
-            left_idx, right_idx = join_indices(left_keys, right_keys)
+            left_values = ExpressionEvaluator(left_frame, left_length).evaluate
+            right_values = ExpressionEvaluator(right_frame, right_length).evaluate
+            gather, join = getitem, join_indices
+        left_idx, right_idx = join(left_values(self.left_key), right_values(self.right_key))
 
         joined: Frame = {}
-        for ref in self.needed:
-            key = ref.key()
-            if key in left_frame:
-                source, indices = left_frame[key], left_idx
-            elif key in right_frame:
-                source, indices = right_frame[key], right_idx
-            else:
-                raise SQLExecutionError(f"unknown column {key!r} in fused join-aggregate")
-            joined[key] = (
-                parallel_gather(source, indices, pool) if pool is not None else source[indices]
-            )
-        joined_length = len(left_idx)
+        for key, part in zip(self.left_keys, self.left_parts):
+            joined[key] = gather(left_values(part), left_idx)
+        for key, part in zip(self.right_keys, self.right_parts):
+            joined[key] = gather(right_values(part), right_idx)
+        joined_length = len(right_idx)
         if pool is not None:
             # Partitioned partial-then-merge aggregation; falls back to the
             # serial factorization below when the key cannot be partitioned
@@ -301,7 +313,16 @@ class _FusedJoinAggregateOp:
                 vectors.append(np.bincount(inverse, minlength=num_groups).astype(np.int64))
             else:
                 weights = evaluator.evaluate(argument).astype(np.float64, copy=False)
-                vectors.append(np.bincount(inverse, weights=weights, minlength=num_groups))
+                sums = np.bincount(inverse, weights=weights, minlength=num_groups)
+                if np.isnan(sums.sum()):
+                    # A NULL argument made its group's sum NaN.  SUM skips
+                    # NULLs, and is NULL only where it skipped every row.
+                    valid = ~np.isnan(weights)
+                    groups = inverse[valid]
+                    summed = np.bincount(groups, minlength=num_groups)
+                    sums = np.bincount(groups, weights=weights[valid], minlength=num_groups)
+                    sums = np.where(summed == 0, np.nan, sums)
+                vectors.append(sums)
         return names, vectors
 
 
@@ -354,7 +375,7 @@ class CompiledQuery:
         self.parallel: ParallelDecision = model.parallel_decision(select)
         fused = _compile_fused(select) if self.grouped else None
         if fused is not None:
-            self.fusion = model.fusion_decision(select, len(fused.needed))
+            self.fusion = model.fusion_decision(select, fused.columns_read)
             if not self.fusion.use_fused:
                 fused = None
         self.fused = fused
@@ -713,6 +734,45 @@ class CompiledCreateTableAs:
         self.script = script
 
 
+@lru_cache(maxsize=None)
+def _placeholder(number: int) -> ColumnRef:
+    """The reference replacing a block's part registered ``number``-th; shared by all plans."""
+    return ColumnRef(f"#{number}")
+
+
+def _joined_rest(expression: Expression, parts: dict[str, dict[str, Expression]]) -> Expression:
+    """``expression`` over a fused block's joined frame, its one-sided parts moved out.
+
+    A *part* is a maximal sub-expression whose columns all come from one
+    join side (``parts`` maps each side's binding to its parts, by joined-
+    frame key): it is evaluated on that side's base rows and only its result
+    is gathered through the join.  A bare column is its own part under its
+    own key; a larger part is replaced by a reference to a ``#n`` key, which
+    no SQL-spelled column has.  Only the operators on the path from the root
+    to a replaced part are rebuilt — every other node is the AST's own.
+    """
+    refs = expression.column_refs
+    if not refs:
+        return expression
+    table = refs[0].table
+    for ref in refs:
+        if ref.table != table:
+            children = expression.children()
+            rebuilt = tuple([_joined_rest(child, parts) for child in children])
+            if any(map(is_not, rebuilt, children)):
+                return expression.with_children(rebuilt)
+            return expression
+    side = parts.get(table)
+    if side is None:
+        raise PlanNotSupported("column of a table the block does not scan")
+    if isinstance(expression, ColumnRef):
+        side.setdefault(expression.frame_key, expression)
+        return expression
+    placeholder = _placeholder(sum(map(len, parts.values())))
+    side[placeholder.frame_key] = expression
+    return placeholder
+
+
 def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
     """Compile the gate-step shape into a fused operator, or None."""
     if (
@@ -726,8 +786,13 @@ def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
     ):
         return None
     key_expr = select.group_by[0]
+    left, right = select.source, select.joins[0].source
 
     try:
+        split = _split_by_binding(select.joins[0].condition, [left.binding], right.binding)
+        if split is None:
+            return None
+        parts: dict[str, dict[str, Expression]] = {left.binding: {}, right.binding: {}}
         needed = _qualified_refs(key_expr)
         outputs: list[tuple[str, str, Expression | None]] = []
         for position, item in enumerate(select.items):
@@ -745,31 +810,20 @@ def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
                 return None
             argument = expression.arguments[0]
             needed.extend(_qualified_refs(argument))
-            outputs.append((name, "sum", argument))
-
-        bindings = [select.source.binding]
-        split = _split_by_binding(select.joins[0].condition, bindings, select.joins[0].source.binding)
-        if split is None:
-            return None
+            outputs.append((name, "sum", _joined_rest(argument, parts)))
+        key_expr = _joined_rest(key_expr, parts)
     except PlanNotSupported:
         return None
 
-    # Deduplicate gathered columns while keeping a stable order.
-    unique: dict[str, ColumnRef] = {}
-    for ref in needed:
-        unique.setdefault(ref.key(), ref)
-
     return _FusedJoinAggregateOp(
-        left_scan=_ScanOp(select.source.name, select.source.binding, select.source.filter),
-        right_scan=_ScanOp(
-            select.joins[0].source.name,
-            select.joins[0].source.binding,
-            select.joins[0].source.filter,
-        ),
+        left_scan=_ScanOp(left.name, left.binding, left.filter),
+        right_scan=_ScanOp(right.name, right.binding, right.filter),
         split=split,
+        left_parts=parts[left.binding],
+        right_parts=parts[right.binding],
         key_expr=key_expr,
         outputs=outputs,
-        needed=list(unique.values()),
+        columns_read=len({ref.key() for ref in needed}),
     )
 
 

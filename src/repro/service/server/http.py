@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 import threading
 import time
@@ -451,6 +452,12 @@ class JobServer:
 
     async def _stream(self, job_id: int, query, writer) -> int:
         try:
+            timeout = float(query.get("timeout", "300"))
+        except ValueError:
+            timeout = math.nan
+        if not (0 < timeout < math.inf):
+            raise _BadRequest("'timeout' must be a positive, finite number of seconds")
+        try:
             handle = self.service.job(job_id)
         except QymeraError:
             final = self.service.final_status(job_id)
@@ -460,7 +467,6 @@ class JobServer:
             )
         loop = asyncio.get_running_loop()
         include_rows = query.get("rows") == "1"
-        timeout = float(query.get("timeout", "300"))
         await self._send_head(
             writer,
             200,

@@ -115,6 +115,10 @@ class SQLTranslation:
     steps: list[GateStep]
     prune_epsilon: float | None = None
     fusion_report: dict = field(default_factory=dict)
+    #: ``cte_query`` / ``materialized_statements`` results by their arguments:
+    #: a translation does not change once built, and a compiled executable
+    #: asks for the same text on every execution.
+    _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # --------------------------------------------------------------- queries
 
@@ -151,6 +155,8 @@ class SQLTranslation:
         circuit family emit byte-identical CTE texts (only the gate INSERT
         literals differ), so their compiled plans are shared.
         """
+        if pretty in self._texts:
+            return self._texts[pretty]
         final = self.final_table
         if not self.steps:
             return f"SELECT s, r, i FROM {final} ORDER BY s"
@@ -163,7 +169,8 @@ class SQLTranslation:
                 clauses.append(f"{step.output_table} AS ({body})")
         separator = ",\n" if pretty else ", "
         with_clause = separator.join(clauses)
-        return f"WITH {with_clause}\nSELECT s, r, i FROM {final} ORDER BY s"
+        text = self._texts[pretty] = f"WITH {with_clause}\nSELECT s, r, i FROM {final} ORDER BY s"
+        return text
 
     def materialized_statements(self, keep_intermediate: bool = False, temporary: bool = False) -> list[dict]:
         """Per-gate ``CREATE TABLE ... AS SELECT`` statements (out-of-core mode).
@@ -177,9 +184,13 @@ class SQLTranslation:
         The emitted texts are deterministic per circuit structure, so on the
         memdb backend every ``CREATE TABLE .. AS SELECT`` step hits the plan
         cache on repeated runs (sweep points re-bind the same compiled
-        join-aggregate plan against fresh gate tables).
+        join-aggregate plan against fresh gate tables).  The list and its
+        dictionaries are new on every call.
         """
-        statements: list[dict] = []
+        statements = self._texts.get((keep_intermediate, temporary))
+        if statements is not None:
+            return [dict(item) for item in statements]
+        statements = []
         for step in self.steps:
             create = self.dialect.create_table_as(step.output_table, step.select_sql(pretty=False), temporary=temporary)
             statements.append({"sql": create, "kind": "create", "table": step.output_table, "step": step.index})
@@ -193,7 +204,8 @@ class SQLTranslation:
                 statements.append(
                     {"sql": self.dialect.drop_table(step.input_table), "kind": "drop", "table": step.input_table, "step": step.index}
                 )
-        return statements
+        self._texts[keep_intermediate, temporary] = statements
+        return [dict(item) for item in statements]
 
     def final_select(self) -> str:
         """``SELECT s, r, i FROM <final> ORDER BY s`` for materialized execution."""

@@ -8,6 +8,10 @@ regenerates the fixture on purpose::
 
     PYTHONPATH=src python tests/memdb/ast_identity.py --regenerate
 
+``fixtures/translation_texts.json`` holds ``sha256`` of the generated texts
+themselves, per dialect (``test_translation_texts.py``): the translator's
+output is what SQLite and DuckDB are sent and what the plan cache keys on.
+
 The corpus has three parts:
 
 * ``generated`` — texts the translator emits for fixed circuits; only their
@@ -39,6 +43,10 @@ from repro.circuits import (
 from repro.sql.translator import SQLTranslator
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ast_identity.json"
+#: ``sha256`` of every generated text per dialect, recorded at 718a2df, before
+#: a translation kept its rendered texts (``--regenerate-texts`` rewrites it).
+TEXT_FIXTURE = Path(__file__).parent / "fixtures" / "translation_texts.json"
+DIALECTS = ("memdb", "sqlite", "duckdb")
 
 #: Statement kinds the circuit and fuzz corpora do not reach: EXPLAIN /
 #: ANALYZE, DDL and DML (every statement of ``test_parser.py``), window
@@ -117,7 +125,11 @@ def ast_hash(*texts: str) -> str:
     return hashlib.sha256(rendered.encode()).hexdigest()
 
 
-def generated_corpus() -> dict[str, list[str]]:
+def text_hash(texts: list[str]) -> str:
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def generated_corpus(dialect: str = "memdb") -> dict[str, list[str]]:
     """Name -> texts the translator emits for a fixed set of circuits."""
     circuits = {
         "ghz8": ghz_circuit(8),
@@ -129,7 +141,7 @@ def generated_corpus() -> dict[str, list[str]]:
     corpus: dict[str, list[str]] = {}
     for name, circuit in circuits.items():
         for fuse in (False, True):
-            translation = SQLTranslator(prune_epsilon=1e-12, fuse=fuse).translate(circuit)
+            translation = SQLTranslator(dialect, prune_epsilon=1e-12, fuse=fuse).translate(circuit)
             prefix = f"{name}/{'fused' if fuse else 'plain'}"
             corpus[f"{prefix}/cte-compact"] = [translation.cte_query(pretty=False)]
             corpus[f"{prefix}/cte-pretty"] = [translation.cte_query(pretty=True)]
@@ -183,7 +195,19 @@ def regenerate() -> None:
     print(f"wrote {FIXTURE}: {len(fixture['generated'])} generated, {len(stored)} stored")
 
 
+def regenerate_texts() -> None:
+    fixture = {
+        dialect: {name: text_hash(texts) for name, texts in generated_corpus(dialect).items()}
+        for dialect in DIALECTS
+    }
+    TEXT_FIXTURE.write_text(json.dumps(fixture, indent=0) + "\n")
+    print(f"wrote {TEXT_FIXTURE}: {sum(map(len, fixture.values()))} text lists")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
+    if sys.argv[1:] == ["--regenerate-texts"]:
+        regenerate_texts()
+    elif sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+    else:
         raise SystemExit(__doc__)
-    regenerate()

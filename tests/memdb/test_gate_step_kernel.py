@@ -1,6 +1,6 @@
-"""The per-gate hot loop: expression kernels, CTE edges, grouped-SUM kernels.
+"""The per-gate hot loop: expression kernels, CTE edges, join and grouped-SUM kernels.
 
-Three contracts are pinned here:
+Five contracts are pinned here:
 
 * bitwise operators propagate NULL exactly like SQLite (they used to cast
   NaN to an arbitrary int64), and literal-only subtrees evaluate to the same
@@ -10,7 +10,12 @@ Three contracts are pinned here:
   it read;
 * direct-address grouping and sort-based grouping return byte-identical
   group structure — and therefore bit-identical SUMs — on every int64 key
-  column, serial and morsel-parallel.
+  column, serial and morsel-parallel;
+* the direct-address join and the sort + ``searchsorted`` join return the
+  same index pairs on every pair of integer key columns, and only integer
+  keys are ever addressed directly;
+* what the fused step evaluates below the join and gathers is what the
+  generic pipeline evaluates over the joined rows, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.backends.memdb import MemDatabase
+from repro.backends.memdb import MemDatabase, parse_one
 from repro.backends.memdb import executor as executor_module
-from repro.backends.memdb.column import encoded_codes
+from repro.backends.memdb import planner as planner_module
+from repro.backends.memdb.ast_nodes import BinaryOp, ColumnRef
+from repro.backends.memdb.column import DictArray, encoded_codes
 from repro.backends.memdb.engine import PlanCache
-from repro.backends.memdb.executor import factorize_codes
+from repro.backends.memdb.executor import factorize_codes, join_indices
 from repro.backends.memdb.parallel import WorkerPool
 
 _SETTINGS = settings(
@@ -298,46 +305,188 @@ class TestGroupingKernelEquivalence:
         assert (len(first_indices), len(inverse), num_groups) == (0, 0, 0)
 
 
+# ---------------------------------------------------------------------------
+# Join kernels
+# ---------------------------------------------------------------------------
+
+
+def _pairs(left_idx, right_idx, left_rows: int) -> tuple[list[int], list[int]]:
+    """Index pairs as lists; the identity ``slice(None)`` spelled out."""
+    if isinstance(left_idx, slice):
+        assert left_idx == slice(None) and len(right_idx) == left_rows
+        left_idx = np.arange(left_rows)
+    assert left_idx.dtype == np.int64 and right_idx.dtype == np.int64
+    return left_idx.tolist(), right_idx.tolist()
+
+
+def _reference_pairs(left: np.ndarray, right: np.ndarray) -> tuple[list[int], list[int]]:
+    """Nested loops: left-row order, ties in right-row order."""
+    pairs = [
+        (l, r)
+        for l, key in enumerate(left.tolist())
+        for r, other in enumerate(right.tolist())
+        if key == other
+    ]
+    return [l for l, _ in pairs], [r for _, r in pairs]
+
+
+@st.composite
+def _join_sides(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ``(probe, build)`` key columns with a build side narrow enough to address."""
+    base = draw(
+        st.sampled_from([0, -3, 1 << 40, -(1 << 50), _INT64.min, _INT64.max - 40])
+    )
+    width = draw(st.integers(min_value=1, max_value=40))
+    build = [
+        base + draw(st.integers(0, width - 1))
+        for _ in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+    # Probe keys: inside the build span (its gaps included), just below and
+    # above it, and at both ends of int64, where ``key - low`` wraps.
+    outside = [base - 1, base - 7, base + width, base + width + 9, _INT64.min, _INT64.max, 0]
+    inside = [base + offset for offset in range(width)]
+    pool = [key for key in inside + outside if _INT64.min <= key <= _INT64.max]
+    probe = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=24))
+    if draw(st.booleans()):
+        # A probe side that hits every build row exactly once or not at all.
+        probe = draw(st.permutations(sorted(set(build))))
+    return np.array(probe, dtype=np.int64), np.array(build, dtype=np.int64)
+
+
+class TestJoinKernelEquivalence:
+    @given(sides=_join_sides())
+    @_SETTINGS
+    def test_direct_address_and_sort_join_return_the_same_pairs(self, sides):
+        probe, build = sides
+        low = int(build.min())
+        span = int(build.max()) - low + 1
+        expected = _reference_pairs(probe, build)
+        direct = executor_module._join_direct(probe, build, low, span)
+        assert _pairs(*direct, len(probe)) == expected
+        assert _pairs(*executor_module._join_sorted(probe, build), len(probe)) == expected
+        assert _pairs(*join_indices(probe, build), len(probe)) == expected
+
+    def test_selection_follows_the_build_side_span(self):
+        probe = np.array([3, 0, 2, 3, 9, -1], dtype=np.int64)
+        gate_like = np.array([0, 1, 2, 3], dtype=np.int64)
+        with mock.patch.object(
+            executor_module, "_join_sorted", side_effect=AssertionError("sort kernel taken")
+        ):
+            left_idx, right_idx = join_indices(probe, gate_like)
+        assert (left_idx.tolist(), right_idx.tolist()) == ([0, 1, 2, 3], [3, 0, 2, 3])
+        for build in (
+            np.array([0, 1 << 48], dtype=np.int64),
+            np.array([_INT64.min, _INT64.max], dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        ):
+            with mock.patch.object(
+                executor_module, "_join_direct", side_effect=AssertionError("addressed directly")
+            ):
+                left_idx, right_idx = join_indices(np.array([0, _INT64.max]), build)
+            assert _pairs(left_idx, right_idx, 2) == _reference_pairs(
+                np.array([0, _INT64.max]), build
+            )
+
+    @pytest.mark.parametrize(
+        "left, right, expected",
+        [
+            pytest.param(
+                np.array([1.0, np.nan, 2.0, 0.0]), np.array([0, 1, 2, 2]),
+                ([0, 2, 2, 3], [1, 2, 3, 0]), id="float-probe",
+            ),
+            pytest.param(
+                np.array([1, 0, 3]), np.array([np.nan, 1.0, 0.0]),
+                ([0, 1], [1, 2]), id="null-bearing-build",
+            ),
+            pytest.param(
+                np.asarray(["a", None, "b", "a"], dtype=object), np.asarray(["a", "c", None], dtype=object),
+                ([0, 3], [0, 0]), id="object-text",
+            ),
+            pytest.param(
+                DictArray.from_values(np.asarray(["b", "a", None], dtype=object)),
+                DictArray.from_values(np.asarray(["a", "b", "b"], dtype=object)),
+                ([0, 0, 1], [1, 2, 0]), id="dict-array",
+            ),
+            pytest.param(
+                np.array([0, 1, 2]), np.asarray(["0", "1"], dtype=object),
+                ([], []), id="number-vs-text",
+            ),
+            pytest.param(
+                np.array([2**63, 2**63 + 1, 5], dtype=np.uint64),
+                np.array([2**63 + 1, 2**63], dtype=np.uint64),
+                ([0, 1], [1, 0]), id="unsigned-past-int64",
+            ),
+        ],
+    )
+    def test_everything_but_integer_keys_takes_the_code_space_kernel(self, left, right, expected):
+        with mock.patch.object(
+            executor_module, "_join_direct", side_effect=AssertionError("addressed directly")
+        ):
+            left_idx, right_idx = join_indices(left, right)
+        assert _pairs(left_idx, right_idx, len(left)) == expected
+
+    def test_one_match_per_left_row_is_the_identity_not_an_arange(self):
+        swap_like = np.array([0, 2, 1, 3], dtype=np.int64)
+        probe = np.array([1, 3, 0, 0, 2], dtype=np.int64)
+        for kernel in (join_indices, executor_module._join_sorted):
+            left_idx, right_idx = kernel(probe, swap_like)
+            assert left_idx == slice(None)
+            assert right_idx.tolist() == [2, 3, 0, 0, 1]
+        # One left row without a partner: indices again.
+        left_idx, _right_idx = join_indices(np.append(probe, 7), swap_like)
+        assert left_idx.tolist() == [0, 1, 2, 3, 4]
+
+
 _FUSED_STEP = (
     "SELECT ((T0.s & ~1) | G.out_s) AS s, "
     "SUM((T0.r * G.r) - (T0.i * G.i)) AS r, SUM((T0.r * G.i) + (T0.i * G.r)) AS i, "
     "COUNT(*) AS n FROM T0 JOIN G ON G.in_s = (T0.s & 1) GROUP BY ((T0.s & ~1) | G.out_s)"
 )
 
+_H_LIKE = {
+    "in_s": np.array([0, 0, 1, 1], dtype=np.int64),
+    "out_s": np.array([0, 1, 0, 1], dtype=np.int64),
+    "r": np.array([0.6, 0.8, 0.8, -0.6]),
+    "i": np.array([0.0, 0.1, -0.1, 0.0]),
+}
+#: One row per ``in_s``: every state row finds exactly one partner.
+_X_LIKE = {
+    "in_s": np.array([1, 0], dtype=np.int64),
+    "out_s": np.array([0, 1], dtype=np.int64),
+    "r": np.array([0.6, -0.8]),
+    "i": np.array([0.8, 0.6]),
+}
+
+
+def _state(states: np.ndarray) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(11)
+    return {"s": states, "r": rng.normal(size=len(states)), "i": rng.normal(size=len(states))}
+
+
+def _exact(result) -> list[tuple[str, bytes]]:
+    """A result's columns as (dtype, raw bytes): equal means bit-identical."""
+    return [(str(np.asarray(v).dtype), np.ascontiguousarray(v).tobytes()) for v in result.vectors]
+
+
+def _unfused():
+    """Compile every block onto the generic join -> group pipeline."""
+    return mock.patch.object(planner_module, "_compile_fused", return_value=None)
+
 
 class TestFusedStepSerialVsParallel:
-    """The fused gate step on both sides of the grouping selection."""
+    """The fused gate step on both sides of the join and grouping selections."""
 
-    @staticmethod
-    def _load(db: MemDatabase, states: np.ndarray) -> None:
-        rng = np.random.default_rng(11)
-        db.load_table(
-            "T0",
-            {
-                "s": states,
-                "r": rng.normal(size=len(states)),
-                "i": rng.normal(size=len(states)),
-            },
-        )
-        db.load_table(
-            "G",
-            {
-                "in_s": np.array([0, 0, 1, 1], dtype=np.int64),
-                "out_s": np.array([0, 1, 0, 1], dtype=np.int64),
-                "r": np.array([0.6, 0.8, 0.8, -0.6]),
-                "i": np.array([0.0, 0.1, -0.1, 0.0]),
-            },
-        )
-
+    @pytest.mark.parametrize("gate", [_H_LIKE, _X_LIKE], ids=["two-per-key", "one-per-key"])
     @pytest.mark.parametrize(
         "states",
         [
             pytest.param(np.arange(256, dtype=np.int64), id="dense-domain"),
             pytest.param(np.arange(64, dtype=np.int64) << 40, id="wide-domain"),
             pytest.param(np.array([0, 1 << 47], dtype=np.int64), id="ghz-like"),
+            pytest.param(np.array([5, 2, 2, 7, 0], dtype=np.int64), id="unordered-repeats"),
         ],
     )
-    def test_rows_identical(self, states):
+    def test_rows_identical(self, states, gate):
         pool = WorkerPool(3)
         try:
             serial = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
@@ -348,14 +497,160 @@ class TestFusedStepSerialVsParallel:
                 worker_pool=pool,
             )
             forced_sort = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
-            for db in (serial, parallel, forced_sort):
-                self._load(db, states)
-            expected = serial.execute(_FUSED_STEP).rows
-            assert sum(row[3] for row in expected) == 2 * len(states)
+            generic = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
+            for db in (serial, parallel, forced_sort, generic):
+                db.load_table("T0", _state(states))
+                db.load_table("G", gate)
+            result = serial.execute(_FUSED_STEP)
+            expected = result.rows
+            assert sum(row[3] for row in expected) == len(states) * len(gate["in_s"]) // 2
             assert parallel.execute(_FUSED_STEP).rows == expected
             assert parallel.parallel_stats()["parallel_plan_executions"] > 0
             with mock.patch.object(executor_module, "_DENSE_SLOTS_PER_ROW", 0):
-                assert forced_sort.execute(_FUSED_STEP).rows == expected
+                # Neither grouping nor the join addresses anything directly.
+                assert _exact(forced_sort.execute(_FUSED_STEP)) == _exact(result)
+            with _unfused():
+                assert _exact(generic.execute(_FUSED_STEP)) == _exact(result)
             assert [row[0] for row in expected] == sorted(row[0] for row in expected)
         finally:
             pool.shutdown()
+
+    def test_identity_left_side_equals_the_gathered_columns(self):
+        """``slice(None)`` for the left rows changes no bit of any output column."""
+        states = np.arange(128, dtype=np.int64)[::-1].copy()
+        identity = MemDatabase(plan_cache=PlanCache(maxsize=4), enable_parallel=False)
+        gathered = MemDatabase(plan_cache=PlanCache(maxsize=4), enable_parallel=False)
+        for db in (identity, gathered):
+            db.load_table("T0", _state(states))
+            db.load_table("G", _X_LIKE)
+        seen = []
+        join = planner_module.join_indices
+
+        def spelled_out(left_keys, right_keys):
+            left_idx, right_idx = join(left_keys, right_keys)
+            seen.append(left_idx)
+            return np.arange(len(right_idx), dtype=np.int64), right_idx
+
+        with mock.patch.object(planner_module, "join_indices", spelled_out):
+            expected = _exact(gathered.execute(_FUSED_STEP))
+        assert seen == [slice(None)]
+        assert _exact(identity.execute(_FUSED_STEP)) == expected
+
+    def test_sum_skips_null_arguments(self):
+        """SUM over the joined rows skips NULL products; an all-NULL group is NULL."""
+        setup = [
+            "CREATE TABLE T0 (s BIGINT NOT NULL, r DOUBLE, i DOUBLE)",
+            "INSERT INTO T0 (s, r, i) VALUES (0, 0.5, 0.25), (1, NULL, 0.5), (2, 1.0, NULL), "
+            "(7, 1.0, 1.0), (5, 2.0, 1.0), (1, 3.0, 1.0)",
+            "CREATE TABLE G (in_s BIGINT NOT NULL, out_s BIGINT NOT NULL, r DOUBLE, i DOUBLE)",
+            "INSERT INTO G (in_s, out_s, r, i) VALUES (0, 0, 0.5, 0.0), (0, 1, 0.5, 0.0), "
+            "(1, 0, 0.5, NULL), (1, 1, -0.5, 0.25)",
+        ]
+        sql = _FUSED_STEP + " ORDER BY s"
+        expected = _sqlite_rows(setup, sql)
+        assert [row[1] for row in expected].count(None) == 4
+        pool = WorkerPool(2)
+        try:
+            engines = _engines() + [
+                (
+                    "parallel",
+                    MemDatabase(
+                        plan_cache=PlanCache(maxsize=4),
+                        enable_parallel=True,
+                        parallel_threshold_rows=0,
+                        worker_pool=pool,
+                    ),
+                )
+            ]
+            for label, db in engines:
+                for statement in setup:
+                    db.execute(statement)
+                assert _null_normalized(db.execute(sql).rows) == expected, label
+        finally:
+            pool.shutdown()
+
+
+#: Fused shapes whose group key and SUM arguments mix the two join sides in
+#: every position the side split distinguishes.
+_SPLIT_SHAPES = {
+    "gate-step": (
+        "((T.s & ~6) | ((((G.out_s >> 0) & 1) << 1) | (((G.out_s >> 1) & 1) << 2)))",
+        ["(T.r * G.r) - (T.i * G.i)", "(T.r * G.i) + (T.i * G.r)"],
+    ),
+    "mixed-under-every-operator": (
+        "(((T.s >> 1) & G.out_s) + ((T.s | 8) * (G.out_s + 1)))",
+        ["(T.r + G.r) * (T.i - G.i)", "((T.s & 3) * G.r) + (T.r * (G.out_s << 2))"],
+    ),
+    "literal-only-key": ("(3 | 4)", ["T.r * G.r", "1 + 2"]),
+    "one-sided-key-and-arguments": ("(T.s >> 1)", ["T.r * T.i", "G.r - G.i", "T.r"]),
+    "column-in-key-and-sum": ("(T.s & ~1)", ["T.s * G.r", "(T.s & 1) + G.out_s"]),
+    "constants-beside-mixed-operands": (
+        "(((T.s & 1) | G.out_s) + (2 * 3))",
+        ["((T.r * G.r) * 2) - 0.5", "(0 - (T.s + G.in_s))"],
+    ),
+}
+
+
+class TestEvaluationBelowTheJoin:
+    @staticmethod
+    def _sql(shape: str, join_on: str = "G.in_s = (T.s & 3)") -> str:
+        key, arguments = _SPLIT_SHAPES[shape]
+        sums = ", ".join(f"SUM({argument}) AS a{n}" for n, argument in enumerate(arguments))
+        return (
+            f"SELECT {key} AS k, {sums}, COUNT(*) AS n FROM T0 AS T JOIN G0 AS G "
+            f"ON {join_on} GROUP BY {key}"
+        )
+
+    @staticmethod
+    def _database() -> MemDatabase:
+        db = MemDatabase(plan_cache=PlanCache(maxsize=4), enable_parallel=False)
+        db.load_table("T0", _state(np.array([9, 4, 4, 7, 0, 13, 2, 6, 11], dtype=np.int64)))
+        rng = np.random.default_rng(5)
+        db.load_table(
+            "G0",
+            {
+                "in_s": np.array([0, 1, 1, 3, 3, 3], dtype=np.int64),
+                "out_s": np.array([1, 0, 3, 2, 2, 1], dtype=np.int64),
+                "r": rng.normal(size=6),
+                "i": rng.normal(size=6),
+            },
+        )
+        return db
+
+    @pytest.mark.parametrize("shape", sorted(_SPLIT_SHAPES))
+    def test_fused_equals_joined_row_evaluation(self, shape):
+        sql = self._sql(shape)
+        fused = self._database()
+        result = fused.execute(sql)
+        plan = "\n".join(row[0] for row in fused.execute(f"EXPLAIN {sql}").rows)
+        assert "fused join-aggregate" in plan, plan
+        with _unfused():
+            assert _exact(self._database().execute(sql)) == _exact(result)
+
+    def test_one_table_under_two_bindings(self):
+        sql = (
+            "SELECT ((A.s & ~1) | (B.s & 1)) AS k, SUM((A.r * B.r) - (A.i * B.i)) AS a0, "
+            "SUM(A.s + B.s) AS a1 FROM T0 AS A JOIN T0 AS B ON B.s = (A.s >> 1) "
+            "GROUP BY ((A.s & ~1) | (B.s & 1))"
+        )
+        result = self._database().execute(sql)
+        assert len(result.rows) > 1
+        with _unfused():
+            assert _exact(self._database().execute(sql)) == _exact(result)
+
+    def test_only_the_mixing_operators_are_rebuilt(self):
+        select = parse_one(self._sql("gate-step"))
+        fused = planner_module._compile_fused(select)
+        key = select.group_by[0]
+        # ``(T.s & ~6)`` and the whole deposit are evaluated on their base
+        # rows: the parts are the AST's own nodes, not copies ...
+        # (a replaced part is keyed ``#n``, the n-th part of the block)
+        assert fused.left_keys == ("T.r", "T.i", "#4")
+        assert fused.right_keys == ("G.r", "G.i", "#5")
+        assert fused.left_parts[2] is key.left and fused.right_parts[2] is key.right
+        assert fused.left_parts[0] is select.items[1].expression.arguments[0].left.left
+        # ... the joined rows see the one ``|`` that mixes the sides, over
+        # their results, and a SUM argument of bare columns is not rebuilt.
+        assert fused.key_expr == BinaryOp("|", ColumnRef("#4"), ColumnRef("#5"))
+        assert fused.outputs[1][2] is select.items[1].expression.arguments[0]
+        assert fused.columns_read == 6

@@ -28,6 +28,11 @@ with NULL-skipping aggregates and text MIN/MAX — exercising the
 dictionary-encoded storage, validity bitmaps, and three-valued comparison
 kernels against SQLite's reference semantics.
 
+A join-aggregate production generates the paper's gate step itself — a
+small dense-integer build side joined on a bit field of a BIGINT column,
+grouped by an expression that mixes the two sides, SUMs of mixed products —
+over data with NULL amplitudes, NULL keys and keys that match nothing.
+
 The generated subset deliberately stays inside the semantics both engines
 share (documented divergences are excluded by construction):
 
@@ -712,6 +717,108 @@ def _bitwise_query(draw, tables):
 
 
 # ---------------------------------------------------------------------------
+# Join-aggregate query shapes (the paper's gate step, generalized)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _gate_tables(draw):
+    """A state-like probe table ``t0`` and a small gate-like build table ``t1``.
+
+    ``t0.s`` is a NOT NULL BIGINT basis index (negative values included);
+    ``t0.f`` a nullable DOUBLE that can stand in for it, so a join key can be
+    NULL; the amplitudes ``r`` / ``i`` are nullable on both sides.  ``t1.k``
+    covers a few small integers with repeats and gaps — the dense build side
+    the engine joins by direct addressing — until the mid-test shift appends
+    keys far outside that span.
+    """
+    def amplitude():
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            return None
+        return draw(st.integers(min_value=-8, max_value=8)) / 4.0
+
+    state_rows = []
+    for row_id in range(draw(st.integers(min_value=0, max_value=16))):
+        index = draw(st.integers(min_value=-4, max_value=40))
+        shadow = None if draw(st.integers(min_value=0, max_value=3)) == 0 else float(index)
+        state_rows.append([row_id, index, shadow, amplitude(), amplitude()])
+    gate_rows = [
+        [
+            row_id,
+            draw(st.integers(min_value=0, max_value=3)),
+            draw(st.integers(min_value=0, max_value=3)),
+            amplitude(),
+            amplitude(),
+        ]
+        for row_id in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    return [
+        {
+            "name": "t0",
+            "columns": [("id", _INT), ("s", _INT), ("f", _FLOAT), ("r", _FLOAT), ("i", _FLOAT)],
+            "rows": state_rows,
+            "nullable": {"f", "r", "i"},
+        },
+        {
+            "name": "t1",
+            "columns": [("id", _INT), ("k", _INT), ("o", _INT), ("r", _FLOAT), ("i", _FLOAT)],
+            "rows": gate_rows,
+            "nullable": {"r", "i"},
+        },
+    ]
+
+
+@st.composite
+def _join_aggregate_query(draw, tables):
+    """``SELECT key, SUM(..), SUM(..) FROM t0 JOIN t1 ON t1.k = bits(t0) GROUP BY key``.
+
+    The join key is a bit field of the state index (or of its nullable
+    DOUBLE shadow: NULL keys match nothing, and the key column is no longer
+    integer); the group key combines a one-sided expression per join side
+    under ``| & + *``; the SUM arguments are products that mix the sides,
+    read one side only, or re-read a column the key reads.  Every bitwise
+    operator is parenthesized: the engines bind ``& | << >>`` differently.
+    """
+    state, gate = tables[0]["name"], tables[1]["name"]
+    shift = draw(st.integers(min_value=0, max_value=3))
+    mask = draw(st.sampled_from([1, 3]))
+    index = f"{state}.{draw(st.sampled_from(['s', 's', 'f']))}"
+    field = f"({index} & {mask})" if shift == 0 else f"(({index} >> {shift}) & {mask})"
+    kept = f"({state}.s & ~{mask << shift})"
+    deposit = f"{gate}.o" if shift == 0 else f"({gate}.o << {shift})"
+    key = f"({kept} {draw(st.sampled_from(['|', '|', '&', '+', '*']))} {deposit})"
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        key = draw(st.sampled_from([kept, deposit, "(1 | 2)"]))
+    arguments = draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    f"({state}.r * {gate}.r) - ({state}.i * {gate}.i)",
+                    f"({state}.r * {gate}.i) + ({state}.i * {gate}.r)",
+                    f"({state}.s * {gate}.r)",
+                    f"(({state}.s & 1) + {gate}.o)",
+                    f"({state}.r + {state}.i)",
+                    f"{gate}.i",
+                ]
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    items = [f"{key} AS k0"] + [f"SUM({argument}) AS a{n}" for n, argument in enumerate(arguments)]
+    if draw(st.booleans()):
+        items.append("COUNT(*) AS n")
+    sql = (
+        f"SELECT {', '.join(items)} FROM {state} JOIN {gate} ON {gate}.k = {field} "
+        f"GROUP BY {key}"
+    )
+    if draw(st.booleans()):
+        tail, _limited = draw(_limit_tail(["k0"], []))
+        return sql + tail, True
+    return sql, False
+
+
+# ---------------------------------------------------------------------------
 # Window-function and recursive-CTE query shapes
 # ---------------------------------------------------------------------------
 #
@@ -1291,6 +1398,22 @@ def test_fuzz_bitwise_expressions_match_sqlite(data):
     _parallel_check(tables, query)
 
 
+@given(data=st.data())
+@_FAST
+def test_fuzz_join_aggregate_matches_sqlite(data):
+    """The gate-step shape over NULL-bearing data and keys that match nothing.
+
+    This is the block the planner fuses: serial engines against SQLite
+    (direct-address join before the data shift, sort join after it, the
+    code-space join whenever the key column is the nullable DOUBLE), then
+    the morsel-parallel engine bit-for-bit against serial.
+    """
+    tables = data.draw(_gate_tables())
+    query = data.draw(_join_aggregate_query(tables))
+    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _parallel_check(tables, query)
+
+
 # ---------------------------------------------------------------------------
 # Deep profile (-m slow)
 # ---------------------------------------------------------------------------
@@ -1337,6 +1460,19 @@ def test_fuzz_deep_parallel_profile(shape):
     def run(data):
         tables = data.draw(_tables(count=count))
         query = data.draw(shape_strategy(tables))
+        _parallel_check(tables, query)
+
+    run()
+
+
+@pytest.mark.slow
+def test_fuzz_deep_join_aggregate_profile():
+    @given(data=st.data())
+    @_DEEP
+    def run(data):
+        tables = data.draw(_gate_tables())
+        query = data.draw(_join_aggregate_query(tables))
+        _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
         _parallel_check(tables, query)
 
     run()

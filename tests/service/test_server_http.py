@@ -123,6 +123,30 @@ class TestErrorPaths:
         status, _headers, body = _raw_request(client.host, client.port, "GET", "/v1/jobs/abc")
         assert status == 400
 
+    @pytest.mark.parametrize("timeout", ["abc", "nan", "-1", "1e999", "0", ""])
+    def test_bad_stream_timeout_is_400_for_finished_and_unfinished_jobs(self, timeout):
+        """It used to be a 500 (``abc``) or passed straight to ``Condition.wait_for``."""
+        service = JobService(max_workers=1)
+        try:
+            with ServerThread(JobServer(service)) as (host, port):
+                client = ServingClient(host, port)
+                _status, finished = client.submit(ghz_circuit(3), method="memdb")
+                assert client.wait(finished["job_id"])["status"] == "done"
+                # One worker: the second job queues behind the long grid.
+                grid = [{name: 0.01 * k for name in _PARAMS} for k in range(1, 41)]
+                _status, long_job = client.submit(_ansatz(), method="memdb", param_grid=grid)
+                _status, queued = client.submit(ghz_circuit(3), method="memdb")
+                for job in (finished, long_job, queued):
+                    status, _headers, body = _raw_request(
+                        host, port, "GET", f"/v1/jobs/{job['job_id']}/stream?timeout={timeout}"
+                    )
+                    assert status == 400 and "'timeout'" in body["error"], (job, body)
+                # A good timeout still streams the job to its terminal record.
+                records = client.stream(queued["job_id"], timeout=30.0)
+                assert records[-1]["status"] == "done"
+        finally:
+            service.shutdown(wait=True)
+
     def test_unknown_path_is_404_and_wrong_method_405(self, plain_server):
         client, _service = plain_server
         status, _headers, _body = _raw_request(client.host, client.port, "GET", "/v2/what")
