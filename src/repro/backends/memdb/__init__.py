@@ -26,11 +26,9 @@ Statements flow through four layers:
    join in one pass; whether it is used is decided by the cost model, not
    the syntax.
 4. **Execute** (:mod:`.executor`): vectorized numpy operators over columnar
-   :class:`~.table.Table` storage.  Statement kinds the planner does not
-   cover (INSERT, DELETE, DDL) run on the interpreter; every SELECT shape the
-   engine supports is plannable, and :class:`~.executor.SelectExecutor`
-   remains the reference implementation built from the same operator
-   primitives (the differential tests execute both paths).
+   :class:`~.table.Table` storage.  Every query runs as a compiled plan;
+   the engine runs the statement kinds without one (INSERT, DELETE, DDL)
+   directly.  The differential tests compare results against ``sqlite3``.
 
 Plan caching
 ------------

@@ -341,7 +341,7 @@ class TableSource:
     """A table (or CTE) appearing in FROM/JOIN, with an optional alias.
 
     ``filter`` is never produced by the parser: the optimizer's predicate
-    pushdown installs it, and both the interpreter and the planner apply it
+    pushdown installs it, and the compiled scan applies it
     to the scanned rows *before* any join — the relational identity
     ``sigma_p(A) JOIN B = sigma_p(A JOIN B)`` for inner joins.
     """

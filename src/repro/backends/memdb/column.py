@@ -30,7 +30,6 @@ partitioning and join hashing exact — no more lossy ``astype(float64)``.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,16 +50,6 @@ NULL_CODE = -1
 _CANONICAL_NAN_BITS = np.uint64(0xFFF8000000000000)
 _SIGN_BIT = np.uint64(0x8000000000000000)
 _FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def dict_encoding_default() -> bool:
-    """Process-wide default for dictionary encoding (``REPRO_MEMDB_DICT``).
-
-    Any value other than ``"0"`` (including unset) enables encoding; the CI
-    ablation leg exports ``REPRO_MEMDB_DICT=0`` to exercise the v1 object
-    representation end to end.
-    """
-    return os.environ.get("REPRO_MEMDB_DICT", "1") != "0"
 
 
 def _is_none_mask(values: np.ndarray) -> np.ndarray:
@@ -570,9 +559,9 @@ def _chunk_spans(length: int) -> Iterable[tuple[int, int]]:
 class EncodedColumn:
     """One table column stored as fixed-size chunks plus validity bitmaps.
 
-    ``kind`` is one of ``"numeric"`` (int64/float64 data chunks),
-    ``"dict"`` (int32 code chunks sharing one sorted dictionary) or
-    ``"object"`` (raw object chunks, the ``REPRO_MEMDB_DICT=0`` ablation).
+    ``kind`` is ``"numeric"`` (int64/float64 data chunks) or ``"dict"``
+    (int32 code chunks sharing one sorted dictionary): stored TEXT is
+    always dictionary codes.
     """
 
     __slots__ = ("kind", "_dtype", "_chunks", "_validity", "_dictionary", "_cache", "dictionary_rebuilds")
@@ -589,40 +578,23 @@ class EncodedColumn:
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def from_array(cls, values, dict_encode: bool | None = None) -> "EncodedColumn":
-        """Wrap a column vector, choosing the storage kind.
-
-        ``dict_encode=None`` is representation-preserving: a
-        :class:`DictArray` stays dictionary-encoded and a plain object
-        array stays object.
-        """
-        if isinstance(values, DictArray):
-            if dict_encode is False:
-                return cls.from_array(values.decode(), dict_encode=False)
-            column = cls("dict", np.dtype(object), values.dictionary)
-            column._append_codes(values.codes)
-            return column
-        array = np.asarray(values)
-        if array.dtype.kind in ("O", "U"):
-            if array.dtype.kind == "U":
-                array = array.astype(object)
-            if dict_encode is None:
-                dict_encode = False if array.dtype == object else True
-            if dict_encode:
-                return cls.from_array(DictArray.from_values(array))
-            column = cls("object", np.dtype(object))
-            column._append_object(array)
-            return column
-        column = cls("numeric", array.dtype)
-        column._append_numeric(array)
+    def from_array(cls, values) -> "EncodedColumn":
+        """Wrap a column vector: numerics as numeric chunks, text as dictionary codes."""
+        if not isinstance(values, DictArray):
+            array = np.asarray(values)
+            if array.dtype.kind not in ("O", "U"):
+                column = cls("numeric", array.dtype)
+                column._append_numeric(array)
+                return column
+            values = DictArray.from_values(array.astype(object, copy=False))
+        column = cls("dict", np.dtype(object), values.dictionary)
+        column._append_codes(values.codes)
         return column
 
     @classmethod
-    def empty(cls, dtype, dict_encode: bool) -> "EncodedColumn":
-        dtype = np.dtype(dtype) if dtype != object else np.dtype(object)
-        if dtype == object:
-            return cls("dict" if dict_encode else "object", np.dtype(object))
-        return cls("numeric", dtype)
+    def empty(cls, dtype) -> "EncodedColumn":
+        dtype = np.dtype(dtype)
+        return cls("dict" if dtype == object else "numeric", dtype)
 
     # ------------------------------------------------------------ properties
 
@@ -632,7 +604,7 @@ class EncodedColumn:
 
     @property
     def dtype(self) -> np.dtype:
-        """Logical dtype (``object`` for text regardless of encoding)."""
+        """Logical dtype (``object`` for text)."""
         return self._dtype
 
     @property
@@ -662,21 +634,10 @@ class EncodedColumn:
                 self._validity.append(None)
         self._cache = None
 
-    def _append_object(self, values: np.ndarray) -> None:
-        for start, stop in _chunk_spans(len(values)):
-            chunk = values[start:stop].copy()
-            self._chunks.append(chunk)
-            self._validity.append(_pack_validity(~_is_none_mask(chunk)))
-        self._cache = None
-
     def append(self, values) -> None:
         """Append a coerced vector (INSERT path); grows the dictionary."""
         if self.kind == "numeric":
             self._append_numeric(np.asarray(values, dtype=self._dtype))
-            return
-        if self.kind == "object":
-            array = np.asarray(values, dtype=object)
-            self._append_object(array)
             return
         encoded = values if isinstance(values, DictArray) else DictArray.from_values(np.asarray(values, dtype=object))
         new_entries = np.setdiff1d(encoded.dictionary, self._dictionary, assume_unique=False)
@@ -705,16 +666,11 @@ class EncodedColumn:
             self._chunks = []
             self._validity = []
             self._append_codes(codes)
-        elif self.kind == "numeric":
+        else:
             values = self._all_numeric()[keep]
             self._chunks = []
             self._validity = []
             self._append_numeric(values)
-        else:
-            values = self._all_object()[keep]
-            self._chunks = []
-            self._validity = []
-            self._append_object(values)
 
     # -------------------------------------------------------- materialization
 
@@ -728,20 +684,13 @@ class EncodedColumn:
             return np.empty(0, dtype=self._dtype)
         return self._chunks[0] if len(self._chunks) == 1 else np.concatenate(self._chunks)
 
-    def _all_object(self) -> np.ndarray:
-        if not self._chunks:
-            return np.empty(0, dtype=object)
-        return self._chunks[0] if len(self._chunks) == 1 else np.concatenate(self._chunks)
-
     def materialize(self) -> np.ndarray | DictArray:
         """Contiguous column vector for the compute layer (cached)."""
         if self._cache is None:
             if self.kind == "dict":
                 self._cache = DictArray(self._all_codes(), self._dictionary)
-            elif self.kind == "numeric":
-                self._cache = self._all_numeric()
             else:
-                self._cache = self._all_object()
+                self._cache = self._all_numeric()
         return self._cache
 
     def null_count(self) -> int:
@@ -775,9 +724,3 @@ class EncodedColumn:
             "dictionary_rebuilds": self.dictionary_rebuilds,
             "null_count": self.null_count(),
         }
-
-    #: Cost-model width weight: dictionary codes and numerics move 8-byte
-    #: (or narrower) machine words; object columns move pointers plus
-    #: interned python strings, roughly 4x the touch cost.
-    def width_weight(self) -> int:
-        return 4 if self.kind == "object" else 1

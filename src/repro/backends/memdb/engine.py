@@ -3,9 +3,9 @@
 :class:`MemDatabase` is the top-level object backends talk to.  It keeps the
 table catalog, parses incoming SQL, runs each statement through the
 cost-based optimizer (see :mod:`.optimizer`: logical rewrites, statistics,
-join ordering), compiles the optimized statement to a physical plan (see
-:mod:`.planner`) and routes anything the planner does not cover to the
-vectorized interpreter.  Compiled scripts are memoized in an LRU
+join ordering), compiles every query to a physical plan (see
+:mod:`.planner`) and runs DDL / DML itself.  Compiled scripts are memoized
+in an LRU
 :class:`PlanCache` keyed by SQL text *and validated against a schema
 fingerprint* of every referenced table, so the structurally identical
 per-gate queries of a parameter sweep skip tokenize/parse/optimize/compile
@@ -43,12 +43,7 @@ from .ast_nodes import (
     UnaryOp,
     WithSelect,
 )
-from .executor import (
-    DEFAULT_RECURSION_LIMIT,
-    ExpressionEvaluator,
-    QueryResult,
-    SelectExecutor,
-)
+from .executor import DEFAULT_RECURSION_LIMIT, ExpressionEvaluator, QueryResult
 from .optimizer import (
     ActualRun,
     Optimizer,
@@ -59,7 +54,7 @@ from .optimizer import (
 from .optimizer.rewrite import referenced_stored_tables
 from .parallel import WorkerPool, parallel_env_enabled, shared_worker_pool
 from .parallel.pool import default_worker_count
-from .column import EncodedColumn, dict_encoding_default
+from .column import EncodedColumn
 from .parser import Parser, parse_sql
 from .planner import CompiledCreateTableAs, CompiledScript, compile_statement
 from .table import Table, dtype_for_sql_type
@@ -414,9 +409,6 @@ class MemDatabase:
         exceeding the bound proves the statistics are stale or the model's
         independence assumptions failed — overestimates are expected
         pessimism.
-    enable_topk:
-        When False the cost model never chooses the bounded top-k operator
-        for ORDER BY ... LIMIT (benchmark ablation of sort-then-slice).
     enable_parallel:
         Morsel-driven parallel execution (see :mod:`.parallel`): compiled
         query blocks whose costed :class:`~.optimizer.cost.ParallelDecision`
@@ -431,14 +423,6 @@ class MemDatabase:
         differential tests), and an injected :class:`~.parallel.WorkerPool`
         (default: one pool shared process-wide, so fresh engines per sweep
         point reuse warm threads).
-    enable_dict_encoding:
-        Storage-representation ablation flag: when True (default, or
-        ``None`` with ``REPRO_MEMDB_DICT`` unset/non-zero) TEXT columns are
-        stored as dictionary-encoded int32 codes plus a sorted value
-        dictionary; when False they stay plain object arrays (the v1
-        representation).  Results are byte-identical either way — compiled
-        plans are representation-agnostic, so this flag deliberately does
-        **not** participate in the plan-cache flavor.
     enable_tracing / tracer:
         Span-based query tracing (see :mod:`repro.obs`).  An explicit
         ``tracer`` wins; otherwise ``enable_tracing=True`` attaches the
@@ -464,33 +448,26 @@ class MemDatabase:
         plan_cache: PlanCache | None = None,
         enable_optimizer: bool = True,
         enable_adaptive: bool = True,
-        enable_topk: bool = True,
         adaptive_threshold: float | None = None,
         adaptive_min_rows: int | None = None,
         enable_parallel: bool | None = None,
         parallel_workers: int | None = None,
         parallel_threshold_rows: int | None = None,
         worker_pool: WorkerPool | None = None,
-        enable_dict_encoding: bool | None = None,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
         recursion_limit: int | None = None,
     ) -> None:
         self._tables: dict[str, Table] = {}
-        #: Iteration cap for WITH RECURSIVE fixpoints (interpreter and
-        #: compiled plans share it); a diverging UNION ALL raises instead of
-        #: hanging once the cap is reached.
+        #: Iteration cap for WITH RECURSIVE fixpoints; a diverging UNION ALL
+        #: raises instead of hanging once the cap is reached.
         self.recursion_limit = (
             DEFAULT_RECURSION_LIMIT if recursion_limit is None else int(recursion_limit)
-        )
-        self.enable_dict_encoding = (
-            dict_encoding_default() if enable_dict_encoding is None else bool(enable_dict_encoding)
         )
         self._plan_cache = _SHARED_PLAN_CACHE if plan_cache is None else plan_cache
         self._statistics = StatisticsCatalog()
         self.enable_optimizer = bool(enable_optimizer)
         self.enable_adaptive = bool(enable_adaptive) and self.enable_optimizer
-        self.enable_topk = bool(enable_topk)
         if enable_parallel is None:
             enable_parallel = bool(parallel_env_enabled())
         self.enable_parallel = bool(enable_parallel)
@@ -616,7 +593,6 @@ class MemDatabase:
             self._tables,
             self._statistics,
             enabled=self.enable_optimizer,
-            enable_topk=self.enable_topk,
             enable_parallel=self.enable_parallel,
             parallel_workers=self.parallel_workers,
             parallel_threshold_rows=self.parallel_threshold_rows,
@@ -693,7 +669,7 @@ class MemDatabase:
         point swapping its gate tables pays for the rows, not for a
         program text describing them.  Integer arrays store as ``BIGINT``,
         float arrays as ``DOUBLE`` (NaN is NULL), ``str``/``None`` arrays
-        as ``TEXT`` (dictionary-encoded when the engine is).  The arrays
+        as ``TEXT`` (dictionary-encoded).  The arrays
         are copied.  An existing name, columns of unequal length and
         arrays that fit no column type raise :class:`SQLExecutionError`
         and leave the catalog unchanged.
@@ -704,9 +680,9 @@ class MemDatabase:
         for column, values in columns.items():
             values = self._storable(name, column, values)
             # CREATE TABLE's empty column, then INSERT's append.
-            encoded[column] = EncodedColumn.empty(values.dtype, self.enable_dict_encoding)
+            encoded[column] = EncodedColumn.empty(values.dtype)
             encoded[column].append(values)
-        self._tables[name] = table = Table(name, encoded, dict_encode=self.enable_dict_encoding)
+        self._tables[name] = table = Table(name, encoded)
         self._statistics.invalidate(name)
         return table
 
@@ -733,7 +709,7 @@ class MemDatabase:
     def storage_stats(self, name: str | None = None) -> dict:
         """Encoded-storage accounting for one table or the whole catalog.
 
-        Reports per-column kinds (numeric / dict / object), chunk counts,
+        Reports per-column kinds (numeric / dict), chunk counts,
         code + dictionary + validity-bitmap bytes, dictionary sizes and
         rebuild counts — the numbers the columnar benchmarks surface next to
         their speedups.
@@ -742,7 +718,6 @@ class MemDatabase:
             return self.table(name).storage_stats()
         tables = {table_name: table.storage_stats() for table_name, table in self._tables.items()}
         return {
-            "dict_encoding": self.enable_dict_encoding,
             "total_bytes": sum(stats["total_bytes"] for stats in tables.values()),
             "tables": tables,
         }
@@ -813,7 +788,7 @@ class MemDatabase:
             return result
         # Cold path: optimize + compile each statement just before executing
         # it, so a compile-time error in statement k still leaves the effects
-        # of statements 1..k-1 (matching the old parse-then-interpret order).
+        # of statements 1..k-1.
         # Only fully successful scripts enter the cache; EXPLAIN / ANALYZE
         # statements are never cached (their output depends on live state).
         if tracer is not None:
@@ -1092,12 +1067,9 @@ class MemDatabase:
         return [self.execute(sql) for sql in statements]
 
     def _execute_statement(self, statement: Statement) -> QueryResult:
-        if isinstance(statement, (Select, WithSelect)):
-            return self._run_query(statement)
+        """Run a statement that has no compiled plan (DDL, DML, ANALYZE, EXPLAIN)."""
         if isinstance(statement, CreateTable):
             return self._create_table(statement)
-        if isinstance(statement, CreateTableAs):
-            return self._create_table_as(statement)
         if isinstance(statement, Insert):
             return self._insert(statement)
         if isinstance(statement, Delete):
@@ -1112,10 +1084,6 @@ class MemDatabase:
 
     # --------------------------------------------------------------- handlers
 
-    def _run_query(self, statement: Select | WithSelect) -> QueryResult:
-        executor = SelectExecutor(self._tables, recursion_limit=self.recursion_limit)
-        return QueryResult(*executor.execute(statement))
-
     def _run_compiled_create(
         self,
         plan: CompiledCreateTableAs,
@@ -1123,8 +1091,15 @@ class MemDatabase:
         pool: WorkerPool | None = None,
         tracer: Tracer | None = None,
     ) -> QueryResult:
-        if plan.name in self._tables:
-            raise SQLExecutionError(f"table {plan.name!r} already exists")
+        """``CREATE TABLE AS``: store a query's result columns as a new table.
+
+        The vectors are copied: a block that passes a column through
+        untouched returns the source table's own array, and a stored table
+        must never alias another table's storage.
+        """
+        name = plan.name
+        if name in self._tables:
+            raise SQLExecutionError(f"table {name!r} already exists")
         names, vectors = plan.script.execute(
             self._tables,
             trace=trace,
@@ -1132,23 +1107,10 @@ class MemDatabase:
             tracer=tracer,
             recursion_limit=self.recursion_limit,
         )
-        return self._store_query_result(plan.name, names, vectors)
-
-    def _store_query_result(
-        self, name: str, names: list[str], vectors: list[np.ndarray]
-    ) -> QueryResult:
-        """``CREATE TABLE AS``: store a query's result columns as a new table.
-
-        The vectors are copied: a block that passes a column through
-        untouched returns the source table's own array, and a stored table
-        must never alias another table's storage.
-        """
         if len(set(names)) != len(names):
             raise SQLExecutionError(f"duplicate column name in CREATE TABLE {name} AS: {names}")
         self._tables[name] = table = Table(
-            name,
-            {column: values.copy() for column, values in zip(names, vectors)},
-            dict_encode=self.enable_dict_encoding,
+            name, {column: values.copy() for column, values in zip(names, vectors)}
         )
         self._statistics.invalidate(name)
         return QueryResult([], rowcount=table.num_rows)
@@ -1157,18 +1119,9 @@ class MemDatabase:
         if statement.name in self._tables:
             raise SQLExecutionError(f"table {statement.name!r} already exists")
         column_types = [(column.name, column.type_name) for column in statement.columns]
-        self._tables[statement.name] = Table.empty(
-            statement.name, column_types, dict_encode=self.enable_dict_encoding
-        )
+        self._tables[statement.name] = Table.empty(statement.name, column_types)
         self._statistics.invalidate(statement.name)
         return QueryResult([], rowcount=0)
-
-    def _create_table_as(self, statement: CreateTableAs) -> QueryResult:
-        if statement.name in self._tables:
-            raise SQLExecutionError(f"table {statement.name!r} already exists")
-        executor = SelectExecutor(self._tables, recursion_limit=self.recursion_limit)
-        names, vectors = executor.execute(statement.query)
-        return self._store_query_result(statement.name, names, vectors)
 
     def _insert(self, statement: Insert) -> QueryResult:
         table = self.table(statement.table)

@@ -1,11 +1,11 @@
-"""Vectorized query executor for the embedded columnar engine.
+"""Vectorized execution kernels for the embedded columnar engine.
 
-The executor evaluates parsed statements against :class:`~.table.Table`
-objects.  SELECT execution follows the textbook pipeline — FROM, JOIN
-(vectorized hash join), WHERE, GROUP BY (vectorized hash aggregation via
-``np.unique``), HAVING, projection, DISTINCT, ORDER BY, LIMIT — operating on
-whole numpy columns throughout, which is the "columnar, vectorized execution"
-behaviour the engine substitutes for DuckDB.
+The compiled plans of :mod:`.planner` run every SELECT through the kernels
+here, in the textbook pipeline order — FROM, JOIN (vectorized hash join),
+WHERE, GROUP BY (vectorized hash aggregation), HAVING, projection, DISTINCT,
+ORDER BY, LIMIT — operating on whole numpy columns throughout, which is the
+"columnar, vectorized execution" behaviour the engine substitutes for
+DuckDB.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .ast_nodes import (
     FunctionCall,
     InList,
     IsNull,
-    Join,
     Literal,
     OrderItem,
     Select,
@@ -37,7 +36,6 @@ from .ast_nodes import (
     UnaryOp,
     WindowFunction,
     WindowSpec,
-    WithSelect,
     transform_expression,
 )
 from .column import (
@@ -51,7 +49,7 @@ from .column import (
     text_codes,
     to_pylist,
 )
-from .table import Table, TransientTable
+from .table import TransientTable
 
 #: Compute frames map column keys to plain numpy vectors or dictionary-
 #: encoded text vectors (:class:`DictArray`); every kernel below accepts
@@ -329,8 +327,8 @@ def _text_operand_error(operator: str, error: Exception, *operands) -> Exception
 class ExpressionEvaluator:
     """Evaluates scalar (non-aggregate) expressions over a column frame.
 
-    The one expression evaluator of the engine: the interpreter, compiled
-    plans and the morsel-parallel operators all call :meth:`evaluate`.
+    The one expression evaluator of the engine: compiled plans, DELETE
+    predicates and the morsel-parallel operators all call :meth:`evaluate`.
     Internally a node evaluates to a row-aligned vector or — for literals
     and constant subtrees — a 0-d scalar; only :meth:`evaluate` broadcasts.
     """
@@ -632,10 +630,9 @@ WINDOW_AGGREGATE_FUNCTIONS = {"sum", "count", "min", "max", "avg", "total"}
 def validate_window_usage(select: Select, has_aggregates: bool) -> bool:
     """Check window placement rules; returns whether the SELECT has windows.
 
-    Shared by the interpreter and the planner so both reject exactly the
-    same shapes: window calls outside the SELECT list, and windows mixed
-    with GROUP BY / plain aggregates (evaluation order would be ambiguous
-    in the supported subset).
+    The planner calls it at compile time to reject window calls outside the
+    SELECT list, and windows mixed with GROUP BY / plain aggregates
+    (evaluation order would be ambiguous in the supported subset).
     """
     outside: list[Expression] = []
     if select.where is not None:
@@ -1055,6 +1052,18 @@ def vectors_from_rows(width: int, rows: Sequence[tuple]) -> list[np.ndarray]:
     return [_column_array([row[index] for row in rows]) for index in range(width)]
 
 
+def cte_output_names(name: str, alias_columns: Sequence[str], names: Sequence[str]) -> list[str]:
+    """A CTE's output names: its declared column alias list, else its query's."""
+    if not alias_columns:
+        return list(names)
+    if len(alias_columns) != len(names):
+        raise SQLExecutionError(
+            f"CTE {name!r} declares {len(alias_columns)} columns "
+            f"but its query returns {len(names)}"
+        )
+    return list(alias_columns)
+
+
 def run_compound_cte(
     name: str,
     compound: CompoundSelect,
@@ -1067,8 +1076,8 @@ def run_compound_cte(
 ) -> tuple[list[str], list[np.ndarray]]:
     """Evaluate a ``UNION [ALL]`` CTE body, recursively when self-referencing.
 
-    The shared fixpoint driver behind both the interpreter and the compiled
-    plan: ``run_base`` evaluates the base term once, then ``run_step``
+    The fixpoint driver behind the compiled plan's UNION CTE operator:
+    ``run_base`` evaluates the base term once, then ``run_step``
     evaluates the recursive term against a frontier table bound to the
     CTE's own name — breadth-first semi-naive evaluation, where each step
     sees only the rows the previous step produced.  ``UNION`` deduplicates
@@ -1099,12 +1108,7 @@ def run_compound_cte(
         )
 
     base_names, base_vectors = run_base()
-    names = list(alias_columns) if alias_columns else list(base_names)
-    if alias_columns and len(alias_columns) != len(base_names):
-        raise SQLExecutionError(
-            f"CTE {name!r} declares {len(alias_columns)} columns "
-            f"but its query returns {len(base_names)}"
-        )
+    names = cte_output_names(name, alias_columns, base_names)
     base_rows = rows_from_vectors(base_vectors)
 
     dedup = not compound.all
@@ -1170,7 +1174,7 @@ def run_compound_cte(
 
 
 # ---------------------------------------------------------------------------
-# Join machinery (shared by the interpreter and compiled plans)
+# Join machinery
 # ---------------------------------------------------------------------------
 
 
@@ -1355,7 +1359,7 @@ def hash_join_frames(
 
 
 # ---------------------------------------------------------------------------
-# Projection / post-processing stages (shared by interpreter and plans)
+# Projection / post-processing stages
 # ---------------------------------------------------------------------------
 
 
@@ -1603,11 +1607,6 @@ def order_vectors(
     return [values[order] for values in vectors]
 
 
-#: Runtime fallback threshold: with no compiled decision, the ordered-prefix
-#: partition pass is used once the input is this many times larger than k.
-_TOPK_RUNTIME_FACTOR = 4
-
-
 def limit_bounds(select: Select) -> tuple[int, int | None]:
     """``(start, stop)`` slice bounds of LIMIT/OFFSET under SQLite semantics.
 
@@ -1628,14 +1627,13 @@ def postprocess_select(
     frame: Frame | None,
     length: int,
     has_aggregates: bool,
-    use_topk: bool | None = None,
+    use_topk: bool = False,
     observe: "Callable[[int], None] | None" = None,
 ) -> tuple[list[str], list[np.ndarray]]:
-    """Apply the shared SELECT tail: HAVING validation, DISTINCT, ORDER BY, LIMIT.
+    """Apply the SELECT tail: HAVING validation, DISTINCT, ORDER BY, LIMIT.
 
     ``use_topk`` carries the compiled plan's costed top-k decision (push the
-    LIMIT+OFFSET prefix below ORDER BY via a bounded selection); ``None``
-    (the interpreter) decides at runtime from the actual row count.  Both
+    LIMIT+OFFSET prefix below ORDER BY via a bounded selection).  Both
     strategies produce identical rows — top-k reproduces the stable full
     sort exactly — so the choice is purely a matter of cost.
 
@@ -1673,14 +1671,9 @@ def postprocess_select(
         # Of two output columns with one name ORDER BY sees the first.
         order_frame: Frame = dict(frame) if aligned else {}
         order_frame.update(zip(reversed(names), reversed(vectors)))
-        prefix = None
-        if stop is not None and stop < result_length:
-            if use_topk or (
-                use_topk is None and result_length >= _TOPK_RUNTIME_FACTOR * max(stop, 1)
-            ):
-                prefix = stop
         vectors = order_vectors(
-            vectors, select.order_by, result_length, order_frame, prefix=prefix
+            vectors, select.order_by, result_length, order_frame,
+            prefix=stop if use_topk else None,
         )
 
     if select.limit is not None or start:
@@ -1690,7 +1683,7 @@ def postprocess_select(
 
 
 # ---------------------------------------------------------------------------
-# SELECT execution
+# Query results
 # ---------------------------------------------------------------------------
 
 
@@ -1745,105 +1738,3 @@ class QueryResult:
     def __repr__(self) -> str:
         return f"QueryResult(columns={self.columns}, rows={len(self)})"
 
-
-class SelectExecutor:
-    """Executes SELECT / WITH-SELECT statements against a table catalog."""
-
-    def __init__(
-        self, catalog: Mapping[str, Table], recursion_limit: int = DEFAULT_RECURSION_LIMIT
-    ) -> None:
-        self._catalog = catalog
-        self._recursion_limit = recursion_limit
-
-    # ------------------------------------------------------------- plumbing
-
-    def _resolve(
-        self, name: str, ctes: Mapping[str, TransientTable]
-    ) -> Table | TransientTable:
-        if name in ctes:
-            return ctes[name]
-        if name in self._catalog:
-            return self._catalog[name]
-        raise SQLExecutionError(f"no such table: {name}")
-
-    def execute(self, statement: Select | WithSelect) -> tuple[list[str], list[np.ndarray]]:
-        """Run a query; returns (column names, aligned column vectors)."""
-        if isinstance(statement, WithSelect):
-            ctes: dict[str, TransientTable] = {}
-            for cte in statement.ctes:
-                if isinstance(cte.query, CompoundSelect):
-                    names, vectors = run_compound_cte(
-                        cte.name,
-                        cte.query,
-                        statement.recursive,
-                        cte.columns,
-                        run_base=lambda q=cte.query.left, bound=dict(ctes): self._execute_select(
-                            q, bound
-                        ),
-                        run_step=lambda frontier, q=cte.query.right, n=cte.name, bound=dict(
-                            ctes
-                        ): self._execute_select(
-                            q, {**bound, n: frontier} if frontier is not None else bound
-                        ),
-                        recursion_limit=self._recursion_limit,
-                    )
-                else:
-                    names, vectors = self._execute_select(cte.query, ctes)
-                    if cte.columns:
-                        if len(cte.columns) != len(names):
-                            raise SQLExecutionError(
-                                f"CTE {cte.name!r} declares {len(cte.columns)} columns "
-                                f"but its query returns {len(names)}"
-                            )
-                        names = list(cte.columns)
-                ctes[cte.name] = TransientTable(cte.name, names, vectors)
-            return self._execute_select(statement.query, ctes)
-        return self._execute_select(statement, {})
-
-    # -------------------------------------------------------------- pipeline
-
-    def _execute_select(
-        self, select: Select, ctes: Mapping[str, TransientTable]
-    ) -> tuple[list[str], list[np.ndarray]]:
-        frame, length = self._build_frame(select, ctes)
-
-        if select.where is not None:
-            frame, length = apply_filter(frame, length, select.where)
-
-        has_aggregates = select_has_aggregates(select)
-        has_windows = validate_window_usage(select, has_aggregates)
-
-        if select.group_by or has_aggregates:
-            names, vectors = grouped_projection(select, frame, length)
-        elif has_windows:
-            names, vectors, frame = windowed_projection(select, frame, length)
-        else:
-            names, vectors = plain_projection(select.items, frame, length)
-
-        return postprocess_select(select, names, vectors, frame, length, has_aggregates)
-
-    def _build_frame(
-        self, select: Select, ctes: Mapping[str, TransientTable]
-    ) -> tuple[Frame, int]:
-        if select.source is None:
-            # SELECT without FROM: a single synthetic row.
-            return {}, 1
-        base_table = self._resolve(select.source.name, ctes)
-        frame = base_table.frame(select.source.binding)
-        length = base_table.num_rows
-        if select.source.filter is not None:
-            frame, length = apply_filter(frame, length, select.source.filter)
-
-        for join in select.joins:
-            if join.kind != "inner":
-                raise SQLExecutionError(f"{join.kind.upper()} JOIN is not supported by the embedded engine")
-            right_table = self._resolve(join.source.name, ctes)
-            right_frame = right_table.frame(join.source.binding)
-            right_length = right_table.num_rows
-            if join.source.filter is not None:
-                right_frame, right_length = apply_filter(right_frame, right_length, join.source.filter)
-            left_key, right_key = split_join_condition(join.condition, frame, right_frame)
-            frame, length = hash_join_frames(
-                frame, length, right_frame, right_length, left_key, right_key
-            )
-        return frame, length

@@ -70,7 +70,6 @@ class Optimizer:
         catalog: Mapping[str, Table],
         statistics: Optional[StatisticsCatalog] = None,
         enabled: bool = True,
-        enable_topk: bool = True,
         enable_parallel: bool = False,
         parallel_workers: int = 1,
         parallel_threshold_rows: float | None = None,
@@ -78,7 +77,6 @@ class Optimizer:
         self._catalog = catalog
         self._statistics = statistics
         self.enabled = enabled
-        self.enable_topk = enable_topk
         self.enable_parallel = enable_parallel
         self.parallel_workers = parallel_workers
         self.parallel_threshold_rows = parallel_threshold_rows
@@ -88,7 +86,6 @@ class Optimizer:
         return CostModel(
             self._catalog,
             self._statistics,
-            enable_topk=self.enable_topk,
             enable_parallel=self.enable_parallel,
             parallel_workers=self.parallel_workers,
             parallel_threshold_rows=self.parallel_threshold_rows,

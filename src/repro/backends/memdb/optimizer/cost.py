@@ -260,7 +260,6 @@ class CostModel:
         catalog: Mapping[str, Table] | None = None,
         statistics: StatisticsCatalog | None = None,
         derived_rows: Mapping[str, float] | None = None,
-        enable_topk: bool = True,
         enable_parallel: bool = False,
         parallel_workers: int = 1,
         parallel_threshold_rows: float | None = None,
@@ -268,7 +267,6 @@ class CostModel:
         self._catalog = catalog or {}
         self._statistics = statistics
         self._derived = dict(derived_rows or {})
-        self.enable_topk = bool(enable_topk)
         self.enable_parallel = bool(enable_parallel)
         self.parallel_workers = max(1, int(parallel_workers))
         #: Optional break-even override: when set, a block goes parallel as
@@ -676,7 +674,7 @@ class CostModel:
         # Partition pass over the input plus a full sort of the ~k survivors.
         candidates = min(rows, float(max(k, 1)) * 2.0)
         topk_cost = rows * TOPK_ROW_COST + candidates * max(1.0, math.log2(candidates + 2))
-        use_topk = self.enable_topk and k > 0 and topk_cost < sort_cost
+        use_topk = k > 0 and topk_cost < sort_cost
         return TopKDecision(
             k=k,
             use_topk=use_topk,
@@ -727,11 +725,7 @@ class CostModel:
 
     def _table_width(self, name: str) -> int:
         if name in self._catalog:
-            # Representation-aware width: numeric and dictionary-encoded
-            # columns move 8-byte words, object columns move Python
-            # references plus boxed values (weight 4).  All-numeric tables
-            # keep their historical per-column weight of 1.
-            return max(1, self._catalog[name].width_weight())
+            return max(1, self._catalog[name].num_columns)
         stats = self.table_stats(name)
         if stats is not None and stats.columns:
             return max(1, len(stats.columns))

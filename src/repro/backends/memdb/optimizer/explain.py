@@ -93,8 +93,8 @@ def render_explain(
     """Render an EXPLAIN (ANALYZE) result as text lines.
 
     ``plan`` is a :class:`~..planner.CompiledScript` /
-    :class:`~..planner.CompiledCreateTableAs` or ``None`` for statements that
-    run on the interpreter (DDL, INSERT, DELETE).
+    :class:`~..planner.CompiledCreateTableAs` or ``None`` for statements
+    without a compiled plan (DDL, INSERT, DELETE).
     """
     from ..planner import CompiledCreateTableAs, CompiledScript  # local: avoid cycle
 
@@ -120,7 +120,8 @@ def render_explain(
         info_by_label = (
             {query.label: query for query in report.queries} if report is not None else {}
         )
-        blocks = [(name, compiled) for name, compiled in plan.ctes] + [("main", plan.query)]
+        blocks = [(name, compiled) for name, compiled, _columns in plan.ctes]
+        blocks.append(("main", plan.query))
         for label, compiled in blocks:
             info = info_by_label.get(label)
             header = f"{label}:"

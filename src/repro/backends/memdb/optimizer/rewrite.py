@@ -301,8 +301,8 @@ class Scope:
 def referenced_stored_tables(query: Select | WithSelect) -> set[str]:
     """Stored-table names a query's scans resolve against.
 
-    CTE names shadow the catalog in definition order — exactly how both the
-    interpreter and compiled plans resolve them — so this is the one walker
+    CTE names shadow the catalog in definition order — exactly how compiled
+    plans resolve them — so this is the one walker
     the rewrite rules *and* the engine's plan-cache schema fingerprint share
     for "which catalog tables does this query actually read".
     """

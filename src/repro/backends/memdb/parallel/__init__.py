@@ -12,9 +12,9 @@ Two design rules govern every operator in this package:
 * **Order-restoring merges.**  Each morsel's result is merged back in morsel
   order (concatenation for row-parallel operators, key-ordered scatter for
   partitioned aggregation), so a parallel execution produces *byte-identical*
-  results to the serial operators in :mod:`..executor` — the serial
-  interpreter remains the reference implementation the differential tests
-  compare against, and parallelism is purely a physical choice.
+  results to the serial operators in :mod:`..executor` — the differential
+  tests compare the two engines bit for bit, and parallelism is purely a
+  physical choice.
 * **Cost-gated dispatch.**  Whether a query block runs parallel is a costed
   plan decision (:class:`~..optimizer.cost.ParallelDecision`), not a global
   switch: the planner compares estimated rows x operator cost against the

@@ -1,11 +1,10 @@
 """Physical-plan compiler for the embedded columnar engine.
 
-The interpreter in :mod:`.executor` re-analyzes every statement on every
-execution: it re-walks the AST to find aggregates, re-splits join conditions
-against runtime frames, and re-dispatches per node.  The paper's hot loop
+Every query the engine runs goes through this module.  The paper's hot loop
 (one join-aggregate per gate, repeated for every parameter-sweep point)
-executes *structurally identical* statements thousands of times, so this
-module compiles a parsed statement once into a reusable physical plan:
+executes *structurally identical* statements thousands of times, so a
+parsed statement is compiled once into a reusable physical plan over the
+kernels of :mod:`.executor`:
 
 * ``compile_statement`` turns a ``Select`` / ``WithSelect`` /
   ``CreateTableAs`` AST into a pipeline of operators (scan → hash-join →
@@ -21,12 +20,11 @@ module compiles a parsed statement once into a reusable physical plan:
   names against the calling database's catalog, so a cached plan can be
   re-bound to fresh gate/state tables (the parameter-sweep reuse path).
 
-Statement kinds the compiler does not cover (INSERT, DELETE, DDL) return
-``None`` from ``compile_statement`` and run on the interpreter unchanged.
-Every supported SELECT shape is plannable — only the *fused* operator is
-conditional, degrading to the generic pipeline — so the interpreter's
-``SelectExecutor`` serves as the reference implementation the differential
-tests compare against.
+Every ``Select`` / ``WithSelect`` / ``CreateTableAs`` compiles — only the
+*fused* operator is conditional, degrading to the generic pipeline.  The
+other statement kinds (INSERT, DELETE, DDL, ANALYZE, EXPLAIN) return ``None``
+from ``compile_statement`` and the engine runs them directly.  The
+differential tests check compiled results against ``sqlite3``.
 """
 
 from __future__ import annotations
@@ -63,6 +61,7 @@ from .executor import (
     ExpressionEvaluator,
     Frame,
     apply_filter,
+    cte_output_names,
     factorize_codes,
     grouped_projection,
     hash_join_frames,
@@ -95,7 +94,7 @@ Resolver = Callable[[str], Table | TransientTable]
 
 
 class PlanNotSupported(Exception):
-    """Internal signal: this statement shape must run on the interpreter."""
+    """Internal signal: this block does not fit the fused gate-step operator."""
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +365,7 @@ class CompiledQuery:
         self.has_aggregates = select_has_aggregates(select)
         self.grouped = bool(select.group_by) or self.has_aggregates
         # Raises SQLExecutionError for invalid placements (windows outside
-        # the SELECT list, windows mixed with grouping) exactly like the
-        # interpreter would.
+        # the SELECT list, windows mixed with grouping).
         self.windowed = validate_window_usage(select, self.has_aggregates)
         self.fusion: FusionDecision | None = None
         model = cost if cost is not None else CostModel()
@@ -415,7 +413,7 @@ class CompiledQuery:
         result.
         """
         select = self.select
-        use_topk = None if self.topk is None else self.topk.use_topk
+        use_topk = self.topk is not None and self.topk.use_topk
         if pool is not None and not self.parallel.use_parallel:
             pool = None
         if tracer is not None:
@@ -553,8 +551,8 @@ class CompiledCompoundCTE:
 
     Holds one compiled plan per branch: ``base`` runs once, ``step`` runs
     once per fixpoint iteration with the CTE's own name bound to the current
-    frontier (see :func:`~.executor.run_compound_cte`, which both the
-    interpreter and this operator share).  ``parallel`` is a declined
+    frontier (see :func:`~.executor.run_compound_cte`, which also applies
+    the CTE's column alias list).  ``parallel`` is a declined
     decision — iterations are inherently sequential, and each step is
     usually tiny — so :meth:`CompiledScript.uses_parallel` and the block
     spans keep working unchanged.  ``last_iterations`` records the most
@@ -635,12 +633,20 @@ class CompiledCompoundCTE:
 
 
 class CompiledScript:
-    """A compiled ``WithSelect``: CTE plans executed in order, then the query."""
+    """A compiled ``WithSelect``: CTE plans executed in order, then the query.
+
+    Each CTE entry is ``(name, plan, alias_columns)``.  ``alias_columns``
+    is the declared column list of a ``WITH u(p, q) AS (SELECT ...)`` CTE,
+    renaming the body's output names; it is empty when the CTE declares
+    none and for UNION bodies, whose fixpoint operator applies its own.
+    """
 
     __slots__ = ("ctes", "query")
 
     def __init__(
-        self, ctes: "list[tuple[str, CompiledQuery | CompiledCompoundCTE]]", query: CompiledQuery
+        self,
+        ctes: "list[tuple[str, CompiledQuery | CompiledCompoundCTE, tuple[str, ...]]]",
+        query: CompiledQuery,
     ) -> None:
         self.ctes = ctes
         self.query = query
@@ -648,7 +654,7 @@ class CompiledScript:
     def uses_parallel(self) -> bool:
         """True when at least one block's costed decision chose parallel."""
         return any(
-            plan.parallel.use_parallel for _name, plan in self.ctes
+            plan.parallel.use_parallel for _name, plan, _columns in self.ctes
         ) or self.query.parallel.use_parallel
 
     def execute(
@@ -683,7 +689,7 @@ class CompiledScript:
 
         observed: list[int] = []
         observe = observed.append if (trace is not None or tracer is not None) else None
-        for name, plan in self.ctes:
+        for name, plan, alias_columns in self.ctes:
             extra = (
                 {"recursion_limit": recursion_limit}
                 if isinstance(plan, CompiledCompoundCTE)
@@ -696,12 +702,16 @@ class CompiledScript:
                     names, vectors = plan.execute(
                         resolve, observe=observe, pool=pool, tracer=tracer, **extra
                     )
+                    if alias_columns:
+                        names = cte_output_names(name, alias_columns, names)
                     ctes[name] = TransientTable(name, names, vectors)
                     span.attrs["rows"] = observed[-1] if observed else ctes[name].num_rows
                     if isinstance(plan, CompiledCompoundCTE):
                         span.attrs["iterations"] = plan.last_iterations
             else:
                 names, vectors = plan.execute(resolve, observe=observe, pool=pool, **extra)
+                if alias_columns:
+                    names = cte_output_names(name, alias_columns, names)
                 ctes[name] = TransientTable(name, names, vectors)
             if trace is not None:
                 trace(name, observed[-1] if observed else ctes[name].num_rows)
@@ -827,32 +837,20 @@ def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
     )
 
 
-def _compile_select(select: Select, cost: CostModel | None = None) -> CompiledQuery:
-    return CompiledQuery(select, cost)
-
-
 def _compile_script(query: Select | WithSelect, cost: CostModel | None = None) -> CompiledScript:
     """Compile a query (with any CTEs) into one executable script."""
     if isinstance(query, WithSelect):
-        ctes: list[tuple[str, CompiledQuery | CompiledCompoundCTE]] = []
+        ctes: list[tuple[str, CompiledQuery | CompiledCompoundCTE, tuple[str, ...]]] = []
         for cte in query.ctes:
             if isinstance(cte.query, CompoundSelect):
-                ctes.append(
-                    (
-                        cte.name,
-                        CompiledCompoundCTE(
-                            cte.name, cte.query, query.recursive, cte.columns, cost
-                        ),
-                    )
+                compound = CompiledCompoundCTE(
+                    cte.name, cte.query, query.recursive, cte.columns, cost
                 )
-            elif cte.columns:
-                # The interpreter handles the output-column rename; rare
-                # enough that a compiled fast path is not worth mirroring.
-                raise PlanNotSupported("CTE column alias list")
+                ctes.append((cte.name, compound, ()))
             else:
-                ctes.append((cte.name, _compile_select(cte.query, cost)))
-        return CompiledScript(ctes, _compile_select(query.query, cost))
-    return CompiledScript([], _compile_select(query, cost))
+                ctes.append((cte.name, CompiledQuery(cte.query, cost), cte.columns))
+        return CompiledScript(ctes, CompiledQuery(query.query, cost))
+    return CompiledScript([], CompiledQuery(query, cost))
 
 
 def compile_statement(
@@ -865,18 +863,15 @@ def compile_statement(
     model with no statistics is used, so the choice is still cost-based but
     falls back to conservative estimates.
 
-    Returns ``None`` for statement kinds the planner does not cover (INSERT,
-    DELETE, DDL, ...), which the engine then routes to the interpreter.
-    Statement shapes that are outright invalid (e.g. LEFT JOIN) raise
-    :class:`SQLExecutionError` exactly like the interpreter would.
+    Every ``Select`` / ``WithSelect`` / ``CreateTableAs`` compiles; the
+    other statement kinds (INSERT, DELETE, DDL, ANALYZE, EXPLAIN) return
+    ``None`` and the engine runs them directly.  Statement shapes that are
+    outright invalid (e.g. LEFT JOIN) raise :class:`SQLExecutionError`.
     """
-    try:
-        if isinstance(statement, (Select, WithSelect)):
-            return _compile_script(statement, cost)
-        if isinstance(statement, CreateTableAs):
-            return CompiledCreateTableAs(
-                statement.name, statement.temporary, _compile_script(statement.query, cost)
-            )
-    except PlanNotSupported:
-        return None
+    if isinstance(statement, (Select, WithSelect)):
+        return _compile_script(statement, cost)
+    if isinstance(statement, CreateTableAs):
+        return CompiledCreateTableAs(
+            statement.name, statement.temporary, _compile_script(statement.query, cost)
+        )
     return None

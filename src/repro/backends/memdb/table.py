@@ -2,8 +2,7 @@
 
 A :class:`Table` stores each column as an :class:`EncodedColumn` — int64 /
 float64 chunks for numerics, dictionary-encoded ``int32`` codes plus a
-sorted value dictionary for text (object chunks in the
-``REPRO_MEMDB_DICT=0`` ablation) — with a packed validity bitmap per
+sorted value dictionary for text — with a packed validity bitmap per
 chunk.  The compute layer sees a contiguous materialization per column:
 a plain numpy array for numerics, a
 :class:`~repro.backends.memdb.column.DictArray` for encoded text.  That is
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ...errors import SQLExecutionError
-from .column import DictArray, EncodedColumn, dict_encoding_default
+from .column import DictArray, EncodedColumn
 
 #: SQL type names mapped to numpy dtypes.
 _TYPE_MAP = {
@@ -71,30 +70,20 @@ def _bound_frame(
 class Table:
     """A named collection of equally-long encoded columns."""
 
-    __slots__ = ("name", "_columns", "_dtypes", "_schema_signature", "_dict_encode")
+    __slots__ = ("name", "_columns", "_dtypes", "_schema_signature")
 
     def __init__(
         self,
         name: str,
         columns: dict[str, np.ndarray | DictArray | EncodedColumn],
-        dict_encode: bool | None = None,
     ) -> None:
         self.name = name
-        # dict_encode=None is *representation-preserving*: DictArray inputs
-        # stay encoded, object arrays stay object.  The engine passes an
-        # explicit flag at every CREATE TABLE / INSERT site (results that
-        # only cross a CTE edge never become a Table: see TransientTable).
-        self._dict_encode = dict_encode
-        self._columns: dict[str, EncodedColumn] = {}
-        for column, values in columns.items():
-            if isinstance(values, EncodedColumn):
-                self._columns[column] = values
-            elif isinstance(values, DictArray):
-                self._columns[column] = EncodedColumn.from_array(values, dict_encode=dict_encode)
-            else:
-                array = np.asarray(values)
-                encode = dict_encode if array.dtype.kind in ("O", "U") else None
-                self._columns[column] = EncodedColumn.from_array(array, dict_encode=encode)
+        self._columns: dict[str, EncodedColumn] = {
+            column: (
+                values if isinstance(values, EncodedColumn) else EncodedColumn.from_array(values)
+            )
+            for column, values in columns.items()
+        }
         lengths = {encoded.num_rows for encoded in self._columns.values()}
         if len(lengths) > 1:
             raise SQLExecutionError(f"table {name!r}: column lengths differ ({lengths})")
@@ -103,8 +92,7 @@ class Table:
         # (append_rows coerces to the declared dtypes; dictionary growth
         # never changes the logical type), so the signature the plan cache
         # checks on every hit is computed exactly once.  Text columns sign
-        # as "object" regardless of encoding, keeping compiled plans
-        # representation-agnostic.
+        # as "object".
         self._schema_signature = tuple(
             (column, _dtype_name(dtype)) for column, dtype in self._dtypes.items()
         )
@@ -112,27 +100,15 @@ class Table:
     # ------------------------------------------------------------- factories
 
     @classmethod
-    def empty(
-        cls,
-        name: str,
-        column_types: Sequence[tuple[str, str]],
-        dict_encode: bool | None = None,
-    ) -> "Table":
+    def empty(cls, name: str, column_types: Sequence[tuple[str, str]]) -> "Table":
         """An empty table with declared column types."""
-        columns = {
-            column: np.empty(0, dtype=dtype_for_sql_type(type_name))
-            for column, type_name in column_types
-        }
-        encode = dict_encoding_default() if dict_encode is None else bool(dict_encode)
-        table = cls(name, columns, dict_encode=encode)
-        # np.empty(0, object) materializes as an object column; re-seed text
-        # columns as empty dictionary columns when encoding is on so the
-        # first INSERT lands in the encoded representation.
-        if encode:
-            for column, type_name in column_types:
-                if dtype_for_sql_type(type_name) == object:
-                    table._columns[column] = EncodedColumn.empty(object, dict_encode=True)
-        return table
+        return cls(
+            name,
+            {
+                column: EncodedColumn.empty(dtype_for_sql_type(type_name))
+                for column, type_name in column_types
+            },
+        )
 
     # ------------------------------------------------------------ properties
 
@@ -154,13 +130,6 @@ class Table:
         """Number of columns."""
         return len(self._columns)
 
-    @property
-    def dict_encoded(self) -> bool:
-        """True when any text column uses dictionary encoding."""
-        if any(encoded.kind == "dict" for encoded in self._columns.values()):
-            return True
-        return bool(self._dict_encode)
-
     def column(self, name: str) -> np.ndarray | DictArray:
         """The contiguous vector backing one column (cached materialization)."""
         if name not in self._columns:
@@ -181,24 +150,11 @@ class Table:
         """Approximate in-memory size of the encoded column data."""
         return int(sum(encoded.nbytes() for encoded in self._columns.values()))
 
-    def column_width_weight(self, name: str) -> int:
-        """Relative cost-model weight of moving one value of this column."""
-        if name not in self._columns:
-            return 1
-        return self._columns[name].width_weight()
-
-    def width_weight(self) -> int:
-        """Summed column weights (cost model's representation-aware width)."""
-        if not self._columns:
-            return 1
-        return sum(encoded.width_weight() for encoded in self._columns.values())
-
     def storage_stats(self) -> dict:
         """Storage accounting per column plus table totals."""
         columns = {name: encoded.storage_stats() for name, encoded in self._columns.items()}
         return {
             "rows": self.num_rows,
-            "dict_encoded": self.dict_encoded,
             "total_bytes": self.estimated_bytes(),
             "columns": columns,
         }

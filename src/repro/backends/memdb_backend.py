@@ -42,9 +42,6 @@ class MemDBBackend(RelationalBackend):
         factors and flag the cached plan for re-planning (see
         :class:`~.memdb.engine.MemDatabase`).  Disable to pin stale plans
         (benchmark ablation).
-    enable_topk:
-        Allow the costed top-k operator for ORDER BY ... LIMIT; disable to
-        force full sort-then-slice (benchmark ablation).
     enable_parallel / parallel_workers / parallel_threshold_rows:
         Morsel-driven parallel execution of compiled plans (scans, filters,
         hash-join probes, partitioned aggregation) on the engine's shared
@@ -52,12 +49,6 @@ class MemDBBackend(RelationalBackend):
         an optional break-even override in estimated rows), and results
         stay byte-identical to serial execution.  ``enable_parallel=None``
         follows the ``REPRO_MEMDB_PARALLEL`` environment variable.
-    enable_dict_encoding:
-        Dictionary-encode TEXT columns (int32 codes + sorted value
-        dictionary) in the embedded engine's columnar storage; results are
-        byte-identical either way (benchmark ablation).
-        ``enable_dict_encoding=None`` follows the ``REPRO_MEMDB_DICT``
-        environment variable (default on).
     enable_tracing / tracer:
         Span-based query tracing (see :mod:`repro.obs` and
         :class:`~.memdb.engine.MemDatabase`): every traced execution
@@ -81,11 +72,9 @@ class MemDBBackend(RelationalBackend):
         plan_cache: PlanCache | None = None,
         enable_optimizer: bool = True,
         enable_adaptive: bool = True,
-        enable_topk: bool = True,
         enable_parallel: bool | None = None,
         parallel_workers: int | None = None,
         parallel_threshold_rows: int | None = None,
-        enable_dict_encoding: bool | None = None,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -101,11 +90,9 @@ class MemDBBackend(RelationalBackend):
         self._plan_cache = plan_cache
         self._enable_optimizer = enable_optimizer
         self._enable_adaptive = enable_adaptive
-        self._enable_topk = enable_topk
         self._enable_parallel = enable_parallel
         self._parallel_workers = parallel_workers
         self._parallel_threshold_rows = parallel_threshold_rows
-        self._enable_dict_encoding = enable_dict_encoding
         self._enable_tracing = enable_tracing
         self._tracer = tracer
         self._database: MemDatabase | None = None
@@ -119,11 +106,9 @@ class MemDBBackend(RelationalBackend):
                 plan_cache=self._plan_cache,
                 enable_optimizer=self._enable_optimizer,
                 enable_adaptive=self._enable_adaptive,
-                enable_topk=self._enable_topk,
                 enable_parallel=self._enable_parallel,
                 parallel_workers=self._parallel_workers,
                 parallel_threshold_rows=self._parallel_threshold_rows,
-                enable_dict_encoding=self._enable_dict_encoding,
                 enable_tracing=self._enable_tracing,
                 tracer=self._tracer,
             )
@@ -234,7 +219,7 @@ class MemDBBackend(RelationalBackend):
         :meth:`~.memdb.engine.MemDatabase.storage_stats`).
         """
         if self._database is None:
-            return {"dict_encoding": self._enable_dict_encoding, "total_bytes": 0, "tables": {}}
+            return {"total_bytes": 0, "tables": {}}
         return self._database.storage_stats()
 
     def tracing_stats(self) -> dict:

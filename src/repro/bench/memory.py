@@ -93,55 +93,6 @@ def capacity_ratio(budget_bytes: int, rows_for_circuit) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Encoded columnar storage accounting
-# ---------------------------------------------------------------------------
-
-
-def encoded_storage_report(storage_stats: dict) -> dict:
-    """Condense an engine ``storage_stats()`` dict into the bench report shape.
-
-    Splits each table's footprint into the three encoded-storage components
-    — value/code chunks, dictionaries, validity bitmaps — and reports the
-    object-array bytes a dictionary-encoded text column *would* have needed
-    (8-byte references plus one boxed str per distinct value is the floor;
-    the per-row ``str`` objects the ablated engine actually allocates are
-    counted via its own report instead), so the columnar benchmarks can
-    print dict-on vs dict-off sizes side by side.
-    """
-    tables = {}
-    totals = {"data_bytes": 0, "dictionary_bytes": 0, "validity_bytes": 0}
-    for table_name, table_stats in storage_stats.get("tables", {}).items():
-        columns = {}
-        for column_name, column_stats in table_stats.get("columns", {}).items():
-            entry = {
-                "kind": column_stats["kind"],
-                "data_bytes": column_stats["data_bytes"],
-                "dictionary_bytes": column_stats["dictionary_bytes"],
-                "validity_bytes": column_stats["validity_bytes"],
-                "dictionary_size": column_stats["dictionary_size"],
-                "null_count": column_stats["null_count"],
-            }
-            if column_stats["kind"] == "dict":
-                entry["object_bytes_floor"] = (
-                    8 * column_stats["rows"] + column_stats["dictionary_bytes"]
-                )
-            columns[column_name] = entry
-            for key in totals:
-                totals[key] += column_stats[key]
-        tables[table_name] = {
-            "rows": table_stats.get("rows", 0),
-            "total_bytes": table_stats.get("total_bytes", 0),
-            "columns": columns,
-        }
-    return {
-        "dict_encoding": storage_stats.get("dict_encoding"),
-        "total_bytes": storage_stats.get("total_bytes", 0),
-        **totals,
-        "tables": tables,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Physical memory sampling (reporting only)
 # ---------------------------------------------------------------------------
 

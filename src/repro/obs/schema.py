@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from numbers import Number
 
-#: Bumped when sections are added/renamed; readers can branch on it.
-ENGINE_STATS_SCHEMA_VERSION = 1
+#: Bumped when sections or keys are added/renamed/removed; readers can
+#: branch on it.  Version 2 dropped ``storage["dict_encoding"]`` and each
+#: table's encoding flag (stored TEXT is always dictionary codes).
+ENGINE_STATS_SCHEMA_VERSION = 2
 
 
 def _aggregate_dictionary_rebuilds(storage: dict) -> int:

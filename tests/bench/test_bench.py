@@ -33,11 +33,7 @@ from repro.bench import (
     workload_names,
     workloads_by_sparsity,
 )
-from repro.bench.memory import (
-    PAPER_MEMORY_LIMIT_BYTES,
-    encoded_storage_report,
-    peak_rss_bytes,
-)
+from repro.bench.memory import PAPER_MEMORY_LIMIT_BYTES, peak_rss_bytes
 from repro.circuits import qaoa_maxcut_circuit, ring_graph, maxcut_expected_value
 from repro.errors import BenchmarkError
 from repro.simulators import SparseSimulator, StatevectorSimulator
@@ -77,35 +73,6 @@ class TestMemoryAccounting:
         with trace_allocations() as report:
             _payload = [0] * 100000
         assert report.peak_bytes > 0
-
-    def test_encoded_storage_report(self):
-        from repro.backends.memdb.engine import MemDatabase
-
-        db = MemDatabase(enable_dict_encoding=True)
-        db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
-        db.execute("INSERT INTO t (id, s) VALUES (0, 'x'), (1, NULL), (2, 'y'), (3, 'x')")
-        report = encoded_storage_report(db.storage_stats())
-        assert report["dict_encoding"] is True
-        assert report["total_bytes"] > 0
-        column = report["tables"]["t"]["columns"]["s"]
-        assert column["kind"] == "dict"
-        assert column["dictionary_size"] == 2
-        assert column["null_count"] == 1
-        # The floor an object representation needs: one reference per row
-        # plus the distinct string payloads.
-        assert column["object_bytes_floor"] == 8 * 4 + column["dictionary_bytes"]
-        assert report["data_bytes"] + report["dictionary_bytes"] + report[
-            "validity_bytes"
-        ] == sum(
-            stats["data_bytes"] + stats["dictionary_bytes"] + stats["validity_bytes"]
-            for table in report["tables"].values()
-            for stats in table["columns"].values()
-        )
-
-    def test_encoded_storage_report_empty_stats(self):
-        report = encoded_storage_report({"dict_encoding": None, "total_bytes": 0, "tables": {}})
-        assert report["tables"] == {}
-        assert report["data_bytes"] == 0
 
 
 class TestMetrics:

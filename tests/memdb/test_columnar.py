@@ -1,8 +1,7 @@
 """Columnar storage v2 edge cases: dictionary encoding, validity bitmaps.
 
 Targeted regressions for the encoded storage layer — the shapes most likely
-to silently diverge from SQLite or from the engine's own object-array
-ablation (``enable_dict_encoding=False``):
+to silently diverge from SQLite:
 
 * empty strings are values, NULL is absent — the two must never merge in
   filters, grouping, DISTINCT or COUNT;
@@ -40,9 +39,9 @@ def _sqlite_rows(statements, query):
     return rows
 
 
-@pytest.fixture(params=[True, False], ids=["dict", "object"])
-def engine(request) -> MemDatabase:
-    return _fresh(enable_dict_encoding=request.param)
+@pytest.fixture
+def engine() -> MemDatabase:
+    return _fresh()
 
 
 class TestEmptyStringVersusNull:
@@ -130,7 +129,7 @@ class TestUnicodeCollationParity:
 
 class TestDictionaryGrowth:
     def test_append_rows_grows_dictionary_and_remaps(self):
-        db = _fresh(enable_dict_encoding=True)
+        db = _fresh()
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute("INSERT INTO t (id, s) VALUES (0, 'm'), (1, 'z')")
         before = db.storage_stats("t")["columns"]["s"]
@@ -149,7 +148,7 @@ class TestDictionaryGrowth:
         assert list(column.dictionary) == ["a", "m", "z"]
 
     def test_growth_does_not_change_logical_signature(self):
-        db = _fresh(enable_dict_encoding=True)
+        db = _fresh()
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute("INSERT INTO t (id, s) VALUES (0, 'm')")
         signature = db.table("t").schema_signature()
@@ -157,7 +156,7 @@ class TestDictionaryGrowth:
         assert db.table("t").schema_signature() == signature
 
     def test_delete_keeps_results_exact(self):
-        db = _fresh(enable_dict_encoding=True)
+        db = _fresh()
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute(
             "INSERT INTO t (id, s) VALUES (0, 'a'), (1, 'b'), (2, NULL), (3, 'a'), (4, 'c')"
@@ -170,21 +169,13 @@ class TestDictionaryGrowth:
         assert stats["null_count"] == 1
 
     def test_ctas_preserves_encoding(self):
-        db = _fresh(enable_dict_encoding=True)
+        db = _fresh()
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute("INSERT INTO t (id, s) VALUES (0, 'x'), (1, NULL), (2, 'y')")
         db.execute("CREATE TABLE c AS SELECT t.id AS id, t.s AS s FROM t WHERE t.id >= 1")
         stats = db.storage_stats("c")["columns"]["s"]
         assert stats["kind"] == "dict"
         assert db.execute("SELECT c.s AS s FROM c ORDER BY c.id").rows == [(None,), ("y",)]
-
-    def test_ablated_engine_stores_objects(self):
-        db = _fresh(enable_dict_encoding=False)
-        db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
-        db.execute("INSERT INTO t (id, s) VALUES (0, 'x'), (1, NULL)")
-        stats = db.storage_stats("t")["columns"]["s"]
-        assert stats["kind"] == "object"
-        assert stats["dictionary_size"] == 0
 
 
 class TestMultiKeyParallelParity:

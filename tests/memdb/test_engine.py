@@ -141,9 +141,8 @@ class TestQueries:
 class TestResultVectorsAreReadOnly:
     """A pass-through projection returns the stored array; it must not be writable."""
 
-    @pytest.mark.parametrize("dict_encoding", [True, False])
-    def test_write_to_a_result_vector_raises_and_the_table_is_unchanged(self, dict_encoding):
-        database = MemDatabase(enable_dict_encoding=dict_encoding)
+    def test_write_to_a_result_vector_raises_and_the_table_is_unchanged(self):
+        database = MemDatabase()
         database.execute("CREATE TABLE w (s BIGINT NOT NULL, name TEXT)")
         database.execute("INSERT INTO w (s, name) VALUES (1, 'a'), (2, 'b')")
         numbers, names = database.execute("SELECT s, name FROM w").vectors
@@ -183,7 +182,7 @@ class TestSameNamedResultColumns:
 
     Result vectors travel positionally: ``SELECT x.s, y.s`` used to return
     ``y.s`` twice because the second ``s`` overwrote the first in a dict
-    keyed by output name — on the compiled and the interpreted path alike.
+    keyed by output name.
     """
 
     SETUP = [

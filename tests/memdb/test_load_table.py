@@ -50,44 +50,42 @@ def _rows(db: MemDatabase, query: str) -> list[tuple]:
     ]
 
 
-def _pair(dict_encoding: bool) -> tuple[MemDatabase, MemDatabase]:
-    loaded = MemDatabase(plan_cache=PlanCache(32), enable_dict_encoding=dict_encoding)
-    scripted = MemDatabase(plan_cache=PlanCache(32), enable_dict_encoding=dict_encoding)
+def _pair() -> tuple[MemDatabase, MemDatabase]:
+    loaded = MemDatabase(plan_cache=PlanCache(32))
+    scripted = MemDatabase(plan_cache=PlanCache(32))
     loaded.load_table("t", _columns())
     for statement in _SCRIPT:
         scripted.execute(statement)
     return loaded, scripted
 
 
-@pytest.mark.parametrize("dict_encoding", [True, False])
 class TestEquivalentToTheSqlText:
-    def test_same_catalog(self, dict_encoding):
-        loaded, scripted = _pair(dict_encoding)
+    def test_same_catalog(self):
+        loaded, scripted = _pair()
         assert loaded.table("t").schema_signature() == scripted.table("t").schema_signature()
         assert loaded.storage_stats() == scripted.storage_stats()
-        kind = loaded.storage_stats("t")["columns"]["name"]["kind"]
-        assert kind == ("dict" if dict_encoding else "object")
+        assert loaded.storage_stats("t")["columns"]["name"]["kind"] == "dict"
         assert loaded.row_count("t") == scripted.row_count("t") == 5
         assert loaded.estimated_bytes() == scripted.estimated_bytes()
 
-    def test_same_query_results(self, dict_encoding):
-        loaded, scripted = _pair(dict_encoding)
+    def test_same_query_results(self):
+        loaded, scripted = _pair()
         for query in _QUERIES:
             assert _rows(loaded, query) == _rows(scripted, query), query
         top = loaded.execute("SELECT id FROM t ORDER BY id DESC LIMIT 1").rows
         assert top == [(2**62 - 1,)]
 
-    def test_later_dml_behaves_the_same(self, dict_encoding):
-        loaded, scripted = _pair(dict_encoding)
+    def test_later_dml_behaves_the_same(self):
+        loaded, scripted = _pair()
         for db in (loaded, scripted):
             db.execute("INSERT INTO t (id, v, name) VALUES (9, 1.5, 'alpha')")
             db.execute("DELETE FROM t WHERE id = 0")
         assert loaded.storage_stats() == scripted.storage_stats()
         assert _rows(loaded, _QUERIES[0]) == _rows(scripted, _QUERIES[0])
 
-    def test_statistics_are_invalidated(self, dict_encoding):
-        loaded = MemDatabase(plan_cache=PlanCache(8), enable_dict_encoding=dict_encoding)
-        scripted = MemDatabase(plan_cache=PlanCache(8), enable_dict_encoding=dict_encoding)
+    def test_statistics_are_invalidated(self):
+        loaded = MemDatabase(plan_cache=PlanCache(8))
+        scripted = MemDatabase(plan_cache=PlanCache(8))
         for db in (loaded, scripted):
             # Statistics left under the name by an earlier table of another shape.
             db.statistics.analyze(Table("t", {"id": np.arange(3)}))

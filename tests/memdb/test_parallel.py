@@ -5,8 +5,8 @@ The contract under test is strict: a parallel engine must return results
 for every operator (filters, joins, group-by, top-k), because parallelism is
 a costed physical plan choice, never a semantic one.  The differential tests
 therefore compare raw rows with an exact matcher (NaN-aware, type-aware)
-against a serial engine and, where affordable, against the interpreter-based
-reference via the optimizer-off engine.
+against a serial engine and, where affordable, against an optimizer-off
+engine that compiles the statements exactly as written.
 """
 
 from __future__ import annotations
@@ -207,11 +207,12 @@ class TestOperatorParity:
 
 
 def _build_pair(rows: int = 4_000, seed: int = 3):
-    """A (parallel, serial) engine pair over identical data.
+    """Parallel, serial and unoptimized engines over identical data.
 
     The parallel engine forces the costed decision to parallel on any
     non-empty input (threshold 0) so the operators are exercised even on
-    test-sized tables.
+    test-sized tables.  The unoptimized engine compiles every statement as
+    written, with no rewrites and no plan cache.
     """
     pool = WorkerPool(3)
     parallel = MemDatabase(
@@ -221,7 +222,7 @@ def _build_pair(rows: int = 4_000, seed: int = 3):
         worker_pool=pool,
     )
     serial = MemDatabase(plan_cache=PlanCache(maxsize=64), enable_parallel=False)
-    interpreter = MemDatabase(plan_cache=PlanCache(0), enable_optimizer=False)
+    unoptimized = MemDatabase(plan_cache=PlanCache(0), enable_optimizer=False)
 
     rng = np.random.default_rng(seed)
     ids = np.arange(rows, dtype=np.int64)
@@ -233,10 +234,10 @@ def _build_pair(rows: int = 4_000, seed: int = 3):
     dim_ids = np.arange(-7, 13, dtype=np.int64)
     weights = np.round(np.linspace(-2.0, 2.0, len(dim_ids)), 2)
 
-    for db in (parallel, serial, interpreter):
+    for db in (parallel, serial, unoptimized):
         db.load_table("t", {"id": ids, "v": values.copy(), "k": keys, "g": groups})
         db.load_table("d", {"id": dim_ids, "w": weights})
-    return parallel, serial, interpreter, pool
+    return parallel, serial, unoptimized, pool
 
 
 _DIFFERENTIAL_QUERIES = [
@@ -271,12 +272,12 @@ _DIFFERENTIAL_QUERIES = [
 
 class TestParallelSerialDifferential:
     def test_queries_byte_identical_across_engines(self):
-        parallel, serial, interpreter, pool = _build_pair()
+        parallel, serial, unoptimized, pool = _build_pair()
         try:
             for sql in _DIFFERENTIAL_QUERIES:
                 expected = serial.execute(sql).rows
                 assert_rows_identical(parallel.execute(sql).rows, expected, sql)
-                assert_rows_identical(interpreter.execute(sql).rows, expected, sql)
+                assert_rows_identical(unoptimized.execute(sql).rows, expected, sql)
                 # Warm (plan-cached) execution must match the cold one.
                 assert_rows_identical(parallel.execute(sql).rows, expected, sql + " [warm]")
             # The parallel engine really did run parallel plans.
@@ -287,7 +288,7 @@ class TestParallelSerialDifferential:
             pool.shutdown()
 
     def test_dml_between_executions_stays_identical(self):
-        parallel, serial, _interpreter, pool = _build_pair(rows=2_000)
+        parallel, serial, _unoptimized, pool = _build_pair(rows=2_000)
         try:
             sql = "SELECT t.g AS g, SUM(t.v) AS s, COUNT(*) AS n FROM t GROUP BY t.g"
             assert_rows_identical(parallel.execute(sql).rows, serial.execute(sql).rows)
@@ -373,7 +374,7 @@ class TestParallelCostGate:
         # SUM(*)/AVG(*) are errors on the serial path; the partitioned
         # aggregation must decline them (falling back to the serial code
         # that raises), never silently return COUNT semantics.
-        parallel, serial, _interpreter, pool = _build_pair(rows=500)
+        parallel, serial, _unoptimized, pool = _build_pair(rows=500)
         try:
             for sql in (
                 "SELECT t.g AS g, SUM(*) AS s FROM t GROUP BY t.g",

@@ -1,12 +1,15 @@
 """Tests for the physical-plan compiler and the LRU plan cache."""
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro.backends.memdb import MemDatabase, PlanCache, compile_statement, parse_one
-from repro.backends.memdb.executor import SelectExecutor, join_indices
+from repro.backends.memdb.executor import join_indices
 from repro.backends.memdb.planner import CompiledCreateTableAs, CompiledScript
 from repro.errors import SQLExecutionError
+from repro.obs import MetricsRegistry, SlowQueryLog, TraceRingBuffer, Tracer
 
 _GATE_STEP_SQL = (
     "SELECT ((T0.s & ~1) | G.out_s) AS s, "
@@ -17,17 +20,37 @@ _GATE_STEP_SQL = (
 )
 
 
-def _fresh_db() -> MemDatabase:
-    db = MemDatabase(plan_cache=PlanCache())
-    db.execute("CREATE TABLE T0 (s BIGINT NOT NULL, r DOUBLE NOT NULL, i DOUBLE NOT NULL)")
-    db.execute("INSERT INTO T0 (s, r, i) VALUES (0, 0.6, 0.0), (1, 0.8, 0.0), (2, 0.0, 0.6), (3, 0.0, -0.8)")
-    db.execute("CREATE TABLE G (in_s BIGINT NOT NULL, out_s BIGINT NOT NULL, r DOUBLE NOT NULL, i DOUBLE NOT NULL)")
-    db.execute(
-        "INSERT INTO G (in_s, out_s, r, i) VALUES "
-        "(0, 0, 0.7071067811865476, 0.0), (0, 1, 0.7071067811865476, 0.0), "
-        "(1, 0, 0.7071067811865476, 0.0), (1, 1, -0.7071067811865476, 0.0)"
-    )
+_SETUP = [
+    "CREATE TABLE T0 (s BIGINT NOT NULL, r DOUBLE NOT NULL, i DOUBLE NOT NULL)",
+    "INSERT INTO T0 (s, r, i) VALUES (0, 0.6, 0.0), (1, 0.8, 0.0), (2, 0.0, 0.6), (3, 0.0, -0.8)",
+    "CREATE TABLE G (in_s BIGINT NOT NULL, out_s BIGINT NOT NULL, r DOUBLE NOT NULL, i DOUBLE NOT NULL)",
+    "INSERT INTO G (in_s, out_s, r, i) VALUES "
+    "(0, 0, 0.7071067811865476, 0.0), (0, 1, 0.7071067811865476, 0.0), "
+    "(1, 0, 0.7071067811865476, 0.0), (1, 1, -0.7071067811865476, 0.0)",
+]
+
+
+def _fresh_db(**options) -> MemDatabase:
+    db = MemDatabase(plan_cache=PlanCache(), **options)
+    for statement in _SETUP:
+        db.execute(statement)
     return db
+
+
+def _sqlite_rows(query: str, *statements: str) -> list[tuple]:
+    """``query``'s rows on sqlite3 over the same tables, after ``statements``."""
+    connection = sqlite3.connect(":memory:")
+    for statement in (*_SETUP, *statements):
+        connection.execute(statement)
+    rows = connection.execute(query).fetchall()
+    connection.close()
+    return rows
+
+
+def _assert_rows_close(actual: list[tuple], expected: list[tuple]) -> None:
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == pytest.approx(want, abs=1e-12), (actual, expected)
 
 
 class TestPlanCache:
@@ -184,18 +207,18 @@ class TestCompilation:
         assert isinstance(plan, CompiledScript)
         assert plan.query.fused is None
 
-    def test_insert_and_ddl_fall_back_to_interpreter(self):
+    def test_insert_and_ddl_have_no_plan(self):
         assert compile_statement(parse_one("INSERT INTO t (a) VALUES (1)")) is None
         assert compile_statement(parse_one("CREATE TABLE t (a BIGINT)")) is None
         assert compile_statement(parse_one("DROP TABLE t")) is None
 
-    def test_left_join_raises_like_the_interpreter(self):
+    def test_left_join_raises(self):
         with pytest.raises(SQLExecutionError):
             compile_statement(parse_one("SELECT * FROM a LEFT JOIN b ON b.x = a.x"))
 
 
-class TestPlanVsInterpreter:
-    """Compiled plans must agree with the interpreter on every covered shape."""
+class TestPlanVsSqlite:
+    """Compiled plans must agree with sqlite3 on every covered shape."""
 
     @pytest.mark.parametrize(
         "query",
@@ -212,25 +235,93 @@ class TestPlanVsInterpreter:
         ],
     )
     def test_same_rows(self, query):
-        db = _fresh_db()
-        statement = parse_one(query)
-        plan = compile_statement(statement)
-        assert plan is not None
-        names, vectors = plan.execute(db._tables)
-        interpreter_names, interpreter_vectors = SelectExecutor(db._tables).execute(statement)
-        assert names == interpreter_names
-        assert len(vectors) == len(interpreter_vectors) == len(names)
-        for values, interpreted in zip(vectors, interpreter_vectors):
-            np.testing.assert_allclose(
-                np.asarray(values, dtype=np.float64),
-                np.asarray(interpreted, dtype=np.float64),
-                atol=1e-12,
-            )
+        # Sorted: the LIMIT 2 query keeps two rows tied on its ORDER BY key.
+        _assert_rows_close(sorted(_fresh_db().execute(query).rows), sorted(_sqlite_rows(query)))
 
     def test_fused_preserves_integer_key_dtype(self):
         db = _fresh_db()
         result = db.execute(_GATE_STEP_SQL)
         assert all(isinstance(row[0], int) for row in result.rows)
+
+
+class TestCteColumnAliasList:
+    """``WITH u(p, q) AS (SELECT ...)`` renames the body's output columns."""
+
+    @pytest.mark.parametrize("enable_optimizer", [True, False])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "WITH u(p, q) AS (SELECT s, r FROM T0) SELECT q, p FROM u ORDER BY p",
+            "WITH u(a, b) AS (SELECT T0.s, G.out_s FROM T0 JOIN G ON G.in_s = (T0.s & 1)) "
+            "SELECT a, b FROM u ORDER BY a, b",
+            "WITH u(k, w) AS (SELECT s, r FROM T0) "
+            "SELECT u.k, G.out_s, u.w * G.r AS x FROM u JOIN G ON G.in_s = u.k "
+            "ORDER BY u.k, G.out_s",
+            "WITH u(bit, mass) AS (SELECT (s & 1), SUM(r * r + i * i) FROM T0 GROUP BY (s & 1)) "
+            "SELECT bit, mass FROM u ORDER BY bit",
+            "WITH u(a, b, c) AS (SELECT * FROM T0) SELECT c, a FROM u ORDER BY a",
+            "WITH u(a, b, c) AS (SELECT * FROM T0 WHERE r > 0) SELECT * FROM u ORDER BY a",
+            # The body orders and cuts by its own alias; the list renames it after.
+            "WITH u(p, q) AS (SELECT s AS k, r AS v FROM T0 ORDER BY k DESC LIMIT 2) "
+            "SELECT p, q FROM u ORDER BY p",
+            "WITH u(p) AS (SELECT s FROM T0), v AS (SELECT p * 2 AS d FROM u) "
+            "SELECT d FROM v ORDER BY d",
+        ],
+    )
+    def test_matches_sqlite_cold_and_warm(self, query, enable_optimizer):
+        db = _fresh_db(enable_optimizer=enable_optimizer)
+        expected = _sqlite_rows(query)
+        cold = db.execute(query).rows
+        hits = db.plan_cache_stats()["hits"]
+        warm = db.execute(query).rows
+        assert db.plan_cache_stats()["hits"] == hits + 1
+        _assert_rows_close(cold, expected)
+        assert warm == cold
+
+    def test_column_count_mismatch_raises(self):
+        db = _fresh_db()
+        with pytest.raises(
+            SQLExecutionError, match="CTE 'u' declares 2 columns but its query returns 1"
+        ):
+            db.execute("WITH u(p, q) AS (SELECT s FROM T0) SELECT p FROM u")
+
+    def test_ctas_body(self):
+        db = _fresh_db()
+        ctas = (
+            "CREATE TABLE w AS "
+            "WITH u(p, q) AS (SELECT s, r FROM T0 WHERE r > 0) SELECT p, q FROM u"
+        )
+        db.execute(ctas)
+        query = "SELECT p, q FROM w ORDER BY p"
+        _assert_rows_close(db.execute(query).rows, _sqlite_rows(query, ctas))
+
+    def test_compiles_to_a_plan(self):
+        plan = compile_statement(parse_one("WITH u(p) AS (SELECT s FROM T0) SELECT p FROM u"))
+        assert isinstance(plan, CompiledScript)
+        assert [(name, columns) for name, _plan, columns in plan.ctes] == [("u", ("p",))]
+
+    def test_explain_shows_the_compiled_plan(self):
+        db = _fresh_db()
+        lines = [
+            line for (line,) in db.execute(
+                "EXPLAIN WITH u(p) AS (SELECT s FROM T0) SELECT p FROM u ORDER BY p"
+            ).rows
+        ]
+        assert "u: estimated rows ~4" in lines
+        assert not any("interpreted statement" in line for line in lines)
+
+    def test_traced_run_has_a_block_span_for_the_cte(self):
+        tracer = Tracer(
+            registry=MetricsRegistry(),
+            ring=TraceRingBuffer(8),
+            slow_log=SlowQueryLog(threshold_s=10.0),
+        )
+        db = _fresh_db(tracer=tracer)
+        db.execute("WITH u(p) AS (SELECT s FROM T0) SELECT p FROM u ORDER BY p")
+        root = tracer.recent_traces()[-1]
+        execute = next(child for child in root["children"] if child["name"] == "execute")
+        blocks = [child["attrs"] for child in execute["children"] if child["name"] == "block"]
+        assert [(block["block"], block["rows"]) for block in blocks] == [("u", 4), ("main", 4)]
 
 
 class TestJoinIndices:

@@ -15,13 +15,13 @@ import pytest
 
 from repro.backends.memdb import MemDatabase
 from repro.backends.memdb.engine import PlanCache
-from repro.backends.memdb.executor import top_k_indices
+from repro.backends.memdb.executor import order_vectors, top_k_indices
 from repro.backends.memdb.optimizer.cost import CostModel
 from repro.backends.memdb.parser import parse_one
 
 
-def _db(enable_topk=True, rows=()):
-    db = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_topk=enable_topk)
+def _db(rows=()):
+    db = MemDatabase(plan_cache=PlanCache(maxsize=8))
     db.execute("CREATE TABLE t (id BIGINT NOT NULL, k BIGINT NOT NULL, v DOUBLE NOT NULL)")
     if rows:
         values = ", ".join(f"({i}, {k}, {v!r})" for i, (k, v) in enumerate(rows))
@@ -34,6 +34,25 @@ def _sqlite(rows):
     connection.execute("CREATE TABLE t (id BIGINT NOT NULL, k BIGINT NOT NULL, v DOUBLE NOT NULL)")
     connection.executemany("INSERT INTO t VALUES (?, ?, ?)", [(i, k, v) for i, (k, v) in enumerate(rows)])
     return connection
+
+
+def _sorted_prefixes(query, frame, limit):
+    """The first ``limit`` rows of ``frame`` under ``query``'s ORDER BY, twice.
+
+    Returns ``(full sort, top-k)``.  The full sort is ``order_vectors(...,
+    prefix=None)`` — the stable sort the top-k selection must reproduce
+    exactly, ties included.
+    """
+    order_by = parse_one(query).order_by
+    vectors = list(frame.values())
+    length = len(vectors[0])
+    full, topk = (
+        order_vectors(vectors, order_by, length, frame, prefix=prefix) for prefix in (None, limit)
+    )
+    return (
+        list(zip(*(values[:limit].tolist() for values in full))),
+        list(zip(*(values.tolist() for values in topk))),
+    )
 
 
 #: Tie-heavy rows in deliberately scrambled (non-sorted) input order.
@@ -82,10 +101,15 @@ class TestTopKTies:
     """Ties resolved identically by top-k and full sort, acceptably by SQLite."""
 
     def test_topk_equals_sort_then_slice_under_ties(self):
+        rows = _ROWS * 30
         query = "SELECT id, k FROM t ORDER BY k LIMIT 4"
-        with_topk = _db(enable_topk=True, rows=_ROWS).execute(query).rows
-        without = _db(enable_topk=False, rows=_ROWS).execute(query).rows
-        assert with_topk == without
+        db = _db(rows=rows)
+        assert "top-k (k=4)" in "\n".join(row[0] for row in db.execute(f"EXPLAIN {query}").rows)
+        frame = {"id": np.arange(len(rows)), "k": np.array([k for k, _v in rows])}
+        full, topk = _sorted_prefixes(query, frame, 4)
+        assert db.execute(query).rows == topk == full
+        # Which tied ids survive is implementation-defined; the keys are not.
+        assert [k for _id, k in full] == [k for _id, k in _sqlite(rows).execute(query).fetchall()]
 
     def test_tied_key_values_match_sqlite(self):
         # Which tied row survives the cut is implementation-defined, but the
@@ -153,10 +177,10 @@ class TestTopKDecision:
         model = CostModel({}, None)
         assert model.topk_decision(parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT -1")) is None
 
-    def test_disabled_model_never_chooses_topk(self):
-        model = CostModel({}, None, enable_topk=False)
-        decision = model.topk_decision(parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT 5"))
-        assert decision is not None and not decision.use_topk
+    def test_limit_near_the_row_count_chooses_sort(self):
+        model = CostModel({}, None)
+        decision = model.topk_decision(parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT 900"))
+        assert decision is not None and not decision.use_topk  # default 1000-row estimate
 
     def test_offset_extends_k(self):
         model = CostModel({}, None)
@@ -172,10 +196,10 @@ class TestTopKDecision:
         )
         assert "top-k (k=3)" in plan
 
-    def test_explain_reports_sort_when_disabled(self):
-        db = _db(enable_topk=False, rows=_ROWS * 30)
+    def test_explain_reports_sort_for_a_limit_near_the_row_count(self):
+        db = _db(rows=_ROWS * 30)
         plan = "\n".join(
-            row[0] for row in db.execute("EXPLAIN SELECT id FROM t ORDER BY k LIMIT 3").rows
+            row[0] for row in db.execute("EXPLAIN SELECT id FROM t ORDER BY k LIMIT 290").rows
         )
         assert "sort+limit" in plan
 
@@ -207,8 +231,8 @@ _TEXT_ROWS = [
 ]
 
 
-def _text_db(enable_topk=True):
-    db = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_topk=enable_topk)
+def _text_db():
+    db = MemDatabase(plan_cache=PlanCache(maxsize=8))
     db.execute("CREATE TABLE s (id BIGINT NOT NULL, name TEXT NOT NULL)")
     values = ", ".join(f"({i}, '{text}')" for i, text in enumerate(_TEXT_ROWS))
     db.execute(f"INSERT INTO s (id, name) VALUES {values}")
@@ -252,9 +276,12 @@ class TestDescTextOrdering:
 
     def test_topk_identical_to_sort_then_slice(self):
         sql = "SELECT s.id AS id, s.name AS name FROM s ORDER BY s.name DESC, s.id ASC LIMIT 6"
-        assert _text_db(enable_topk=True).execute(sql).rows == _text_db(
-            enable_topk=False
-        ).execute(sql).rows
+        frame = {"s.id": np.arange(len(_TEXT_ROWS)), "s.name": np.array(_TEXT_ROWS, dtype=object)}
+        full, topk = _sorted_prefixes(sql, frame, 6)
+        expected = _text_sqlite().execute(
+            "SELECT s.id, s.name FROM s ORDER BY s.name DESC, s.id ASC LIMIT 6"
+        ).fetchall()
+        assert _text_db().execute(sql).rows == topk == full == expected
 
     def test_topk_decision_applies_to_desc_text(self):
         db = MemDatabase(plan_cache=PlanCache(maxsize=8))

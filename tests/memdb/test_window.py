@@ -66,7 +66,6 @@ def assert_matches_sqlite(statements, sql):
     flavors = {
         "optimizer": MemDatabase(plan_cache=PlanCache(maxsize=8)),
         "plain": MemDatabase(plan_cache=PlanCache(maxsize=8), enable_optimizer=False),
-        "no-dict": MemDatabase(plan_cache=PlanCache(maxsize=8), enable_dict_encoding=False),
     }
     for label, engine in flavors.items():
         for statement in statements:

@@ -217,7 +217,7 @@ class TestUnifiedSchema:
             },
             tracing={"enabled": True},
         )
-        assert stats["schema_version"] == 1
+        assert stats["schema_version"] == 2
         assert stats["plan_cache"]["hits"] == 3
         # The back-compat alias is the same object, not a copy.
         assert stats["adaptive"] is optimizer["adaptive"]

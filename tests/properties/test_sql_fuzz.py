@@ -15,9 +15,8 @@ accumulators, UNION reachability over finite value domains).  Productions
 whose value depends on the order *within* ORDER-BY peer groups
 (``row_number``, ``lag``/``lead``, explicit ROWS frames) always end the
 OVER ORDER BY in the table's unique ``id``; tie-invariant functions ride
-tie-heavy keys on purpose.  These shapes also run a third engine with
-dictionary encoding disabled, and a mutation test verifies the oracle
-catches deliberately broken rank tie handling.
+tie-heavy keys on purpose.  A mutation test verifies the oracle catches
+deliberately broken rank tie handling.
 
 Two table families drive the grammar: the original NOT NULL numeric
 tables, and a NULL-heavy family with nullable DOUBLE and TEXT columns
@@ -1097,7 +1096,7 @@ def _shift_statements(tables, draw_rows):
     return statements
 
 
-def _differential_check(tables, query, draw_analyze: bool, shift_rows, dict_ablation: bool = False) -> None:
+def _differential_check(tables, query, draw_analyze: bool, shift_rows) -> None:
     sql, ordered = query
     setup = [statement for table in tables for statement in _ddl(table)]
 
@@ -1109,13 +1108,6 @@ def _differential_check(tables, query, draw_analyze: bool, shift_rows, dict_abla
         ("memdb[optimizer]", MemDatabase(plan_cache=PlanCache(maxsize=32))),
         ("memdb[plain]", MemDatabase(plan_cache=PlanCache(maxsize=32), enable_optimizer=False)),
     ]
-    if dict_ablation:
-        # Same grammar with TEXT stored as object arrays instead of
-        # dictionary codes: collation and NULL semantics may not depend on
-        # the storage representation.
-        engines.append(
-            ("memdb[no-dict]", MemDatabase(plan_cache=PlanCache(maxsize=32), enable_dict_encoding=False))
-        )
     for _label, engine in engines:
         for statement in setup:
             engine.execute(statement)
@@ -1283,21 +1275,17 @@ def test_fuzz_window_functions_match_sqlite(data):
     """Ranking / lag-lead / framed aggregates over tie-heavy numeric tables."""
     tables = data.draw(_tables(count=1))
     query = data.draw(_window_query(tables))
-    _differential_check(
-        tables, query, data.draw(st.booleans()), data.draw(_shift_strategy), dict_ablation=True
-    )
+    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
 
 
 @given(data=st.data())
 @_FAST
 def test_fuzz_null_window_functions_match_sqlite(data):
     """Windows over NULL-heavy tables: text/NULL partition keys, NULL-skipping
-    aggregates, lag/lead defaults — in both dict-encoding modes."""
+    aggregates, lag/lead defaults."""
     tables = data.draw(_null_tables(count=1))
     query = data.draw(_null_window_query(tables))
-    _differential_check(
-        tables, query, data.draw(st.booleans()), data.draw(_shift_strategy), dict_ablation=True
-    )
+    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -1306,9 +1294,7 @@ def test_fuzz_recursive_ctes_match_sqlite(data):
     """WITH RECURSIVE counters, accumulators and UNION reachability."""
     tables = data.draw(_tables(count=1))
     query = data.draw(_recursive_query(tables))
-    _differential_check(
-        tables, query, data.draw(st.booleans()), data.draw(_shift_strategy), dict_ablation=True
-    )
+    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
 
 
 def test_fuzz_oracle_catches_rank_tie_mutation(monkeypatch):
@@ -1513,8 +1499,6 @@ def test_fuzz_deep_window_recursion_profile(shape):
     def run(data):
         tables = data.draw(family(count=1))
         query = data.draw(shape_strategy(tables))
-        _differential_check(
-            tables, query, data.draw(st.booleans()), data.draw(_shift_strategy), dict_ablation=True
-        )
+        _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
 
     run()
