@@ -127,10 +127,10 @@ def test_adaptive_replan_beats_stale_plan(results_dir):
     pinned_seconds, pinned_rows = _post_shift_seconds(pinned)
     assert adaptive_rows == pinned_rows and len(adaptive_rows) == 10
 
-    stats = adaptive.adaptive_stats()
+    stats = adaptive.engine_stats()["adaptive"]
     assert stats["replans"] >= 1, "adaptive engine never re-planned"
     assert adaptive.plan_cache.stats()["replans"] >= 1
-    assert pinned.adaptive_stats()["replans"] == 0
+    assert pinned.engine_stats()["adaptive"]["replans"] == 0
 
     ratio = pinned_seconds / adaptive_seconds
     emit(

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from ...errors import SQLExecutionError
-from ...obs.schema import unified_engine_stats
+from ...obs.schema import ENGINE_STATS_SCHEMA_VERSION
 from ...obs.tracing import Tracer, current_span, shared_tracer, tracing_env_enabled
 from .ast_nodes import (
     Analyze,
@@ -401,8 +401,8 @@ class MemDatabase:
         When True (default, requires the optimizer), every compiled-plan
         execution compares the optimizer's estimated block cardinalities
         against the actual row counts.  A block producing more than
-        ``adaptive_threshold`` times its estimate (and at least
-        ``adaptive_min_rows`` rows) records a per-(table, predicate-shape)
+        ``ADAPTIVE_THRESHOLD`` times its estimate (and at least
+        ``ADAPTIVE_MIN_ROWS`` rows) records a per-(table, predicate-shape)
         correction factor in the statistics catalog and flags the plan-cache
         entry for re-planning on the next lookup.  Only *under*estimates
         trigger: UES estimates are upper bounds by design, so an actual
@@ -440,7 +440,7 @@ class MemDatabase:
     ADAPTIVE_THRESHOLD = 4.0
     #: Blocks smaller than this (both estimated and actual) never trigger.
     ADAPTIVE_MIN_ROWS = 64
-    #: Bounded history of adaptive events kept for optimizer_stats().
+    #: Bounded history of adaptive events kept for engine_stats().
     ADAPTIVE_EVENT_LIMIT = 32
 
     def __init__(
@@ -448,8 +448,6 @@ class MemDatabase:
         plan_cache: PlanCache | None = None,
         enable_optimizer: bool = True,
         enable_adaptive: bool = True,
-        adaptive_threshold: float | None = None,
-        adaptive_min_rows: int | None = None,
         enable_parallel: bool | None = None,
         parallel_workers: int | None = None,
         parallel_threshold_rows: int | None = None,
@@ -494,13 +492,13 @@ class MemDatabase:
                 self.parallel_workers,
                 self.parallel_threshold_rows,
             )
-        self.adaptive_threshold = (
-            self.ADAPTIVE_THRESHOLD if adaptive_threshold is None else float(adaptive_threshold)
+        # Every counter starts at zero, so engine_stats() has one key set
+        # whatever has run.
+        self._optimizer_counters: dict[str, int] = dict.fromkeys(
+            (*OptimizerReport().counters(), "adaptive_replans", "feedback_corrections",
+             "feedback_decays"),
+            0,
         )
-        self.adaptive_min_rows = (
-            self.ADAPTIVE_MIN_ROWS if adaptive_min_rows is None else int(adaptive_min_rows)
-        )
-        self._optimizer_counters: dict[str, int] = {}
         self._adaptive_events: list[dict] = []
         #: Scripts whose first (cold) execution already requested a re-plan,
         #: observed before the compiled entry reached the cache.
@@ -522,34 +520,58 @@ class MemDatabase:
         """This engine's plan-cache compilation flavor (see :class:`PlanCache`)."""
         return self._plan_flavor
 
-    def plan_cache_stats(self) -> dict:
-        """Hit/miss/eviction statistics of the plan cache."""
-        return self._plan_cache.stats()
-
     @property
     def tracer(self) -> Tracer | None:
         """The tracer executions record spans into (None = tracing disabled)."""
         return self._tracer
 
-    def tracing_stats(self) -> dict:
-        """Tracer activity counters and sink state (``{"enabled": False}`` off)."""
-        return self._tracer.stats() if self._tracer is not None else {"enabled": False}
-
     def engine_stats(self) -> dict:
-        """Every subsystem's statistics in the unified versioned schema.
+        """Every subsystem's statistics as one versioned document.
 
-        See :func:`repro.obs.schema.unified_engine_stats`: canonical
-        ``plan_cache`` / ``optimizer`` / ``adaptive`` / ``parallel`` /
-        ``storage`` / ``tracing`` sections with roll-up aggregates;
-        ``optimizer["adaptive"]`` stays aliased for pre-schema readers.
+        The only producer of it (see :mod:`repro.obs.schema`):
+        ``schema_version`` plus the ``plan_cache``, ``optimizer``,
+        ``adaptive``, ``parallel``, ``storage`` and ``tracing`` sections.
+        Its key set follows from the configuration alone, never from what
+        has run.  ``storage["dictionary_rebuilds"]`` sums every column of
+        every table; per-table detail is ``table(name).storage_stats()``.
         """
-        return unified_engine_stats(
-            self.plan_cache_stats(),
-            self.optimizer_stats(),
-            self.parallel_stats(),
-            self.storage_stats(),
-            self.tracing_stats(),
-        )
+        counters = self._optimizer_counters
+        pool = self.worker_pool()
+        tables = {name: table.storage_stats() for name, table in self._tables.items()}
+        return {
+            "schema_version": ENGINE_STATS_SCHEMA_VERSION,
+            "plan_cache": self._plan_cache.stats(),
+            "optimizer": {
+                "enabled": self.enable_optimizer,
+                "counters": dict(counters),
+                "statistics": self._statistics.summary(),
+            },
+            "adaptive": {
+                "enabled": self.enable_adaptive,
+                "threshold": self.ADAPTIVE_THRESHOLD,
+                "replans": counters["adaptive_replans"],
+                "corrections": counters["feedback_corrections"],
+                "decays": counters["feedback_decays"],
+                "events": list(self._adaptive_events),
+            },
+            "parallel": {
+                "enabled": self.enable_parallel,
+                "workers": self.parallel_workers,
+                "threshold_rows": self.parallel_threshold_rows,
+                "parallel_plan_executions": self._parallel_executions,
+                "pool": pool.stats() if pool is not None else {},
+            },
+            "storage": {
+                "total_bytes": sum(stats["total_bytes"] for stats in tables.values()),
+                "dictionary_rebuilds": sum(
+                    column["dictionary_rebuilds"]
+                    for stats in tables.values()
+                    for column in stats["columns"].values()
+                ),
+                "tables": tables,
+            },
+            "tracing": self._tracer.stats() if self._tracer is not None else {"enabled": False},
+        }
 
     @property
     def statistics(self) -> StatisticsCatalog:
@@ -567,26 +589,6 @@ class MemDatabase:
         for name in names:
             self._statistics.analyze(self.table(name))
         return len(names)
-
-    def optimizer_stats(self) -> dict:
-        """Aggregated optimizer activity plus the statistics-catalog summary."""
-        return {
-            "enabled": self.enable_optimizer,
-            "counters": dict(self._optimizer_counters),
-            "statistics": self._statistics.summary(),
-            "adaptive": self.adaptive_stats(),
-        }
-
-    def adaptive_stats(self) -> dict:
-        """The adaptive feedback loop's state: counters plus recent events."""
-        return {
-            "enabled": self.enable_adaptive,
-            "threshold": self.adaptive_threshold,
-            "replans": self._optimizer_counters.get("adaptive_replans", 0),
-            "corrections": self._optimizer_counters.get("feedback_corrections", 0),
-            "decays": self._optimizer_counters.get("feedback_decays", 0),
-            "events": list(self._adaptive_events),
-        }
 
     def _optimizer(self) -> Optimizer:
         return Optimizer(
@@ -613,25 +615,11 @@ class MemDatabase:
             return self._worker_pool
         return shared_worker_pool()
 
-    def parallel_stats(self) -> dict:
-        """Parallel-subsystem state: configuration plus pool usage counters."""
-        pool = self._worker_pool
-        if pool is None and self.enable_parallel:
-            pool = shared_worker_pool()
-        return {
-            "enabled": self.enable_parallel,
-            "workers": self.parallel_workers,
-            "threshold_rows": self.parallel_threshold_rows,
-            "parallel_plan_executions": self._parallel_executions,
-            "pool": pool.stats() if pool is not None else {},
-        }
-
     def _record_report(self, report: OptimizerReport | None) -> None:
         if report is None:
             return
         for key, value in report.counters().items():
-            if value:
-                self._optimizer_counters[key] = self._optimizer_counters.get(key, 0) + value
+            self._optimizer_counters[key] += value
 
     # ------------------------------------------------------------- catalogue
 
@@ -705,22 +693,6 @@ class MemDatabase:
                 f"into column {column!r} of table {table!r}"
             )
         return array.astype(np.int64 if kind == "i" else np.float64 if kind == "f" else object)
-
-    def storage_stats(self, name: str | None = None) -> dict:
-        """Encoded-storage accounting for one table or the whole catalog.
-
-        Reports per-column kinds (numeric / dict), chunk counts,
-        code + dictionary + validity-bitmap bytes, dictionary sizes and
-        rebuild counts — the numbers the columnar benchmarks surface next to
-        their speedups.
-        """
-        if name is not None:
-            return self.table(name).storage_stats()
-        tables = {table_name: table.storage_stats() for table_name, table in self._tables.items()}
-        return {
-            "total_bytes": sum(stats["total_bytes"] for stats in tables.values()),
-            "tables": tables,
-        }
 
     def clear(self) -> None:
         """Drop every table (and the adaptive state observed against them)."""
@@ -967,7 +939,7 @@ class MemDatabase:
     ) -> None:
         """Compare a plan's estimated block cardinalities to an execution's actuals.
 
-        A block producing more than ``adaptive_threshold`` times its
+        A block producing more than ``ADAPTIVE_THRESHOLD`` times its
         *plan-time* estimate flags the cached script for re-planning.  On
         top of that, the block is re-estimated against the *current* catalog
         and statistics (feeding earlier blocks' actuals in as derived
@@ -990,8 +962,8 @@ class MemDatabase:
                 model = self._optimizer().cost_model()
             estimated = max(float(info.feedback_rows), 1.0)
             exceeded = (
-                max(actual, estimated) >= self.adaptive_min_rows
-                and actual > estimated * self.adaptive_threshold
+                max(actual, estimated) >= self.ADAPTIVE_MIN_ROWS
+                and actual > estimated * self.ADAPTIVE_THRESHOLD
             )
             if exceeded:
                 event = {
@@ -1010,15 +982,13 @@ class MemDatabase:
                 ):
                     fresh = max(model.estimate_select_input_rows(select), 1.0)
                     residual = actual / fresh
-                    if residual > self.adaptive_threshold:
+                    if residual > self.ADAPTIVE_THRESHOLD:
                         table = select.source.name
                         factor = self._statistics.record_correction(
                             table, info.shape, residual
                         )
                         event["correction"] = {"table": table, "factor": factor}
-                        self._optimizer_counters["feedback_corrections"] = (
-                            self._optimizer_counters.get("feedback_corrections", 0) + 1
-                        )
+                        self._optimizer_counters["feedback_corrections"] += 1
                 triggered.append(event)
             elif (
                 select is not None
@@ -1033,7 +1003,7 @@ class MemDatabase:
                     select.source.name,
                     info.shape,
                     actual / estimated,
-                    self.adaptive_threshold,
+                    self.ADAPTIVE_THRESHOLD,
                 )
                 if decayed is not None:
                     triggered.append(
@@ -1045,9 +1015,7 @@ class MemDatabase:
                             "decay": {"table": select.source.name, "factor": decayed},
                         }
                     )
-                    self._optimizer_counters["feedback_decays"] = (
-                        self._optimizer_counters.get("feedback_decays", 0) + 1
-                    )
+                    self._optimizer_counters["feedback_decays"] += 1
             # Later blocks scan earlier ones by name: estimate them against
             # the measured cardinality, not the stale guess.
             model.set_derived_rows(info.label, float(actual))
@@ -1056,9 +1024,7 @@ class MemDatabase:
         if not self._plan_cache.mark_replan(sql, self.plan_flavor):
             if len(self._pending_replans) < 64:
                 self._pending_replans.add(sql)
-        self._optimizer_counters["adaptive_replans"] = (
-            self._optimizer_counters.get("adaptive_replans", 0) + 1
-        )
+        self._optimizer_counters["adaptive_replans"] += 1
         self._adaptive_events.extend(triggered)
         del self._adaptive_events[: -self.ADAPTIVE_EVENT_LIMIT]
 

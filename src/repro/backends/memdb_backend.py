@@ -11,18 +11,17 @@ identical SQL unchanged.
 from __future__ import annotations
 
 from ..errors import BackendError
-from ..obs.schema import unified_engine_stats
-from ..obs.tracing import Tracer, tracing_env_enabled
+from ..obs.tracing import Tracer
 from ..sql.dialect import MEMDB
 from ..sql.translator import SQLTranslation
 from .base import MODE_CTE, RelationalBackend
-from .memdb.engine import MemDatabase, PlanCache, shared_plan_cache
+from .memdb.engine import MemDatabase, PlanCache
 
 
 class MemDBBackend(RelationalBackend):
     """Runs translated circuits on the embedded columnar SQL engine.
 
-    The engine instance is kept for the lifetime of the backend: each run
+    The engine is built with the backend and kept for its lifetime: each run
     starts from an empty catalog (tables are dropped on connect/disconnect),
     but compiled plans persist in the plan cache, so repeated runs of
     structurally identical circuits — the parameter-sweep loop — skip SQL
@@ -87,46 +86,29 @@ class MemDBBackend(RelationalBackend):
             max_state_bytes=max_state_bytes,
             prune_atol=prune_atol,
         )
-        self._plan_cache = plan_cache
-        self._enable_optimizer = enable_optimizer
-        self._enable_adaptive = enable_adaptive
-        self._enable_parallel = enable_parallel
-        self._parallel_workers = parallel_workers
-        self._parallel_threshold_rows = parallel_threshold_rows
-        self._enable_tracing = enable_tracing
-        self._tracer = tracer
-        self._database: MemDatabase | None = None
+        self._database = MemDatabase(
+            plan_cache=plan_cache,
+            enable_optimizer=enable_optimizer,
+            enable_adaptive=enable_adaptive,
+            enable_parallel=enable_parallel,
+            parallel_workers=parallel_workers,
+            parallel_threshold_rows=parallel_threshold_rows,
+            enable_tracing=enable_tracing,
+            tracer=tracer,
+        )
         self._connected = False
 
     # ------------------------------------------------------------ connection
 
     def _connect(self) -> None:
-        if self._database is None:
-            self._database = MemDatabase(
-                plan_cache=self._plan_cache,
-                enable_optimizer=self._enable_optimizer,
-                enable_adaptive=self._enable_adaptive,
-                enable_parallel=self._enable_parallel,
-                parallel_workers=self._parallel_workers,
-                parallel_threshold_rows=self._parallel_threshold_rows,
-                enable_tracing=self._enable_tracing,
-                tracer=self._tracer,
-            )
-        else:
-            self._database.clear()
+        self._database.clear()
         self._connected = True
 
     def _disconnect(self) -> None:
         # Drop the tables (one run's state must not leak into the next) but
         # keep the engine so its plan-cache binding survives across runs.
-        if self._database is not None:
-            self._database.clear()
+        self._database.clear()
         self._connected = False
-
-    def plan_cache_stats(self) -> dict:
-        """Plan-cache statistics of this backend's cache (valid any time)."""
-        cache = self._plan_cache if self._plan_cache is not None else shared_plan_cache()
-        return cache.stats()
 
     # ------------------------------------------------ compile-bind-execute
 
@@ -146,22 +128,19 @@ class MemDBBackend(RelationalBackend):
         if self.mode != MODE_CTE:
             provenance["plan_cache"] = {"prepared": False, "reason": "materialized mode compiles lazily"}
             return
-        cache = self._plan_cache if self._plan_cache is not None else shared_plan_cache()
-        if cache.maxsize <= 0:
+        database = self._database
+        if database.plan_cache.maxsize <= 0:
             provenance["plan_cache"] = {"prepared": False, "reason": "plan cache disabled"}
             return
         query = translation.cte_query(pretty=False)
-        # The engine owns the plan-cache flavor (optimizer + parallel
-        # configuration), so connect first — a fresh engine is cheap — and
-        # peek with its flavor.  Text-only peek (no catalog): a stale entry
-        # is caught and recompiled by the schema-fingerprint check at
-        # execution time.
+        # Peek with the engine's flavor (optimizer + parallel configuration).
+        # Text-only peek (no catalog): a stale entry is caught and recompiled
+        # by the schema-fingerprint check at execution time.
+        if database.plan_cache.peek_state(query, catalog=None, flavor=database.plan_flavor) == "hit":
+            provenance["plan_cache"] = {"prepared": True, "state_at_compile": "hit"}
+            return
         self._connect()
         try:
-            database = self._require_database()
-            if cache.peek_state(query, catalog=None, flavor=database.plan_flavor) == "hit":
-                provenance["plan_cache"] = {"prepared": True, "state_at_compile": "hit"}
-                return
             # The tables are loaded with their rows (not created empty): the
             # cost model falls back to live catalog row counts when ANALYZE
             # has not run, so preparing against empty tables would cache
@@ -176,91 +155,23 @@ class MemDBBackend(RelationalBackend):
         provenance["plan_cache"] = {"prepared": True, "state_at_compile": outcome}
 
     def _execution_provenance(self, executable) -> dict:
-        provenance = {"plan_cache": self.plan_cache_stats()}
-        if self._database is not None:
-            # Surface the adaptive loop's activity (re-plans requested,
-            # corrections learned) on the executable, next to the cache state,
-            # plus the parallel subsystem's per-execution counters.
-            provenance["adaptive"] = self._database.adaptive_stats()
-            provenance["parallel"] = self._database.parallel_stats()
-        return provenance
-
-    def parallel_stats(self) -> dict:
-        """Morsel-parallel subsystem state (configuration + pool counters)."""
-        if self._database is None:
-            return {
-                "enabled": bool(self._enable_parallel),
-                "workers": self._parallel_workers,
-                "threshold_rows": None,
-                "parallel_plan_executions": 0,
-                "pool": {},
-            }
-        return self._database.parallel_stats()
-
-    def optimizer_stats(self) -> dict:
-        """Optimizer activity counters + statistics-catalog summary.
-
-        Empty counters until the first run (the engine is created lazily).
-        """
-        if self._database is None:
-            return {
-                "enabled": self._enable_optimizer,
-                "counters": {},
-                "statistics": {},
-                "adaptive": {"enabled": self._enable_adaptive, "replans": 0, "corrections": 0},
-            }
-        return self._database.optimizer_stats()
-
-    def storage_stats(self) -> dict:
-        """Columnar storage accounting of the live tables (empty when idle).
-
-        Per table: rows, whether text columns are dictionary-encoded, and
-        per-column code/dictionary/validity-bitmap byte sizes (see
-        :meth:`~.memdb.engine.MemDatabase.storage_stats`).
-        """
-        if self._database is None:
-            return {"total_bytes": 0, "tables": {}}
-        return self._database.storage_stats()
-
-    def tracing_stats(self) -> dict:
-        """Tracer activity and sink state (config-derived until the first run)."""
-        if self._database is not None:
-            return self._database.tracing_stats()
-        if self._tracer is not None:
-            return self._tracer.stats()
-        enabled = (
-            bool(tracing_env_enabled()) if self._enable_tracing is None else self._enable_tracing
-        )
-        if not enabled:
-            return {"enabled": False}
-        return {"enabled": True, "traces": 0, "spans": 0, "ring_size": 0}
+        # The engine's stats document: plan-cache state, the adaptive loop's
+        # re-plans and corrections, the parallel subsystem's counters.
+        return self._database.engine_stats()
 
     def recent_traces(self) -> list[dict]:
         """The tracer's ring-buffered span trees, oldest first ([] untraced)."""
-        tracer = self._database.tracer if self._database is not None else self._tracer
+        tracer = self._database.tracer
         return tracer.recent_traces() if tracer is not None else []
 
     def slow_queries(self) -> list[dict]:
         """Slow-query log entries (span tree + plan snapshot), oldest first."""
-        tracer = self._database.tracer if self._database is not None else self._tracer
+        tracer = self._database.tracer
         return tracer.slow_queries() if tracer is not None else []
 
     def engine_stats(self) -> dict:
-        """Every subsystem's statistics in the unified versioned schema.
-
-        See :func:`repro.obs.schema.unified_engine_stats`: canonical
-        top-level ``plan_cache`` / ``optimizer`` / ``adaptive`` /
-        ``parallel`` / ``storage`` / ``tracing`` sections plus roll-up
-        aggregates; ``optimizer["adaptive"]`` stays aliased (same object as
-        the top-level ``adaptive``) for pre-schema readers.
-        """
-        return unified_engine_stats(
-            self.plan_cache_stats(),
-            self.optimizer_stats(),
-            self.parallel_stats(),
-            self.storage_stats(),
-            self.tracing_stats(),
-        )
+        """The engine's versioned stats document (see :meth:`MemDatabase.engine_stats`)."""
+        return self._database.engine_stats()
 
     # --------------------------------------------------------------- explain
 
@@ -288,7 +199,7 @@ class MemDBBackend(RelationalBackend):
             self._disconnect()
 
     def _require_database(self) -> MemDatabase:
-        if not self._connected or self._database is None:
+        if not self._connected:
             raise BackendError("memdb backend is not connected")
         return self._database
 
@@ -315,6 +226,6 @@ class MemDBBackend(RelationalBackend):
         return self._require_database().row_count(table)
 
     @property
-    def database(self) -> MemDatabase | None:
-        """The underlying engine instance (``None`` until the first run)."""
+    def database(self) -> MemDatabase:
+        """The underlying engine instance (built with the backend)."""
         return self._database

@@ -13,6 +13,7 @@ from collections import defaultdict
 from typing import Sequence
 
 from ..errors import BenchmarkError
+from ..obs.schema import flatten_counters
 from ..output.visualization import comparison_table, line_plot
 from .metrics import STATUS_OK, BenchmarkRecord
 
@@ -102,50 +103,19 @@ def win_counts(records: Sequence[BenchmarkRecord]) -> dict[str, int]:
 
 
 def engine_stats_table(stats: dict) -> str:
-    """Render memdb plan-cache + optimizer statistics as one counter table.
+    """Render an engine-stats document as one counter table.
 
-    ``stats`` is the dict returned by ``MemDBBackend.engine_stats()`` /
-    ``QymeraSession.simulations.engine_stats()``: a ``plan_cache`` block of
-    hit/miss/eviction/invalidation counters and an ``optimizer`` block with
-    rewrite/join-order counters plus the statistics-catalog summary.
+    ``stats`` is the document ``MemDatabase.engine_stats()`` produces (and
+    ``MemDBBackend.engine_stats()`` / ``QymeraSession.simulations.engine_stats()``
+    hand through).  One row per :func:`~repro.obs.schema.flatten_counters`
+    name: its first dotted segment is the subsystem, the rest the counter.
     """
     if not stats:
         raise BenchmarkError("empty engine statistics")
     rows = []
-    for counter, value in sorted(stats.get("plan_cache", {}).items()):
-        rows.append({"subsystem": "plan_cache", "counter": counter, "value": value})
-    optimizer = stats.get("optimizer", {})
-    if optimizer:
-        rows.append(
-            {"subsystem": "optimizer", "counter": "enabled", "value": optimizer.get("enabled")}
-        )
-        for counter, value in sorted(optimizer.get("counters", {}).items()):
-            rows.append({"subsystem": "optimizer", "counter": counter, "value": value})
-        statistics = optimizer.get("statistics", {}) or {}
-        for counter in ("analyzed_tables", "analyze_count", "invalidation_count", "feedback_count"):
-            if counter in statistics:
-                rows.append(
-                    {"subsystem": "statistics", "counter": counter, "value": statistics[counter]}
-                )
-        adaptive = optimizer.get("adaptive", {}) or {}
-        for counter in ("enabled", "replans", "corrections"):
-            if counter in adaptive:
-                rows.append(
-                    {"subsystem": "adaptive", "counter": counter, "value": adaptive[counter]}
-                )
-    parallel = stats.get("parallel", {}) or {}
-    for counter in ("enabled", "workers", "batches", "tasks", "inline_batches", "errors"):
-        if counter in parallel:
-            rows.append({"subsystem": "parallel", "counter": counter, "value": parallel[counter]})
-    storage = stats.get("storage", {}) or {}
-    for counter, value in sorted(storage.items()):
-        if counter == "tables":
-            continue
-        rows.append({"subsystem": "storage", "counter": counter, "value": value})
-    tracing = stats.get("tracing", {}) or {}
-    for counter in ("enabled", "traces", "spans", "ring_size", "slow_queries"):
-        if counter in tracing:
-            rows.append({"subsystem": "tracing", "counter": counter, "value": tracing[counter]})
+    for name, value in flatten_counters(stats).items():
+        subsystem, _, counter = name.partition(".")
+        rows.append({"subsystem": subsystem, "counter": counter, "value": value})
     if not rows:
         raise BenchmarkError("engine statistics contain no counters")
     return comparison_table(rows, columns=["subsystem", "counter", "value"])

@@ -1,6 +1,6 @@
-"""Observability substrate: tracing, metrics, sinks, unified stats schema.
+"""Observability substrate: tracing, metrics, sinks, the engine-stats schema.
 
-Answers the two questions the ad-hoc ``*_stats()`` dicts could not:
+Answers the two questions a stats snapshot cannot:
 "where did this query's milliseconds go?" (span-based tracing,
 :mod:`.tracing`) and "what is the service's p99 under mixed traffic?"
 (process-wide metrics registry, :mod:`.metrics`).  Finished traces flow to
@@ -8,7 +8,7 @@ bounded sinks (:mod:`.sinks`): an in-memory ring, an optional JSON-lines
 export, a threshold-gated slow-query log with EXPLAIN-style plan
 snapshots, and the request-indexed :class:`~.sinks.RequestTraceStore` the
 serving tier's ``/v1/traces`` endpoints assemble distributed traces from.
-:mod:`.schema` defines the unified ``engine_stats()`` document.
+:mod:`.schema` versions the ``engine_stats()`` document and flattens it.
 
 Tracing is ablatable: pass ``enable_tracing=True`` to an engine/backend or
 set ``REPRO_TRACE=1`` process-wide; the disabled path costs one branch.
@@ -26,7 +26,7 @@ from .metrics import (
     global_registry,
     prometheus_exposition,
 )
-from .schema import ENGINE_STATS_SCHEMA_VERSION, flatten_counters, unified_engine_stats
+from .schema import ENGINE_STATS_SCHEMA_VERSION, flatten_counters
 from .sinks import JsonlTraceSink, RequestTraceStore, SlowQueryLog, TraceRingBuffer
 from .tracing import (
     Span,
@@ -58,7 +58,6 @@ __all__ = [
     "prometheus_exposition",
     "ENGINE_STATS_SCHEMA_VERSION",
     "flatten_counters",
-    "unified_engine_stats",
     "JsonlTraceSink",
     "RequestTraceStore",
     "SlowQueryLog",

@@ -186,15 +186,15 @@ class SimulationPanel:
         return backend.explain_circuit(circuit, analyze=analyze)
 
     def engine_stats(self, method: str = "memdb", **options) -> dict:
-        """Unified engine statistics of a pooled backend instance.
+        """The engine-stats document of a pooled backend instance.
 
-        Returns the versioned schema from :mod:`repro.obs.schema` —
+        The engine's versioned document, unchanged (see
+        :meth:`~repro.backends.memdb.engine.MemDatabase.engine_stats`):
         ``plan_cache``, ``optimizer``, ``adaptive``, ``parallel``,
         ``storage`` and ``tracing`` sections under one ``schema_version``.
-        The ``optimizer`` block includes the ``adaptive`` feedback-loop
-        state: re-plans requested, correction factors learned from observed
-        actual-vs-estimated cardinalities, and the most recent trigger
-        events (see :meth:`adaptive_stats` for just that slice).
+        ``adaptive`` holds the feedback loop's re-plans, learned
+        corrections and recent trigger events; ``parallel`` the morsel
+        pool's configuration and counters.
         """
         backend = self._pooled_method(method, options)
         if not isinstance(backend, MemDBBackend):
@@ -214,14 +214,6 @@ class SimulationPanel:
         if not isinstance(backend, MemDBBackend):
             raise QymeraError("the slow-query log is only available on the memdb backend")
         return backend.slow_queries()
-
-    def adaptive_stats(self, **options) -> dict:
-        """The memdb adaptive re-optimization state of the pooled backend."""
-        return self.engine_stats("memdb", **options)["optimizer"].get("adaptive", {})
-
-    def parallel_stats(self, **options) -> dict:
-        """The memdb morsel-parallel execution state of the pooled backend."""
-        return self.engine_stats("memdb", **options).get("parallel", {})
 
     def run(self, circuit_name: str, method: str = "sqlite", **options) -> SimulationResult:
         """Simulate a registered circuit with one method.

@@ -294,6 +294,32 @@ class TestReport:
         assert "plan_cache" in table and "optimizer" in table
         assert "hits" in table and "enabled" in table
 
+    def test_engine_stats_table_renders_every_counter(self):
+        from repro.backends import MemDBBackend
+        from repro.backends.memdb.engine import PlanCache
+        from repro.bench import engine_stats_table
+        from repro.circuits import ghz_circuit
+        from repro.obs import flatten_counters
+
+        backend = MemDBBackend(
+            plan_cache=PlanCache(maxsize=16),
+            enable_parallel=True,
+            parallel_workers=2,
+            parallel_threshold_rows=0,
+            enable_tracing=True,
+        )
+        backend.run(ghz_circuit(3))
+        stats = backend.engine_stats()
+        rendered = {
+            tuple(cell.strip() for cell in line.split("|")[:2])
+            for line in engine_stats_table(stats).splitlines()[2:]
+        }
+        for name in flatten_counters(stats):
+            subsystem, _, counter = name.partition(".")
+            assert (subsystem, counter) in rendered, name
+        for row in [("parallel", "pool.tasks"), ("adaptive", "decays"), ("tracing", "traces_dropped")]:
+            assert row in rendered
+
     def test_engine_stats_table_rejects_empty(self):
         from repro.bench import engine_stats_table
 

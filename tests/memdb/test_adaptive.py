@@ -180,7 +180,7 @@ class TestAdaptiveReplan:
         db.execute(_SHIFT_QUERY)  # plan compiled at 20 rows (sort chosen)
         _shift(db)
         db.execute(_SHIFT_QUERY)  # stale plan executes; feedback fires
-        stats = db.adaptive_stats()
+        stats = db.engine_stats()["adaptive"]
         assert stats["replans"] == 1
         assert stats["events"] and stats["events"][0]["q_error"] > 4
         assert cache.peek_state(_SHIFT_QUERY, db._tables, db.plan_flavor) == "replan"
@@ -206,7 +206,7 @@ class TestAdaptiveReplan:
         for _ in range(5):
             db.execute(_SHIFT_QUERY)
         # One replan fixes the estimate; later executions must not re-flag.
-        assert db.adaptive_stats()["replans"] == 1
+        assert db.engine_stats()["adaptive"]["replans"] == 1
         assert cache.stats()["replans"] == 1
 
     def test_results_identical_across_replan(self):
@@ -230,7 +230,7 @@ class TestAdaptiveReplan:
         _shift(db)
         db.execute(_SHIFT_QUERY)
         db.execute(_SHIFT_QUERY)
-        assert db.adaptive_stats()["replans"] == 0
+        assert db.engine_stats()["adaptive"]["replans"] == 0
         assert cache.stats()["replans"] == 0
 
     def test_correlated_predicate_records_correction(self):
@@ -254,7 +254,7 @@ class TestAdaptiveReplan:
         # The corrected re-plan estimates ~actual: a second run stays quiet.
         db.execute(query)
         db.execute(query)
-        assert db.adaptive_stats()["replans"] == 1
+        assert db.engine_stats()["adaptive"]["replans"] == 1
 
     def test_explain_analyze_feeds_the_loop(self):
         # EXPLAIN ANALYZE re-optimizes fresh, so pure staleness (live row
@@ -269,13 +269,7 @@ class TestAdaptiveReplan:
         db.execute("ANALYZE")
         db.execute("EXPLAIN ANALYZE SELECT c.a FROM c WHERE c.a = 3 AND c.b = 3")
         assert db.statistics.corrections()
-        assert db.adaptive_stats()["replans"] == 1
-
-    def test_optimizer_stats_exposes_adaptive_section(self):
-        db = MemDatabase(plan_cache=PlanCache())
-        stats = db.optimizer_stats()
-        assert stats["adaptive"]["enabled"] is True
-        assert stats["adaptive"]["replans"] == 0
+        assert db.engine_stats()["adaptive"]["replans"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +344,40 @@ class TestBackendSurfacing:
         assert adaptive["enabled"] is True
         assert "replans" in adaptive and "corrections" in adaptive
 
-    def test_backend_optimizer_stats_before_first_run(self):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"enable_adaptive": False},
+            {"enable_parallel": True, "parallel_workers": 2, "parallel_threshold_rows": 1000},
+        ],
+        ids=["defaults", "no-adaptive", "parallel"],
+    )
+    def test_backend_engine_stats_same_before_and_after_first_run(self, options):
+        # No environment is pinned: under REPRO_MEMDB_PARALLEL / REPRO_TRACE
+        # the document must still describe the engine the run will use.
         from repro.backends import MemDBBackend
+        from repro.circuits import ghz_circuit
+        from repro.obs import flatten_counters
 
-        stats = MemDBBackend(enable_adaptive=False).optimizer_stats()
-        assert stats["adaptive"]["enabled"] is False
+        def configuration(stats: dict) -> tuple:
+            return (
+                stats["optimizer"]["enabled"],
+                stats["adaptive"]["enabled"],
+                stats["adaptive"]["threshold"],
+                stats["parallel"]["enabled"],
+                stats["parallel"]["workers"],
+                stats["parallel"]["threshold_rows"],
+                stats["tracing"]["enabled"],
+            )
+
+        backend = MemDBBackend(plan_cache=PlanCache(maxsize=16), **options)
+        before = backend.engine_stats()
+        backend.run(ghz_circuit(3))
+        after = backend.engine_stats()
+        assert set(flatten_counters(before)) == set(flatten_counters(after))
+        assert configuration(before) == configuration(after)
+        assert before["adaptive"]["enabled"] is options.get("enable_adaptive", True)
 
 
 class TestFeedbackHygiene:
@@ -384,9 +407,9 @@ class TestFeedbackHygiene:
         db.execute(_SHIFT_QUERY)
         _shift(db)
         db.execute(_SHIFT_QUERY)
-        assert db.adaptive_stats()["events"]
+        assert db.engine_stats()["adaptive"]["events"]
         db.clear()
-        assert db.adaptive_stats()["events"] == []
+        assert db.engine_stats()["adaptive"]["events"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +508,7 @@ class TestCorrectionDecay:
         for _ in range(3):
             db.execute(sparse)
         assert db.statistics.correction("w", shape) == pytest.approx(1.0)
-        stats = db.adaptive_stats()
+        stats = db.engine_stats()["adaptive"]
         assert stats["decays"] == 1
         assert any("decay" in event for event in stats["events"])
 

@@ -132,12 +132,12 @@ class TestDictionaryGrowth:
         db = _fresh()
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute("INSERT INTO t (id, s) VALUES (0, 'm'), (1, 'z')")
-        before = db.storage_stats("t")["columns"]["s"]
+        before = db.table("t").storage_stats()["columns"]["s"]
         assert before["kind"] == "dict"
         assert before["dictionary_size"] == 2
         # 'a' sorts before every existing entry: every stored code shifts.
         db.execute("INSERT INTO t (id, s) VALUES (2, 'a'), (3, NULL), (4, 'm')")
-        after = db.storage_stats("t")["columns"]["s"]
+        after = db.table("t").storage_stats()["columns"]["s"]
         assert after["dictionary_size"] == 3
         assert after["dictionary_rebuilds"] >= 1
         assert after["null_count"] == 1
@@ -164,7 +164,7 @@ class TestDictionaryGrowth:
         db.execute("DELETE FROM t WHERE t.s = 'a'")
         rows = db.execute("SELECT t.id AS id, t.s AS s FROM t ORDER BY t.id").rows
         assert rows == [(1, "b"), (2, None), (4, "c")]
-        stats = db.storage_stats("t")["columns"]["s"]
+        stats = db.table("t").storage_stats()["columns"]["s"]
         assert stats["rows"] == 3
         assert stats["null_count"] == 1
 
@@ -173,7 +173,7 @@ class TestDictionaryGrowth:
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute("INSERT INTO t (id, s) VALUES (0, 'x'), (1, NULL), (2, 'y')")
         db.execute("CREATE TABLE c AS SELECT t.id AS id, t.s AS s FROM t WHERE t.id >= 1")
-        stats = db.storage_stats("c")["columns"]["s"]
+        stats = db.table("c").storage_stats()["columns"]["s"]
         assert stats["kind"] == "dict"
         assert db.execute("SELECT c.s AS s FROM c ORDER BY c.id").rows == [(None,), ("y",)]
 
@@ -220,6 +220,6 @@ class TestMultiKeyParallelParity:
                         )
                         assert both_nan or (a == b and type(a) is type(b)), (sql, row_a, row_b)
             # The partitioned path really ran (multi-key no longer declines).
-            assert parallel.parallel_stats()["parallel_plan_executions"] > 0
+            assert parallel.engine_stats()["parallel"]["parallel_plan_executions"] > 0
         finally:
             pool.shutdown()

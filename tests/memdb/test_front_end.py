@@ -221,7 +221,7 @@ def test_warm_execution_of_a_cached_plan_walks_no_ast(monkeypatch):
     )
     wrapped = executor._scalar_array.cache_info().misses
     assert db.execute(query).rows == cold
-    assert db.plan_cache_stats()["hits"] >= 1
+    assert db.plan_cache.stats()["hits"] >= 1
     assert counter.calls == 0 and counter.facts == 0
     assert executor._scalar_array.cache_info().misses == wrapped
     # The feedback loop did compare all 31 blocks; it reads each block's

@@ -215,7 +215,7 @@ class TestCteEdges:
             db.execute(statement)
         db.execute("CREATE TABLE x AS WITH a AS (SELECT s, r FROM T0) SELECT s, r FROM a")
         assert db.table("x").schema_signature() == (("s", "int64"), ("r", "float64"))
-        assert db.storage_stats("x")["rows"] == 4
+        assert db.table("x").storage_stats()["rows"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ class TestFusedStepSerialVsParallel:
             expected = result.rows
             assert sum(row[3] for row in expected) == len(states) * len(gate["in_s"]) // 2
             assert parallel.execute(_FUSED_STEP).rows == expected
-            assert parallel.parallel_stats()["parallel_plan_executions"] > 0
+            assert parallel.engine_stats()["parallel"]["parallel_plan_executions"] > 0
             with mock.patch.object(executor_module, "_DENSE_SLOTS_PER_ROW", 0):
                 # Neither grouping nor the join addresses anything directly.
                 assert _exact(forced_sort.execute(_FUSED_STEP)) == _exact(result)

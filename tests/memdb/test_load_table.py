@@ -63,8 +63,8 @@ class TestEquivalentToTheSqlText:
     def test_same_catalog(self):
         loaded, scripted = _pair()
         assert loaded.table("t").schema_signature() == scripted.table("t").schema_signature()
-        assert loaded.storage_stats() == scripted.storage_stats()
-        assert loaded.storage_stats("t")["columns"]["name"]["kind"] == "dict"
+        assert loaded.engine_stats()["storage"] == scripted.engine_stats()["storage"]
+        assert loaded.table("t").storage_stats()["columns"]["name"]["kind"] == "dict"
         assert loaded.row_count("t") == scripted.row_count("t") == 5
         assert loaded.estimated_bytes() == scripted.estimated_bytes()
 
@@ -80,7 +80,7 @@ class TestEquivalentToTheSqlText:
         for db in (loaded, scripted):
             db.execute("INSERT INTO t (id, v, name) VALUES (9, 1.5, 'alpha')")
             db.execute("DELETE FROM t WHERE id = 0")
-        assert loaded.storage_stats() == scripted.storage_stats()
+        assert loaded.engine_stats()["storage"] == scripted.engine_stats()["storage"]
         assert _rows(loaded, _QUERIES[0]) == _rows(scripted, _QUERIES[0])
 
     def test_statistics_are_invalidated(self):

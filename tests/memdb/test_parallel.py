@@ -281,7 +281,7 @@ class TestParallelSerialDifferential:
                 # Warm (plan-cached) execution must match the cold one.
                 assert_rows_identical(parallel.execute(sql).rows, expected, sql + " [warm]")
             # The parallel engine really did run parallel plans.
-            stats = parallel.parallel_stats()
+            stats = parallel.engine_stats()["parallel"]
             assert stats["parallel_plan_executions"] > 0
             assert stats["pool"]["tasks"] > 0
         finally:
@@ -404,11 +404,11 @@ class TestParallelCostGate:
         sql = "SELECT t.g AS g, COUNT(*) AS n FROM t GROUP BY t.g"
         try:
             expected = serial.execute(sql).rows
-            assert parallel.parallel_stats()["parallel_plan_executions"] == 0
+            assert parallel.engine_stats()["parallel"]["parallel_plan_executions"] == 0
             # Despite the shared cache, the parallel engine compiles its own
             # flavor and actually executes the parallel operators.
             assert_rows_identical(parallel.execute(sql).rows, expected)
-            assert parallel.parallel_stats()["parallel_plan_executions"] == 1
+            assert parallel.engine_stats()["parallel"]["parallel_plan_executions"] == 1
             assert serial.plan_flavor != parallel.plan_flavor
             # Both flavors are now warm: each engine re-binds its own entry.
             hits_before = cache.stats()["hits"]
@@ -531,15 +531,13 @@ class TestParallelPlumbing:
 
     def test_engine_parallel_stats_shape(self):
         db = MemDatabase(plan_cache=PlanCache(), enable_parallel=False)
-        stats = db.parallel_stats()
+        stats = db.engine_stats()["parallel"]
         assert stats["enabled"] is False
         assert stats["pool"] == {}
         assert stats["parallel_plan_executions"] == 0
 
     def test_backend_and_session_expose_parallel_stats(self):
         backend = MemDBBackend(enable_parallel=True, parallel_workers=2)
-        stats = backend.parallel_stats()
-        assert stats["enabled"] is True
         assert backend.engine_stats()["parallel"]["enabled"] is True
 
         session = QymeraSession()
@@ -547,7 +545,7 @@ class TestParallelPlumbing:
 
         session.circuits.add_circuit(ghz_circuit(3), "ghz")
         session.simulations.run("ghz", "memdb", enable_parallel=True, parallel_workers=2)
-        stats = session.simulations.parallel_stats(enable_parallel=True, parallel_workers=2)
+        stats = session.simulations.engine_stats(enable_parallel=True, parallel_workers=2)["parallel"]
         assert stats["enabled"] is True and stats["workers"] == 2
 
     def test_executable_provenance_carries_parallel_stats(self):

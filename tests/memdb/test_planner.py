@@ -272,9 +272,9 @@ class TestCteColumnAliasList:
         db = _fresh_db(enable_optimizer=enable_optimizer)
         expected = _sqlite_rows(query)
         cold = db.execute(query).rows
-        hits = db.plan_cache_stats()["hits"]
+        hits = db.plan_cache.stats()["hits"]
         warm = db.execute(query).rows
-        assert db.plan_cache_stats()["hits"] == hits + 1
+        assert db.plan_cache.stats()["hits"] == hits + 1
         _assert_rows_close(cold, expected)
         assert warm == cold
 

@@ -179,7 +179,7 @@ class TestTraceShape:
         assert db.tracer is None
         result = db.execute(_STAR_QUERY)
         assert len(result.rows) > 0
-        assert db.tracing_stats() == {"enabled": False}
+        assert db.engine_stats()["tracing"] == {"enabled": False}
 
 
 class TestRowParity:

@@ -3,9 +3,12 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.backends.memdb import MemDatabase, PlanCache
 from repro.obs import (
+    ENGINE_STATS_SCHEMA_VERSION,
     JsonlTraceSink,
     MetricsRegistry,
     SlowQueryLog,
@@ -18,7 +21,6 @@ from repro.obs import (
     maybe_span,
     reset_shared_tracer,
     shared_tracer,
-    unified_engine_stats,
 )
 from repro.obs.tracing import TRACE_ENV_VAR
 
@@ -204,35 +206,51 @@ class TestSinks:
         assert log.entries()[0]["plan"] == ["<plan snapshot failed>"]
 
 
-class TestUnifiedSchema:
-    def test_sections_and_aliases(self):
-        optimizer = {"enabled": True, "adaptive": {"enabled": True, "replans": 2}}
-        stats = unified_engine_stats(
-            plan_cache={"hits": 3},
-            optimizer=optimizer,
-            parallel={"enabled": False},
-            storage={
-                "total_bytes": 10,
-                "tables": {"t": {"columns": {"c": {"dictionary_rebuilds": 4}}}},
-            },
-            tracing={"enabled": True},
+class TestEngineStatsSchema:
+    def test_sections_version_and_rollup(self):
+        db = MemDatabase(plan_cache=PlanCache(0), enable_parallel=False, enable_tracing=False)
+        db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
+        db.execute("INSERT INTO t (id, s) VALUES (0, 'm'), (1, 'z')")
+        # 'a' sorts before every entry: the dictionary grows and is rebuilt.
+        db.execute("INSERT INTO t (id, s) VALUES (2, 'a')")
+        db.load_table("u", {"s": np.array(["x", "y"], dtype=object)})
+        stats = db.engine_stats()
+        assert list(stats) == [
+            "schema_version", "plan_cache", "optimizer", "adaptive", "parallel", "storage", "tracing",
+        ]
+        assert stats["schema_version"] == ENGINE_STATS_SCHEMA_VERSION == 3
+        assert "adaptive" not in stats["optimizer"]
+        assert stats["adaptive"]["enabled"] is True and stats["adaptive"]["replans"] == 0
+        assert stats["tracing"] == {"enabled": False}
+        rebuilds = db.table("t").storage_stats()["columns"]["s"]["dictionary_rebuilds"]
+        assert rebuilds >= 1
+        assert stats["storage"]["dictionary_rebuilds"] == rebuilds + sum(
+            column["dictionary_rebuilds"]
+            for column in db.table("u").storage_stats()["columns"].values()
         )
-        assert stats["schema_version"] == 2
-        assert stats["plan_cache"]["hits"] == 3
-        # The back-compat alias is the same object, not a copy.
-        assert stats["adaptive"] is optimizer["adaptive"]
-        assert stats["optimizer"]["adaptive"]["replans"] == 2
-        assert stats["storage"]["dictionary_rebuilds"] == 4
-        assert stats["tracing"]["enabled"] is True
+        assert stats["storage"]["tables"]["t"] == db.table("t").storage_stats()
 
     def test_flatten_counters_dotted_names(self):
         stats = {
             "plan_cache": {"hits": 3, "misses": 1},
             "parallel": {"enabled": True},
             "storage": {"tables": {"ignored": 1}, "total_bytes": 9},
+            "optimizer": {
+                "statistics": {
+                    "analyze_count": 2,
+                    "tables": {"t": {"rows": 5}},
+                    "corrections": {"t|shape": 8.0},
+                },
+            },
+            "adaptive": {"corrections": 1, "events": [{"block": "T1"}]},
         }
-        flat = flatten_counters(stats)
-        assert flat["plan_cache.hits"] == 3
-        assert flat["parallel.enabled"] == 1
-        assert flat["storage.total_bytes"] == 9
-        assert not any(name.startswith("storage.tables") for name in flat)
+        # Counters stay; per-entity maps (per-table detail, correction
+        # factors, event lists) are dropped.
+        assert flatten_counters(stats) == {
+            "plan_cache.hits": 3,
+            "plan_cache.misses": 1,
+            "parallel.enabled": 1,
+            "storage.total_bytes": 9,
+            "optimizer.statistics.analyze_count": 2,
+            "adaptive.corrections": 1,
+        }

@@ -141,7 +141,7 @@ class TestProcessTierMerge:
             engine = worker.get("engine")
             assert engine is not None
             # Worker engines report the unified schema.
-            assert engine["schema_version"] == 2
+            assert engine["schema_version"] == 3
             assert engine["plan_cache"]["size"] >= 1
         # Per-tier latency landed in the process histogram, not the thread one.
         snapshot = process_service.metrics.snapshot()
