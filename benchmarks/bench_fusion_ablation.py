@@ -1,9 +1,11 @@
 """E8 — ablation of the gate-fusion query optimization (Sec. 3.2).
 
 The Translation Layer can fuse runs of consecutive gates that act on a small
-common qubit set into a single SQL stage.  This harness times the same
-workloads with fusion off and on, and reports the number of pipeline stages
-and intermediate tuples saved.
+common qubit set into a single SQL stage.  Fusion runs on what the
+diagonal-block / SWAP-relabel pass leaves (that pass is always on), so
+``stages_plain`` is already below the gate count.  This harness times the
+same workloads with fusion off and on, and reports the number of pipeline
+stages, the fused / plain stage ratio and the intermediate tuples saved.
 
 Expected shape: fusion reduces the number of CTE/materialized stages
 (and therefore joins); the benefit is largest for gate-dense circuits with
@@ -16,7 +18,6 @@ import pytest
 from repro.backends import SQLiteBackend
 from repro.circuits import dense_phase_circuit, ghz_circuit, qft_on_basis_state
 from repro.output import comparison_table, states_agree
-from repro.sql import fusion_savings
 
 from conftest import emit
 
@@ -49,13 +50,15 @@ def test_fusion_ablation_report(benchmark, results_dir):
             circuit = factory()
             plain = SQLiteBackend(mode="materialized").run(circuit)
             fused = SQLiteBackend(mode="materialized", fuse=True).run(circuit)
-            savings = fusion_savings(circuit, max_qubits=2)
+            stages_plain = len(plain.metadata["step_rows"])
+            stages_fused = len(fused.metadata["step_rows"])
             rows.append(
                 {
                     "workload": name,
-                    "stages_plain": len(plain.metadata["step_rows"]),
-                    "stages_fused": len(fused.metadata["step_rows"]),
-                    "stages_saved": savings["stages_saved"],
+                    "gates": circuit.size(),
+                    "stages_plain": stages_plain,
+                    "stages_fused": stages_fused,
+                    "fused_ratio": round(stages_fused / stages_plain, 3),
                     "tuples_plain": sum(plain.metadata["step_rows"]),
                     "tuples_fused": sum(fused.metadata["step_rows"]),
                     "time_plain_s": plain.wall_time_s,

@@ -153,11 +153,14 @@ class RelationalBackend(BaseSimulator):
     # --------------------------------------------------- compile-bind-execute
 
     #: Parameter value used to translate a *representative* binding of a
-    #: parameterized template at compile time.  The generated CTE / CREATE-AS
-    #: texts depend only on the circuit structure (parameter values only move
-    #: gate-table literals), so plans prepared from this binding serve every
-    #: later bind.  0.5 avoids degenerate angles (rotations by 0 collapse to
-    #: diagonal matrices with fewer nonzero gate rows).
+    #: parameterized template at compile time.  Which gates become steps or
+    #: diagonal blocks depends on gate kinds, never on angles, so the
+    #: generated CTE / CREATE-AS texts depend on the circuit structure and on
+    #: which gate tables coincide (the registry shares one table between
+    #: equal rows); parameter values otherwise only move gate-table
+    #: literals, and plans prepared from this binding serve every later
+    #: bind.  0.5 avoids degenerate angles (a rotation by 0 has fewer
+    #: nonzero gate rows and equals other tables more often).
     _REPRESENTATIVE_PARAMETER = 0.5
 
     def _compile(self, circuit: QuantumCircuit) -> dict:

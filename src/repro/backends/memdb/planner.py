@@ -1,7 +1,8 @@
 """Physical-plan compiler for the embedded columnar engine.
 
 Every query the engine runs goes through this module.  The paper's hot loop
-(one join-aggregate per gate, repeated for every parameter-sweep point)
+(one join-aggregate per branching gate or diagonal block, repeated for
+every parameter-sweep point)
 executes *structurally identical* statements thousands of times, so a
 parsed statement is compiled once into a reusable physical plan over the
 kernels of :mod:`.executor`:

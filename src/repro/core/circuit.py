@@ -485,12 +485,15 @@ class QuantumCircuit:
         basis state; every other gate (H, RY, ...) can branch.  The ratio of
         branching gates is a useful predictor of whether the relational
         (sparse) representation stays small — the regime where the paper's
-        RDBMS approach wins.
+        RDBMS approach wins.  A diagonal kind (``rz``, ``rzz``, ...) never
+        branches, bound or not, so a template and its bindings count alike.
         """
         count = 0
         for instruction in self.gates:
             gate = instruction.gate
             assert gate is not None
+            if gate.diagonal:
+                continue
             if gate.is_parameterized:
                 count += 1
                 continue

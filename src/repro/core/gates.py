@@ -56,9 +56,13 @@ class Gate:
     matrix_factory:
         Callable mapping the resolved float parameters to the
         ``2**num_qubits`` square unitary matrix.
+    diagonal:
+        Structural flag: the matrix is diagonal for *every* parameter value
+        (``z``, ``rz``, ``cp``, ``rzz``, ...).  It is a property of the gate
+        kind, not of a binding, so ``RX(0)`` is not diagonal by kind.
     """
 
-    __slots__ = ("_name", "_num_qubits", "_params", "_matrix_factory", "_label")
+    __slots__ = ("_name", "_num_qubits", "_params", "_matrix_factory", "_label", "_diagonal")
 
     def __init__(
         self,
@@ -67,6 +71,7 @@ class Gate:
         params: Sequence[ParameterValue] = (),
         matrix_factory: Callable[[Sequence[float]], np.ndarray] | None = None,
         label: str | None = None,
+        diagonal: bool = False,
     ) -> None:
         if num_qubits < 1:
             raise GateError(f"gate {name!r} must act on at least one qubit")
@@ -75,6 +80,7 @@ class Gate:
         self._params = tuple(params)
         self._matrix_factory = matrix_factory
         self._label = label or self._name
+        self._diagonal = bool(diagonal)
 
     # ------------------------------------------------------------ properties
 
@@ -97,6 +103,16 @@ class Gate:
     def label(self) -> str:
         """Display label (defaults to the gate name)."""
         return self._label
+
+    @property
+    def diagonal(self) -> bool:
+        """True if the gate kind is diagonal whatever its parameters (see ``is_diagonal``)."""
+        return self._diagonal
+
+    @property
+    def is_swap(self) -> bool:
+        """True for the standard SWAP gate, the only gate that just permutes qubit positions."""
+        return self._matrix_factory is _mat_swap
 
     @property
     def dimension(self) -> int:
@@ -149,7 +165,7 @@ class Gate:
                 new_params.append(value.bind(assignment))
             else:
                 new_params.append(value)
-        return Gate(self._name, self._num_qubits, new_params, self._matrix_factory, self._label)
+        return Gate(self._name, self._num_qubits, new_params, self._matrix_factory, self._label, self._diagonal)
 
     def inverse(self) -> "Gate":
         """The inverse gate (conjugate-transpose matrix), named ``<name>_dg``."""
@@ -157,12 +173,16 @@ class Gate:
             raise GateError(f"cannot invert parameterized gate {self._name!r}; bind parameters first")
         matrix = self.matrix().conj().T
         name = self._name[:-3] if self._name.endswith("_dg") else f"{self._name}_dg"
-        return Gate(name, self._num_qubits, (), lambda _p, m=matrix: m, label=name)
+        return Gate(name, self._num_qubits, (), lambda _p, m=matrix: m, label=name, diagonal=self._diagonal)
 
     # ----------------------------------------------------- structure queries
 
+    def diagonal_entries(self, assignment: Mapping[Parameter, float] | None = None) -> np.ndarray:
+        """The diagonal of the gate matrix (the whole matrix for a diagonal kind)."""
+        return np.diagonal(self.matrix(assignment))
+
     def is_diagonal(self, assignment: Mapping[Parameter, float] | None = None) -> bool:
-        """True if the gate matrix is diagonal (phase-type gate)."""
+        """True if this binding's matrix is diagonal (numeric; see the ``diagonal`` kind flag)."""
         matrix = self.matrix(assignment)
         return bool(np.allclose(matrix, np.diag(np.diag(matrix)), atol=ATOL))
 
@@ -433,7 +453,7 @@ def _mat_cswap(_params: Sequence[float]) -> np.ndarray:
 class GateSpec:
     """Registry entry describing how to build a standard gate."""
 
-    __slots__ = ("name", "num_qubits", "num_params", "matrix_factory", "aliases")
+    __slots__ = ("name", "num_qubits", "num_params", "matrix_factory", "aliases", "diagonal")
 
     def __init__(
         self,
@@ -442,44 +462,46 @@ class GateSpec:
         num_params: int,
         matrix_factory: Callable[[Sequence[float]], np.ndarray],
         aliases: Sequence[str] = (),
+        diagonal: bool = False,
     ) -> None:
         self.name = name
         self.num_qubits = num_qubits
         self.num_params = num_params
         self.matrix_factory = matrix_factory
         self.aliases = tuple(aliases)
+        self.diagonal = diagonal
 
 
 _STANDARD_SPECS: tuple[GateSpec, ...] = (
-    GateSpec("id", 1, 0, _mat_id, aliases=("i",)),
+    GateSpec("id", 1, 0, _mat_id, aliases=("i",), diagonal=True),
     GateSpec("x", 1, 0, _mat_x, aliases=("not",)),
     GateSpec("y", 1, 0, _mat_y),
-    GateSpec("z", 1, 0, _mat_z),
+    GateSpec("z", 1, 0, _mat_z, diagonal=True),
     GateSpec("h", 1, 0, _mat_h),
-    GateSpec("s", 1, 0, _mat_s),
-    GateSpec("sdg", 1, 0, _mat_sdg),
-    GateSpec("t", 1, 0, _mat_t),
-    GateSpec("tdg", 1, 0, _mat_tdg),
+    GateSpec("s", 1, 0, _mat_s, diagonal=True),
+    GateSpec("sdg", 1, 0, _mat_sdg, diagonal=True),
+    GateSpec("t", 1, 0, _mat_t, diagonal=True),
+    GateSpec("tdg", 1, 0, _mat_tdg, diagonal=True),
     GateSpec("sx", 1, 0, _mat_sx),
     GateSpec("rx", 1, 1, _mat_rx),
     GateSpec("ry", 1, 1, _mat_ry),
-    GateSpec("rz", 1, 1, _mat_rz),
-    GateSpec("p", 1, 1, _mat_p, aliases=("u1", "phase")),
+    GateSpec("rz", 1, 1, _mat_rz, diagonal=True),
+    GateSpec("p", 1, 1, _mat_p, aliases=("u1", "phase"), diagonal=True),
     GateSpec("u", 1, 3, _mat_u, aliases=("u3",)),
     GateSpec("cx", 2, 0, _mat_cx, aliases=("cnot",)),
     GateSpec("cy", 2, 0, _mat_cy),
-    GateSpec("cz", 2, 0, _mat_cz),
+    GateSpec("cz", 2, 0, _mat_cz, diagonal=True),
     GateSpec("ch", 2, 0, _mat_ch),
-    GateSpec("cp", 2, 1, _mat_cp, aliases=("cu1", "cphase")),
+    GateSpec("cp", 2, 1, _mat_cp, aliases=("cu1", "cphase"), diagonal=True),
     GateSpec("crx", 2, 1, _mat_crx),
     GateSpec("cry", 2, 1, _mat_cry),
-    GateSpec("crz", 2, 1, _mat_crz),
+    GateSpec("crz", 2, 1, _mat_crz, diagonal=True),
     GateSpec("swap", 2, 0, _mat_swap),
     GateSpec("iswap", 2, 0, _mat_iswap),
-    GateSpec("rzz", 2, 1, _mat_rzz),
+    GateSpec("rzz", 2, 1, _mat_rzz, diagonal=True),
     GateSpec("rxx", 2, 1, _mat_rxx),
     GateSpec("ccx", 3, 0, _mat_ccx, aliases=("toffoli",)),
-    GateSpec("ccz", 3, 0, _mat_ccz),
+    GateSpec("ccz", 3, 0, _mat_ccz, diagonal=True),
     GateSpec("cswap", 3, 0, _mat_cswap, aliases=("fredkin",)),
 )
 
@@ -521,7 +543,7 @@ def standard_gate(name: str, *params: ParameterValue) -> Gate:
         raise GateError(
             f"gate {canonical!r} expects {spec.num_params} parameter(s), got {len(params)}"
         )
-    return Gate(canonical, spec.num_qubits, params, spec.matrix_factory)
+    return Gate(canonical, spec.num_qubits, params, spec.matrix_factory, diagonal=spec.diagonal)
 
 
 def unitary_gate(matrix: np.ndarray, name: str = "unitary", atol: float = 1e-8) -> Gate:
@@ -541,6 +563,30 @@ def unitary_gate(matrix: np.ndarray, name: str = "unitary", atol: float = 1e-8) 
     frozen = matrix.copy()
     frozen.setflags(write=False)
     return Gate(name, num_qubits, (), lambda _p, m=frozen: m)
+
+
+class DiagonalGate(Gate):
+    """A diagonal unitary given by its diagonal entries (diagonal by kind).
+
+    ``diagonal_entries`` returns the entries as given; the dense matrix is
+    only built when something asks for ``matrix()``.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: np.ndarray) -> None:
+        entries = np.array(entries, dtype=np.complex128)
+        num_qubits = int(entries.size).bit_length() - 1
+        if entries.ndim != 1 or num_qubits < 1 or entries.size != 1 << num_qubits:
+            raise GateError(f"a diagonal gate needs 2**k entries (k >= 1), got shape {entries.shape}")
+        if np.max(np.abs(np.abs(entries) - 1.0)) > ATOL:
+            raise GateError("diagonal entries of a unitary must have modulus 1")
+        entries.setflags(write=False)
+        super().__init__("diag", num_qubits, (), lambda _p, d=entries: np.diag(d), diagonal=True)
+        self._entries = entries
+
+    def diagonal_entries(self, assignment: Mapping[Parameter, float] | None = None) -> np.ndarray:
+        return self._entries
 
 
 def controlled_gate(base: Gate, name: str | None = None) -> Gate:

@@ -131,6 +131,28 @@ def output_index_expression(state_column: str, gate_column: str, qubits: Sequenc
     return f"({clear_expression(state_column, qubits)} | {deposited})"
 
 
+def permutation_expression(state_column: str, physical: Sequence[int]) -> str:
+    """SQL expression renaming bit positions: logical bit ``q`` is read from bit ``physical[q]``.
+
+    The Python reference is ``extract_local(index, physical)``.  Bits moving
+    by the same distance share one shift-and-mask term, so a permutation
+    that fixes most qubits stays a short expression.
+    """
+    masks: dict[int, int] = {}
+    for logical, bit in enumerate(physical):
+        shift = logical - int(bit)
+        masks[shift] = masks.get(shift, 0) | (1 << int(bit))
+    parts = []
+    for shift, mask in sorted(masks.items()):
+        if shift == 0:
+            parts.append(f"({state_column} & {mask})")
+        elif shift > 0:
+            parts.append(f"(({state_column} & {mask}) << {shift})")
+        else:
+            parts.append(f"(({state_column} >> {-shift}) & {mask >> -shift})")
+    return "(" + " | ".join(parts) + ")"
+
+
 def bitstring(index: int, num_qubits: int) -> str:
     """Render a basis index as a bitstring (qubit 0 rightmost)."""
     if index < 0 or index >= (1 << num_qubits):

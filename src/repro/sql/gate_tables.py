@@ -50,8 +50,18 @@ class GateTable:
 
 
 def gate_rows(gate: Gate, atol: float = GATE_ATOL) -> list[GateRow]:
-    """The relational rows of a gate: ``(in_s, out_s, Re, Im)`` for nonzero entries."""
-    return gate.nonzero_entries(atol=atol)
+    """The relational rows of a gate: ``(in_s, out_s, Re, Im)`` for nonzero entries.
+
+    A diagonal kind's rows come straight from its diagonal (``in_s = out_s``),
+    without scanning a dense matrix.
+    """
+    if not gate.diagonal:
+        return gate.nonzero_entries(atol=atol)
+    entries = gate.diagonal_entries()
+    index = np.flatnonzero(np.abs(entries) > atol)
+    kept = entries[index]
+    index = index.tolist()
+    return list(zip(index, index, kept.real.tolist(), kept.imag.tolist()))
 
 
 class GateTableRegistry:
@@ -90,10 +100,6 @@ class GateTableRegistry:
 
     # -------------------------------------------------------------- registry
 
-    def _fingerprint(self, gate: Gate, rows: Sequence[GateRow]) -> tuple:
-        rounded = tuple((in_s, out_s, round(r, 12), round(i, 12)) for in_s, out_s, r, i in rows)
-        return (gate.num_qubits, rounded)
-
     def _base_name(self, gate: Gate) -> str:
         candidate = gate.name.upper()
         if gate.params or not is_valid_identifier(candidate):
@@ -110,13 +116,23 @@ class GateTableRegistry:
         rows = gate_rows(gate, atol=self._atol)
         if not rows:
             raise TranslationError(f"gate {gate.name!r} has an all-zero matrix")
-        fingerprint = self._fingerprint(gate, rows)
+        return self.register_rows(self._base_name(gate), gate.name, gate.num_qubits, rows, numbered=bool(gate.params))
+
+    def register_rows(
+        self, base: str, gate_name: str, num_qubits: int, rows: Sequence[GateRow], numbered: bool = False
+    ) -> GateTable:
+        """Register a table of ``rows`` named after ``base`` (or return the table with identical rows).
+
+        The table is called ``base`` unless ``numbered`` is set or the name
+        is taken, in which case it gets the next free ``base_<n>``.
+        """
+        rounded = tuple((in_s, out_s, round(r, 12), round(i, 12)) for in_s, out_s, r, i in rows)
+        fingerprint = (num_qubits, rounded)
         existing = self._by_fingerprint.get(fingerprint)
         if existing is not None:
             return self._tables[existing]
 
-        base = self._base_name(gate)
-        if gate.params or base in self._tables:
+        if numbered or base in self._tables:
             counter = self._name_counters.get(base, 0)
             name = f"{base}_{counter}"
             while name in self._tables:
@@ -126,7 +142,7 @@ class GateTableRegistry:
         else:
             name = base
 
-        table = GateTable(name, gate.name, gate.num_qubits, rows)
+        table = GateTable(name, gate_name, num_qubits, rows)
         self._tables[name] = table
         self._by_fingerprint[fingerprint] = name
         return table

@@ -1,7 +1,8 @@
 """Circuit-to-SQL translation (the paper's Translation Layer).
 
-The translator walks a circuit's gate list and emits one relational step per
-gate, exactly as in Fig. 2 of the paper:
+The translator emits one relational step per *branching* gate or diagonal
+block, plus one relabel projection when SWAPs were elided, in the shape of
+Fig. 2 of the paper:
 
 * the state before the first gate is a table ``T0(s, r, i)``;
 * gate ``k`` (table ``G``) produces ``T{k}`` via::
@@ -15,13 +16,20 @@ gate, exactly as in Fig. 2 of the paper:
 * the final query selects ``s, r, i`` from the last state table ordered by
   ``s``.
 
+Before any SQL is written, :func:`~repro.sql.collapse.collapse` merges
+commuting diagonal gates (``rz``, ``cp``, ``rzz``, ...) into one gate table
+each and turns SWAPs into a qubit relabelling; when that relabelling is not
+the identity, a last step ``T{n+1}`` renames the state's bits back, so the
+final table always holds logical indices.  A circuit with neither kind of
+gate translates to exactly one step per gate.
+
 Two execution shapes are produced from the same steps:
 
 * **CTE mode** — a single ``WITH T1 AS (...), T2 AS (...) ... SELECT`` query
   (the form shown in Fig. 2c), letting the RDBMS's optimizer pipeline the
   whole circuit;
 * **materialized mode** — one ``CREATE TABLE T{k} AS SELECT ...`` statement
-  per gate, which enables out-of-core execution, per-step row statistics and
+  per step, which enables out-of-core execution, per-step row statistics and
   amplitude pruning between steps.
 """
 
@@ -30,17 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.circuit import QuantumCircuit
+from ..core.circuit import QuantumCircuit, circuit_from_instructions
 from ..errors import TranslationError
 from ..output.result import SparseState
+from .collapse import collapse
 from .dialect import Dialect, get_dialect
-from .encoding import (
-    clear_expression,
-    deposit_expression,
-    extract_expression,
-    output_index_expression,
-    validate_qubits,
-)
+from .encoding import extract_expression, output_index_expression, permutation_expression
 from .gate_tables import GateTable, GateTableRegistry
 from .schema import (
     TableData,
@@ -104,6 +107,40 @@ class GateStep:
 
 
 @dataclass
+class RelabelStep:
+    """The last step when SWAPs were elided: bit ``physical[q]`` of the state becomes bit ``q``."""
+
+    index: int
+    physical: tuple[int, ...]
+    input_table: str
+    output_table: str
+
+    def select_sql(self, pretty: bool = False) -> str:
+        """The projection renaming the state's bits (the body of CTE ``T{index}``)."""
+        state = self.input_table
+        index = permutation_expression(f"{state}.s", self.physical)
+        if pretty:
+            return (
+                f"SELECT\n"
+                f"    {index} AS s,\n"
+                f"    {state}.r AS r,\n"
+                f"    {state}.i AS i\n"
+                f"  FROM {state}"
+            )
+        return f"SELECT {index} AS s, {state}.r AS r, {state}.i AS i FROM {state}"
+
+    def describe(self) -> dict:
+        """Summary dictionary in the shape of :meth:`GateStep.describe`."""
+        return {
+            "step": self.index,
+            "gate": "relabel",
+            "physical": list(self.physical),
+            "input_table": self.input_table,
+            "output_table": self.output_table,
+        }
+
+
+@dataclass
 class SQLTranslation:
     """The complete relational program for one circuit."""
 
@@ -112,9 +149,12 @@ class SQLTranslation:
     dialect: Dialect
     initial_rows: list[tuple[int, float, float]]
     gate_tables: list[GateTable]
-    steps: list[GateStep]
+    steps: list[GateStep | RelabelStep]
     prune_epsilon: float | None = None
     fusion_report: dict = field(default_factory=dict)
+    #: What :func:`~repro.sql.collapse.collapse` did: ``gates`` in the
+    #: circuit, ``diagonal_blocks`` emitted and ``swaps_elided``.
+    collapse_report: dict = field(default_factory=dict)
     #: ``cte_query`` / ``materialized_statements`` results by their arguments:
     #: a translation does not change once built, and a compiled executable
     #: asks for the same text on every execution.
@@ -150,9 +190,11 @@ class SQLTranslation:
     def cte_query(self, pretty: bool = True) -> str:
         """The single WITH-query of Fig. 2c producing the final state rows.
 
-        The emitted text is deterministic per circuit structure, which is
-        what the memdb plan cache keys on: two sweep points of the same
-        circuit family emit byte-identical CTE texts (only the gate INSERT
+        The emitted text is deterministic per circuit structure and per
+        which gate tables coincide (the registry shares one table between
+        gates with identical rows), which is what the memdb plan cache keys
+        on: two sweep points of the same circuit family whose tables
+        coincide alike emit byte-identical CTE texts (only the gate INSERT
         literals differ), so their compiled plans are shared.
         """
         if pretty in self._texts:
@@ -181,7 +223,7 @@ class SQLTranslation:
         table is dropped as soon as its successor exists, bounding storage to
         two state tables at a time.
 
-        The emitted texts are deterministic per circuit structure, so on the
+        The emitted texts are deterministic as the CTE text is, so on the
         memdb backend every ``CREATE TABLE .. AS SELECT`` step hits the plan
         cache on repeated runs (sweep points re-bind the same compiled
         join-aggregate plan against fresh gate tables).  The list and its
@@ -231,6 +273,7 @@ class SQLTranslation:
             "circuit": self.circuit_name,
             "num_qubits": self.num_qubits,
             "num_steps": len(self.steps),
+            **self.collapse_report,
             "num_gate_tables": len(self.gate_tables),
             "gate_table_rows": sum(table.num_rows for table in self.gate_tables),
             "dialect": self.dialect.name,
@@ -251,7 +294,8 @@ class SQLTranslator:
         When set, materialized execution deletes rows whose probability mass
         ``r*r + i*i`` falls at or below this threshold after every step.
     fuse:
-        Apply the gate-fusion optimizer (Sec. 3.2) before translation.
+        Apply the gate-fusion optimizer (Sec. 3.2) to what the diagonal /
+        SWAP pass leaves, before emitting steps.
     max_fused_qubits:
         Largest qubit count a fused gate may span (default 2).
     """
@@ -285,13 +329,6 @@ class SQLTranslator:
             names = sorted(parameter.name for parameter in circuit.parameters)
             raise TranslationError(f"circuit has unbound parameters {names}; bind them before translation")
 
-        working = circuit
-        fusion_report: dict = {}
-        if self.fuse:
-            from .fusion import fuse_adjacent_gates  # local import to avoid a cycle
-
-            working, fusion_report = fuse_adjacent_gates(circuit, max_qubits=self.max_fused_qubits)
-
         if initial_state is None:
             initial_rows = [(0, 1.0, 0.0)]
         else:
@@ -303,37 +340,54 @@ class SQLTranslator:
             if not initial_rows:
                 raise TranslationError("initial state has no nonzero amplitudes")
 
+        collapsed = collapse(circuit.instructions, circuit.num_qubits)
+        instructions = collapsed.instructions
+        name = circuit.name
+        fusion_report: dict = {}
+        if self.fuse:
+            from .fusion import fuse_adjacent_gates  # local import to avoid a cycle
+
+            working = circuit_from_instructions(circuit.num_qubits, instructions, name=name)
+            working, fusion_report = fuse_adjacent_gates(working, max_qubits=self.max_fused_qubits)
+            instructions, name = working.instructions, working.name
+
         registry = GateTableRegistry()
-        steps: list[GateStep] = []
-        step_index = 0
-        for instruction in working.instructions:
-            if not instruction.is_gate or instruction.gate is None:
-                if instruction.kind == "reset":
-                    raise TranslationError("reset instructions are not supported by the SQL translation")
+        steps: list[GateStep | RelabelStep] = []
+        for instruction in instructions:
+            if not instruction.is_gate:
                 continue  # measurements and barriers do not generate SQL
-            qubits = validate_qubits(instruction.qubits, circuit.num_qubits)
             table = registry.register(instruction.gate)
-            step_index += 1
+            index = len(steps) + 1
             steps.append(
                 GateStep(
-                    index=step_index,
+                    index=index,
                     gate_table=table,
-                    qubits=qubits,
-                    input_table=state_table_name(step_index - 1),
-                    output_table=state_table_name(step_index),
+                    qubits=instruction.qubits,
+                    input_table=state_table_name(index - 1),
+                    output_table=state_table_name(index),
                     gate_name=instruction.gate.name,
                 )
+            )
+        if collapsed.physical != tuple(range(circuit.num_qubits)):
+            index = len(steps) + 1
+            steps.append(
+                RelabelStep(index, collapsed.physical, state_table_name(index - 1), state_table_name(index))
             )
 
         return SQLTranslation(
             num_qubits=circuit.num_qubits,
-            circuit_name=working.name,
+            circuit_name=name,
             dialect=self.dialect,
             initial_rows=initial_rows,
             gate_tables=registry.tables,
             steps=steps,
             prune_epsilon=self.prune_epsilon,
             fusion_report=fusion_report,
+            collapse_report={
+                "gates": circuit.size(),
+                "diagonal_blocks": collapsed.diagonal_blocks,
+                "swaps_elided": collapsed.swaps_elided,
+            },
         )
 
 

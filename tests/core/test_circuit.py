@@ -184,6 +184,14 @@ class TestStatistics:
         # H branches; CX gates are permutations.
         assert ghz3.branching_gate_count() == 1
 
+    def test_diagonal_kinds_never_branch_bound_or_not(self):
+        from repro.circuits import qaoa_maxcut_circuit
+
+        template = qaoa_maxcut_circuit(8)
+        bound = template.bind_parameters({parameter: 0.3 for parameter in template.parameters})
+        # 8 H and 8 RX branch; the 8 RZZ are diagonal whether their angle is symbolic or not.
+        assert template.branching_gate_count() == bound.branching_gate_count() == 16
+
     def test_width(self):
         qc = QuantumCircuit(2, 2)
         assert qc.width() == 4

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.gates import (
+    _STANDARD_SPECS,
     STANDARD_GATES,
+    DiagonalGate,
     Gate,
     canonical_gate_name,
     controlled_gate,
@@ -103,6 +105,44 @@ class TestGateBehaviour:
         assert standard_gate("x").is_permutation()
         assert standard_gate("cx").is_permutation()
         assert not standard_gate("h").is_permutation()
+
+    @pytest.mark.parametrize("spec", _STANDARD_SPECS, ids=lambda spec: spec.name)
+    def test_diagonal_kind_flag_is_the_law(self, spec):
+        """Flagged <=> the matrix is diagonal at every drawn angle set."""
+        rng = np.random.default_rng(sum(map(ord, spec.name)))
+        always_diagonal = True
+        for _draw in range(5):
+            gate = standard_gate(spec.name, *rng.uniform(-2 * math.pi, 2 * math.pi, spec.num_params))
+            assert gate.diagonal == spec.diagonal
+            matrix = gate.matrix()
+            diagonal = bool(np.allclose(matrix, np.diag(np.diag(matrix)), atol=1e-12))
+            if spec.diagonal:
+                assert diagonal
+                np.testing.assert_array_equal(gate.diagonal_entries(), np.diag(matrix))
+            always_diagonal &= diagonal
+        assert always_diagonal == spec.diagonal
+
+    def test_diagonal_flag_is_structural(self):
+        theta = Parameter("theta")
+        assert standard_gate("rz", theta).diagonal
+        assert standard_gate("rz", theta).bind({theta: 0.4}).diagonal
+        assert standard_gate("t").inverse().diagonal
+        # RX(0) is the identity matrix, but RX is not a diagonal kind.
+        assert standard_gate("rx", 0.0).is_diagonal() and not standard_gate("rx", 0.0).diagonal
+        assert not unitary_gate(np.diag([1, 1j])).diagonal
+        assert standard_gate("swap").is_swap
+        assert not unitary_gate(standard_gate("swap").matrix(), name="swap").is_swap
+
+    def test_diagonal_gate_from_entries(self):
+        entries = np.exp(1j * np.arange(8))
+        gate = DiagonalGate(entries)
+        assert gate.diagonal and gate.num_qubits == 3
+        np.testing.assert_array_equal(gate.diagonal_entries(), entries)
+        np.testing.assert_allclose(gate.matrix(), np.diag(entries))
+        with pytest.raises(GateError):
+            DiagonalGate([1.0, 2.0])
+        with pytest.raises(GateError):
+            DiagonalGate([1.0, 1.0, 1.0])
 
     def test_equality(self):
         assert standard_gate("h") == standard_gate("h")

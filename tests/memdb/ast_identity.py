@@ -11,6 +11,11 @@ regenerates the fixture on purpose::
 ``fixtures/translation_texts.json`` holds ``sha256`` of the generated texts
 themselves, per dialect (``test_translation_texts.py``): the translator's
 output is what SQLite and DuckDB are sent and what the plan cache keys on.
+Its ``before_collapse`` section keeps the hashes recorded at 718a2df, before
+diagonal gates were merged into blocks and SWAPs elided, so the test can pin
+which texts that moved (only circuits with a diagonal or SWAP gate)::
+
+    PYTHONPATH=src python tests/memdb/ast_identity.py --regenerate-texts
 
 The corpus has three parts:
 
@@ -43,10 +48,13 @@ from repro.circuits import (
 from repro.sql.translator import SQLTranslator
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ast_identity.json"
-#: ``sha256`` of every generated text per dialect, recorded at 718a2df, before
-#: a translation kept its rendered texts (``--regenerate-texts`` rewrites it).
+#: ``sha256`` of every generated text per dialect (``--regenerate-texts``
+#: rewrites it and keeps its ``before_collapse`` section).
 TEXT_FIXTURE = Path(__file__).parent / "fixtures" / "translation_texts.json"
 DIALECTS = ("memdb", "sqlite", "duckdb")
+#: Corpus circuits with a diagonal or SWAP gate: the only ones whose texts
+#: differ from ``before_collapse``.
+COLLAPSING = ("qft5", "qaoa6", "sparse8")
 
 #: Statement kinds the circuit and fuzz corpora do not reach: EXPLAIN /
 #: ANALYZE, DDL and DML (every statement of ``test_parser.py``), window
@@ -200,8 +208,9 @@ def regenerate_texts() -> None:
         dialect: {name: text_hash(texts) for name, texts in generated_corpus(dialect).items()}
         for dialect in DIALECTS
     }
+    fixture["before_collapse"] = json.loads(TEXT_FIXTURE.read_text())["before_collapse"]
     TEXT_FIXTURE.write_text(json.dumps(fixture, indent=0) + "\n")
-    print(f"wrote {TEXT_FIXTURE}: {sum(map(len, fixture.values()))} text lists")
+    print(f"wrote {TEXT_FIXTURE}: {sum(len(fixture[dialect]) for dialect in DIALECTS)} text lists")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """A translation renders its query texts once; all texts are the recorded ones.
 
-``fixtures/translation_texts.json`` was recorded at 718a2df, where every call
-rendered afresh (see ``ast_identity.py``).  SQLite and DuckDB are sent these
-texts and the memdb plan cache keys on them, so keeping the CTE query and the
-materialized steps on the translation must not move a byte — and must not let one caller's edits of a
-returned list reach the next caller.
+``fixtures/translation_texts.json`` was first recorded at 718a2df, where every
+call rendered afresh (see ``ast_identity.py``); those hashes are its
+``before_collapse`` section.  SQLite and DuckDB are sent these texts and the
+memdb plan cache keys on them, so keeping the CTE query and the materialized
+steps on the translation must not move a byte — and must not let one caller's
+edits of a returned list reach the next caller.  Merging diagonal gates and
+eliding SWAPs moved the texts of exactly the circuits that have such gates.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from ast_identity import DIALECTS, TEXT_FIXTURE, generated_corpus, text_hash
+from ast_identity import COLLAPSING, DIALECTS, TEXT_FIXTURE, generated_corpus, text_hash
 
 from repro.circuits import ghz_circuit, qft_circuit
 from repro.sql.translator import SQLTranslator, translate_circuit
@@ -25,6 +27,16 @@ def test_generated_texts_are_the_recorded_texts(dialect):
     assert sorted(corpus) == sorted(recorded)
     changed = [name for name, texts in corpus.items() if text_hash(texts) != recorded[name]]
     assert not changed
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_only_circuits_with_diagonal_or_swap_gates_moved_since_718a2df(dialect):
+    fixture = json.loads(TEXT_FIXTURE.read_text())
+    recorded, before = fixture[dialect], fixture["before_collapse"][dialect]
+    assert sorted(recorded) == sorted(before)
+    moved = {name for name in recorded if recorded[name] != before[name]}
+    assert moved == {name for name in recorded if name.split("/")[0] in COLLAPSING}
+    assert {name.split("/")[0] for name in recorded} - set(COLLAPSING) == {"ghz8", "w4"}
 
 
 @pytest.mark.parametrize("dialect", DIALECTS)
