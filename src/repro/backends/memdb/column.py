@@ -36,8 +36,7 @@ import numpy as np
 
 from ...errors import SQLExecutionError
 
-#: Rows per storage chunk.  65536 keeps chunk bitmaps at 8 KiB and matches
-#: the morsel granularity of the parallel operators.
+#: Rows per storage chunk.  65536 keeps chunk bitmaps at 8 KiB.
 CHUNK_ROWS = 65536
 
 #: Dictionary code reserved for NULL.  It is negative so it sorts below
@@ -291,7 +290,7 @@ class DictArray:
 
 
 # ---------------------------------------------------------------------------
-# Vector helpers shared by the executor and parallel operators
+# Vector helpers used by the executor
 # ---------------------------------------------------------------------------
 
 
@@ -379,32 +378,6 @@ def sort_keys(values, descending: bool = False) -> np.ndarray:
     """Exact ORDER BY keys: NULLs first ascending, last descending."""
     keys = encoded_codes(values)
     return -keys if descending else keys
-
-
-def concat_values(parts: Sequence) -> np.ndarray | DictArray:
-    """Concatenate morsel results, preserving dictionary encoding.
-
-    All-:class:`DictArray` inputs sharing one dictionary object (the common
-    case: morsels sliced from one column) concatenate as codes; mixed
-    dictionaries are unioned; anything else falls back to ndarray
-    concatenation of the decoded values.
-    """
-    parts = list(parts)
-    if not parts:
-        return np.empty(0, dtype=object)
-    if all(isinstance(part, DictArray) for part in parts):
-        first_dict = parts[0].dictionary
-        if all(part.dictionary is first_dict for part in parts[1:]):
-            return DictArray(np.concatenate([part.codes for part in parts]), first_dict)
-        union = np.unique(np.concatenate([part.dictionary for part in parts]))
-        remapped = []
-        for part in parts:
-            mapping = np.searchsorted(union, part.dictionary).astype(np.int32)
-            codes = np.where(part.codes >= 0, mapping[np.clip(part.codes, 0, None)], NULL_CODE)
-            remapped.append(codes.astype(np.int32))
-        return DictArray(np.concatenate(remapped), union)
-    arrays = [part.decode() if isinstance(part, DictArray) else np.asarray(part) for part in parts]
-    return np.concatenate(arrays)
 
 
 def gather_values(values, indices: np.ndarray):

@@ -52,8 +52,6 @@ from .optimizer import (
     render_explain,
 )
 from .optimizer.rewrite import referenced_stored_tables
-from .parallel import WorkerPool, parallel_env_enabled, shared_worker_pool
-from .parallel.pool import default_worker_count
 from .column import EncodedColumn
 from .parser import Parser, parse_sql
 from .planner import CompiledCreateTableAs, CompiledScript, compile_statement
@@ -82,28 +80,20 @@ class CachedScript:
     re-binding stale plans.  ``flavor`` records which compilation pipeline
     produced the plans (see :meth:`MemDatabase.plan_flavor`), so an
     optimizer-off database never executes optimizer-rewritten plans from a
-    shared cache, and a plan carrying one engine's costed parallel
-    decisions is never re-bound by an engine with a different parallel
-    configuration (or vice versa).
-
-    ``replan`` is the adaptive re-optimization hook: when an execution
-    observes block cardinalities far above the plan's estimates, the engine
-    flags the entry (under the cache lock) and the next ``get`` treats it
-    as a miss, so the text re-optimizes against the corrected statistics.
+    shared cache.
     """
 
-    __slots__ = ("items", "schemas", "flavor", "replan")
+    __slots__ = ("items", "schemas", "flavor")
 
     def __init__(
         self,
         items: list[CompiledStatement],
         schemas: dict[str, tuple],
-        flavor: object = True,
+        flavor: bool = True,
     ) -> None:
         self.items = items
         self.schemas = schemas
         self.flavor = flavor
-        self.replan = False
 
     def is_valid(self, catalog: Mapping[str, Table]) -> bool:
         """True when every fingerprinted table still has its compile-time shape."""
@@ -162,21 +152,16 @@ class PlanCache:
         "misses",
         "evictions",
         "invalidations",
-        "replans",
         "_plans",
         "_parsed",
         "_lock",
     )
 
-    #: Cache keys are ``(flavor, sql)``: different compilation flavors of
-    #: the same text — optimizer on vs off, and distinct parallel
-    #: configurations (plans bake their costed ParallelDecision) — are
-    #: distinct entries, so an ablation pair sharing one cache can both
-    #: stay warm instead of thrashing, and no engine ever re-binds a plan
-    #: compiled under another engine's physical-choice settings.  Plain
-    #: ``True``/``False`` flavors are the historical optimizer-on/off keys
-    #: (what every non-parallel engine still uses).
-    _Key = tuple[object, str]
+    #: Cache keys are ``(flavor, sql)``: the optimizer-on (``True``) and
+    #: optimizer-off (``False``) compilations of the same text are distinct
+    #: entries, so an ablation pair sharing one cache can both stay warm
+    #: instead of thrashing.
+    _Key = tuple[bool, str]
 
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = int(maxsize)
@@ -184,7 +169,6 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.replans = 0
         self._plans: OrderedDict[PlanCache._Key, CachedScript] = OrderedDict()
         self._parsed: OrderedDict[PlanCache._Key, CachedScript] = OrderedDict()
         self._lock = threading.Lock()
@@ -193,15 +177,14 @@ class PlanCache:
         self,
         sql: str,
         catalog: Mapping[str, Table] | None = None,
-        flavor: object = True,
+        flavor: bool = True,
     ) -> CachedScript | None:
         """The cached compilation of a script, updating LRU order and stats.
 
         ``catalog`` (the calling database's tables) enables the schema
         fingerprint check; a stale entry is dropped and reported as a miss.
         ``flavor`` selects the compilation flavor being looked up (the
-        engine's :meth:`MemDatabase.plan_flavor`; plain booleans are the
-        optimizer-on/off flavors of non-parallel engines).
+        engine's :meth:`MemDatabase.plan_flavor`: its ``enable_optimizer``).
         """
         return self.get_with_state(sql, catalog, flavor)[0]
 
@@ -209,11 +192,11 @@ class PlanCache:
         self,
         sql: str,
         catalog: Mapping[str, Table] | None = None,
-        flavor: object = True,
+        flavor: bool = True,
     ) -> "tuple[CachedScript | None, str]":
         """Like :meth:`get`, also reporting the lookup's provenance.
 
-        The second element is ``hit`` / ``stale`` / ``replan`` / ``miss`` —
+        The second element is ``hit`` / ``stale`` / ``miss`` —
         what :meth:`peek_state` would have said, but computed inside the one
         real lookup so a traced execution does not pay the schema-fingerprint
         validation twice.
@@ -223,13 +206,6 @@ class PlanCache:
             for store in (self._plans, self._parsed):
                 entry = store.get(key)
                 if entry is not None:
-                    if entry.replan:
-                        # Flagged by adaptive feedback: re-optimize instead
-                        # of re-binding the misestimated plan.
-                        del store[key]
-                        self.replans += 1
-                        self.misses += 1
-                        return None, "replan"
                     if catalog is not None and not entry.is_valid(catalog):
                         del store[key]
                         self.invalidations += 1
@@ -245,7 +221,7 @@ class PlanCache:
         self,
         sql: str,
         catalog: Mapping[str, Table] | None = None,
-        flavor: object = True,
+        flavor: bool = True,
     ) -> str:
         """Provenance of a text without touching counters: hit / stale / miss."""
         key = (flavor, sql)
@@ -253,8 +229,6 @@ class PlanCache:
             for store in (self._plans, self._parsed):
                 entry = store.get(key)
                 if entry is not None:
-                    if entry.replan:
-                        return "replan"
                     if catalog is not None and not entry.is_valid(catalog):
                         return "stale"
                     return "hit"
@@ -264,15 +238,14 @@ class PlanCache:
         self,
         sql: str,
         catalog: Mapping[str, Table] | None = None,
-        flavor: object = True,
+        flavor: bool = True,
     ) -> "CachedScript | None":
         """The cached entry without touching counters or LRU order.
 
         The slow-query log's plan-snapshot provider uses this: rendering a
         forensic EXPLAIN for an already-executed query must not inflate hit
-        statistics or keep the entry artificially warm.  Stale and
-        replan-flagged entries are still returned — the snapshot describes
-        the plan that actually ran.
+        statistics or keep the entry artificially warm.  Stale entries are
+        still returned — the snapshot describes the plan that actually ran.
         """
         key = (flavor, sql)
         with self._lock:
@@ -281,22 +254,6 @@ class PlanCache:
                 if entry is not None:
                     return entry
             return None
-
-    def mark_replan(self, sql: str, flavor: object = True) -> bool:
-        """Flag a cached script for re-planning on its next lookup.
-
-        Called by adaptive feedback when observed block cardinalities exceed
-        the plan's estimates beyond the engine's threshold.  Returns True
-        when an entry was flagged (False when the text is no longer cached).
-        """
-        key = (flavor, sql)
-        with self._lock:
-            for store in (self._plans, self._parsed):
-                entry = store.get(key)
-                if entry is not None:
-                    entry.replan = True
-                    return True
-            return False
 
     #: Parse-only scripts longer than this are not cached: a dense
     #: initial-state INSERT can carry 2^n literal rows, and pinning its AST in
@@ -331,7 +288,6 @@ class PlanCache:
             self.misses = 0
             self.evictions = 0
             self.invalidations = 0
-            self.replans = 0
 
     def stats(self) -> dict:
         """Hit/miss/eviction counters plus the current per-tier sizes."""
@@ -345,7 +301,6 @@ class PlanCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "replans": self.replans,
             }
 
     def __len__(self) -> int:
@@ -397,32 +352,6 @@ class MemDatabase:
         join reordering); physical operator choices still run through the
         cost model with default estimates.  Used by benchmarks to ablate
         the optimizer.
-    enable_adaptive:
-        When True (default, requires the optimizer), every compiled-plan
-        execution compares the optimizer's estimated block cardinalities
-        against the actual row counts.  A block producing more than
-        ``ADAPTIVE_THRESHOLD`` times its estimate (and at least
-        ``ADAPTIVE_MIN_ROWS`` rows) records a per-(table, predicate-shape)
-        correction factor in the statistics catalog and flags the plan-cache
-        entry for re-planning on the next lookup.  Only *under*estimates
-        trigger: UES estimates are upper bounds by design, so an actual
-        exceeding the bound proves the statistics are stale or the model's
-        independence assumptions failed — overestimates are expected
-        pessimism.
-    enable_parallel:
-        Morsel-driven parallel execution (see :mod:`.parallel`): compiled
-        query blocks whose costed :class:`~.optimizer.cost.ParallelDecision`
-        expects a net win run their scans, filters, hash-join probes and
-        partitioned aggregations across a shared worker pool.  Results are
-        byte-identical to serial execution.  ``None`` (the default) follows
-        the ``REPRO_MEMDB_PARALLEL`` environment variable (off when unset).
-    parallel_workers / parallel_threshold_rows / worker_pool:
-        Tuning knobs for the parallel subsystem: the worker count the cost
-        model plans for, an explicit serial-vs-parallel break-even override
-        (0 forces parallel operators onto any non-empty input — used by the
-        differential tests), and an injected :class:`~.parallel.WorkerPool`
-        (default: one pool shared process-wide, so fresh engines per sweep
-        point reuse warm threads).
     enable_tracing / tracer:
         Span-based query tracing (see :mod:`repro.obs`).  An explicit
         ``tracer`` wins; otherwise ``enable_tracing=True`` attaches the
@@ -436,22 +365,10 @@ class MemDatabase:
         ``execute``.
     """
 
-    #: Actual/estimated ratio above which a block triggers re-planning.
-    ADAPTIVE_THRESHOLD = 4.0
-    #: Blocks smaller than this (both estimated and actual) never trigger.
-    ADAPTIVE_MIN_ROWS = 64
-    #: Bounded history of adaptive events kept for engine_stats().
-    ADAPTIVE_EVENT_LIMIT = 32
-
     def __init__(
         self,
         plan_cache: PlanCache | None = None,
         enable_optimizer: bool = True,
-        enable_adaptive: bool = True,
-        enable_parallel: bool | None = None,
-        parallel_workers: int | None = None,
-        parallel_threshold_rows: int | None = None,
-        worker_pool: WorkerPool | None = None,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
         recursion_limit: int | None = None,
@@ -465,44 +382,9 @@ class MemDatabase:
         self._plan_cache = _SHARED_PLAN_CACHE if plan_cache is None else plan_cache
         self._statistics = StatisticsCatalog()
         self.enable_optimizer = bool(enable_optimizer)
-        self.enable_adaptive = bool(enable_adaptive) and self.enable_optimizer
-        if enable_parallel is None:
-            enable_parallel = bool(parallel_env_enabled())
-        self.enable_parallel = bool(enable_parallel)
-        self._worker_pool = worker_pool
-        self.parallel_workers = (
-            int(parallel_workers)
-            if parallel_workers is not None
-            else (worker_pool.workers if worker_pool is not None else default_worker_count())
-        )
-        self.parallel_threshold_rows = (
-            None if parallel_threshold_rows is None else int(parallel_threshold_rows)
-        )
-        self._parallel_executions = 0
-        # Compilation flavor for plan-cache keys.  Compiled plans bake the
-        # costed ParallelDecision, so engines whose parallel configuration
-        # differs must never share cache entries; non-parallel engines keep
-        # the historical optimizer-on/off boolean key.
-        if not self.enable_parallel:
-            self._plan_flavor: object = self.enable_optimizer
-        else:
-            self._plan_flavor = (
-                self.enable_optimizer,
-                "parallel",
-                self.parallel_workers,
-                self.parallel_threshold_rows,
-            )
         # Every counter starts at zero, so engine_stats() has one key set
         # whatever has run.
-        self._optimizer_counters: dict[str, int] = dict.fromkeys(
-            (*OptimizerReport().counters(), "adaptive_replans", "feedback_corrections",
-             "feedback_decays"),
-            0,
-        )
-        self._adaptive_events: list[dict] = []
-        #: Scripts whose first (cold) execution already requested a re-plan,
-        #: observed before the compiled entry reached the cache.
-        self._pending_replans: set[str] = set()
+        self._optimizer_counters: dict[str, int] = dict.fromkeys(OptimizerReport().counters(), 0)
         if tracer is not None:
             self._tracer: Tracer | None = tracer
         else:
@@ -516,9 +398,9 @@ class MemDatabase:
         return self._plan_cache
 
     @property
-    def plan_flavor(self) -> object:
-        """This engine's plan-cache compilation flavor (see :class:`PlanCache`)."""
-        return self._plan_flavor
+    def plan_flavor(self) -> bool:
+        """This engine's plan-cache compilation flavor: ``enable_optimizer``."""
+        return self.enable_optimizer
 
     @property
     def tracer(self) -> Tracer | None:
@@ -530,36 +412,19 @@ class MemDatabase:
 
         The only producer of it (see :mod:`repro.obs.schema`):
         ``schema_version`` plus the ``plan_cache``, ``optimizer``,
-        ``adaptive``, ``parallel``, ``storage`` and ``tracing`` sections.
+        ``storage`` and ``tracing`` sections.
         Its key set follows from the configuration alone, never from what
         has run.  ``storage["dictionary_rebuilds"]`` sums every column of
         every table; per-table detail is ``table(name).storage_stats()``.
         """
-        counters = self._optimizer_counters
-        pool = self.worker_pool()
         tables = {name: table.storage_stats() for name, table in self._tables.items()}
         return {
             "schema_version": ENGINE_STATS_SCHEMA_VERSION,
             "plan_cache": self._plan_cache.stats(),
             "optimizer": {
                 "enabled": self.enable_optimizer,
-                "counters": dict(counters),
+                "counters": dict(self._optimizer_counters),
                 "statistics": self._statistics.summary(),
-            },
-            "adaptive": {
-                "enabled": self.enable_adaptive,
-                "threshold": self.ADAPTIVE_THRESHOLD,
-                "replans": counters["adaptive_replans"],
-                "corrections": counters["feedback_corrections"],
-                "decays": counters["feedback_decays"],
-                "events": list(self._adaptive_events),
-            },
-            "parallel": {
-                "enabled": self.enable_parallel,
-                "workers": self.parallel_workers,
-                "threshold_rows": self.parallel_threshold_rows,
-                "parallel_plan_executions": self._parallel_executions,
-                "pool": pool.stats() if pool is not None else {},
             },
             "storage": {
                 "total_bytes": sum(stats["total_bytes"] for stats in tables.values()),
@@ -591,29 +456,7 @@ class MemDatabase:
         return len(names)
 
     def _optimizer(self) -> Optimizer:
-        return Optimizer(
-            self._tables,
-            self._statistics,
-            enabled=self.enable_optimizer,
-            enable_parallel=self.enable_parallel,
-            parallel_workers=self.parallel_workers,
-            parallel_threshold_rows=self.parallel_threshold_rows,
-        )
-
-    # ------------------------------------------------------ parallel runtime
-
-    def worker_pool(self) -> WorkerPool | None:
-        """The morsel pool compiled plans execute on (None = serial engine).
-
-        The engine owns the binding, not the threads: by default every
-        parallel engine shares the process-wide pool (mirroring the shared
-        plan cache), while an injected pool stays private to this engine.
-        """
-        if not self.enable_parallel:
-            return None
-        if self._worker_pool is not None:
-            return self._worker_pool
-        return shared_worker_pool()
+        return Optimizer(self._tables, self._statistics, enabled=self.enable_optimizer)
 
     def _record_report(self, report: OptimizerReport | None) -> None:
         if report is None:
@@ -695,11 +538,9 @@ class MemDatabase:
         return array.astype(np.int64 if kind == "i" else np.float64 if kind == "f" else object)
 
     def clear(self) -> None:
-        """Drop every table (and the adaptive state observed against them)."""
+        """Drop every table and its statistics."""
         self._tables.clear()
         self._statistics.clear()
-        self._adaptive_events.clear()
-        self._pending_replans.clear()
 
     # -------------------------------------------------------------- execution
 
@@ -754,9 +595,7 @@ class MemDatabase:
         result = QueryResult([])
         if cached is not None:
             for item in cached.items:
-                result = self._execute_compiled(
-                    item.statement, item.plan, item=item, sql=sql, tracer=tracer
-                )
+                result = self._execute_compiled(item.statement, item.plan, tracer=tracer)
             return result
         # Cold path: optimize + compile each statement just before executing
         # it, so a compile-time error in statement k still leaves the effects
@@ -787,24 +626,11 @@ class MemDatabase:
                 optimizer, statement, schemas, touched_by_ddl, tracer=tracer
             )
             items.append(compiled)
-            result = self._execute_compiled(
-                compiled.statement,
-                compiled.plan,
-                item=compiled,
-                sql=sql if cacheable else None,
-                tracer=tracer,
-            )
+            result = self._execute_compiled(compiled.statement, compiled.plan, tracer=tracer)
             if isinstance(statement, (CreateTable, CreateTableAs, DropTable)):
                 touched_by_ddl.add(statement.name)
         if cacheable:
-            entry = CachedScript(items, schemas, flavor=self.plan_flavor)
-            if sql in self._pending_replans:
-                # Feedback from this very execution already disqualified the
-                # plans: cache the entry pre-flagged so the next lookup
-                # re-optimizes against the corrected statistics.
-                self._pending_replans.discard(sql)
-                entry.replan = True
-            self._plan_cache.put(sql, entry)
+            self._plan_cache.put(sql, CachedScript(items, schemas, flavor=self.plan_flavor))
         return result
 
     def _compile_one(
@@ -876,8 +702,6 @@ class MemDatabase:
         self,
         statement: Statement,
         plan: "CompiledScript | CompiledCreateTableAs | None",
-        item: CompiledStatement | None = None,
-        sql: str | None = None,
         tracer: Tracer | None = None,
     ) -> QueryResult:
         if plan is None:
@@ -887,146 +711,21 @@ class MemDatabase:
                     span.set(rowcount=result.rowcount)
                 return result
             return self._execute_statement(statement)
-        collect = (
-            self.enable_adaptive
-            and sql is not None
-            and item is not None
-            and item.report is not None
-            and bool(item.report.queries)
-        )
-        actuals: dict[str, int] = {}
-        trace = actuals.__setitem__ if collect else None
-        pool = self.worker_pool()
-        script = plan.script if isinstance(plan, CompiledCreateTableAs) else plan
-        parallel = pool is not None and script.uses_parallel()
-        if parallel:
-            self._parallel_executions += 1
         if tracer is not None:
-            with tracer.span(
-                "execute", statement=type(statement).__name__, parallel=parallel
-            ) as span:
-                result = self._run_compiled(plan, trace, pool, tracer)
+            with tracer.span("execute", statement=type(statement).__name__) as span:
+                result = self._run_compiled(plan, tracer)
                 span.set(rows=len(result), rowcount=result.rowcount)
-        else:
-            result = self._run_compiled(plan, trace, pool, None)
-        if collect and actuals:
-            self._adaptive_feedback(sql, item, actuals)
-        return result
+            return result
+        return self._run_compiled(plan, None)
 
     def _run_compiled(
-        self,
-        plan: "CompiledScript | CompiledCreateTableAs",
-        trace,
-        pool: WorkerPool | None,
-        tracer: Tracer | None,
+        self, plan: "CompiledScript | CompiledCreateTableAs", tracer: Tracer | None
     ) -> QueryResult:
         if isinstance(plan, CompiledCreateTableAs):
-            return self._run_compiled_create(plan, trace=trace, pool=pool, tracer=tracer)
+            return self._run_compiled_create(plan, tracer=tracer)
         return QueryResult(
-            *plan.execute(
-                self._tables,
-                trace=trace,
-                pool=pool,
-                tracer=tracer,
-                recursion_limit=self.recursion_limit,
-            )
+            *plan.execute(self._tables, tracer=tracer, recursion_limit=self.recursion_limit)
         )
-
-    # ------------------------------------------------- adaptive re-planning
-
-    def _adaptive_feedback(
-        self, sql: str, item: CompiledStatement, actuals: Mapping[str, int]
-    ) -> None:
-        """Compare a plan's estimated block cardinalities to an execution's actuals.
-
-        A block producing more than ``ADAPTIVE_THRESHOLD`` times its
-        *plan-time* estimate flags the cached script for re-planning.  On
-        top of that, the block is re-estimated against the *current* catalog
-        and statistics (feeding earlier blocks' actuals in as derived
-        cardinalities): only the residual error the re-plan would still make
-        is recorded as a (table, predicate-shape) correction factor — when
-        the live row count alone explains the miss (a stale plan after bulk
-        DML), re-planning suffices and no sticky correction is stored.
-        """
-        report = item.report
-        if report is None:
-            return
-        model = None
-        triggered: list[dict] = []
-        for info in report.queries:
-            actual = actuals.get(info.label)
-            if actual is None:
-                continue
-            select = info.select
-            if model is None:
-                model = self._optimizer().cost_model()
-            estimated = max(float(info.feedback_rows), 1.0)
-            exceeded = (
-                max(actual, estimated) >= self.ADAPTIVE_MIN_ROWS
-                and actual > estimated * self.ADAPTIVE_THRESHOLD
-            )
-            if exceeded:
-                event = {
-                    "block": info.label,
-                    "estimated": estimated,
-                    "actual": int(actual),
-                    "q_error": actual / estimated,
-                }
-                # Corrections are keyed by stored-table name so the DML
-                # invalidation hooks can drop them; a block scanning a CTE
-                # (whose name never reaches invalidate()) only re-plans.
-                if (
-                    select is not None
-                    and select.source is not None
-                    and select.source.name in self._tables
-                ):
-                    fresh = max(model.estimate_select_input_rows(select), 1.0)
-                    residual = actual / fresh
-                    if residual > self.ADAPTIVE_THRESHOLD:
-                        table = select.source.name
-                        factor = self._statistics.record_correction(
-                            table, info.shape, residual
-                        )
-                        event["correction"] = {"table": table, "factor": factor}
-                        self._optimizer_counters["feedback_corrections"] += 1
-                triggered.append(event)
-            elif (
-                select is not None
-                and select.source is not None
-                and select.source.name in self._tables
-            ):
-                # The decay half of the loop: a corrected block whose
-                # estimate now grossly overshoots ages its factor (see
-                # StatisticsCatalog.observe_correction); once it decays,
-                # re-plan so the cheaper operators get picked up.
-                decayed = self._statistics.observe_correction(
-                    select.source.name,
-                    info.shape,
-                    actual / estimated,
-                    self.ADAPTIVE_THRESHOLD,
-                )
-                if decayed is not None:
-                    triggered.append(
-                        {
-                            "block": info.label,
-                            "estimated": estimated,
-                            "actual": int(actual),
-                            "q_error": actual / estimated,
-                            "decay": {"table": select.source.name, "factor": decayed},
-                        }
-                    )
-                    self._optimizer_counters["feedback_decays"] += 1
-            # Later blocks scan earlier ones by name: estimate them against
-            # the measured cardinality, not the stale guess.
-            model.set_derived_rows(info.label, float(actual))
-        if not triggered:
-            return
-        if not self._plan_cache.mark_replan(sql, self.plan_flavor):
-            if len(self._pending_replans) < 64:
-                self._pending_replans.add(sql)
-        self._optimizer_counters["adaptive_replans"] += 1
-        self._adaptive_events.extend(triggered)
-        del self._adaptive_events[: -self.ADAPTIVE_EVENT_LIMIT]
 
     def executemany(self, statements: list[str]) -> list[QueryResult]:
         """Execute several scripts, returning one result per script."""
@@ -1054,7 +753,6 @@ class MemDatabase:
         self,
         plan: CompiledCreateTableAs,
         trace=None,
-        pool: WorkerPool | None = None,
         tracer: Tracer | None = None,
     ) -> QueryResult:
         """``CREATE TABLE AS``: store a query's result columns as a new table.
@@ -1067,11 +765,7 @@ class MemDatabase:
         if name in self._tables:
             raise SQLExecutionError(f"table {name!r} already exists")
         names, vectors = plan.script.execute(
-            self._tables,
-            trace=trace,
-            pool=pool,
-            tracer=tracer,
-            recursion_limit=self.recursion_limit,
+            self._tables, trace=trace, tracer=tracer, recursion_limit=self.recursion_limit
         )
         if len(set(names)) != len(names):
             raise SQLExecutionError(f"duplicate column name in CREATE TABLE {name} AS: {names}")
@@ -1157,16 +851,6 @@ class MemDatabase:
                 cardinalities=tuple(cardinalities),
                 rowcount=rowcount,
             )
-            if self.enable_adaptive and actual.cardinalities:
-                # EXPLAIN ANALYZE's measured cardinalities feed the same
-                # adaptive loop as ordinary executions: corrections are
-                # recorded and a cached entry for the inner text (if any)
-                # is flagged for re-planning.
-                self._adaptive_feedback(
-                    statement.inner_sql,
-                    CompiledStatement(optimized, plan, report),
-                    dict(actual.cardinalities),
-                )
 
         lines = render_explain(statement.inner_sql, report, plan, cache_state, actual)
         return QueryResult(["plan"], [np.array(lines, dtype=object)])
@@ -1177,7 +861,6 @@ class MemDatabase:
         _names, vectors = script.execute(
             self._tables,
             trace=lambda label, rows: cardinalities.append((label, rows)),
-            pool=self.worker_pool(),
             recursion_limit=self.recursion_limit,
         )
         return cardinalities, len(vectors[0]) if vectors else 0
@@ -1187,6 +870,5 @@ class MemDatabase:
         result = self._run_compiled_create(
             plan,
             trace=lambda label, rows: cardinalities.append((label, rows)),
-            pool=self.worker_pool(),
         )
         return cardinalities, result.rowcount

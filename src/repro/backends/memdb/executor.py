@@ -327,8 +327,8 @@ def _text_operand_error(operator: str, error: Exception, *operands) -> Exception
 class ExpressionEvaluator:
     """Evaluates scalar (non-aggregate) expressions over a column frame.
 
-    The one expression evaluator of the engine: compiled plans, DELETE
-    predicates and the morsel-parallel operators all call :meth:`evaluate`.
+    The one expression evaluator of the engine: compiled plans and DELETE
+    predicates both call :meth:`evaluate`.
     Internally a node evaluates to a row-aligned vector or — for literals
     and constant subtrees — a 0-d scalar; only :meth:`evaluate` broadcasts.
     """
@@ -1311,14 +1311,6 @@ def split_join_condition(
     raise SQLExecutionError("JOIN condition must compare one side per table")
 
 
-def _evaluate_serial(frame: Frame, length: int, expression: Expression) -> np.ndarray:
-    return ExpressionEvaluator(frame, length).evaluate(expression)
-
-
-def _gather_serial(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    return values[indices]
-
-
 def hash_join_frames(
     left_frame: Frame,
     left_length: int,
@@ -1326,30 +1318,21 @@ def hash_join_frames(
     right_length: int,
     left_key_expr: Expression,
     right_key_expr: Expression,
-    evaluate: "Callable[[Frame, int, Expression], np.ndarray] | None" = None,
-    join: "Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None" = None,
-    gather: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
 ) -> tuple[Frame, int]:
     """Inner-join two frames on pre-split key expressions, merging their columns.
 
-    ``evaluate`` / ``join`` / ``gather`` override the kernel strategies (the
-    morsel-parallel path passes its pool-backed variants); the defaults are
-    the serial kernels.  There is exactly one body for the column-merge
-    discipline — ambiguous bare names, length-mismatch passthrough — so the
-    serial and parallel joins can never diverge on it.
+    An ambiguous bare column name keeps only its qualified forms; a column
+    whose length differs from its frame's passes through ungathered.
     """
-    evaluate = evaluate or _evaluate_serial
-    join = join or join_indices
-    gather = gather or _gather_serial
-    left_keys = evaluate(left_frame, left_length, left_key_expr)
-    right_keys = evaluate(right_frame, right_length, right_key_expr)
-    left_idx, right_idx = join(left_keys, right_keys)
+    left_keys = ExpressionEvaluator(left_frame, left_length).evaluate(left_key_expr)
+    right_keys = ExpressionEvaluator(right_frame, right_length).evaluate(right_key_expr)
+    left_idx, right_idx = join_indices(left_keys, right_keys)
 
     merged: Frame = {}
     for key, values in left_frame.items():
-        merged[key] = gather(values, left_idx) if len(values) == left_length else values
+        merged[key] = values[left_idx] if len(values) == left_length else values
     for key, values in right_frame.items():
-        gathered = gather(values, right_idx) if len(values) == right_length else values
+        gathered = values[right_idx] if len(values) == right_length else values
         if key in merged and "." not in key:
             # Ambiguous bare column name: keep only the qualified forms.
             del merged[key]
@@ -1383,20 +1366,16 @@ def plain_projection(
     items: Sequence[SelectItem],
     frame: Frame,
     length: int,
-    evaluate: "Callable[[Expression], np.ndarray] | None" = None,
 ) -> tuple[list[str], list[np.ndarray]]:
     """Evaluate a non-aggregating projection (including ``*`` expansion).
 
     Returns the output names and, aligned with them, the result vectors —
     positional, so two items with the same output name (``SELECT x.s,
-    y.s``) stay two columns.  ``evaluate`` overrides the expression
-    strategy (the morsel-parallel path passes its pool-backed evaluator);
-    the ``*`` expansion and output naming have exactly one body either way.
+    y.s``) stay two columns.
     """
     names: list[str] = []
     vectors: list[np.ndarray] = []
-    if evaluate is None:
-        evaluate = ExpressionEvaluator(frame, length).evaluate
+    evaluate = ExpressionEvaluator(frame, length).evaluate
     for position, item in enumerate(items):
         if isinstance(item.expression, Star):
             for key, values in frame.items():
@@ -1637,7 +1616,7 @@ def postprocess_select(
     strategies produce identical rows — top-k reproduces the stable full
     sort exactly — so the choice is purely a matter of cost.
 
-    ``observe`` (adaptive feedback / EXPLAIN ANALYZE) receives the block's
+    ``observe`` (EXPLAIN ANALYZE and block spans) receives the block's
     *pre-limit* row count — the cardinality the optimizer's pre-limit
     estimate predicts, which the LIMIT would otherwise mask.
     """

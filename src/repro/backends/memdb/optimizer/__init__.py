@@ -35,9 +35,7 @@ from .cost import (
     CostModel,
     FusionDecision,
     JoinOrderDecision,
-    ParallelDecision,
     TopKDecision,
-    select_shape,
 )
 from .explain import ActualRun, OptimizerReport, QueryPlanInfo, render_explain
 from .rewrite import RewriteLog, rewrite_statement
@@ -51,14 +49,12 @@ __all__ = [
     "JoinOrderDecision",
     "Optimizer",
     "OptimizerReport",
-    "ParallelDecision",
     "QueryPlanInfo",
     "RewriteLog",
     "StatisticsCatalog",
     "TableStats",
     "TopKDecision",
     "render_explain",
-    "select_shape",
 ]
 
 
@@ -70,26 +66,14 @@ class Optimizer:
         catalog: Mapping[str, Table],
         statistics: Optional[StatisticsCatalog] = None,
         enabled: bool = True,
-        enable_parallel: bool = False,
-        parallel_workers: int = 1,
-        parallel_threshold_rows: float | None = None,
     ) -> None:
         self._catalog = catalog
         self._statistics = statistics
         self.enabled = enabled
-        self.enable_parallel = enable_parallel
-        self.parallel_workers = parallel_workers
-        self.parallel_threshold_rows = parallel_threshold_rows
 
     def cost_model(self) -> CostModel:
         """A cost model bound to the current catalog and statistics."""
-        return CostModel(
-            self._catalog,
-            self._statistics,
-            enable_parallel=self.enable_parallel,
-            parallel_workers=self.parallel_workers,
-            parallel_threshold_rows=self.parallel_threshold_rows,
-        )
+        return CostModel(self._catalog, self._statistics)
 
     def optimize(self, statement: Statement) -> tuple[Statement, OptimizerReport, CostModel]:
         """Optimize one parsed statement.
@@ -156,7 +140,4 @@ class Optimizer:
         input_rows = None
         if select.limit is not None:
             input_rows = cost.estimate_select_input_rows(select)
-        return QueryPlanInfo(
-            label, estimate, decision, estimated_input_rows=input_rows,
-            shape=select_shape(select), select=select,
-        )
+        return QueryPlanInfo(label, estimate, decision, estimated_input_rows=input_rows)

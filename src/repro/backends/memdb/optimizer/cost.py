@@ -23,14 +23,6 @@ bounded join cardinality and the column widths each strategy touches, see
 :class:`FusionDecision`), and the top-k operator versus full
 sort-then-slice for ``ORDER BY ... LIMIT`` queries (see
 :class:`TopKDecision`).
-
-Adaptive feedback enters through :func:`select_shape`: every query block
-has a canonical *predicate shape* (tables, join structure, predicate
-operators and columns — literals elided), and the statistics catalog may
-hold a correction factor for ``(base table, shape)`` recorded from observed
-actual-vs-estimated cardinalities.  :meth:`CostModel.estimate_select_rows`
-multiplies matching estimates by the factor, so a re-planned statement does
-not repeat a misestimate the engine has already seen.
 """
 
 from __future__ import annotations
@@ -66,66 +58,11 @@ RANGE_SELECTIVITY = 1.0 / 3.0
 GENERIC_SELECTIVITY = 0.25
 #: Estimated comparisons per row of a bounded-heap top-k pass.
 TOPK_ROW_COST = 1.0
-#: Scheduling overhead of one morsel-parallel block, in row-equivalents:
-#: dispatching morsels to the pool and merging their results costs about as
-#: much as scanning this many rows serially.  The serial-vs-parallel
-#: break-even follows as ``rows / workers + OVERHEAD < rows``.
-PARALLEL_OVERHEAD_ROWS = 16_384.0
 #: Assumed fixpoint depth of a recursive CTE when no better information is
 #: available — hierarchical workloads (trees with ~branching^depth fan-out)
 #: converge within a handful of levels, and UES-style pessimism on the
 #: per-step bound already guards the product against blow-ups.
 RECURSIVE_FIXPOINT_ITERATIONS = 8.0
-
-
-def _conjunct_shape(conjunct: Expression) -> str:
-    """Canonical shape of one predicate conjunct (columns + operator, no literals)."""
-    columns = ",".join(sorted({ref.name for ref in conjunct.column_refs}))
-    if isinstance(conjunct, BinaryOp) and conjunct.operator in ("=", "!=", "<", "<=", ">", ">="):
-        operator = conjunct.operator if conjunct.operator in ("=", "!=") else "range"
-        return f"{operator}({columns})"
-    if isinstance(conjunct, InList):
-        return f"{'not-in' if conjunct.negated else 'in'}({columns})"
-    if isinstance(conjunct, IsNull):
-        return f"{'notnull' if conjunct.negated else 'isnull'}({columns})"
-    return f"pred({columns})"
-
-
-def select_shape(select: Select) -> str:
-    """Canonical predicate shape of one query block.
-
-    Two blocks share a shape when they scan the same relations with the
-    same join structure and predicate *skeleton* (operators and columns;
-    literal values elided).  This is the key adaptive feedback corrections
-    are stored under: it survives re-planning and parameter changes, while
-    distinguishing structurally different queries over the same table.
-    """
-    parts: list[str] = []
-    predicates: list[str] = []
-    if select.source is not None:
-        parts.append(f"from:{select.source.name}")
-        if select.source.filter is not None:
-            predicates.extend(
-                _conjunct_shape(c) for c in split_conjuncts(select.source.filter)
-            )
-    for join in select.joins:
-        parts.append(f"join:{join.source.name}")
-        if join.source.filter is not None:
-            predicates.extend(
-                _conjunct_shape(c) for c in split_conjuncts(join.source.filter)
-            )
-    if select.where is not None:
-        predicates.extend(_conjunct_shape(c) for c in split_conjuncts(select.where))
-    parts.extend(sorted(predicates))
-    if select.group_by:
-        parts.append(f"group:{len(select.group_by)}")
-    if select.distinct:
-        parts.append("distinct")
-    if select.has_windows:
-        # Windowed and plain projections of the same scan are different
-        # physical shapes; corrections learned on one must not leak.
-        parts.append("window")
-    return "|".join(parts)
 
 
 @dataclass(frozen=True)
@@ -198,41 +135,6 @@ class TopKDecision:
         )
 
 
-@dataclass(frozen=True)
-class ParallelDecision:
-    """Costed choice between serial and morsel-parallel block execution.
-
-    ``estimated_rows`` is the block's pre-limit input-cardinality bound (the
-    driving size of its scans, probes and aggregations).  The parallel cost
-    divides that work across the workers and adds the pool's scheduling
-    overhead; the block runs parallel only when the model expects a net win,
-    so small blocks — where dispatch would dominate — stay serial.  Results
-    are byte-identical either way; the choice is purely a matter of cost.
-    """
-
-    eligible: bool
-    use_parallel: bool
-    workers: int = 1
-    estimated_rows: float = 0.0
-    serial_cost: float = math.inf
-    parallel_cost: float = math.inf
-    reason: str = ""
-
-    def describe(self) -> str:
-        if not self.eligible:
-            return f"serial ({self.reason or 'parallel execution disabled'})"
-        if self.use_parallel:
-            return (
-                f"morsel-parallel ({self.workers} workers)"
-                f" [cost {self.parallel_cost:.1f} < serial {self.serial_cost:.1f},"
-                f" est input ~{self.estimated_rows:.0f}]"
-            )
-        return (
-            f"serial [cost {self.serial_cost:.1f}"
-            f" <= parallel {self.parallel_cost:.1f}, est input ~{self.estimated_rows:.0f}]"
-        )
-
-
 def ordered_prefix_rows(select: Select) -> Optional[int]:
     """``LIMIT + OFFSET`` when the query needs only an ordered prefix.
 
@@ -260,21 +162,10 @@ class CostModel:
         catalog: Mapping[str, Table] | None = None,
         statistics: StatisticsCatalog | None = None,
         derived_rows: Mapping[str, float] | None = None,
-        enable_parallel: bool = False,
-        parallel_workers: int = 1,
-        parallel_threshold_rows: float | None = None,
     ) -> None:
         self._catalog = catalog or {}
         self._statistics = statistics
         self._derived = dict(derived_rows or {})
-        self.enable_parallel = bool(enable_parallel)
-        self.parallel_workers = max(1, int(parallel_workers))
-        #: Optional break-even override: when set, a block goes parallel as
-        #: soon as its estimated rows reach this value (tests force the
-        #: parallel operators onto tiny inputs with 0).
-        self.parallel_threshold_rows = (
-            None if parallel_threshold_rows is None else float(parallel_threshold_rows)
-        )
 
     # ----------------------------------------------------------- primitives
 
@@ -522,13 +413,7 @@ class CostModel:
     # -------------------------------------------------- query-level estimate
 
     def estimate_select_rows(self, select: Select) -> float:
-        """Upper-bound estimate of a Select's output cardinality.
-
-        Applies any adaptive correction factor recorded for this block's
-        (base table, predicate shape) before the LIMIT cap: corrections are
-        learned from pre-limit block cardinalities, and the cap would
-        otherwise mask them.
-        """
+        """Upper-bound estimate of a Select's output cardinality (LIMIT-capped)."""
         rows = self.estimate_select_input_rows(select)
         _start, stop = limit_bounds(select)
         if stop is not None:
@@ -551,8 +436,6 @@ class CostModel:
         )
         if grouped:
             rows = self._group_estimate(select, rows)
-        if self._statistics is not None and select.source is not None:
-            rows *= self._statistics.correction(select.source.name, select_shape(select))
         return rows
 
     def compound_cte_estimate(self, name: str, compound: CompoundSelect, recursive: bool) -> float:
@@ -681,46 +564,6 @@ class CostModel:
             estimated_input_rows=rows,
             sort_cost=sort_cost,
             topk_cost=topk_cost,
-        )
-
-    def parallel_decision(self, select: Select) -> ParallelDecision:
-        """Cost morsel-parallel execution of one block against serial.
-
-        The driving size is the larger of the base scan and the pre-limit
-        block cardinality (a selective filter still has to *scan* every
-        input row, and a fan-out join has to probe and aggregate every
-        output row).  Work parallelizes across the workers; the pool's
-        dispatch-and-merge overhead is charged per block.
-        """
-        workers = self.parallel_workers
-        if select.has_windows:
-            # The window operator is a single sort-once pass over every
-            # partition; morsel-splitting it would tear partitions apart.
-            return ParallelDecision(
-                eligible=False,
-                use_parallel=False,
-                workers=workers,
-                reason="window functions execute serially (partition-wide sort)",
-            )
-        if not self.enable_parallel or workers < 2:
-            reason = "parallel execution disabled" if not self.enable_parallel else "single worker"
-            return ParallelDecision(eligible=False, use_parallel=False, workers=workers, reason=reason)
-        rows = self.estimate_select_input_rows(select)
-        if select.source is not None:
-            rows = max(rows, self.table_rows(select.source.name))
-        serial_cost = rows
-        if self.parallel_threshold_rows is not None:
-            overhead = self.parallel_threshold_rows * (workers - 1) / workers
-        else:
-            overhead = PARALLEL_OVERHEAD_ROWS
-        parallel_cost = rows / workers + overhead
-        return ParallelDecision(
-            eligible=True,
-            use_parallel=parallel_cost < serial_cost,
-            workers=workers,
-            estimated_rows=rows,
-            serial_cost=serial_cost,
-            parallel_cost=parallel_cost,
         )
 
     def _table_width(self, name: str) -> int:

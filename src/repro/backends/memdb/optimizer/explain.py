@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..ast_nodes import Select
-from .cost import FusionDecision, JoinOrderDecision, ParallelDecision, TopKDecision
+from .cost import FusionDecision, JoinOrderDecision, TopKDecision
 from .rewrite import RewriteLog
 
 
@@ -24,28 +23,15 @@ from .rewrite import RewriteLog
 class QueryPlanInfo:
     """Optimizer summary of one query block (a CTE body or the main query).
 
-    ``estimated_input_rows`` is the pre-limit cardinality estimate — what
-    EXPLAIN ANALYZE's traced actuals and the adaptive feedback loop compare
-    against.  It equals ``estimated_rows`` for blocks without a LIMIT.
-    ``shape`` is the block's :func:`~.cost.select_shape` and ``select`` the
-    block itself, as planned: both kept here once so the per-execution
-    feedback loop neither walks nor searches the statement's AST (None for
-    UNION bodies, which record no corrections).
+    ``estimated_input_rows`` is the pre-limit cardinality estimate that
+    EXPLAIN ANALYZE's pre-limit actual is printed beside; it is ``None``
+    for blocks without a LIMIT, whose ``estimated_rows`` already is it.
     """
 
     label: str
     estimated_rows: float
     join_order: Optional[JoinOrderDecision] = None
     estimated_input_rows: Optional[float] = None
-    shape: Optional[str] = None
-    select: Optional[Select] = field(default=None, repr=False, compare=False)
-
-    @property
-    def feedback_rows(self) -> float:
-        """The estimate comparable to a block's traced pre-limit actual."""
-        if self.estimated_input_rows is not None:
-            return self.estimated_input_rows
-        return self.estimated_rows
 
 
 @dataclass
@@ -168,9 +154,6 @@ def _physical_description(compiled) -> str:
         )
     topk: Optional[TopKDecision] = getattr(compiled, "topk", None)
     tail = "" if topk is None else f" -> {topk.describe()}"
-    parallel: Optional[ParallelDecision] = getattr(compiled, "parallel", None)
-    if parallel is not None and parallel.eligible:
-        tail += f" [{parallel.describe()}]"
     decision: Optional[FusionDecision] = getattr(compiled, "fusion", None)
     if decision is not None and decision.eligible:
         return decision.describe() + tail

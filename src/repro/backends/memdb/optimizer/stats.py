@@ -19,26 +19,6 @@ DELETE / DROP / CREATE ... AS), so the cost model can trust that a *present*
 entry describes the current data.  When no entry exists the cost model falls
 back to the live catalog row count and conservative defaults — an
 un-analyzed database still optimizes, just with looser bounds.
-
-The catalog additionally stores the **adaptive feedback** corrections: when
-an execution (or ``EXPLAIN ANALYZE``) observes a block producing far more
-rows than estimated, the engine records a per-``(table, predicate shape)``
-correction factor here.  The cost model multiplies matching estimates by the
-factor on the next planning pass, so a re-planned query does not repeat the
-misestimate.  Corrections are keyed by the *shape* of the predicate (columns
-and operators, literals elided) because that is what survives re-planning,
-and they are dropped together with the table's statistics on DML — fresh
-data invalidates old observations exactly like it invalidates old
-histograms (the incremental, update-aware view of query answering).
-
-Corrections also *age*: a workload can drift back (literals move into a
-sparse region, correlated predicates stop correlating) without any DML ever
-touching the table, which would otherwise pin a stale pessimistic factor
-forever.  :meth:`StatisticsCatalog.observe_correction` watches every
-corrected block's actual-vs-estimated ratio; after
-:data:`CORRECTION_DECAY_AFTER` consecutive gross overestimates the factor
-decays toward 1 (re-anchored to the observed level), so estimates recover
-for workloads that drift both ways.
 """
 
 from __future__ import annotations
@@ -61,14 +41,6 @@ MCV_LIST_SIZE = 8
 MCV_OVER_UNIFORM = 1.25
 #: Number of equi-depth histogram buckets.
 HISTOGRAM_BUCKETS = 16
-#: Corrections are clamped into this range (a correction can only *raise*
-#: an estimate: the UES discipline guarantees estimates never underestimate
-#: with fresh statistics, so only observed underestimates are actionable).
-CORRECTION_MAX = 1e9
-#: Consecutive gross-overestimate observations of a corrected block before
-#: its factor decays: one outlier execution (an unusually selective literal)
-#: must not throw away a correction the rest of the workload still needs.
-CORRECTION_DECAY_AFTER = 3
 
 
 @dataclass(frozen=True)
@@ -323,40 +295,19 @@ def _column_stats(name: str, values: np.ndarray) -> ColumnStats:
 class StatisticsCatalog:
     """Per-database store of table statistics (the ANALYZE target).
 
-    The catalog also keeps counters (analyze runs, invalidations, feedback
-    events) that the benchmarking report surfaces next to the plan-cache
-    statistics, plus the adaptive-feedback correction factors described in
-    the module docstring.
+    The catalog also keeps counters (analyze runs, invalidations) that the
+    benchmarking report surfaces next to the plan-cache statistics.
     """
 
-    __slots__ = (
-        "_tables",
-        "_corrections",
-        "_overestimate_streaks",
-        "analyze_count",
-        "invalidation_count",
-        "feedback_count",
-        "decay_count",
-    )
+    __slots__ = ("_tables", "analyze_count", "invalidation_count")
 
     def __init__(self) -> None:
         self._tables: dict[str, TableStats] = {}
-        #: (table name, predicate shape) -> multiplicative correction (>= 1).
-        self._corrections: dict[tuple[str, str], float] = {}
-        #: Consecutive observations where a corrected estimate grossly
-        #: overshot the actual (the decay/aging trigger).
-        self._overestimate_streaks: dict[tuple[str, str], int] = {}
         self.analyze_count = 0
         self.invalidation_count = 0
-        self.feedback_count = 0
-        self.decay_count = 0
 
     def analyze(self, table: Table) -> TableStats:
-        """Compute and store fresh statistics for one table.
-
-        Fresh statistics supersede any feedback recorded against the old
-        data, so the table's corrections are dropped alongside.
-        """
+        """Compute and store fresh statistics for one table."""
         stats = TableStats(
             table=table.name,
             row_count=table.num_rows,
@@ -365,7 +316,6 @@ class StatisticsCatalog:
             },
         )
         self._tables[table.name] = stats
-        self._drop_corrections(table.name)
         self.analyze_count += 1
         return stats
 
@@ -374,91 +324,19 @@ class StatisticsCatalog:
         return self._tables.get(name)
 
     def invalidate(self, name: str) -> None:
-        """Drop a table's statistics and corrections (engine calls on DML/DDL)."""
+        """Drop a table's statistics (engine calls on DML/DDL)."""
         if self._tables.pop(name, None) is not None:
             self.invalidation_count += 1
-        self._drop_corrections(name)
 
     def clear(self) -> None:
         """Drop every entry (database teardown)."""
         if self._tables:
             self.invalidation_count += len(self._tables)
         self._tables.clear()
-        self._corrections.clear()
-        self._overestimate_streaks.clear()
 
     def table_names(self) -> list[str]:
         """Names of all analyzed tables."""
         return sorted(self._tables)
-
-    # -------------------------------------------------- adaptive corrections
-
-    def record_correction(self, table: str, shape: str, ratio: float) -> float:
-        """Fold an observed actual/estimated ratio into a correction factor.
-
-        The stored factor composes multiplicatively: the estimate that
-        produced ``ratio`` already included the previous factor, so the new
-        factor is ``old * ratio``.  Factors never drop below 1 (upper-bound
-        estimates are allowed to overestimate) and are clamped above.
-        Returns the stored factor.
-        """
-        key = (table, shape)
-        updated = self._corrections.get(key, 1.0) * max(ratio, 0.0)
-        updated = min(max(updated, 1.0), CORRECTION_MAX)
-        self._corrections[key] = updated
-        self._overestimate_streaks.pop(key, None)
-        self.feedback_count += 1
-        return updated
-
-    def observe_correction(self, table: str, shape: str, ratio: float, threshold: float) -> float | None:
-        """Age a correction from one observed actual/estimated ``ratio``.
-
-        The decay half of the feedback loop (record_correction is the
-        growth half): a workload that drifted *down* again — the data
-        shrank back, or the literals moved to a sparse region — keeps
-        producing ``ratio`` far below 1 against the corrected estimate.
-        After :data:`CORRECTION_DECAY_AFTER` *consecutive* observations
-        where the estimate overshot by more than ``threshold``x, the factor
-        re-anchors to the observed level (``factor * ratio``, clamped to
-        >= 1), so estimates recover instead of staying pessimized forever.
-        Any observation inside the threshold band resets the streak.
-
-        Returns the decayed factor, or ``None`` when nothing changed.
-        """
-        key = (table, shape)
-        factor = self._corrections.get(key)
-        if factor is None or factor <= 1.0:
-            self._overestimate_streaks.pop(key, None)
-            return None
-        if ratio * max(threshold, 1.0) > 1.0:
-            # The corrected estimate is within a threshold factor of the
-            # actual (or still underestimating): the correction is earning
-            # its keep, so the streak restarts.
-            self._overestimate_streaks.pop(key, None)
-            return None
-        streak = self._overestimate_streaks.get(key, 0) + 1
-        if streak < CORRECTION_DECAY_AFTER:
-            self._overestimate_streaks[key] = streak
-            return None
-        self._overestimate_streaks.pop(key, None)
-        decayed = min(max(factor * max(ratio, 0.0), 1.0), CORRECTION_MAX)
-        self._corrections[key] = decayed
-        self.decay_count += 1
-        return decayed
-
-    def correction(self, table: str, shape: str) -> float:
-        """The correction factor for one (table, predicate shape), default 1."""
-        return self._corrections.get((table, shape), 1.0)
-
-    def corrections(self) -> dict[tuple[str, str], float]:
-        """A snapshot of every stored correction factor."""
-        return dict(self._corrections)
-
-    def _drop_corrections(self, table: str) -> None:
-        for key in [key for key in self._corrections if key[0] == table]:
-            del self._corrections[key]
-        for key in [key for key in self._overestimate_streaks if key[0] == table]:
-            del self._overestimate_streaks[key]
 
     # --------------------------------------------------------------- summary
 
@@ -468,12 +346,6 @@ class StatisticsCatalog:
             "analyzed_tables": len(self._tables),
             "analyze_count": self.analyze_count,
             "invalidation_count": self.invalidation_count,
-            "feedback_count": self.feedback_count,
-            "decay_count": self.decay_count,
-            "corrections": {
-                f"{table}|{shape}": factor
-                for (table, shape), factor in sorted(self._corrections.items())
-            },
             "tables": {
                 name: {
                     "rows": stats.row_count,

@@ -30,8 +30,8 @@ differential tests check compiled results against ``sqlite3``.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from operator import getitem, is_not
+from functools import lru_cache
+from operator import is_not
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -76,18 +76,7 @@ from .executor import (
     validate_window_usage,
     windowed_projection,
 )
-from .optimizer.cost import CostModel, FusionDecision, ParallelDecision, TopKDecision
-from .parallel import (
-    WorkerPool,
-    parallel_apply_filter,
-    parallel_evaluate,
-    parallel_fused_aggregate,
-    parallel_gather,
-    parallel_grouped_projection,
-    parallel_hash_join_frames,
-    parallel_join_indices,
-    parallel_plain_projection,
-)
+from .optimizer.cost import CostModel, FusionDecision, TopKDecision
 from .table import Table, TransientTable
 
 #: Resolves a table name to a stored table or an earlier block's result.
@@ -174,14 +163,11 @@ class _ScanOp:
         self.binding = binding
         self.filter = filter
 
-    def run(self, resolve: Resolver, pool: WorkerPool | None = None) -> tuple[Frame, int]:
+    def run(self, resolve: Resolver) -> tuple[Frame, int]:
         table = resolve(self.name)
         frame, length = table.frame(self.binding), table.num_rows
         if self.filter is not None:
-            if pool is not None:
-                frame, length = parallel_apply_filter(frame, length, self.filter, pool)
-            else:
-                frame, length = apply_filter(frame, length, self.filter)
+            frame, length = apply_filter(frame, length, self.filter)
         return frame, length
 
 
@@ -204,17 +190,11 @@ class _JoinOp:
         else:
             self.left_key, self.right_key = split
 
-    def run(
-        self, frame: Frame, length: int, resolve: Resolver, pool: WorkerPool | None = None
-    ) -> tuple[Frame, int]:
-        right_frame, right_length = self.scan.run(resolve, pool)
+    def run(self, frame: Frame, length: int, resolve: Resolver) -> tuple[Frame, int]:
+        right_frame, right_length = self.scan.run(resolve)
         left_key, right_key = self.left_key, self.right_key
         if left_key is None:
             left_key, right_key = split_join_condition(self.condition, frame, right_frame)
-        if pool is not None:
-            return parallel_hash_join_frames(
-                frame, length, right_frame, right_length, left_key, right_key, pool
-            )
         return hash_join_frames(frame, length, right_frame, right_length, left_key, right_key)
 
 
@@ -262,37 +242,21 @@ class _FusedJoinAggregateOp:
         #: Distinct columns the block reads (the cost model's gather width).
         self.columns_read = columns_read
 
-    def run(
-        self, resolve: Resolver, pool: WorkerPool | None = None
-    ) -> tuple[list[str], list[np.ndarray]]:
-        left_frame, left_length = self.left_scan.run(resolve, pool)
-        right_frame, right_length = self.right_scan.run(resolve, pool)
-        if pool is not None:
-            left_values = partial(parallel_evaluate, left_frame, left_length, pool=pool)
-            right_values = partial(parallel_evaluate, right_frame, right_length, pool=pool)
-            gather = partial(parallel_gather, pool=pool)
-            join = partial(parallel_join_indices, pool=pool)
-        else:
-            left_values = ExpressionEvaluator(left_frame, left_length).evaluate
-            right_values = ExpressionEvaluator(right_frame, right_length).evaluate
-            gather, join = getitem, join_indices
-        left_idx, right_idx = join(left_values(self.left_key), right_values(self.right_key))
+    def run(self, resolve: Resolver) -> tuple[list[str], list[np.ndarray]]:
+        left_frame, left_length = self.left_scan.run(resolve)
+        right_frame, right_length = self.right_scan.run(resolve)
+        left_values = ExpressionEvaluator(left_frame, left_length).evaluate
+        right_values = ExpressionEvaluator(right_frame, right_length).evaluate
+        left_idx, right_idx = join_indices(
+            left_values(self.left_key), right_values(self.right_key)
+        )
 
         joined: Frame = {}
         for key, part in zip(self.left_keys, self.left_parts):
-            joined[key] = gather(left_values(part), left_idx)
+            joined[key] = left_values(part)[left_idx]
         for key, part in zip(self.right_keys, self.right_parts):
-            joined[key] = gather(right_values(part), right_idx)
+            joined[key] = right_values(part)[right_idx]
         joined_length = len(right_idx)
-        if pool is not None:
-            # Partitioned partial-then-merge aggregation; falls back to the
-            # serial factorization below when the key cannot be partitioned
-            # exactly (NaN/object keys) — results are identical either way.
-            aggregated = parallel_fused_aggregate(
-                joined, joined_length, self.key_expr, self.outputs, pool
-            )
-            if aggregated is not None:
-                return aggregated
         evaluator = ExpressionEvaluator(joined, joined_length)
 
         key_values = evaluator.evaluate(self.key_expr)
@@ -342,10 +306,6 @@ class CompiledQuery:
     ``ORDER BY ... LIMIT`` tails: the cost model chooses between the
     bounded top-k selection and full sort-then-slice at compile time
     (``self.topk``), and the compiled plan executes whichever was chosen.
-    Serial versus morsel-parallel execution of the block's operators is the
-    third costed physical choice (``self.parallel``); the executing engine
-    supplies the worker pool, so a cached plan runs serially on engines
-    without one.
     """
 
     __slots__ = (
@@ -358,7 +318,6 @@ class CompiledQuery:
         "windowed",
         "fusion",
         "topk",
-        "parallel",
     )
 
     def __init__(self, select: Select, cost: CostModel | None = None) -> None:
@@ -371,7 +330,6 @@ class CompiledQuery:
         self.fusion: FusionDecision | None = None
         model = cost if cost is not None else CostModel()
         self.topk: TopKDecision | None = model.topk_decision(select)
-        self.parallel: ParallelDecision = model.parallel_decision(select)
         fused = _compile_fused(select) if self.grouped else None
         if fused is not None:
             self.fusion = model.fusion_decision(select, fused.columns_read)
@@ -399,29 +357,23 @@ class CompiledQuery:
             bindings.append(join.source.binding)
 
     def execute(
-        self, resolve: Resolver, observe=None, pool: WorkerPool | None = None, tracer=None
+        self, resolve: Resolver, observe=None, tracer=None
     ) -> tuple[list[str], list[np.ndarray]]:
         """Run the plan against the given name resolver; returns (names, aligned vectors).
 
         ``observe`` receives the block's pre-limit row count (see
-        :func:`~.executor.postprocess_select`).  ``pool`` is the executing
-        engine's morsel worker pool; it is only used when this block's
-        costed :class:`ParallelDecision` chose parallel execution, so plans
-        cached by one engine run correctly (serially) on engines without a
-        pool.  ``tracer`` (a :class:`repro.obs.Tracer`, or None) records a
-        per-operator span tree; the untraced path is byte-for-byte the
-        traced path minus the spans, so enabling tracing can never change a
-        result.
+        :func:`~.executor.postprocess_select`).  ``tracer`` (a
+        :class:`repro.obs.Tracer`, or None) records a per-operator span
+        tree; the untraced path is byte-for-byte the traced path minus the
+        spans, so enabling tracing can never change a result.
         """
         select = self.select
         use_topk = self.topk is not None and self.topk.use_topk
-        if pool is not None and not self.parallel.use_parallel:
-            pool = None
         if tracer is not None:
-            return self._execute_traced(resolve, observe, pool, use_topk, tracer)
+            return self._execute_traced(resolve, observe, use_topk, tracer)
 
         if self.fused is not None:
-            names, vectors = self.fused.run(resolve, pool)
+            names, vectors = self.fused.run(resolve)
             return postprocess_select(
                 select, names, vectors, None, 0, self.has_aggregates,
                 use_topk=use_topk, observe=observe,
@@ -431,30 +383,17 @@ class CompiledQuery:
             frame: Frame = {}
             length = 1
         else:
-            frame, length = self.source.run(resolve, pool)
+            frame, length = self.source.run(resolve)
         for join in self.joins:
-            frame, length = join.run(frame, length, resolve, pool)
+            frame, length = join.run(frame, length, resolve)
 
         if select.where is not None:
-            if pool is not None:
-                frame, length = parallel_apply_filter(frame, length, select.where, pool)
-            else:
-                frame, length = apply_filter(frame, length, select.where)
+            frame, length = apply_filter(frame, length, select.where)
 
         if self.grouped:
-            names = vectors = None
-            if pool is not None:
-                aggregated = parallel_grouped_projection(select, frame, length, pool)
-                if aggregated is not None:
-                    names, vectors = aggregated
-            if names is None:
-                names, vectors = grouped_projection(select, frame, length)
+            names, vectors = grouped_projection(select, frame, length)
         elif self.windowed:
-            # Window blocks always run serially (their ParallelDecision
-            # declines): the sort-once kernels need the whole partition.
             names, vectors, frame = windowed_projection(select, frame, length)
-        elif pool is not None:
-            names, vectors = parallel_plain_projection(select.items, frame, length, pool)
         else:
             names, vectors = plain_projection(select.items, frame, length)
         return postprocess_select(
@@ -463,14 +402,12 @@ class CompiledQuery:
         )
 
     def _execute_traced(
-        self, resolve: Resolver, observe, pool: WorkerPool | None, use_topk, tracer
+        self, resolve: Resolver, observe, use_topk, tracer
     ) -> tuple[list[str], list[np.ndarray]]:
         """The :meth:`execute` pipeline with a span per physical operator.
 
-        Mirrors the untraced branch operator for operator (same kernels,
-        same parallel fallbacks); each span records output rows and — via
-        :func:`repro.obs.tracing.annotate_current` called from the worker
-        pool — the morsel batch/task counts the operator fanned out.
+        Mirrors the untraced branch operator for operator (same kernels);
+        each span records the operator's output rows.
 
         A fused block *is* a single physical operator, so it annotates the
         enclosing ``block`` span (whose wall time already is the operator's)
@@ -479,7 +416,6 @@ class CompiledQuery:
         enabled-mode overhead inside the benchmark gate.
         """
         select = self.select
-        parallel = pool is not None
         if self.fused is not None:
             span = current_span()
             if span is not None:
@@ -490,7 +426,7 @@ class CompiledQuery:
                 attrs["op"] = "fused-join-aggregate"
                 attrs["table"] = self.fused.left_scan.name
                 attrs["join_table"] = self.fused.right_scan.name
-            names, vectors = self.fused.run(resolve, pool)
+            names, vectors = self.fused.run(resolve)
             return postprocess_select(
                 select, names, vectors, None, 0, self.has_aggregates,
                 use_topk=use_topk, observe=observe,
@@ -500,46 +436,30 @@ class CompiledQuery:
             frame: Frame = {}
             length = 1
         else:
-            with tracer.span(
-                "operator", op="scan", table=self.source.name, parallel=parallel
-            ) as span:
-                frame, length = self.source.run(resolve, pool)
+            with tracer.span("operator", op="scan", table=self.source.name) as span:
+                frame, length = self.source.run(resolve)
                 span.set(rows=length)
         for join in self.joins:
-            with tracer.span(
-                "operator", op="hash-join", table=join.scan.name, parallel=parallel
-            ) as span:
-                frame, length = join.run(frame, length, resolve, pool)
+            with tracer.span("operator", op="hash-join", table=join.scan.name) as span:
+                frame, length = join.run(frame, length, resolve)
                 span.set(rows=length)
 
         if select.where is not None:
-            with tracer.span("operator", op="filter", parallel=parallel) as span:
-                if pool is not None:
-                    frame, length = parallel_apply_filter(frame, length, select.where, pool)
-                else:
-                    frame, length = apply_filter(frame, length, select.where)
+            with tracer.span("operator", op="filter") as span:
+                frame, length = apply_filter(frame, length, select.where)
                 span.set(rows=length)
 
         if self.grouped:
-            with tracer.span("operator", op="aggregate", parallel=parallel) as span:
-                names = vectors = None
-                if pool is not None:
-                    aggregated = parallel_grouped_projection(select, frame, length, pool)
-                    if aggregated is not None:
-                        names, vectors = aggregated
-                if names is None:
-                    names, vectors = grouped_projection(select, frame, length)
+            with tracer.span("operator", op="aggregate") as span:
+                names, vectors = grouped_projection(select, frame, length)
                 span.set(rows=len(vectors[0]) if vectors else 0)
         elif self.windowed:
-            with tracer.span("operator", op="window", parallel=False) as span:
+            with tracer.span("operator", op="window") as span:
                 names, vectors, frame = windowed_projection(select, frame, length)
                 span.set(rows=length)
         else:
-            with tracer.span("operator", op="project", parallel=parallel) as span:
-                if pool is not None:
-                    names, vectors = parallel_plain_projection(select.items, frame, length, pool)
-                else:
-                    names, vectors = plain_projection(select.items, frame, length)
+            with tracer.span("operator", op="project") as span:
+                names, vectors = plain_projection(select.items, frame, length)
                 span.set(rows=length)
         return postprocess_select(
             select, names, vectors, frame, length, self.has_aggregates,
@@ -553,14 +473,11 @@ class CompiledCompoundCTE:
     Holds one compiled plan per branch: ``base`` runs once, ``step`` runs
     once per fixpoint iteration with the CTE's own name bound to the current
     frontier (see :func:`~.executor.run_compound_cte`, which also applies
-    the CTE's column alias list).  ``parallel`` is a declined
-    decision — iterations are inherently sequential, and each step is
-    usually tiny — so :meth:`CompiledScript.uses_parallel` and the block
-    spans keep working unchanged.  ``last_iterations`` records the most
+    the CTE's column alias list).  ``last_iterations`` records the most
     recent execution's fixpoint depth for EXPLAIN ANALYZE.
     """
 
-    __slots__ = ("name", "compound", "recursive", "alias_columns", "base", "step", "parallel", "last_iterations")
+    __slots__ = ("name", "compound", "recursive", "alias_columns", "base", "step", "last_iterations")
 
     def __init__(
         self,
@@ -576,18 +493,12 @@ class CompiledCompoundCTE:
         self.alias_columns = tuple(alias_columns)
         self.base = CompiledQuery(compound.left, cost)
         self.step = CompiledQuery(compound.right, cost)
-        self.parallel = ParallelDecision(
-            eligible=False,
-            use_parallel=False,
-            reason="recursive fixpoint iterates serially",
-        )
         self.last_iterations = 0
 
     def execute(
         self,
         resolve: Resolver,
         observe=None,
-        pool: WorkerPool | None = None,
         tracer=None,
         recursion_limit: int = DEFAULT_RECURSION_LIMIT,
     ) -> tuple[list[str], list[np.ndarray]]:
@@ -595,7 +506,7 @@ class CompiledCompoundCTE:
         iteration_box = [0]
 
         def run_base() -> tuple[list[str], list[np.ndarray]]:
-            return self.base.execute(resolve, pool=pool, tracer=tracer)
+            return self.base.execute(resolve, tracer=tracer)
 
         def run_step(
             frontier: TransientTable | None,
@@ -610,10 +521,10 @@ class CompiledCompoundCTE:
                 with tracer.span(
                     "operator", op="recursive-step", iteration=iteration_box[0]
                 ) as span:
-                    names, vectors = self.step.execute(step_resolve, pool=pool, tracer=tracer)
+                    names, vectors = self.step.execute(step_resolve, tracer=tracer)
                     span.set(rows=len(vectors[0]) if vectors else 0)
                     return names, vectors
-            return self.step.execute(step_resolve, pool=pool, tracer=tracer)
+            return self.step.execute(step_resolve, tracer=tracer)
 
         def note(iteration: int, _new_rows: int) -> None:
             self.last_iterations = iteration
@@ -652,25 +563,17 @@ class CompiledScript:
         self.ctes = ctes
         self.query = query
 
-    def uses_parallel(self) -> bool:
-        """True when at least one block's costed decision chose parallel."""
-        return any(
-            plan.parallel.use_parallel for _name, plan, _columns in self.ctes
-        ) or self.query.parallel.use_parallel
-
     def execute(
         self,
         catalog: Mapping[str, Table],
         trace: Callable[[str, int], None] | None = None,
-        pool: WorkerPool | None = None,
         tracer=None,
         recursion_limit: int = DEFAULT_RECURSION_LIMIT,
     ) -> tuple[list[str], list[np.ndarray]]:
         """Run CTEs then the main query against a table catalog.
 
-        ``trace`` (EXPLAIN ANALYZE and adaptive feedback) receives
-        ``(block label, actual row count)`` for every CTE and finally for
-        ``"main"``.  The reported count is the block's *pre-limit*
+        ``trace`` (EXPLAIN ANALYZE) receives ``(block label, actual row
+        count)`` for every CTE and finally for ``"main"``.  The reported count is the block's *pre-limit*
         cardinality — for blocks without LIMIT that is simply the output
         size, and for limited blocks it is the number the optimizer's
         pre-limit estimate predicts (the output size would mask any
@@ -697,11 +600,9 @@ class CompiledScript:
                 else {}
             )
             if tracer is not None:
-                with tracer.span(
-                    "block", block=name, parallel=plan.parallel.use_parallel
-                ) as span:
+                with tracer.span("block", block=name) as span:
                     names, vectors = plan.execute(
-                        resolve, observe=observe, pool=pool, tracer=tracer, **extra
+                        resolve, observe=observe, tracer=tracer, **extra
                     )
                     if alias_columns:
                         names = cte_output_names(name, alias_columns, names)
@@ -710,7 +611,7 @@ class CompiledScript:
                     if isinstance(plan, CompiledCompoundCTE):
                         span.attrs["iterations"] = plan.last_iterations
             else:
-                names, vectors = plan.execute(resolve, observe=observe, pool=pool, **extra)
+                names, vectors = plan.execute(resolve, observe=observe, **extra)
                 if alias_columns:
                     names = cte_output_names(name, alias_columns, names)
                 ctes[name] = TransientTable(name, names, vectors)
@@ -718,16 +619,12 @@ class CompiledScript:
                 trace(name, observed[-1] if observed else ctes[name].num_rows)
             observed.clear()
         if tracer is not None:
-            with tracer.span(
-                "block", block="main", parallel=self.query.parallel.use_parallel
-            ) as span:
-                names, vectors = self.query.execute(
-                    resolve, observe=observe, pool=pool, tracer=tracer
-                )
+            with tracer.span("block", block="main") as span:
+                names, vectors = self.query.execute(resolve, observe=observe, tracer=tracer)
                 output_rows = len(vectors[0]) if vectors else 0
                 span.attrs["rows"] = observed[-1] if observed else output_rows
         else:
-            names, vectors = self.query.execute(resolve, observe=observe, pool=pool)
+            names, vectors = self.query.execute(resolve, observe=observe)
         if trace is not None:
             output_rows = len(vectors[0]) if vectors else 0
             trace("main", observed[-1] if observed else output_rows)

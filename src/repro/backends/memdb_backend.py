@@ -35,19 +35,6 @@ class MemDBBackend(RelationalBackend):
         Optional private :class:`~.memdb.engine.PlanCache`; default is the
         process-wide shared cache.  Pass ``PlanCache(0)`` to disable caching
         (used by benchmarks to measure cold-parse cost).
-    enable_adaptive:
-        Adaptive re-optimization: compiled executions compare estimated to
-        actual block cardinalities; gross underestimates record correction
-        factors and flag the cached plan for re-planning (see
-        :class:`~.memdb.engine.MemDatabase`).  Disable to pin stale plans
-        (benchmark ablation).
-    enable_parallel / parallel_workers / parallel_threshold_rows:
-        Morsel-driven parallel execution of compiled plans (scans, filters,
-        hash-join probes, partitioned aggregation) on the engine's shared
-        worker pool; per-block serial-vs-parallel choices are costed (with
-        an optional break-even override in estimated rows), and results
-        stay byte-identical to serial execution.  ``enable_parallel=None``
-        follows the ``REPRO_MEMDB_PARALLEL`` environment variable.
     enable_tracing / tracer:
         Span-based query tracing (see :mod:`repro.obs` and
         :class:`~.memdb.engine.MemDatabase`): every traced execution
@@ -70,10 +57,6 @@ class MemDBBackend(RelationalBackend):
         prune_atol: float = 1e-12,
         plan_cache: PlanCache | None = None,
         enable_optimizer: bool = True,
-        enable_adaptive: bool = True,
-        enable_parallel: bool | None = None,
-        parallel_workers: int | None = None,
-        parallel_threshold_rows: int | None = None,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -89,10 +72,6 @@ class MemDBBackend(RelationalBackend):
         self._database = MemDatabase(
             plan_cache=plan_cache,
             enable_optimizer=enable_optimizer,
-            enable_adaptive=enable_adaptive,
-            enable_parallel=enable_parallel,
-            parallel_workers=parallel_workers,
-            parallel_threshold_rows=parallel_threshold_rows,
             enable_tracing=enable_tracing,
             tracer=tracer,
         )
@@ -133,7 +112,7 @@ class MemDBBackend(RelationalBackend):
             provenance["plan_cache"] = {"prepared": False, "reason": "plan cache disabled"}
             return
         query = translation.cte_query(pretty=False)
-        # Peek with the engine's flavor (optimizer + parallel configuration).
+        # Peek with the engine's flavor (optimizer on or off).
         # Text-only peek (no catalog): a stale entry is caught and recompiled
         # by the schema-fingerprint check at execution time.
         if database.plan_cache.peek_state(query, catalog=None, flavor=database.plan_flavor) == "hit":
@@ -155,8 +134,8 @@ class MemDBBackend(RelationalBackend):
         provenance["plan_cache"] = {"prepared": True, "state_at_compile": outcome}
 
     def _execution_provenance(self, executable) -> dict:
-        # The engine's stats document: plan-cache state, the adaptive loop's
-        # re-plans and corrections, the parallel subsystem's counters.
+        # The engine's stats document: plan-cache state, optimizer counters,
+        # storage and tracing.
         return self._database.engine_stats()
 
     def recent_traces(self) -> list[dict]:

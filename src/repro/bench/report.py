@@ -208,7 +208,7 @@ def trace_tree_table(trace: dict, max_depth: int | None = None) -> str:
     """Render one query trace (a :meth:`Span.to_dict` tree) as indented text.
 
     One line per span: indented name, wall time in milliseconds, and the
-    span's attributes (rows, operator kind, morsel counts, cache provenance)
+    span's attributes (rows, operator kind, cache provenance)
     in ``key=value`` form — the textual analogue of a flame graph, suitable
     for benchmark reports and the slow-query log.
     """

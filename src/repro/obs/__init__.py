@@ -33,7 +33,6 @@ from .tracing import (
     TraceContext,
     Tracer,
     activate_context,
-    annotate_current,
     current_context,
     current_span,
     drain_shared_traces,
@@ -66,7 +65,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "activate_context",
-    "annotate_current",
     "current_context",
     "current_span",
     "drain_shared_traces",

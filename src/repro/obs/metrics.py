@@ -1,8 +1,7 @@
 """Process-wide metrics: counters, gauges, bounded histograms.
 
-The engine's self-tuning subsystems (plan cache, optimizer, adaptive
-feedback, parallel pool, encoded storage) each keep their own ad-hoc
-counters; this module provides the *shared* instrument vocabulary that the
+The engine's subsystems (plan cache, optimizer, encoded storage) each keep
+their own ad-hoc counters; this module provides the *shared* instrument vocabulary that the
 service layer and the tracer record into, and the snapshot format every
 stats surface renders.  Three instrument kinds cover the serving tier's
 needs:

@@ -2,10 +2,10 @@
 
 :meth:`repro.backends.memdb.engine.MemDatabase.engine_stats` is the one
 producer of the document — ``schema_version`` plus the ``plan_cache``,
-``optimizer``, ``adaptive``, ``parallel``, ``storage`` and ``tracing``
-sections, with roll-ups such as ``storage["dictionary_rebuilds"]`` (summed
-across every column of every table).  The backend and the session hand the
-engine's document through unchanged.  This module holds what readers share:
+``optimizer``, ``storage`` and ``tracing`` sections, with roll-ups such as
+``storage["dictionary_rebuilds"]`` (summed across every column of every
+table).  The backend and the session hand the engine's document through
+unchanged.  This module holds what readers share:
 
 * :data:`ENGINE_STATS_SCHEMA_VERSION`, which readers can branch on;
 * :func:`flatten_counters`, which projects the nested document onto flat
@@ -22,25 +22,26 @@ from numbers import Number
 #: table's encoding flag (stored TEXT is always dictionary codes).
 #: Version 3 dropped the ``optimizer["adaptive"]`` alias (``adaptive`` is
 #: top-level only) and reports every optimizer counter from zero.
-ENGINE_STATS_SCHEMA_VERSION = 3
+#: Version 4 dropped the ``adaptive`` and ``parallel`` sections, the
+#: ``adaptive_replans`` / ``feedback_corrections`` / ``feedback_decays``
+#: optimizer counters and the statistics catalog's ``corrections``,
+#: ``feedback_count`` and ``decay_count``.
+ENGINE_STATS_SCHEMA_VERSION = 4
 
 
-#: Per-entity maps and lists rather than counters: per-table storage,
-#: adaptive events, trace sinks, and the statistics catalog's per-table
-#: digest and correction factors.
+#: Per-entity maps rather than counters: per-table storage, trace sinks,
+#: and the statistics catalog's per-table digest.
 _PER_ENTITY_PATHS = frozenset({
     "storage.tables",
-    "adaptive.events",
     "tracing.sinks",
     "optimizer.statistics.tables",
-    "optimizer.statistics.corrections",
 })
 
 
 def flatten_counters(stats: dict, prefix: str = "") -> dict[str, float]:
     """Project the nested stats document onto flat dotted numeric names.
 
-    Booleans flatten to 0/1 (``parallel.enabled``); non-numeric leaves and
+    Booleans flatten to 0/1 (``optimizer.enabled``); non-numeric leaves and
     per-entity detail are dropped.  The result is ready to diff, render as
     a table, or mirror into a :class:`~.metrics.MetricsRegistry`.
     """

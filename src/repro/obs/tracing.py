@@ -4,16 +4,14 @@ Every traced execution produces a **span tree**: a root ``query`` span with
 ``parse`` → ``optimize`` → ``plan`` → ``execute`` children on the cold path
 (a warm plan-cache hit goes straight to ``execute``), per-block ``block``
 spans under execute (one per CTE plus ``main``, carrying the same pre-limit
-actual row counts EXPLAIN ANALYZE and the adaptive feedback loop observe),
-and per-operator ``operator`` spans (scan / hash-join / filter / aggregate /
-fused-join-aggregate) with wall time, output rows and morsel counts.
+actual row counts EXPLAIN ANALYZE observes), and per-operator ``operator``
+spans (scan / hash-join / filter / aggregate / fused-join-aggregate) with
+wall time and output rows.
 
 Design constraints, in priority order:
 
 1. **Near-zero disabled overhead.**  An engine without a tracer takes one
-   ``is None`` branch per execution and nothing else; the morsel-count hook
-   (:func:`annotate_current`) is a thread-local peek that returns
-   immediately when no span is active.
+   ``is None`` branch per execution and nothing else.
 2. **Correct flow across threads.**  The active-span stack is thread-local:
    each job-service worker thread traces its own queries without locking or
    cross-talk.  Worker *processes* trace into their own process-wide ring,
@@ -201,7 +199,7 @@ class Span:
     """One timed node of a trace tree.
 
     ``attrs`` carries whatever the instrumented stage recorded (row counts,
-    cache provenance, operator kind, morsel counts); ``plan_provider`` is an
+    cache provenance, operator kind); ``plan_provider`` is an
     optional zero-argument callable the slow-query log invokes to render an
     EXPLAIN-style plan snapshot — attached lazily so fast queries never pay
     for plan rendering.
@@ -282,10 +280,6 @@ class Span:
     def set(self, **attrs: object) -> None:
         self.attrs.update(attrs)
 
-    def add(self, key: str, amount: float = 1) -> None:
-        """Accumulate a numeric attribute (morsel counts, partition counts)."""
-        self.attrs[key] = self.attrs.get(key, 0) + amount
-
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first, pre-order."""
         yield self
@@ -354,18 +348,6 @@ def activate_context(context: TraceContext | None):
         yield context
     finally:
         _ACTIVE.context = previous
-
-
-def annotate_current(key: str, amount: float = 1) -> None:
-    """Accumulate onto the active span; a cheap no-op when tracing is off.
-
-    This is the hot-path hook the parallel subsystem calls to record morsel
-    batch/task counts: with no active span it costs one thread-local lookup
-    and a truthiness check.
-    """
-    stack = getattr(_ACTIVE, "spans", None)
-    if stack:
-        stack[-1].add(key, amount)
 
 
 # ---------------------------------------------------------------------------

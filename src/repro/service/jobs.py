@@ -27,6 +27,7 @@ pickling the circuit and results across the process boundary.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import multiprocessing
 import os
@@ -37,6 +38,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from ..backends import available_backends
@@ -110,17 +112,38 @@ def options_fingerprint(options: Mapping[str, object]) -> tuple:
     return tuple(items)
 
 
+def _method_class(method: str) -> type:
+    """The backend or baseline-simulator class a method name selects."""
+    classes = {**available_simulators(), **available_backends()}
+    if method not in classes:
+        raise QymeraError(f"unknown simulation method {method!r}; available: {sorted(classes)}")
+    return classes[method]
+
+
 def make_method(method: str, **options) -> BaseSimulator:
     """Instantiate a simulation method (backend or baseline simulator) by name."""
-    backends = available_backends()
-    simulators = available_simulators()
-    if method in backends:
-        return backends[method](**options)
-    if method in simulators:
-        return simulators[method](**options)
-    raise QymeraError(
-        f"unknown simulation method {method!r}; available: {sorted(set(backends) | set(simulators))}"
-    )
+    return _method_class(method)(**options)
+
+
+@lru_cache(maxsize=None)
+def _method_options(method: str) -> frozenset[str]:
+    """A method's constructor option names (an unknown name raises, uncached)."""
+    return frozenset(inspect.signature(_method_class(method)).parameters)
+
+
+def check_method_options(method: str, options: Mapping[str, object]) -> None:
+    """Raise :class:`QymeraError` naming an unknown method or constructor option.
+
+    What :func:`make_method` would fail on later, checked up front: a client
+    request carrying an option the method does not take is refused before
+    it becomes a job.
+    """
+    accepted = _method_options(method)
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise QymeraError(
+            f"unknown option(s) {unknown} for method {method!r}; accepted: {sorted(accepted)}"
+        )
 
 
 # ---------------------------------------------------------------------------

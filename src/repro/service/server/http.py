@@ -51,7 +51,7 @@ from ...errors import CircuitFormatError, QymeraError
 from ...io.json_io import circuit_from_dict
 from ...obs.metrics import PROMETHEUS_CONTENT_TYPE, global_registry, prometheus_exposition
 from ...obs.tracing import TraceContext, new_trace_id, span_record
-from ..jobs import JobRequest, JobService
+from ..jobs import JobRequest, JobService, check_method_options
 from .admission import AdmissionRejected
 from .scheduler import QuotaExceeded
 
@@ -105,10 +105,12 @@ def parse_job_payload(payload: dict) -> JobRequest:
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise _BadRequest("'tenant' must be a non-empty string")
+    method = str(payload.get("method", "memdb"))
     try:
+        check_method_options(method, options)
         return JobRequest(
             circuit=circuit,
-            method=str(payload.get("method", "memdb")),
+            method=method,
             options=options,
             params=params,
             param_grid=param_grid,

@@ -1,7 +1,7 @@
 """Sharded engine pools with consistent-hash routing.
 
 Warm engine state — prepared plans re-bound from the plan cache, live
-table layouts, adaptive correction factors — is per *engine instance*, and
+table layouts, collected statistics — is per *engine instance*, and
 an :class:`~repro.service.jobs.EnginePool` hands instances out at random
 within a (method, options) key.  Sharding pins each key to one shard of
 smaller pools via a consistent-hash ring, so the same kind of work keeps

@@ -190,11 +190,8 @@ class SimulationPanel:
 
         The engine's versioned document, unchanged (see
         :meth:`~repro.backends.memdb.engine.MemDatabase.engine_stats`):
-        ``plan_cache``, ``optimizer``, ``adaptive``, ``parallel``,
-        ``storage`` and ``tracing`` sections under one ``schema_version``.
-        ``adaptive`` holds the feedback loop's re-plans, learned
-        corrections and recent trigger events; ``parallel`` the morsel
-        pool's configuration and counters.
+        ``plan_cache``, ``optimizer``, ``storage`` and ``tracing`` sections
+        under one ``schema_version``.
         """
         backend = self._pooled_method(method, options)
         if not isinstance(backend, MemDBBackend):

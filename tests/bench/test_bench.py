@@ -301,13 +301,7 @@ class TestReport:
         from repro.circuits import ghz_circuit
         from repro.obs import flatten_counters
 
-        backend = MemDBBackend(
-            plan_cache=PlanCache(maxsize=16),
-            enable_parallel=True,
-            parallel_workers=2,
-            parallel_threshold_rows=0,
-            enable_tracing=True,
-        )
+        backend = MemDBBackend(plan_cache=PlanCache(maxsize=16), enable_tracing=True)
         backend.run(ghz_circuit(3))
         stats = backend.engine_stats()
         rendered = {
@@ -317,7 +311,7 @@ class TestReport:
         for name in flatten_counters(stats):
             subsystem, _, counter = name.partition(".")
             assert (subsystem, counter) in rendered, name
-        for row in [("parallel", "pool.tasks"), ("adaptive", "decays"), ("tracing", "traces_dropped")]:
+        for row in [("storage", "dictionary_rebuilds"), ("tracing", "traces_dropped")]:
             assert row in rendered
 
     def test_engine_stats_table_rejects_empty(self):

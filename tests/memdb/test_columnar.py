@@ -9,21 +9,18 @@ to silently diverge from SQLite:
   code-point order, which equals the sorted-``<U``-dictionary code order);
 * dictionary growth across INSERTs remaps every stored chunk and is
   observable in the storage counters, while plan caches keyed on logical
-  schema signatures must not be invalidated by it;
-* multi-key parallel GROUP BY must be bit-exact against serial execution.
+  schema signatures must not be invalidated by it.
 """
 
 from __future__ import annotations
 
 import sqlite3
 
-import numpy as np
 import pytest
 
 from repro.backends.memdb import MemDatabase
 from repro.backends.memdb.column import DictArray
 from repro.backends.memdb.engine import PlanCache
-from repro.backends.memdb.parallel import WorkerPool
 
 
 def _fresh(**kwargs) -> MemDatabase:
@@ -176,50 +173,3 @@ class TestDictionaryGrowth:
         stats = db.table("c").storage_stats()["columns"]["s"]
         assert stats["kind"] == "dict"
         assert db.execute("SELECT c.s AS s FROM c ORDER BY c.id").rows == [(None,), ("y",)]
-
-
-class TestMultiKeyParallelParity:
-    def test_multi_key_group_by_bit_exact(self):
-        pool = WorkerPool(4)
-        parallel = MemDatabase(
-            plan_cache=PlanCache(maxsize=8),
-            enable_parallel=True,
-            parallel_threshold_rows=0,
-            worker_pool=pool,
-        )
-        serial = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
-        rng = np.random.default_rng(7)
-        rows = 4_000
-        ids = np.arange(rows, dtype=np.int64)
-        ks = rng.integers(-5, 5, rows)
-        names = np.array(["ab", "a", "", "zz", "é", None, "b"], dtype=object)[
-            rng.integers(0, 7, rows)
-        ]
-        values = np.round(rng.normal(size=rows) * 4, 1)
-        values[rng.integers(0, rows, rows // 10)] = np.nan
-        try:
-            for db in (parallel, serial):
-                db.load_table(
-                    "t", {"id": ids, "k": ks.copy(), "s": names.copy(), "v": values.copy()}
-                )
-            for sql in [
-                # int x text keys, NULL text key forms its own group
-                "SELECT t.k AS k, t.s AS s, SUM(t.v) AS sv, COUNT(t.v) AS n FROM t GROUP BY t.k, t.s",
-                # text x float keys: NaN (NULL) float key collapses to one group
-                "SELECT t.s AS s, t.v AS v, COUNT(*) AS n FROM t GROUP BY t.s, t.v",
-                # single text key with NULL-skipping text aggregate
-                "SELECT t.s AS s, MIN(t.s) AS lo, MAX(t.s) AS hi, COUNT(*) AS n FROM t GROUP BY t.s",
-            ]:
-                expected = serial.execute(sql).rows
-                actual = parallel.execute(sql).rows
-                assert len(actual) == len(expected), sql
-                for row_a, row_b in zip(actual, expected):
-                    for a, b in zip(row_a, row_b):
-                        both_nan = (
-                            isinstance(a, float) and isinstance(b, float) and a != a and b != b
-                        )
-                        assert both_nan or (a == b and type(a) is type(b)), (sql, row_a, row_b)
-            # The partitioned path really ran (multi-key no longer declines).
-            assert parallel.engine_stats()["parallel"]["parallel_plan_executions"] > 0
-        finally:
-            pool.shutdown()

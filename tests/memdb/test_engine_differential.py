@@ -1,0 +1,487 @@
+"""Engine-level differential tests: memdb against itself and against SQLite.
+
+A fixed corpus of queries over tie-heavy, NULL-bearing data runs on an
+engine with the optimizer on (cold, then plan-cache warm) and on one that
+compiles every statement as written.  The two must agree *byte for byte* —
+same values, same bits, same types, same order — because every optimizer
+decision (pushed filters, join order, top-k, the fused join-aggregate) is a
+physical choice, never a semantic one.  SQLite is the oracle for the
+results themselves.
+
+The corpus also pins what must hold across DML on a warm plan cache, over
+TEXT and multi-key GROUP BY, and after a failing statement, plus the
+filter and join kernels the compiled plans run, at the operator level.
+"""
+
+from __future__ import annotations
+
+import math
+import sqlite3
+import threading
+
+import numpy as np
+import pytest
+
+from repro.backends.memdb.engine import MemDatabase, PlanCache
+from repro.backends.memdb.executor import apply_filter, join_indices
+from repro.backends.memdb.parser import parse_one
+from repro.errors import SQLExecutionError
+
+
+def _exact_equal(left, right) -> bool:
+    """Row-for-row equality that distinguishes NaN-vs-value and types."""
+    if len(left) != len(right):
+        return False
+    for row_a, row_b in zip(left, right):
+        if len(row_a) != len(row_b):
+            return False
+        for a, b in zip(row_a, row_b):
+            if isinstance(a, float) and isinstance(b, float):
+                if math.isnan(a) != math.isnan(b):
+                    return False
+                if not math.isnan(a) and a != b:
+                    return False
+            elif a != b or type(a) is not type(b):
+                return False
+    return True
+
+
+def assert_rows_identical(actual, expected, context=""):
+    assert _exact_equal(actual, expected), f"{context}\nexpected {expected}\nactual   {actual}"
+
+
+def _normalized(rows, ordered: bool):
+    """Rows with NULL spelled one way (memdb's DOUBLE NULL is NaN) and floats rounded."""
+
+    def cell(value):
+        if value is None or (isinstance(value, float) and math.isnan(value)):
+            return None
+        if isinstance(value, float):
+            return round(value, 9) + 0.0
+        return value
+
+    normalized = [tuple(cell(value) for value in row) for row in rows]
+    if ordered:
+        return normalized
+    return sorted(normalized, key=lambda row: tuple((v is not None, str(type(v)), v) for v in row))
+
+
+def assert_matches_sqlite(actual, expected, sql: str) -> None:
+    ordered = "ORDER BY" in sql.rsplit(")", 1)[-1]
+    assert _normalized(actual, ordered) == _normalized(expected, ordered), sql
+
+
+def _sqlite_value(value):
+    if isinstance(value, (float, np.floating)):
+        return None if math.isnan(value) else float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def _load_sqlite(connection: sqlite3.Connection, name: str, columns: dict[str, np.ndarray]) -> None:
+    names = list(columns)
+    types = {"i": "INTEGER", "f": "REAL", "O": "TEXT"}
+    connection.execute(
+        f"CREATE TABLE {name} ("
+        + ", ".join(f"{column} {types[columns[column].dtype.kind]}" for column in names)
+        + ")"
+    )
+    rows = zip(*(columns[column].tolist() for column in names))
+    connection.executemany(
+        f"INSERT INTO {name} VALUES ({', '.join('?' for _ in names)})",
+        [tuple(_sqlite_value(value) for value in row) for row in rows],
+    )
+
+
+def _engines(tables: dict[str, dict[str, np.ndarray]]):
+    """Optimizer-on and optimizer-off engines plus SQLite over identical data.
+
+    The optimizer-off engine compiles every statement exactly as written,
+    with no rewrites and no plan cache.
+    """
+    optimized = MemDatabase(plan_cache=PlanCache(maxsize=64))
+    unoptimized = MemDatabase(plan_cache=PlanCache(0), enable_optimizer=False)
+    oracle = sqlite3.connect(":memory:")
+    for name, columns in tables.items():
+        for db in (optimized, unoptimized):
+            db.load_table(name, {column: values.copy() for column, values in columns.items()})
+        _load_sqlite(oracle, name, columns)
+    return optimized, unoptimized, oracle
+
+
+def _star_tables(rows: int = 4_000, seed: int = 3):
+    rng = np.random.default_rng(seed)
+    # Tie-heavy values, NaNs for NULL semantics, negative keys for hashing.
+    values = np.round(rng.normal(size=rows) * 4, 1)
+    values[rng.integers(0, rows, rows // 20)] = np.nan
+    dim_ids = np.arange(-7, 13, dtype=np.int64)
+    return {
+        "t": {
+            "id": np.arange(rows, dtype=np.int64),
+            "v": values,
+            "k": rng.integers(-7, 7, rows),
+            "g": rng.integers(0, 12, rows),
+        },
+        "d": {"id": dim_ids, "w": np.round(np.linspace(-2.0, 2.0, len(dim_ids)), 2)},
+    }
+
+
+@pytest.fixture(scope="module")
+def star_engines():
+    optimized, unoptimized, oracle = _engines(_star_tables())
+    yield optimized, unoptimized, oracle
+    oracle.close()
+
+
+_DIFFERENTIAL_QUERIES = [
+    # scans + filters + projections
+    "SELECT t.id AS id, t.v * 2 + 1 AS e FROM t WHERE t.v > 0.5 ORDER BY t.id",
+    "SELECT t.id AS id, t.v AS v FROM t WHERE t.k IN (1, -3, 5) AND t.v <= 1.5 ORDER BY t.id",
+    # NULL handling through filters and projections
+    "SELECT t.id AS id, t.v AS v FROM t WHERE t.v IS NOT NULL ORDER BY t.id",
+    "SELECT t.id AS id, CASE WHEN t.v > 0 THEN t.v ELSE -t.v END AS a FROM t ORDER BY t.id",
+    # joins (duplicate keys on both sides, NULL keys never match)
+    "SELECT t.id AS id, d.w AS w FROM t JOIN d ON t.k = d.id ORDER BY t.id",
+    "SELECT t.id AS id, t.v + d.w AS s FROM t JOIN d ON t.g = d.id WHERE d.w > -1 ORDER BY t.id",
+    # group-by: sums over ties and NaNs
+    "SELECT t.g AS g, SUM(t.v) AS sv, COUNT(*) AS n FROM t GROUP BY t.g",
+    "SELECT t.k AS k, MIN(t.v) AS mn, MAX(t.v) AS mx, AVG(t.v) AS av FROM t GROUP BY t.k",
+    "SELECT t.g AS g, SUM(t.v * t.v) AS s2 FROM t WHERE t.k > 0 GROUP BY t.g",
+    # fused join-aggregate shape (the paper's hot path)
+    "SELECT t.g AS g, SUM(t.v * d.w) AS s, COUNT(*) AS n FROM t JOIN d ON t.k = d.id GROUP BY t.g",
+    # grouped shapes with HAVING and multiple keys
+    "SELECT t.g AS g, COUNT(*) AS n FROM t GROUP BY t.g HAVING COUNT(*) > 300",
+    "SELECT t.g AS g, t.k AS k, SUM(t.v) AS s FROM t GROUP BY t.g, t.k",
+    # order/limit tails (top-k)
+    "SELECT t.id AS id, t.v AS v FROM t WHERE t.v IS NOT NULL ORDER BY t.v ASC, t.id ASC LIMIT 25",
+    "SELECT t.id AS id, t.v AS v FROM t ORDER BY t.v DESC, t.id ASC LIMIT 10 OFFSET 5",
+    # CTE chains: every block is planned on its own
+    "WITH c AS (SELECT t.id AS id, t.v AS v, t.g AS g FROM t WHERE t.v > -1) "
+    "SELECT c.g AS g, SUM(c.v) AS s FROM c GROUP BY c.g",
+    "WITH c AS (SELECT t.k AS k, SUM(t.v) AS s FROM t GROUP BY t.k) "
+    "SELECT c.k AS k, c.s + d.w AS e FROM c JOIN d ON c.k = d.id ORDER BY c.k",
+]
+
+
+class TestOptimizerDifferential:
+    @pytest.mark.parametrize("sql", _DIFFERENTIAL_QUERIES)
+    def test_optimizer_on_and_off_byte_identical(self, star_engines, sql):
+        optimized, unoptimized, _oracle = star_engines
+        expected = unoptimized.execute(sql).rows
+        assert_rows_identical(optimized.execute(sql).rows, expected, sql)
+        # Warm (plan-cached) execution must match the cold one.
+        assert_rows_identical(optimized.execute(sql).rows, expected, sql + " [warm]")
+
+    @pytest.mark.parametrize("sql", _DIFFERENTIAL_QUERIES)
+    def test_matches_sqlite(self, star_engines, sql):
+        optimized, _unoptimized, oracle = star_engines
+        assert_matches_sqlite(optimized.execute(sql).rows, oracle.execute(sql).fetchall(), sql)
+
+
+_GROUPED_SQL = "SELECT t.g AS g, SUM(t.v) AS s, COUNT(*) AS n FROM t GROUP BY t.g"
+
+
+class TestDmlOnWarmPlans:
+    @pytest.mark.parametrize(
+        "dml",
+        [
+            "DELETE FROM t WHERE t.k = 3",
+            "INSERT INTO t (id, v, k, g) VALUES (100000, 0.125, 3, 1), (100001, -0.25, 3, 2)",
+            "DELETE FROM t WHERE t.v IS NULL",
+        ],
+        ids=["delete", "insert", "delete-nulls"],
+    )
+    def test_dml_between_executions_stays_identical(self, dml):
+        optimized, unoptimized, oracle = _engines(_star_tables(rows=2_000))
+        try:
+            assert_rows_identical(
+                optimized.execute(_GROUPED_SQL).rows, unoptimized.execute(_GROUPED_SQL).rows
+            )
+            for db in (optimized, unoptimized):
+                db.execute(dml)
+            oracle.execute(dml)
+            expected = unoptimized.execute(_GROUPED_SQL).rows
+            assert_rows_identical(optimized.execute(_GROUPED_SQL).rows, expected, dml)
+            assert_matches_sqlite(expected, oracle.execute(_GROUPED_SQL).fetchall(), _GROUPED_SQL)
+        finally:
+            oracle.close()
+
+
+def _text_tables():
+    names = np.array(["ab", "a", "", "zz", "é", "b"] * 300, dtype=object)
+    return {
+        "s": {"id": np.arange(len(names), dtype=np.int64), "name": names},
+        "n": {"name": np.array(["a", "zz", "é", "nope"], dtype=object), "rank": np.arange(4)},
+    }
+
+
+@pytest.fixture(scope="module")
+def text_engines():
+    optimized, unoptimized, oracle = _engines(_text_tables())
+    yield optimized, unoptimized, oracle
+    oracle.close()
+
+
+class TestTextColumns:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT s.id AS id, s.name AS name FROM s ORDER BY s.name DESC, s.id ASC LIMIT 9",
+            "SELECT s.id AS id, s.name || '!' AS tagged FROM s WHERE s.id < 100 ORDER BY s.id",
+            "SELECT s.name AS name, COUNT(*) AS c, MIN(s.id) AS lo FROM s GROUP BY s.name",
+            "SELECT s.id AS id, n.rank AS r FROM s JOIN n ON s.name = n.name "
+            "WHERE s.id < 40 ORDER BY s.id",
+        ],
+        ids=["top-k", "concat", "group", "join"],
+    )
+    def test_text_columns_group_and_join_identically(self, text_engines, sql):
+        optimized, unoptimized, oracle = text_engines
+        expected = unoptimized.execute(sql).rows
+        assert_rows_identical(optimized.execute(sql).rows, expected, sql)
+        assert_matches_sqlite(expected, oracle.execute(sql).fetchall(), sql)
+
+
+@pytest.fixture(scope="module")
+def multi_key_engines():
+    rng = np.random.default_rng(7)
+    rows = 4_000
+    names = np.array(["ab", "a", "", "zz", "é", None, "b"], dtype=object)[rng.integers(0, 7, rows)]
+    values = np.round(rng.normal(size=rows) * 4, 1)
+    values[rng.integers(0, rows, rows // 10)] = np.nan
+    tables = {
+        "t": {
+            "id": np.arange(rows, dtype=np.int64),
+            "k": rng.integers(-5, 5, rows),
+            "s": names,
+            "v": values,
+        }
+    }
+    optimized, unoptimized, oracle = _engines(tables)
+    yield optimized, unoptimized, oracle
+    oracle.close()
+
+
+class TestMultiKeyGroupBy:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # int x text keys, NULL text key forms its own group
+            "SELECT t.k AS k, t.s AS s, SUM(t.v) AS sv, COUNT(t.v) AS n FROM t GROUP BY t.k, t.s",
+            # text x float keys: NaN (NULL) float key collapses to one group
+            "SELECT t.s AS s, t.v AS v, COUNT(*) AS n FROM t GROUP BY t.s, t.v",
+            # single text key with NULL-skipping text aggregate
+            "SELECT t.s AS s, MIN(t.s) AS lo, MAX(t.s) AS hi, COUNT(*) AS n FROM t GROUP BY t.s",
+        ],
+        ids=["int-text", "text-float", "text-min-max"],
+    )
+    def test_multi_key_group_by_bit_exact(self, multi_key_engines, sql):
+        optimized, unoptimized, oracle = multi_key_engines
+        expected = unoptimized.execute(sql).rows
+        assert_rows_identical(optimized.execute(sql).rows, expected, sql)
+        assert_matches_sqlite(expected, oracle.execute(sql).fetchall(), sql)
+
+
+class TestFailedStatementLeavesEngineConsistent:
+    @pytest.mark.parametrize(
+        "bad_sql",
+        [
+            "SELECT sqrt(t.name) AS b FROM t",
+            "SELECT t.missing AS m FROM t",
+            "SELECT u.id AS id FROM u",
+            "SELECT t.id AS id, SUM(*) AS s FROM t GROUP BY t.id",
+            "INSERT INTO t (id, name) VALUES (1, 'x', 2)",
+        ],
+        ids=["sqrt-of-text", "unknown-column", "unknown-table", "sum-star", "arity"],
+    )
+    def test_engine_keeps_answering_after_an_error(self, bad_sql):
+        db = MemDatabase(plan_cache=PlanCache(maxsize=8))
+        db.load_table(
+            "t",
+            {"id": np.arange(5_000, dtype=np.int64), "name": np.array(["x"] * 5_000, dtype=object)},
+        )
+        good_sql = "SELECT t.id AS id FROM t WHERE t.id < 3 ORDER BY t.id"
+        assert [row[0] for row in db.execute(good_sql).rows] == [0, 1, 2]
+        # The error's type is not the point here (sqrt of TEXT surfaces
+        # numpy's TypeError); what follows it is.
+        with pytest.raises(Exception):
+            db.execute(bad_sql)
+        assert db.row_count("t") == 5_000
+        # Both the warm plan and a fresh one still answer.
+        assert [row[0] for row in db.execute(good_sql).rows] == [0, 1, 2]
+        assert db.execute("SELECT COUNT(*) AS n FROM t").rows == [(5_000,)]
+
+
+def test_concurrent_readers_share_one_engine():
+    db = MemDatabase(plan_cache=PlanCache(maxsize=8))
+    rng = np.random.default_rng(5)
+    db.load_table(
+        "t",
+        {
+            "id": np.arange(30_000, dtype=np.int64),
+            "v": rng.normal(size=30_000),
+            "g": rng.integers(0, 16, 30_000),
+        },
+    )
+    sql = "SELECT t.g AS g, SUM(t.v) AS s FROM t GROUP BY t.g"
+    expected = db.execute(sql).rows
+    errors: list[BaseException] = []
+
+    def hammer():
+        try:
+            for _ in range(10):
+                assert_rows_identical(db.execute(sql).rows, expected)
+        except BaseException as exc:  # noqa: BLE001 — collected for the assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads), "reader deadlocked"
+    assert not errors, errors
+
+
+# ---------------------------------------------------------------------------
+# A warm plan across a distribution shift
+# ---------------------------------------------------------------------------
+
+
+_SHIFT_QUERY = "SELECT facts.x, facts.y FROM facts ORDER BY facts.y LIMIT 10"
+
+
+def _small_facts(db: MemDatabase) -> None:
+    db.execute("CREATE TABLE facts (x BIGINT NOT NULL, y DOUBLE NOT NULL)")
+    db.execute(
+        "INSERT INTO facts (x, y) VALUES " + ", ".join(f"({i % 5}, {i}.0)" for i in range(20))
+    )
+
+
+def _shift(db: MemDatabase, rows: int = 5000) -> None:
+    db.execute(
+        "INSERT INTO facts (x, y) VALUES " + ", ".join(f"({i % 5}, {i}.25)" for i in range(rows))
+    )
+
+
+class TestDistributionShift:
+    def test_results_match_unoptimized_across_the_shift(self):
+        optimized = MemDatabase(plan_cache=PlanCache())
+        unoptimized = MemDatabase(plan_cache=PlanCache(0), enable_optimizer=False)
+        for db in (optimized, unoptimized):
+            _small_facts(db)
+        assert_rows_identical(
+            optimized.execute(_SHIFT_QUERY).rows, unoptimized.execute(_SHIFT_QUERY).rows
+        )
+        for db in (optimized, unoptimized):
+            _shift(db)
+        expected = unoptimized.execute(_SHIFT_QUERY).rows
+        assert [row[1] for row in expected[:4]] == [0.0, 0.25, 1.0, 1.25]
+        for attempt in ("stale plan", "warm"):
+            assert_rows_identical(optimized.execute(_SHIFT_QUERY).rows, expected, attempt)
+
+    def test_schema_preserving_dml_keeps_the_plan_warm(self):
+        cache = PlanCache()
+        db = MemDatabase(plan_cache=cache)
+        _small_facts(db)
+        db.execute(_SHIFT_QUERY)
+        assert cache.peek_state(_SHIFT_QUERY, db._tables, db.plan_flavor) == "hit"
+        _shift(db)
+        # INSERT changes the rows, not the schema: the entry stays valid and
+        # every later execution re-binds it.
+        assert cache.peek_state(_SHIFT_QUERY, db._tables, db.plan_flavor) == "hit"
+        hits = cache.stats()["hits"]
+        for _ in range(3):
+            db.execute(_SHIFT_QUERY)
+        assert cache.stats()["hits"] == hits + 3
+
+    def test_explain_re_estimates_from_fresh_statistics(self):
+        db = MemDatabase(plan_cache=PlanCache())
+        _small_facts(db)
+        before = "\n".join(row[0] for row in db.execute(f"EXPLAIN {_SHIFT_QUERY}").rows)
+        assert "sort+limit" in before and "pre-limit ~20)" in before
+        _shift(db)
+        after = "\n".join(row[0] for row in db.execute(f"EXPLAIN {_SHIFT_QUERY}").rows)
+        assert "top-k (k=10)" in after and "pre-limit ~5020)" in after
+
+
+# ---------------------------------------------------------------------------
+# Operator kernels
+# ---------------------------------------------------------------------------
+
+
+def _reference_join(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int]]:
+    """Inner equi-join pairs in left order, ties in right order; NULL never matches."""
+    def valid(values):
+        return ~np.isnan(values) if values.dtype.kind == "f" else np.ones(len(values), bool)
+
+    matches = (left[:, None] == right[None, :]) & valid(left)[:, None] & valid(right)[None, :]
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(matches))]
+
+
+def _join_pairs(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int]]:
+    left_idx, right_idx = join_indices(left, right)
+    left_rows = np.arange(len(left))[left_idx]
+    return [(int(i), int(j)) for i, j in zip(left_rows, right_idx)]
+
+
+def _random_keys(kind: str):
+    rng = np.random.default_rng(11)
+    if kind == "dense-duplicates":
+        return rng.integers(0, 500, 3_000), rng.integers(0, 500, 1_200)
+    if kind == "negative-keys":
+        return rng.integers(-300, 40, 2_000), rng.integers(-200, 200, 900)
+    if kind == "wide-sparse":
+        return rng.integers(0, 1 << 40, 2_000), rng.choice(rng.integers(0, 1 << 40, 600), 900)
+    left = rng.integers(0, 60, 1_500).astype(np.float64)
+    right = rng.integers(0, 60, 1_500).astype(np.float64)
+    left[rng.integers(0, 1_500, 150)] = np.nan
+    right[rng.integers(0, 1_500, 150)] = np.nan
+    return left, right
+
+
+class TestOperatorKernels:
+    @pytest.mark.parametrize(
+        "kind", ["dense-duplicates", "negative-keys", "wide-sparse", "float-with-nulls"]
+    )
+    def test_join_indices_match_the_nested_loop(self, kind):
+        left, right = _random_keys(kind)
+        assert _join_pairs(left, right) == _reference_join(left, right)
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        rng = np.random.default_rng(7)
+        n = 9_000
+        frame = {
+            "t.id": np.arange(n, dtype=np.int64),
+            "t.v": np.round(rng.normal(size=n), 3),
+            "t.k": rng.integers(-5, 5, n),
+        }
+        # NaNs sprinkled in to exercise NULL semantics.
+        frame["t.v"][rng.integers(0, n, 200)] = np.nan
+        return frame
+
+    @pytest.mark.parametrize(
+        "predicate, reference",
+        [
+            ("t.v > 0 AND t.k != 2", lambda v, k: (v > 0) & (k != 2)),
+            ("t.v IS NULL", lambda v, k: np.isnan(v)),
+            ("t.v IS NOT NULL OR t.k = 0", lambda v, k: ~np.isnan(v) | (k == 0)),
+            ("NOT (t.k <= 0)", lambda v, k: k > 0),
+            ("t.k IN (1, -3, 4)", lambda v, k: np.isin(k, [1, -3, 4])),
+            ("t.v < 0 OR t.v > 1", lambda v, k: (v < 0) | (v > 1)),
+        ],
+        ids=["and", "is-null", "is-not-null-or", "not", "in", "or"],
+    )
+    def test_apply_filter_keeps_exactly_the_true_rows(self, frame, predicate, reference):
+        where = parse_one(f"SELECT t.id FROM t WHERE {predicate}").where
+        filtered, length = apply_filter(dict(frame), len(frame["t.id"]), where)
+        mask = reference(frame["t.v"], frame["t.k"])
+        assert length == int(mask.sum())
+        for key, values in frame.items():
+            np.testing.assert_array_equal(filtered[key], values[mask], strict=True)
+
+    def test_apply_filter_unknown_column_raises(self, frame):
+        where = parse_one("SELECT t.id FROM t WHERE t.missing > 0").where
+        with pytest.raises(SQLExecutionError, match="unknown column"):
+            apply_filter(dict(frame), len(frame["t.id"]), where)

@@ -10,7 +10,7 @@ Five contracts are pinned here:
   it read;
 * direct-address grouping and sort-based grouping return byte-identical
   group structure — and therefore bit-identical SUMs — on every int64 key
-  column, serial and morsel-parallel;
+  column;
 * the direct-address join and the sort + ``searchsorted`` join return the
   same index pairs on every pair of integer key columns, and only integer
   keys are ever addressed directly;
@@ -35,7 +35,6 @@ from repro.backends.memdb.ast_nodes import BinaryOp, ColumnRef
 from repro.backends.memdb.column import DictArray, encoded_codes
 from repro.backends.memdb.engine import PlanCache
 from repro.backends.memdb.executor import factorize_codes, join_indices
-from repro.backends.memdb.parallel import WorkerPool
 
 _SETTINGS = settings(
     max_examples=150,
@@ -473,7 +472,7 @@ def _unfused():
     return mock.patch.object(planner_module, "_compile_fused", return_value=None)
 
 
-class TestFusedStepSerialVsParallel:
+class TestFusedStepKernelAgreement:
     """The fused gate step on both sides of the join and grouping selections."""
 
     @pytest.mark.parametrize("gate", [_H_LIKE, _X_LIKE], ids=["two-per-key", "one-per-key"])
@@ -487,39 +486,27 @@ class TestFusedStepSerialVsParallel:
         ],
     )
     def test_rows_identical(self, states, gate):
-        pool = WorkerPool(3)
-        try:
-            serial = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
-            parallel = MemDatabase(
-                plan_cache=PlanCache(maxsize=8),
-                enable_parallel=True,
-                parallel_threshold_rows=0,
-                worker_pool=pool,
-            )
-            forced_sort = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
-            generic = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_parallel=False)
-            for db in (serial, parallel, forced_sort, generic):
-                db.load_table("T0", _state(states))
-                db.load_table("G", gate)
-            result = serial.execute(_FUSED_STEP)
-            expected = result.rows
-            assert sum(row[3] for row in expected) == len(states) * len(gate["in_s"]) // 2
-            assert parallel.execute(_FUSED_STEP).rows == expected
-            assert parallel.engine_stats()["parallel"]["parallel_plan_executions"] > 0
-            with mock.patch.object(executor_module, "_DENSE_SLOTS_PER_ROW", 0):
-                # Neither grouping nor the join addresses anything directly.
-                assert _exact(forced_sort.execute(_FUSED_STEP)) == _exact(result)
-            with _unfused():
-                assert _exact(generic.execute(_FUSED_STEP)) == _exact(result)
-            assert [row[0] for row in expected] == sorted(row[0] for row in expected)
-        finally:
-            pool.shutdown()
+        fused = MemDatabase(plan_cache=PlanCache(maxsize=8))
+        forced_sort = MemDatabase(plan_cache=PlanCache(maxsize=8))
+        generic = MemDatabase(plan_cache=PlanCache(maxsize=8))
+        for db in (fused, forced_sort, generic):
+            db.load_table("T0", _state(states))
+            db.load_table("G", gate)
+        result = fused.execute(_FUSED_STEP)
+        expected = result.rows
+        assert sum(row[3] for row in expected) == len(states) * len(gate["in_s"]) // 2
+        with mock.patch.object(executor_module, "_DENSE_SLOTS_PER_ROW", 0):
+            # Neither grouping nor the join addresses anything directly.
+            assert _exact(forced_sort.execute(_FUSED_STEP)) == _exact(result)
+        with _unfused():
+            assert _exact(generic.execute(_FUSED_STEP)) == _exact(result)
+        assert [row[0] for row in expected] == sorted(row[0] for row in expected)
 
     def test_identity_left_side_equals_the_gathered_columns(self):
         """``slice(None)`` for the left rows changes no bit of any output column."""
         states = np.arange(128, dtype=np.int64)[::-1].copy()
-        identity = MemDatabase(plan_cache=PlanCache(maxsize=4), enable_parallel=False)
-        gathered = MemDatabase(plan_cache=PlanCache(maxsize=4), enable_parallel=False)
+        identity = MemDatabase(plan_cache=PlanCache(maxsize=4))
+        gathered = MemDatabase(plan_cache=PlanCache(maxsize=4))
         for db in (identity, gathered):
             db.load_table("T0", _state(states))
             db.load_table("G", _X_LIKE)
@@ -549,25 +536,10 @@ class TestFusedStepSerialVsParallel:
         sql = _FUSED_STEP + " ORDER BY s"
         expected = _sqlite_rows(setup, sql)
         assert [row[1] for row in expected].count(None) == 4
-        pool = WorkerPool(2)
-        try:
-            engines = _engines() + [
-                (
-                    "parallel",
-                    MemDatabase(
-                        plan_cache=PlanCache(maxsize=4),
-                        enable_parallel=True,
-                        parallel_threshold_rows=0,
-                        worker_pool=pool,
-                    ),
-                )
-            ]
-            for label, db in engines:
-                for statement in setup:
-                    db.execute(statement)
-                assert _null_normalized(db.execute(sql).rows) == expected, label
-        finally:
-            pool.shutdown()
+        for label, db in _engines():
+            for statement in setup:
+                db.execute(statement)
+            assert _null_normalized(db.execute(sql).rows) == expected, label
 
 
 #: Fused shapes whose group key and SUM arguments mix the two join sides in
@@ -603,7 +575,7 @@ class TestEvaluationBelowTheJoin:
 
     @staticmethod
     def _database() -> MemDatabase:
-        db = MemDatabase(plan_cache=PlanCache(maxsize=4), enable_parallel=False)
+        db = MemDatabase(plan_cache=PlanCache(maxsize=4))
         db.load_table("T0", _state(np.array([9, 4, 4, 7, 0, 13, 2, 6, 11], dtype=np.int64)))
         rng = np.random.default_rng(5)
         db.load_table(

@@ -13,6 +13,7 @@ from repro.backends.memdb.ast_nodes import (
 )
 from repro.backends.memdb.optimizer import CostModel, Optimizer, StatisticsCatalog
 from repro.backends.memdb.optimizer.rewrite import fold_expression, rewrite_statement
+from repro.backends.memdb.optimizer.stats import _column_stats
 from repro.backends.memdb.planner import CompiledScript, compile_statement
 from repro.errors import SQLExecutionError
 
@@ -21,6 +22,11 @@ def _expr(sql_expression: str):
     """Parse one scalar expression through the SELECT grammar."""
     statement = parse_one(f"SELECT {sql_expression} AS e")
     return statement.items[0].expression
+
+
+def _where(sql_predicate: str):
+    """Parse one predicate through the WHERE grammar."""
+    return parse_one(f"SELECT 1 FROM d WHERE {sql_predicate}").where
 
 
 def _gate_db() -> MemDatabase:
@@ -104,6 +110,76 @@ class TestStatisticsCatalog:
         db.execute("DROP TABLE T0")
         db.execute("CREATE TABLE T0 AS SELECT in_s AS s FROM G")
         assert db.statistics.get("T0") is None
+
+
+class TestDistributionStatistics:
+    def test_skewed_column_gets_mcv_entries(self):
+        # 900 copies of 7, a hundred unique others: 7 must be an MCV.
+        values = np.asarray([7] * 900 + list(range(100, 200)), dtype=np.int64)
+        stats = _column_stats("x", values)
+        assert stats.mcv and stats.mcv[0][0] == 7
+        assert stats.mcv[0][1] == pytest.approx(900 / 1000)
+
+    def test_uniform_column_gets_histogram_not_mcv(self):
+        values = np.asarray([i % 64 for i in range(1024)], dtype=np.int64)
+        stats = _column_stats("x", values)
+        assert not stats.mcv
+        assert len(stats.histogram) >= 2
+        assert stats.histogram_fraction == pytest.approx(1.0)
+
+    def test_eq_fraction_mcv_hit_and_miss(self):
+        values = np.asarray([7] * 900 + list(range(100, 200)), dtype=np.int64)
+        stats = _column_stats("x", values)
+        assert stats.eq_fraction(7) == pytest.approx(0.9)
+        # A non-MCV value: remaining mass spread over remaining NDV.
+        miss = stats.eq_fraction(142)
+        assert 0 < miss < 0.01
+
+    def test_exhaustive_mcv_makes_unseen_value_empty(self):
+        values = np.asarray([1] * 50 + [2] * 30, dtype=np.int64)
+        stats = _column_stats("x", values)
+        # ndv=2 <= both listed... when all distinct values are MCVs an
+        # unseen literal matches nothing.
+        if len(stats.mcv) == stats.ndv:
+            assert stats.eq_fraction(99) == 0.0
+
+    def test_histogram_range_fraction_beats_min_max_on_clustered_data(self):
+        # Data clustered near 0 with one outlier at 1000: min/max
+        # interpolation wildly overestimates "< 10"; the equi-depth
+        # histogram does not.
+        values = np.asarray(list(range(100)) + [100000], dtype=np.int64)
+        stats = _column_stats("x", values)
+        fraction = stats.range_fraction("<", 50)
+        assert fraction == pytest.approx(50 / 101, abs=0.05)
+        above = stats.range_fraction(">", 50)
+        assert above == pytest.approx(51 / 101, abs=0.06)
+
+    def test_range_fraction_none_without_distribution(self):
+        values = np.asarray([], dtype=np.int64)
+        stats = _column_stats("x", values)
+        assert stats.range_fraction("<", 5) is None
+
+    def test_nan_column_counts_as_nulls(self):
+        values = np.asarray([1.0, np.nan, 2.0, np.nan], dtype=np.float64)
+        stats = _column_stats("x", values)
+        assert stats.null_fraction == pytest.approx(0.5)
+
+    def test_object_column_mcv(self):
+        values = np.empty(10, dtype=object)
+        values[:] = ["hot"] * 8 + ["a", "b"]
+        stats = _column_stats("x", values)
+        assert stats.mcv and stats.mcv[0] == ("hot", pytest.approx(0.8))
+
+    def test_selectivity_uses_mcv_through_cost_model(self):
+        db = MemDatabase(plan_cache=PlanCache(0))
+        db.execute("CREATE TABLE d (x BIGINT NOT NULL)")
+        rows = ", ".join(["(7)"] * 90 + [f"({i})" for i in range(20, 30)])
+        db.execute(f"INSERT INTO d (x) VALUES {rows}")
+        db.execute("ANALYZE")
+        model = CostModel(db._tables, db.statistics)
+        assert model.selectivity(_where("x = 7"), "d") == pytest.approx(0.9)
+        assert model.selectivity(_where("x != 7"), "d") == pytest.approx(0.1)
+        assert model.selectivity(_where("x IN (7, 20)"), "d") == pytest.approx(0.91, abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +738,60 @@ class TestExplain:
         explain = f"EXPLAIN {_GATE_STEP_SQL}"
         db.execute(explain)
         assert explain not in db.plan_cache
+
+
+class TestExplainCoverage:
+    @pytest.fixture
+    def db(self):
+        database = MemDatabase(plan_cache=PlanCache(0))
+        database.execute("CREATE TABLE t (a BIGINT NOT NULL, b DOUBLE NOT NULL)")
+        database.execute("INSERT INTO t (a, b) VALUES (1, 1.5), (2, 2.5), (3, 3.5)")
+        return database
+
+    def test_plain_explain_never_inserts(self, db):
+        db.execute("EXPLAIN INSERT INTO t (a, b) VALUES (9, 9.5)")
+        assert db.row_count("t") == 3
+
+    def test_plain_explain_never_deletes(self, db):
+        db.execute("EXPLAIN DELETE FROM t")
+        assert db.row_count("t") == 3
+
+    def test_plain_explain_never_creates(self, db):
+        db.execute("EXPLAIN CREATE TABLE u AS SELECT t.a AS a FROM t")
+        assert not db.has_table("u")
+
+    def test_plain_explain_never_drops(self, db):
+        db.execute("EXPLAIN DROP TABLE t")
+        assert db.has_table("t")
+
+    def test_explain_analyze_populates_every_cte_relation(self, db):
+        # Grouped bodies keep every CTE alive (inlining only fires for plain
+        # projections), so all three blocks plus main must be reported.
+        query = (
+            "WITH s1 AS (SELECT t.a AS a, SUM(t.b) AS b FROM t GROUP BY t.a), "
+            "s2 AS (SELECT s1.a AS a, SUM(s1.b) * 2 AS b2 FROM s1 GROUP BY s1.a), "
+            "s3 AS (SELECT s2.a AS a, SUM(s2.b2) AS total FROM s2 GROUP BY s2.a) "
+            "SELECT s3.a, s3.total FROM s3 ORDER BY s3.a"
+        )
+        lines = [row[0] for row in db.execute(f"EXPLAIN ANALYZE {query}").rows]
+        text = "\n".join(lines)
+        # Estimated AND actual cardinalities for every block of the chain.
+        for label in ("s1:", "s2:", "s3:", "main:"):
+            (header,) = [line for line in lines if line.startswith(label)]
+            assert "estimated rows" in header, text
+            assert "actual" in header, text
+
+    def test_explain_analyze_executes_dml_like_postgres(self, db):
+        db.execute("EXPLAIN ANALYZE DELETE FROM t WHERE a = 1")
+        assert db.row_count("t") == 2
+
+    def test_explain_reports_pre_limit_estimate(self, db):
+        lines = [
+            row[0]
+            for row in db.execute("EXPLAIN SELECT t.a FROM t ORDER BY t.a LIMIT 1").rows
+        ]
+        (header,) = [line for line in lines if line.startswith("main:")]
+        assert "pre-limit" in header
 
 
 # ---------------------------------------------------------------------------

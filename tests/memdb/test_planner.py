@@ -107,7 +107,6 @@ class TestPlanCache:
             "misses": 0,
             "evictions": 0,
             "invalidations": 0,
-            "replans": 0,
         }
 
     def test_parse_only_scripts_cannot_evict_plans(self):

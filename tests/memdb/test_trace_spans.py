@@ -12,7 +12,6 @@ import pytest
 
 from repro.backends.memdb import MemDatabase, tokenize
 from repro.backends.memdb.engine import PlanCache
-from repro.backends.memdb.parallel import WorkerPool
 from repro.obs import MetricsRegistry, SlowQueryLog, TraceRingBuffer, Tracer
 
 _STAR_QUERY = (
@@ -76,23 +75,6 @@ def traced_db():
     _load_star_schema(db)
     tracer.ring.drain()  # drop the DDL/INSERT traces; tests read query traces
     return db, tracer
-
-
-@pytest.fixture
-def traced_parallel_db():
-    tracer = _make_tracer()
-    pool = WorkerPool(3)
-    db = MemDatabase(
-        plan_cache=PlanCache(maxsize=64),
-        enable_parallel=True,
-        parallel_threshold_rows=0,
-        worker_pool=pool,
-        tracer=tracer,
-    )
-    _load_star_schema(db)
-    tracer.ring.drain()
-    yield db, tracer
-    pool.shutdown()
 
 
 class TestTraceShape:
@@ -204,34 +186,14 @@ class TestRowParity:
         assert block_rows == actuals
 
     @pytest.mark.parametrize("sql", [_STAR_QUERY, _CTE_QUERY, _CTE_EDGE_QUERY])
-    def test_parallel_block_rows_match_actuals(self, traced_parallel_db, sql):
-        db, tracer = traced_parallel_db
+    def test_warm_block_rows_match_actuals(self, traced_db, sql):
+        db, tracer = traced_db
         actuals = _explain_analyze_actuals(db, sql)
-        assert actuals
         db.execute(sql)
-        block_rows = self._block_rows(tracer.recent_traces()[-1])
-        assert block_rows == actuals
-
-    def test_parallel_operator_records_morsel_counts(self, traced_parallel_db):
-        db, tracer = traced_parallel_db
-        db.execute(_STAR_QUERY)
-        root = tracer.recent_traces()[-1]
-        execute = next(c for c in root["children"] if c["name"] == "execute")
-        assert execute["attrs"]["parallel"] is True
-        operators = [
-            span
-            for block in execute["children"]
-            for span in block["children"]
-            if span["name"] == "operator"
-        ]
-        assert any("morsel_tasks" in op["attrs"] for op in operators)
-
-    def test_parallel_and_serial_results_agree(self, traced_db, traced_parallel_db):
-        serial_db, _ = traced_db
-        parallel_db, _ = traced_parallel_db
-        assert sorted(serial_db.execute(_STAR_QUERY).rows) == sorted(
-            parallel_db.execute(_STAR_QUERY).rows
-        )
+        db.execute(sql)  # re-binds the cached plan
+        trace = tracer.recent_traces()[-1]
+        assert trace["attrs"]["cache"] == "hit"
+        assert self._block_rows(trace) == actuals
 
 
 class TestSlowQueryLogEndToEnd:

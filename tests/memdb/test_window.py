@@ -4,9 +4,7 @@ The differential fuzzer (tests/properties/test_sql_fuzz.py) covers the
 grammar breadth; this suite pins the named edge cases — empty/degenerate
 partitions, all-NULL ORDER BY keys, rank vs dense_rank tie ladders,
 lag/lead defaults past frame edges, unicode text partition keys — plus the
-physical-layer contracts: window blocks decline morsel parallelism through
-the costed path with byte-identical results, and EXPLAIN surfaces the
-window operator.
+physical-layer contract that EXPLAIN surfaces the window operator.
 """
 
 import sqlite3
@@ -15,8 +13,6 @@ import pytest
 
 from repro.backends.memdb import MemDatabase
 from repro.backends.memdb.engine import PlanCache
-from repro.backends.memdb.optimizer.cost import CostModel
-from repro.backends.memdb.parser import parse_one
 from repro.errors import SQLExecutionError
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ class TestWindowMisuse:
 
 
 # ---------------------------------------------------------------------------
-# Physical layer: parallelism declined, EXPLAIN rendering
+# Physical layer: EXPLAIN rendering
 # ---------------------------------------------------------------------------
 
 
@@ -320,33 +316,16 @@ _WINDOW_SQL = (
 
 
 class TestWindowPhysical:
-    def test_cost_model_declines_parallelism_for_windows(self):
-        db = MemDatabase()
+    def test_optimizer_on_and_off_results_byte_identical(self):
+        optimized = MemDatabase(plan_cache=PlanCache(maxsize=8))
+        unoptimized = MemDatabase(plan_cache=PlanCache(0), enable_optimizer=False)
         for statement in _TREE_DDL:
-            db.execute(statement)
-        cost = CostModel(
-            db._tables, enable_parallel=True, parallel_workers=8, parallel_threshold_rows=0
-        )
-        decision = cost.parallel_decision(parse_one(_WINDOW_SQL))
-        assert not decision.eligible and not decision.use_parallel
-        assert "serial" in decision.reason
-
-    def test_parallel_engine_results_byte_identical(self):
-        from repro.backends.memdb.parallel import shared_worker_pool
-
-        parallel = MemDatabase(
-            plan_cache=PlanCache(maxsize=8),
-            enable_parallel=True,
-            parallel_threshold_rows=0,
-            worker_pool=shared_worker_pool(),
-        )
-        serial = MemDatabase(plan_cache=PlanCache(maxsize=8))
-        for statement in _TREE_DDL:
-            parallel.execute(statement)
-            serial.execute(statement)
-        expected = serial.execute(_WINDOW_SQL).rows
+            optimized.execute(statement)
+            unoptimized.execute(statement)
+        expected = unoptimized.execute(_WINDOW_SQL).rows
+        assert expected
         for _attempt in ("cold", "warm"):
-            rows = parallel.execute(_WINDOW_SQL).rows
+            rows = optimized.execute(_WINDOW_SQL).rows
             assert len(rows) == len(expected)
             for left, right in zip(rows, expected):
                 for a, b in zip(left, right):

@@ -15,7 +15,6 @@ from repro.obs import (
     Span,
     TraceRingBuffer,
     Tracer,
-    annotate_current,
     current_span,
     flatten_counters,
     maybe_span,
@@ -39,17 +38,16 @@ class TestSpan:
         frozen = span.duration_s
         assert span.duration_s == frozen
 
-    def test_set_add_and_walk(self):
+    def test_set_and_walk(self):
         root = Span("root")
         child = Span("child")
         root.children.append(child)
         root.set(rows=5)
-        child.add("morsels", 3)
-        child.add("morsels", 2)
+        child.set(rows=3)
         assert [span.name for span in root.walk()] == ["root", "child"]
-        assert root.find("child").attrs["morsels"] == 5
-        assert root.find("child", morsels=5) is child
-        assert root.find("child", morsels=99) is None
+        assert root.find("child").attrs["rows"] == 3
+        assert root.find("child", rows=3) is child
+        assert root.find("child", rows=99) is None
 
     def test_to_dict_is_json_serializable(self):
         root = Span("root", {"k": 1})
@@ -117,14 +115,6 @@ class TestTracerNesting:
         assert seen["during"] is True
         # Two independent roots, one per thread.
         assert sorted(t["name"] for t in tracer.recent_traces()) == ["main-root", "worker-root"]
-
-    def test_annotate_current_accumulates_or_noops(self):
-        annotate_current("never_recorded")  # no active span: must not raise
-        tracer = Tracer()
-        with tracer.span("op") as span:
-            annotate_current("morsel_tasks", 4)
-            annotate_current("morsel_tasks", 2)
-        assert span.attrs["morsel_tasks"] == 6
 
 
 class TestMaybeSpan:
@@ -208,19 +198,19 @@ class TestSinks:
 
 class TestEngineStatsSchema:
     def test_sections_version_and_rollup(self):
-        db = MemDatabase(plan_cache=PlanCache(0), enable_parallel=False, enable_tracing=False)
+        db = MemDatabase(plan_cache=PlanCache(0), enable_tracing=False)
         db.execute("CREATE TABLE t (id BIGINT NOT NULL, s TEXT)")
         db.execute("INSERT INTO t (id, s) VALUES (0, 'm'), (1, 'z')")
         # 'a' sorts before every entry: the dictionary grows and is rebuilt.
         db.execute("INSERT INTO t (id, s) VALUES (2, 'a')")
         db.load_table("u", {"s": np.array(["x", "y"], dtype=object)})
         stats = db.engine_stats()
-        assert list(stats) == [
-            "schema_version", "plan_cache", "optimizer", "adaptive", "parallel", "storage", "tracing",
+        assert list(stats) == ["schema_version", "plan_cache", "optimizer", "storage", "tracing"]
+        assert stats["schema_version"] == ENGINE_STATS_SCHEMA_VERSION == 4
+        assert list(stats["optimizer"]) == ["enabled", "counters", "statistics"]
+        assert list(stats["optimizer"]["statistics"]) == [
+            "analyzed_tables", "analyze_count", "invalidation_count", "tables",
         ]
-        assert stats["schema_version"] == ENGINE_STATS_SCHEMA_VERSION == 3
-        assert "adaptive" not in stats["optimizer"]
-        assert stats["adaptive"]["enabled"] is True and stats["adaptive"]["replans"] == 0
         assert stats["tracing"] == {"enabled": False}
         rebuilds = db.table("t").storage_stats()["columns"]["s"]["dictionary_rebuilds"]
         assert rebuilds >= 1
@@ -233,24 +223,43 @@ class TestEngineStatsSchema:
     def test_flatten_counters_dotted_names(self):
         stats = {
             "plan_cache": {"hits": 3, "misses": 1},
-            "parallel": {"enabled": True},
             "storage": {"tables": {"ignored": 1}, "total_bytes": 9},
             "optimizer": {
+                "enabled": True,
                 "statistics": {
                     "analyze_count": 2,
                     "tables": {"t": {"rows": 5}},
-                    "corrections": {"t|shape": 8.0},
                 },
             },
-            "adaptive": {"corrections": 1, "events": [{"block": "T1"}]},
+            "tracing": {"enabled": True, "sinks": {"ring": {"retained": 4}}},
         }
-        # Counters stay; per-entity maps (per-table detail, correction
-        # factors, event lists) are dropped.
+        # Counters stay; per-entity maps (per-table detail, trace sinks)
+        # are dropped.
         assert flatten_counters(stats) == {
             "plan_cache.hits": 3,
             "plan_cache.misses": 1,
-            "parallel.enabled": 1,
             "storage.total_bytes": 9,
+            "optimizer.enabled": 1,
             "optimizer.statistics.analyze_count": 2,
-            "adaptive.corrections": 1,
+            "tracing.enabled": 1,
         }
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"enable_optimizer": False}], ids=["defaults", "no-optimizer"]
+    )
+    def test_backend_engine_stats_same_before_and_after_first_run(self, options):
+        # No environment is pinned: under REPRO_TRACE the document must
+        # still describe the engine the run will use.
+        from repro.backends import MemDBBackend
+        from repro.circuits import ghz_circuit
+
+        def configuration(stats: dict) -> tuple:
+            return stats["optimizer"]["enabled"], stats["tracing"]["enabled"]
+
+        backend = MemDBBackend(plan_cache=PlanCache(maxsize=16), **options)
+        before = backend.engine_stats()
+        backend.run(ghz_circuit(3))
+        after = backend.engine_stats()
+        assert set(flatten_counters(before)) == set(flatten_counters(after))
+        assert configuration(before) == configuration(after)
+        assert before["optimizer"]["enabled"] is options.get("enable_optimizer", True)

@@ -6,7 +6,7 @@ chains) at the AST level — shrinking therefore simplifies the *query
 structure*, not characters of a string — and asserts that the embedded
 engine returns exactly the rows SQLite returns, with the optimizer on and
 off, cold and plan-cache-warm, and across a mid-test data shift (which
-exercises statistics invalidation and the adaptive re-plan hook).
+exercises statistics invalidation).
 
 The grammar also produces window functions (``row_number``/``rank``/
 ``dense_rank``/``lag``/``lead`` and running aggregates, with PARTITION BY /
@@ -1117,8 +1117,8 @@ def _differential_check(tables, query, draw_analyze: bool, shift_rows) -> None:
     expected = _run_sqlite(sqlite_connection, sql)
     for label, engine in engines:
         _assert_rows_match(expected, engine.execute(sql).rows, ordered, label, sql)
-        # Second execution re-binds the cached plan (and may re-plan via
-        # adaptive feedback): must be byte-identical to the cold run.
+        # Second execution re-binds the cached plan: must be byte-identical
+        # to the cold run.
         _assert_rows_match(expected, engine.execute(sql).rows, ordered, label + "[warm]", sql)
 
     if duckdb_available():
@@ -1140,60 +1140,6 @@ def _differential_check(tables, query, draw_analyze: bool, shift_rows) -> None:
 
 
 _shift_strategy = st.lists(st.integers(min_value=-30, max_value=30), min_size=0, max_size=12)
-
-
-def _parallel_check(tables, query) -> None:
-    """Morsel-parallel execution must be byte-identical to serial (and SQLite).
-
-    The parallel engine forces the costed decision onto every non-empty
-    block (``parallel_threshold_rows=0``), so even the fuzzer's small tables
-    exercise the morsel merges, the partitioned aggregation and the
-    parallel join probes.  Rows are compared against the serial engine with
-    *exact* equality (no normalization): parallelism is a physical choice
-    and may not perturb a single bit.
-    """
-    from repro.backends.memdb.parallel import shared_worker_pool
-
-    sql, ordered = query
-    setup = [statement for table in tables for statement in _ddl(table)]
-
-    parallel = MemDatabase(
-        plan_cache=PlanCache(maxsize=32),
-        enable_parallel=True,
-        parallel_threshold_rows=0,
-        worker_pool=shared_worker_pool(),
-    )
-    serial = MemDatabase(plan_cache=PlanCache(maxsize=32), enable_parallel=False)
-    sqlite_connection = sqlite3.connect(":memory:")
-    for statement in setup:
-        parallel.execute(statement)
-        serial.execute(statement)
-        sqlite_connection.execute(statement)
-
-    def identical(left, right) -> bool:
-        # Exact, NaN-aware row equality (NaN == NaN positionally, no rounding).
-        if len(left) != len(right):
-            return False
-        for row_a, row_b in zip(left, right):
-            for a, b in zip(row_a, row_b):
-                both_nan = (
-                    isinstance(a, float) and isinstance(b, float) and a != a and b != b
-                )
-                if not both_nan and (a != b or type(a) is not type(b)):
-                    return False
-        return True
-
-    expected = serial.execute(sql).rows
-    for attempt in ("cold", "warm"):
-        actual = parallel.execute(sql).rows
-        assert identical(actual, expected), (
-            f"parallel[{attempt}] diverged from serial on:\n{sql}\n"
-            f"expected {expected}\nactual   {actual}"
-        )
-    _assert_rows_match(
-        _run_sqlite(sqlite_connection, sql), expected, ordered, "memdb[parallel-vs-sqlite]", sql
-    )
-    sqlite_connection.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1224,7 +1170,6 @@ def test_fuzz_same_named_columns_match_sqlite(data):
     tables = data.draw(_tables(count=2))
     query = data.draw(_same_name_join_query(tables))
     _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-    _parallel_check(tables, query)
 
 
 @given(data=st.data())
@@ -1241,32 +1186,6 @@ def test_fuzz_cte_chains_match_sqlite(data):
     tables = data.draw(_tables(count=2))
     query = data.draw(_cte_query(tables))
     _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-
-
-@given(data=st.data())
-@_FAST
-def test_fuzz_parallel_execution_matches_serial(data):
-    """Grammar queries with ``enable_parallel`` on: byte-identical to serial.
-
-    Rotates through every query shape so the morsel-parallel filters, join
-    probes and partitioned aggregation all see the same adversarial grammar
-    as the serial engine.
-    """
-    shape = data.draw(st.sampled_from(["simple", "join", "grouped", "cte", "window", "recursive"]))
-    strategies = {
-        "simple": (1, _simple_query),
-        "join": (2, _join_query),
-        "grouped": (1, _grouped_query),
-        "cte": (2, _cte_query),
-        # Window and recursive blocks *decline* parallelism via the costed
-        # path — this asserts the decline itself is bit-transparent.
-        "window": (1, _window_query),
-        "recursive": (1, _recursive_query),
-    }
-    count, shape_strategy = strategies[shape]
-    tables = data.draw(_tables(count=count))
-    query = data.draw(shape_strategy(tables))
-    _parallel_check(tables, query)
 
 
 @given(data=st.data())
@@ -1356,32 +1275,15 @@ def test_fuzz_null_group_by_matches_sqlite(data):
 
 @given(data=st.data())
 @_FAST
-def test_fuzz_parallel_null_and_text_matches_serial(data):
-    """NULL-heavy shapes under morsel-parallel execution: bit-identical.
-
-    Exercises the exact-code partitioned aggregation over NULL and text
-    keys (including multi-key GROUP BY) and the code-space parallel join.
-    """
-    shape = data.draw(st.sampled_from(sorted(_NULL_SHAPES)))
-    count, shape_strategy = _NULL_SHAPES[shape]
-    tables = data.draw(_null_tables(count=count))
-    query = data.draw(shape_strategy(tables))
-    _parallel_check(tables, query)
-
-
-@given(data=st.data())
-@_FAST
 def test_fuzz_bitwise_expressions_match_sqlite(data):
     """``& | << >> ~`` over nullable operands and literal-only subtrees.
 
-    Serial engines (optimizer on and off — constant folding vs the
-    evaluator's scalar subtrees) against SQLite, then the morsel-parallel
-    engine bit-for-bit against serial.
+    Engines with the optimizer on and off (constant folding vs the
+    evaluator's scalar subtrees) against SQLite.
     """
     tables = data.draw(_null_tables(count=1))
     query = data.draw(_bitwise_query(tables))
     _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-    _parallel_check(tables, query)
 
 
 @given(data=st.data())
@@ -1389,15 +1291,13 @@ def test_fuzz_bitwise_expressions_match_sqlite(data):
 def test_fuzz_join_aggregate_matches_sqlite(data):
     """The gate-step shape over NULL-bearing data and keys that match nothing.
 
-    This is the block the planner fuses: serial engines against SQLite
+    This is the block the planner fuses: engines against SQLite
     (direct-address join before the data shift, sort join after it, the
-    code-space join whenever the key column is the nullable DOUBLE), then
-    the morsel-parallel engine bit-for-bit against serial.
+    code-space join whenever the key column is the nullable DOUBLE).
     """
     tables = data.draw(_gate_tables())
     query = data.draw(_join_aggregate_query(tables))
     _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-    _parallel_check(tables, query)
 
 
 # ---------------------------------------------------------------------------
@@ -1429,29 +1329,6 @@ def test_fuzz_deep_profile(shape):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "shape", ["simple", "join", "grouped", "cte"], ids=["simple", "join", "grouped", "cte"]
-)
-def test_fuzz_deep_parallel_profile(shape):
-    strategies = {
-        "simple": (1, _simple_query),
-        "join": (2, _join_query),
-        "grouped": (1, _grouped_query),
-        "cte": (2, _cte_query),
-    }
-    count, shape_strategy = strategies[shape]
-
-    @given(data=st.data())
-    @_DEEP
-    def run(data):
-        tables = data.draw(_tables(count=count))
-        query = data.draw(shape_strategy(tables))
-        _parallel_check(tables, query)
-
-    run()
-
-
-@pytest.mark.slow
 def test_fuzz_deep_join_aggregate_profile():
     @given(data=st.data())
     @_DEEP
@@ -1459,7 +1336,6 @@ def test_fuzz_deep_join_aggregate_profile():
         tables = data.draw(_gate_tables())
         query = data.draw(_join_aggregate_query(tables))
         _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-        _parallel_check(tables, query)
 
     run()
 

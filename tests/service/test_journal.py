@@ -170,6 +170,36 @@ class TestServiceReplay:
         finally:
             second.shutdown(wait=True)
 
+    def test_journaled_unknown_option_replays_to_one_terminal_record(self, tmp_path):
+        """The HTTP ingress refuses unknown options; replay has no such guard.
+
+        A job journaled with an option the method no longer takes must not
+        stop the restarted service: it runs, fails, and closes once.
+        """
+        path = tmp_path / "j.journal"
+        journal = JobJournal(path)
+        journal.record_submitted(
+            1,
+            JobRequest(circuit=ghz_circuit(3), method="memdb", options={"enable_parallel": True}),
+        )
+        journal.close()
+        service = JobService(max_workers=1, journal=JobJournal(path))
+        try:
+            (resumed,) = service.replay_journal()
+            with pytest.raises(TypeError, match="enable_parallel"):
+                resumed.result(timeout=60)
+        finally:
+            service.shutdown(wait=True)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        terminal = [
+            record["event"]
+            for record in records
+            if record["job_id"] == resumed.job_id
+            and record["event"] in ("done", "error", "cancelled")
+        ]
+        assert terminal == ["error"]
+        assert JobJournal(path).incomplete() == []
+
     def test_replay_ids_do_not_collide_with_journaled_ids(self, tmp_path):
         path = tmp_path / "j.journal"
         journal = JobJournal(path)

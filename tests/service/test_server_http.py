@@ -147,6 +147,22 @@ class TestErrorPaths:
         finally:
             service.shutdown(wait=True)
 
+    @pytest.mark.parametrize(
+        "method, options, named",
+        [
+            ("memdb", {"enable_parallel": True}, "enable_parallel"),
+            ("memdb", {"enable_adaptive": False}, "enable_adaptive"),
+            ("sqlite", {"mode": "cte", "plan_cache": None}, "plan_cache"),
+            ("nosuch", {}, "nosuch"),
+        ],
+    )
+    def test_unknown_method_or_option_is_400(self, plain_server, method, options, named):
+        """It used to be accepted and then fail the job with a ``TypeError``."""
+        client, service = plain_server
+        status, body = client.submit(ghz_circuit(3), method=method, options=options)
+        assert status == 400 and named in body["error"], body
+        assert service.jobs() == []
+
     def test_unknown_path_is_404_and_wrong_method_405(self, plain_server):
         client, _service = plain_server
         status, _headers, _body = _raw_request(client.host, client.port, "GET", "/v2/what")

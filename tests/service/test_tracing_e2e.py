@@ -295,8 +295,11 @@ class TestTelemetrySurface:
                 )
                 assert status == 202
                 client.wait(ok_body["job_id"])
+                # A valid option whose value the run cannot meet: the job is
+                # accepted and fails on the worker.
                 status, bad_body = client.submit(
-                    ghz_circuit(2), method="no-such-engine", tenant="acme"
+                    ghz_circuit(2), method="statevector", options={"max_qubits": 1},
+                    tenant="acme",
                 )
                 assert status == 202
                 final = client.wait(bad_body["job_id"])
