@@ -66,7 +66,7 @@ def test_topk_speedup_over_sort_then_slice(results_dir):
         f"top-k operator:  {topk_time * 1000:8.2f} ms\n"
         f"speedup:         {speedup:8.2f}x",
     )
-    (results_dir / "adaptive_topk.txt").write_text(
+    (results_dir / "topk.txt").write_text(
         f"sort_ms={sort_time * 1000:.3f}\ntopk_ms={topk_time * 1000:.3f}\nspeedup={speedup:.2f}\n"
     )
     assert speedup >= 3.0, f"expected >= 3x from top-k pushdown, got {speedup:.2f}x"

@@ -7,9 +7,8 @@ audit against the statements the translator generates.
 
 Every generic traversal goes through one method, :meth:`Expression.children`
 (with :meth:`Expression.with_children` as its inverse): the derived *facts*
-(``has_aggregate``, ``has_window``, ``column_refs``) and
-:func:`transform_expression` are written once against it instead of once per
-node type.  Nodes are immutable, so a fact is computed on first read from
+(``has_aggregate``, ``column_refs``) and :func:`transform_expression` are
+written once against it instead of once per node type.  Nodes are immutable, so a fact is computed on first read from
 the children's facts and then kept on the node.  Expression nodes are
 slotted: an AST is most of what a cached plan keeps alive.
 """
@@ -40,8 +39,6 @@ class Expression:
     #: the optimizer, so none of them can classify an expression differently
     #: than the engine that executes it.
     has_aggregate: bool
-    #: True when the expression contains a window function call.
-    has_window: bool
     #: Every column reference in the expression tree, in visit order.
     column_refs: tuple["ColumnRef", ...]
 
@@ -59,7 +56,6 @@ class _Leaf(Expression):
 
     __slots__ = ()
     has_aggregate = False
-    has_window = False
     column_refs = ()
 
 
@@ -80,7 +76,7 @@ class _Composite(Expression):
     ``repr`` / ``==`` / ``hash`` and never survives ``replace``.
     """
 
-    __slots__ = ("has_aggregate", "has_window", "column_refs")
+    __slots__ = ("has_aggregate", "column_refs")
 
     def __getattr__(self, name: str):
         derive = getattr(type(self), "_derive_" + name, None)
@@ -92,9 +88,6 @@ class _Composite(Expression):
 
     def _derive_has_aggregate(self) -> bool:
         return _any_child(self, "has_aggregate")
-
-    def _derive_has_window(self) -> bool:
-        return _any_child(self, "has_window")
 
     def _derive_column_refs(self) -> tuple["ColumnRef", ...]:
         return tuple([ref for child in self.children() for ref in child.column_refs])
@@ -214,69 +207,6 @@ class CaseExpression(_Composite):
         )
 
 
-@dataclass(frozen=True)
-class FrameBound:
-    """One endpoint of a ROWS frame.
-
-    ``kind`` is one of ``unbounded_preceding``, ``preceding``, ``current``,
-    ``following`` or ``unbounded_following``; ``offset`` is set only for the
-    bounded ``preceding`` / ``following`` kinds.
-    """
-
-    kind: str
-    offset: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """The ``OVER (...)`` clause of a window function.
-
-    ``frame`` is None for the SQL default frame (with ORDER BY: RANGE
-    UNBOUNDED PRECEDING .. CURRENT ROW including peers; without: the whole
-    partition).
-    """
-
-    partition_by: tuple[Expression, ...] = ()
-    order_by: tuple["OrderItem", ...] = ()
-    frame: Optional[tuple[FrameBound, FrameBound]] = None
-
-
-@dataclass(frozen=True, slots=True)
-class WindowFunction(_Composite):
-    """``fn(args) OVER (PARTITION BY ... ORDER BY ... [ROWS ...])``.
-
-    Deliberately distinct from :class:`FunctionCall` so aggregate detection
-    and rewrite rules never mistake a window call for a plain aggregate.
-    """
-
-    name: str
-    arguments: tuple[Expression, ...]
-    spec: WindowSpec
-    is_star: bool = False
-
-    #: A window call is not a plain aggregate, and neither are its arguments.
-    has_aggregate = False
-    has_window = True
-
-    def children(self):
-        spec = self.spec
-        return self.arguments + spec.partition_by + tuple([o.expression for o in spec.order_by])
-
-    def with_children(self, children):
-        spec = self.spec
-        split = len(self.arguments)
-        ordered = split + len(spec.partition_by)
-        order_by = tuple(
-            [OrderItem(e, o.descending) for e, o in zip(children[ordered:], spec.order_by)]
-        )
-        return WindowFunction(
-            self.name,
-            children[:split],
-            WindowSpec(children[split:ordered], order_by, spec.frame),
-            self.is_star,
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class IsNull(_Composite):
     """``expr IS [NOT] NULL``."""
@@ -392,42 +322,22 @@ class Select:
     offset: Optional[int] = None
     distinct: bool = False
 
-    @property
-    def has_windows(self) -> bool:
-        """True when any projection item contains a window function."""
-        return any(item.expression.has_window for item in self.items)
-
-
-@dataclass(frozen=True)
-class CompoundSelect:
-    """``select UNION [ALL] select`` — only valid as a CTE body.
-
-    In a ``WITH RECURSIVE`` entry, ``left`` is the base term and ``right``
-    the recursive term; in a plain CTE the two branches are simply
-    concatenated (with duplicate elimination for ``UNION``).
-    """
-
-    left: Select
-    right: Select
-    all: bool = False
-
 
 @dataclass(frozen=True)
 class CommonTableExpression:
     """One ``name [(col, ...)] AS (SELECT ...)`` entry of a WITH clause."""
 
     name: str
-    query: Select | CompoundSelect
+    query: Select
     columns: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class WithSelect:
-    """``WITH [RECURSIVE] cte [, cte ...] SELECT ...``."""
+    """``WITH cte [, cte ...] SELECT ...``."""
 
     ctes: tuple[CommonTableExpression, ...]
     query: Select
-    recursive: bool = False
 
 
 @dataclass(frozen=True)

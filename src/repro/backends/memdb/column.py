@@ -24,8 +24,8 @@ This module is the v2 storage representation underneath
 The second half of the module provides the *exact total-order encodings*
 shared by every consumer: :func:`encoded_codes` maps any column vector to
 ``int64`` keys that are injective on non-NULL values and monotone in SQL
-ordering (NULL strictly first), which makes grouping, DISTINCT, ORDER BY,
-partitioning and join hashing exact — no more lossy ``astype(float64)``.
+ordering (NULL strictly first), which makes grouping, DISTINCT, ORDER BY
+and join hashing exact — no more lossy ``astype(float64)``.
 """
 
 from __future__ import annotations
@@ -378,13 +378,6 @@ def sort_keys(values, descending: bool = False) -> np.ndarray:
     """Exact ORDER BY keys: NULLs first ascending, last descending."""
     keys = encoded_codes(values)
     return -keys if descending else keys
-
-
-def gather_values(values, indices: np.ndarray):
-    """Row gather that keeps dictionary encoding intact."""
-    if isinstance(values, DictArray):
-        return values.take(indices)
-    return np.asarray(values).take(indices)
 
 
 def to_pylist(values) -> list:

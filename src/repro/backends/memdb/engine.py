@@ -43,7 +43,7 @@ from .ast_nodes import (
     UnaryOp,
     WithSelect,
 )
-from .executor import DEFAULT_RECURSION_LIMIT, ExpressionEvaluator, QueryResult
+from .executor import ExpressionEvaluator, QueryResult
 from .optimizer import (
     ActualRun,
     Optimizer,
@@ -371,14 +371,8 @@ class MemDatabase:
         enable_optimizer: bool = True,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
-        recursion_limit: int | None = None,
     ) -> None:
         self._tables: dict[str, Table] = {}
-        #: Iteration cap for WITH RECURSIVE fixpoints; a diverging UNION ALL
-        #: raises instead of hanging once the cap is reached.
-        self.recursion_limit = (
-            DEFAULT_RECURSION_LIMIT if recursion_limit is None else int(recursion_limit)
-        )
         self._plan_cache = _SHARED_PLAN_CACHE if plan_cache is None else plan_cache
         self._statistics = StatisticsCatalog()
         self.enable_optimizer = bool(enable_optimizer)
@@ -723,9 +717,7 @@ class MemDatabase:
     ) -> QueryResult:
         if isinstance(plan, CompiledCreateTableAs):
             return self._run_compiled_create(plan, tracer=tracer)
-        return QueryResult(
-            *plan.execute(self._tables, tracer=tracer, recursion_limit=self.recursion_limit)
-        )
+        return QueryResult(*plan.execute(self._tables, tracer=tracer))
 
     def executemany(self, statements: list[str]) -> list[QueryResult]:
         """Execute several scripts, returning one result per script."""
@@ -764,9 +756,7 @@ class MemDatabase:
         name = plan.name
         if name in self._tables:
             raise SQLExecutionError(f"table {name!r} already exists")
-        names, vectors = plan.script.execute(
-            self._tables, trace=trace, tracer=tracer, recursion_limit=self.recursion_limit
-        )
+        names, vectors = plan.script.execute(self._tables, trace=trace, tracer=tracer)
         if len(set(names)) != len(names):
             raise SQLExecutionError(f"duplicate column name in CREATE TABLE {name} AS: {names}")
         self._tables[name] = table = Table(
@@ -861,7 +851,6 @@ class MemDatabase:
         _names, vectors = script.execute(
             self._tables,
             trace=lambda label, rows: cardinalities.append((label, rows)),
-            recursion_limit=self.recursion_limit,
         )
         return cardinalities, len(vectors[0]) if vectors else 0
 

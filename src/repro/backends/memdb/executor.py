@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator as _operator
 from functools import lru_cache, partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .ast_nodes import (
     BinaryOp,
     CaseExpression,
     ColumnRef,
-    CompoundSelect,
     Expression,
     FunctionCall,
     InList,
@@ -34,22 +33,17 @@ from .ast_nodes import (
     SelectItem,
     Star,
     UnaryOp,
-    WindowFunction,
-    WindowSpec,
-    transform_expression,
 )
 from .column import (
     DictArray,
     compare_values,
     encoded_codes,
-    gather_values,
     join_key_codes,
     null_mask,
     sort_keys,
     text_codes,
     to_pylist,
 )
-from .table import TransientTable
 
 #: Compute frames map column keys to plain numpy vectors or dictionary-
 #: encoded text vectors (:class:`DictArray`); every kernel below accepts
@@ -395,9 +389,6 @@ class ExpressionEvaluator:
     def _star(self, node: Star):
         raise SQLExecutionError("'*' is only allowed as a projection or inside COUNT(*)")
 
-    def _window(self, node: WindowFunction):
-        raise SQLExecutionError("window functions are only allowed in the SELECT list")
-
     def _function(self, node: FunctionCall):
         name = node.name
         if name in AGGREGATE_FUNCTIONS:
@@ -478,7 +469,6 @@ _NODE_HANDLERS = {
     IsNull: ExpressionEvaluator._is_null,
     InList: ExpressionEvaluator._in_list,
     Star: ExpressionEvaluator._star,
-    WindowFunction: ExpressionEvaluator._window,
 }
 
 #: Scalar functions that are more than one numpy ufunc over one argument.
@@ -614,563 +604,6 @@ class GroupedEvaluator:
             for group, value in zip(groups.tolist(), decoded.tolist()):
                 result[group] = value
         return result
-
-
-# ---------------------------------------------------------------------------
-# Window functions (vectorized sort-once, segment-boundary kernels)
-# ---------------------------------------------------------------------------
-
-#: Ranking-family window functions (no frame; position/peer based).
-WINDOW_RANKING_FUNCTIONS = {"row_number", "rank", "dense_rank", "lag", "lead"}
-
-#: Aggregates usable as running window functions over a frame.
-WINDOW_AGGREGATE_FUNCTIONS = {"sum", "count", "min", "max", "avg", "total"}
-
-
-def validate_window_usage(select: Select, has_aggregates: bool) -> bool:
-    """Check window placement rules; returns whether the SELECT has windows.
-
-    The planner calls it at compile time to reject window calls outside the
-    SELECT list, and windows mixed with GROUP BY / plain aggregates
-    (evaluation order would be ambiguous in the supported subset).
-    """
-    outside: list[Expression] = []
-    if select.where is not None:
-        outside.append(select.where)
-    outside.extend(select.group_by)
-    if select.having is not None:
-        outside.append(select.having)
-    outside.extend(item.expression for item in select.order_by)
-    for join in select.joins:
-        outside.append(join.condition)
-    for expression in outside:
-        if expression.has_window:
-            raise SQLExecutionError("window functions are only allowed in the SELECT list")
-    if select.has_windows and (select.group_by or has_aggregates):
-        raise SQLExecutionError(
-            "window functions cannot be combined with GROUP BY or plain aggregates"
-        )
-    return select.has_windows
-
-
-def _collect_windows(expression: Expression, out: list[WindowFunction]) -> None:
-    if isinstance(expression, WindowFunction):
-        if expression not in out:
-            out.append(expression)
-    elif expression.has_window:
-        for child in expression.children():
-            _collect_windows(child, out)
-
-
-def _replace_windows(
-    expression: Expression, mapping: Mapping[WindowFunction, ColumnRef]
-) -> Expression:
-    """Substitute computed window columns for their WindowFunction nodes."""
-    return transform_expression(
-        expression, lambda node: mapping[node] if isinstance(node, WindowFunction) else node
-    )
-
-
-class _SortedWindow:
-    """Partition/peer segment geometry of one sorted window pass.
-
-    All fields are per-row arrays in *sorted* coordinates: ``order`` maps
-    sorted position -> input row, ``part_start``/``part_end`` are each row's
-    partition bounds, ``pos`` its offset inside the partition, and
-    ``peer_start``/``peer_end`` the bounds of its ORDER-BY peer group (rows
-    comparing equal on every window ORDER BY key).
-    """
-
-    __slots__ = ("order", "n", "part_start", "part_end", "pos", "peer_start", "peer_end", "new_peer")
-
-    def __init__(self, order, n, part_start, part_end, pos, peer_start, peer_end, new_peer):
-        self.order = order
-        self.n = n
-        self.part_start = part_start
-        self.part_end = part_end
-        self.pos = pos
-        self.peer_start = peer_start
-        self.peer_end = peer_end
-        self.new_peer = new_peer
-
-
-def _sorted_partitions(
-    evaluator: ExpressionEvaluator,
-    partition_by: Sequence[Expression],
-    order_by: Sequence[OrderItem],
-    length: int,
-) -> _SortedWindow:
-    """Sort once by (partition keys, order keys); derive segment boundaries.
-
-    Partition keys use :func:`encoded_codes` (exact int64, text on
-    dictionary codes) and order keys :func:`sort_keys` (NULLs first
-    ascending, DESC by negation), so partition identity and peer equality
-    are decided on exact integer compares — the same key space the sort,
-    group-by and join operators already share.
-    """
-    part_codes = [encoded_codes(evaluator.evaluate(e)) for e in partition_by]
-    order_codes = [
-        sort_keys(evaluator.evaluate(item.expression), item.descending) for item in order_by
-    ]
-    keys = list(reversed(order_codes)) + list(reversed(part_codes))
-    order = np.lexsort(keys) if keys else np.arange(length, dtype=np.int64)
-    n = length
-
-    new_part = np.zeros(n, dtype=bool)
-    if n:
-        new_part[0] = True
-    for code in part_codes:
-        sorted_code = code[order]
-        new_part[1:] |= sorted_code[1:] != sorted_code[:-1]
-    part_starts = np.flatnonzero(new_part)
-    counts = np.diff(np.append(part_starts, n))
-    part_start = np.repeat(part_starts, counts)
-    part_end = np.repeat(part_starts + counts - 1, counts)
-    pos = np.arange(n, dtype=np.int64) - part_start
-
-    new_peer = new_part.copy()
-    for code in order_codes:
-        sorted_code = code[order]
-        new_peer[1:] |= sorted_code[1:] != sorted_code[:-1]
-    peer_starts = np.flatnonzero(new_peer)
-    peer_counts = np.diff(np.append(peer_starts, n))
-    peer_start = np.repeat(peer_starts, peer_counts)
-    peer_end = np.repeat(peer_starts + peer_counts - 1, peer_counts)
-    return _SortedWindow(order, n, part_start, part_end, pos, peer_start, peer_end, new_peer)
-
-
-def _scatter(win: _SortedWindow, sorted_values: np.ndarray) -> np.ndarray:
-    """Map a sorted-domain result column back to input row order."""
-    out = np.empty(win.n, dtype=sorted_values.dtype)
-    out[win.order] = sorted_values
-    return out
-
-
-def _frame_bounds(spec: WindowSpec, win: _SortedWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row inclusive frame bounds ``(lo, hi)`` in sorted coordinates.
-
-    The default frame (no ROWS clause) is SQLite's RANGE UNBOUNDED
-    PRECEDING .. CURRENT ROW *including peers* when the window has an ORDER
-    BY, and the whole partition otherwise.  Explicit ROWS frames count
-    physical rows and are clipped to the partition; an inverted pair
-    (``hi < lo``) denotes an empty frame, which aggregates map to NULL
-    (COUNT to 0).
-    """
-    if spec.frame is None:
-        lo = win.part_start
-        hi = win.peer_end if spec.order_by else win.part_end
-        return lo, hi
-    start, end = spec.frame
-    if start.kind == "unbounded_following" or end.kind == "unbounded_preceding":
-        raise SQLExecutionError("invalid window frame: UNBOUNDED on the wrong side")
-    i = np.arange(win.n, dtype=np.int64)
-    if start.kind == "unbounded_preceding":
-        lo = win.part_start
-    elif start.kind == "current":
-        lo = i
-    elif start.kind == "preceding":
-        lo = np.maximum(i - start.offset, win.part_start)
-    else:  # following
-        lo = np.minimum(i + start.offset, win.part_end + 1)
-    if end.kind == "unbounded_following":
-        hi = win.part_end
-    elif end.kind == "current":
-        hi = i
-    elif end.kind == "following":
-        hi = np.minimum(i + end.offset, win.part_end)
-    else:  # preceding
-        hi = np.maximum(i - end.offset, win.part_start - 1)
-    return lo, hi
-
-
-def _range_reduce(filled: np.ndarray, lo: np.ndarray, hi: np.ndarray, reducer) -> np.ndarray:
-    """``reducer`` over ``filled[lo..hi]`` per row via a sparse table.
-
-    Precomputes log(n) doubling levels (level k reduces spans of ``2**k``)
-    and answers every row's range with two overlapping block lookups — the
-    classic O(n log n) preprocessing / O(1) query min-max structure, fully
-    vectorized.  Rows with empty frames must be masked by the caller.
-    """
-    n = len(filled)
-    levels = [filled]
-    size = 1
-    while size * 2 <= n:
-        previous = levels[-1]
-        nxt = previous.copy()
-        nxt[: n - size] = reducer(previous[: n - size], previous[size:])
-        levels.append(nxt)
-        size *= 2
-    width = hi - lo + 1
-    k = np.zeros(n, dtype=np.int64)
-    positive = width > 0
-    if positive.any():
-        k[positive] = np.floor(np.log2(width[positive])).astype(np.int64)
-    out = np.empty(n, dtype=filled.dtype)
-    for level in np.unique(k) if n else ():
-        mask = k == level
-        block = 1 << int(level)
-        out[mask] = reducer(
-            levels[int(level)][lo[mask]], levels[int(level)][hi[mask] - block + 1]
-        )
-    return out
-
-
-def _window_lag_lead(
-    wf: WindowFunction, win: _SortedWindow, evaluator: ExpressionEvaluator
-) -> np.ndarray:
-    if wf.is_star or not 1 <= len(wf.arguments) <= 3:
-        raise SQLExecutionError(f"{wf.name}() takes 1 to 3 arguments")
-    offset = 1
-    if len(wf.arguments) >= 2:
-        literal = wf.arguments[1]
-        if (
-            not isinstance(literal, Literal)
-            or isinstance(literal.value, bool)
-            or not isinstance(literal.value, int)
-        ):
-            raise SQLExecutionError(f"{wf.name}() offset must be an integer literal")
-        offset = int(literal.value)
-        if offset < 0:
-            raise SQLExecutionError(f"{wf.name}() offset must be non-negative")
-    values = evaluator.evaluate(wf.arguments[0])
-    default = evaluator.evaluate(wf.arguments[2]) if len(wf.arguments) == 3 else None
-
-    i = np.arange(win.n, dtype=np.int64)
-    target = i - offset if wf.name == "lag" else i + offset
-    ok = (target >= win.part_start) & (target <= win.part_end)
-    safe = np.clip(target, 0, max(win.n - 1, 0))
-
-    def is_text(column) -> bool:
-        return isinstance(column, DictArray) or np.asarray(column).dtype.kind in ("O", "U")
-
-    if is_text(values) or (default is not None and is_text(default)):
-        sorted_values = np.asarray(gather_values(values, win.order), dtype=object)
-        out = np.empty(win.n, dtype=object)
-        out[:] = None
-        if default is not None:
-            sorted_default = np.asarray(gather_values(default, win.order), dtype=object)
-            out[~ok] = sorted_default[~ok]
-        out[ok] = sorted_values[safe[ok]]
-        return _scatter(win, out)
-    sorted_values = np.asarray(values, dtype=np.float64)[win.order]
-    if default is None:
-        sorted_default = np.full(win.n, np.nan)
-    else:
-        sorted_default = np.asarray(default, dtype=np.float64)[win.order]
-    return _scatter(win, np.where(ok, sorted_values[safe], sorted_default))
-
-
-def _window_aggregate(
-    wf: WindowFunction, win: _SortedWindow, evaluator: ExpressionEvaluator
-) -> np.ndarray:
-    name = wf.name
-    lo, hi = _frame_bounds(wf.spec, win)
-    if name == "count" and (wf.is_star or not wf.arguments):
-        return _scatter(win, np.maximum(hi - lo + 1, 0).astype(np.int64))
-    if wf.is_star or len(wf.arguments) != 1:
-        raise SQLExecutionError(f"{name.upper()}() window function takes exactly one argument")
-    values = evaluator.evaluate(wf.arguments[0])
-    if isinstance(values, DictArray) or np.asarray(values).dtype.kind in ("O", "U"):
-        raise SQLExecutionError(
-            f"{name.upper()}() window function is not supported on text columns"
-        )
-    sorted_values = np.asarray(values, dtype=np.float64)[win.order]
-    valid = ~np.isnan(sorted_values)
-    count_prefix = np.concatenate(([0], np.cumsum(valid.astype(np.int64))))
-    hi1 = np.maximum(hi + 1, lo)  # empty frames collapse to a zero-width span
-    cnt = count_prefix[hi1] - count_prefix[lo]
-    if name == "count":
-        return _scatter(win, cnt.astype(np.int64))
-    if name in ("sum", "total", "avg"):
-        sum_prefix = np.concatenate(([0.0], np.cumsum(np.where(valid, sorted_values, 0.0))))
-        totals = sum_prefix[hi1] - sum_prefix[lo]
-        if name == "total":
-            return _scatter(win, totals)
-        if name == "avg":
-            return _scatter(win, np.where(cnt == 0, np.nan, totals / np.maximum(cnt, 1)))
-        return _scatter(win, np.where(cnt == 0, np.nan, totals))
-    # MIN / MAX: NULLs filled with the reducer's identity; empty and
-    # all-NULL frames are masked to NULL afterwards via the valid count.
-    fill = np.inf if name == "min" else -np.inf
-    reducer = np.minimum if name == "min" else np.maximum
-    filled = np.where(valid, sorted_values, fill)
-    last = max(win.n - 1, 0)
-    safe_lo = np.minimum(lo, last)
-    safe_hi = np.maximum(np.minimum(hi, last), safe_lo)
-    reduced = _range_reduce(filled, safe_lo, safe_hi, reducer)
-    return _scatter(win, np.where(cnt == 0, np.nan, reduced))
-
-
-def _window_function_column(
-    wf: WindowFunction, win: _SortedWindow, evaluator: ExpressionEvaluator
-) -> np.ndarray:
-    name = wf.name
-    if name in ("row_number", "rank", "dense_rank"):
-        if wf.arguments or wf.is_star:
-            raise SQLExecutionError(f"{name}() takes no arguments")
-        if name == "row_number":
-            return _scatter(win, (win.pos + 1).astype(np.int64))
-        if name == "rank":
-            return _scatter(win, (win.peer_start - win.part_start + 1).astype(np.int64))
-        ordinal = np.cumsum(win.new_peer.astype(np.int64))
-        return _scatter(win, (ordinal - ordinal[win.part_start] + 1).astype(np.int64))
-    if name in ("lag", "lead"):
-        return _window_lag_lead(wf, win, evaluator)
-    if name in WINDOW_AGGREGATE_FUNCTIONS:
-        return _window_aggregate(wf, win, evaluator)
-    raise SQLExecutionError(f"unknown window function {name!r}")
-
-
-def compute_window_columns(
-    windows: Sequence[WindowFunction], frame: Frame, length: int
-) -> dict[WindowFunction, np.ndarray]:
-    """Evaluate every window function once; one sort per distinct key set.
-
-    Functions sharing ``(PARTITION BY, ORDER BY)`` keys share a single
-    lexsort and segment-boundary pass; only the per-function kernel (rank
-    arithmetic, shifted gather, prefix-sum frame reduction) differs.
-    """
-    evaluator = ExpressionEvaluator(frame, length)
-    groups: dict[tuple, list[WindowFunction]] = {}
-    for wf in windows:
-        groups.setdefault((wf.spec.partition_by, wf.spec.order_by), []).append(wf)
-    results: dict[WindowFunction, np.ndarray] = {}
-    for (partition_by, order_by), funcs in groups.items():
-        win = _sorted_partitions(evaluator, partition_by, order_by, length)
-        for wf in funcs:
-            results[wf] = _window_function_column(wf, win, evaluator)
-    return results
-
-
-def windowed_projection(
-    select: Select, frame: Frame, length: int
-) -> tuple[list[str], list[np.ndarray], Frame]:
-    """Window physical operator: compute window columns, then project.
-
-    Window results are 1:1 with the (post-WHERE) input rows, so the
-    returned extended frame keeps the aligned-ORDER-BY path of
-    :func:`postprocess_select` available — ORDER BY may still reference
-    source columns alongside window aliases.
-    """
-    windows: list[WindowFunction] = []
-    for item in select.items:
-        if isinstance(item.expression, Star):
-            raise SQLExecutionError("'*' projection cannot be combined with window functions")
-        _collect_windows(item.expression, windows)
-    results = compute_window_columns(windows, frame, length)
-    extended: Frame = dict(frame)
-    mapping: dict[WindowFunction, ColumnRef] = {}
-    for index, wf in enumerate(windows):
-        key = f"__win{index}"
-        extended[key] = results[wf]
-        mapping[wf] = ColumnRef(key)
-    items = tuple(
-        SelectItem(
-            _replace_windows(item.expression, mapping),
-            item.alias or item_output_name(item, position),
-        )
-        for position, item in enumerate(select.items)
-    )
-    names, vectors = plain_projection(items, extended, length)
-    return names, vectors, extended
-
-
-# ---------------------------------------------------------------------------
-# Recursive common table expressions (breadth-first fixpoint)
-# ---------------------------------------------------------------------------
-
-#: Default iteration cap for ``WITH RECURSIVE`` fixpoints.
-DEFAULT_RECURSION_LIMIT = 1000
-
-
-def _self_reference_count(select: Select, name: str) -> int:
-    count = 0
-    if select.source is not None and select.source.name == name:
-        count += 1
-    for join in select.joins:
-        if join.source.name == name:
-            count += 1
-    return count
-
-
-def _dedup_key(row: tuple) -> tuple:
-    """UNION-dedup key: NULLs compare equal, 2 and 2.0 compare equal."""
-    key = []
-    for value in row:
-        if value is None:
-            key.append(None)
-        elif isinstance(value, bool):
-            key.append(float(value))
-        elif isinstance(value, (int, float, np.number)):
-            number = float(value)
-            key.append(None if number != number else number)
-        else:
-            key.append(value)
-    return tuple(key)
-
-
-def rows_from_vectors(vectors: Sequence[np.ndarray]) -> list[tuple]:
-    """Materialize result vectors as Python row tuples (``None`` for NULL).
-
-    ``ndarray.tolist`` converts whole columns to Python scalars at C speed;
-    dictionary-encoded text decodes once here, at the representation
-    boundary.
-    """
-    return list(zip(*[to_pylist(values) for values in vectors]))
-
-
-def _column_array(values: list):
-    """Rebuild one column vector from Python values (fixpoint accumulation).
-
-    Text columns become object arrays (``None`` at NULLs); all-integer
-    columns come back as int64; anything else is float64 with NaN NULLs.
-    """
-    if any(isinstance(value, str) for value in values):
-        out = np.empty(len(values), dtype=object)
-        out[:] = values
-        return out
-    all_int = bool(values)
-    clean = []
-    for value in values:
-        if value is None:
-            clean.append(np.nan)
-            all_int = False
-        elif isinstance(value, bool):
-            clean.append(int(value))
-        elif isinstance(value, (int, np.integer)):
-            clean.append(int(value))
-        else:
-            clean.append(float(value))
-            all_int = False
-    if all_int:
-        return np.array(clean, dtype=np.int64)
-    return np.array(clean, dtype=np.float64)
-
-
-def vectors_from_rows(width: int, rows: Sequence[tuple]) -> list[np.ndarray]:
-    """Inverse of :func:`rows_from_vectors` for ``width`` columns."""
-    return [_column_array([row[index] for row in rows]) for index in range(width)]
-
-
-def cte_output_names(name: str, alias_columns: Sequence[str], names: Sequence[str]) -> list[str]:
-    """A CTE's output names: its declared column alias list, else its query's."""
-    if not alias_columns:
-        return list(names)
-    if len(alias_columns) != len(names):
-        raise SQLExecutionError(
-            f"CTE {name!r} declares {len(alias_columns)} columns "
-            f"but its query returns {len(names)}"
-        )
-    return list(alias_columns)
-
-
-def run_compound_cte(
-    name: str,
-    compound: CompoundSelect,
-    recursive: bool,
-    alias_columns: Sequence[str],
-    run_base: "Callable[[], tuple[list[str], list[np.ndarray]]]",
-    run_step: "Callable[[TransientTable | None], tuple[list[str], list[np.ndarray]]]",
-    recursion_limit: int = DEFAULT_RECURSION_LIMIT,
-    observe_iteration: "Callable[[int, int], None] | None" = None,
-) -> tuple[list[str], list[np.ndarray]]:
-    """Evaluate a ``UNION [ALL]`` CTE body, recursively when self-referencing.
-
-    The fixpoint driver behind the compiled plan's UNION CTE operator:
-    ``run_base`` evaluates the base term once, then ``run_step``
-    evaluates the recursive term against a frontier table bound to the
-    CTE's own name — breadth-first semi-naive evaluation, where each step
-    sees only the rows the previous step produced.  ``UNION`` deduplicates
-    against everything already emitted (NULLs compare equal), so cycles in
-    the underlying data still terminate; ``UNION ALL`` only terminates when
-    a step comes back empty, and trips ``recursion_limit`` otherwise
-    instead of hanging.  ``observe_iteration(iteration, new_rows)`` feeds
-    tracing/EXPLAIN iteration counts.
-    """
-    if _self_reference_count(compound.left, name):
-        raise SQLExecutionError(
-            f"circular reference: the base term of CTE {name!r} may not reference it"
-        )
-    references = _self_reference_count(compound.right, name)
-    if references > 1:
-        raise SQLExecutionError(f"recursive CTE {name!r} may reference itself only once")
-    if references and not recursive:
-        raise SQLExecutionError(
-            f"no such table: {name} (self-referencing CTEs need WITH RECURSIVE)"
-        )
-    if references and (
-        compound.right.group_by
-        or select_has_aggregates(compound.right)
-        or compound.right.distinct
-    ):
-        raise SQLExecutionError(
-            f"the recursive term of CTE {name!r} may not use aggregates, GROUP BY or DISTINCT"
-        )
-
-    base_names, base_vectors = run_base()
-    names = cte_output_names(name, alias_columns, base_names)
-    base_rows = rows_from_vectors(base_vectors)
-
-    dedup = not compound.all
-    seen: set = set()
-    result_rows: list[tuple] = []
-    if dedup:
-        for row in base_rows:
-            key = _dedup_key(row)
-            if key not in seen:
-                seen.add(key)
-                result_rows.append(row)
-    else:
-        result_rows = list(base_rows)
-
-    if not references:
-        step_names, step_vectors = run_step(None)
-        if len(step_names) != len(names):
-            raise SQLExecutionError(
-                f"UNION branches of CTE {name!r} return different column counts"
-            )
-        for row in rows_from_vectors(step_vectors):
-            if dedup:
-                key = _dedup_key(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-            result_rows.append(row)
-        return names, vectors_from_rows(len(names), result_rows)
-
-    frontier = list(result_rows) if dedup else list(base_rows)
-    iteration = 0
-    while frontier:
-        iteration += 1
-        if iteration > recursion_limit:
-            raise SQLExecutionError(
-                f"recursive CTE {name!r} exceeded the iteration limit ({recursion_limit}): "
-                "the recursion does not converge — bound the recursive term "
-                "or use UNION instead of UNION ALL"
-            )
-        frontier_table = TransientTable(name, names, vectors_from_rows(len(names), frontier))
-        step_names, step_vectors = run_step(frontier_table)
-        if len(step_names) != len(names):
-            raise SQLExecutionError(
-                f"recursive CTE {name!r}: the recursive term returns "
-                f"{len(step_names)} columns, expected {len(names)}"
-            )
-        new_rows = rows_from_vectors(step_vectors)
-        if dedup:
-            fresh = []
-            for row in new_rows:
-                key = _dedup_key(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-                fresh.append(row)
-            frontier = fresh
-        else:
-            frontier = new_rows
-        result_rows.extend(frontier)
-        if observe_iteration is not None:
-            observe_iteration(iteration, len(frontier))
-    return names, vectors_from_rows(len(names), result_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1360,6 +793,18 @@ def item_output_name(item: SelectItem, position: int) -> str:
     if isinstance(item.expression, ColumnRef):
         return item.expression.name
     return f"col{position}"
+
+
+def cte_output_names(name: str, alias_columns: Sequence[str], names: Sequence[str]) -> list[str]:
+    """A CTE's output names: its declared column alias list, else its query's."""
+    if not alias_columns:
+        return list(names)
+    if len(alias_columns) != len(names):
+        raise SQLExecutionError(
+            f"CTE {name!r} declares {len(alias_columns)} columns "
+            f"but its query returns {len(names)}"
+        )
+    return list(alias_columns)
 
 
 def plain_projection(
@@ -1664,6 +1109,16 @@ def postprocess_select(
 # ---------------------------------------------------------------------------
 # Query results
 # ---------------------------------------------------------------------------
+
+
+def rows_from_vectors(vectors: Sequence[np.ndarray]) -> list[tuple]:
+    """Materialize result vectors as Python row tuples (``None`` for NULL).
+
+    ``ndarray.tolist`` converts whole columns to Python scalars at C speed;
+    dictionary-encoded text decodes once here, at the representation
+    boundary.
+    """
+    return list(zip(*[to_pylist(values) for values in vectors]))
 
 
 def _read_only(values: np.ndarray | DictArray) -> np.ndarray | DictArray:

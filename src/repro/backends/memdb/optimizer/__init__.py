@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping, Optional
 
-from ..ast_nodes import CompoundSelect, CreateTableAs, Select, Statement, WithSelect
+from ..ast_nodes import CreateTableAs, Select, Statement, WithSelect
 from ..table import Table
 from .cost import (
     CostModel,
@@ -112,14 +112,6 @@ class Optimizer:
         infos: list[QueryPlanInfo] = []
         new_ctes = []
         for cte in query.ctes:
-            if isinstance(cte.query, CompoundSelect):
-                # UNION [ALL] bodies (recursive fixpoints included) keep
-                # their written join order; the heuristic estimate still
-                # registers the CTE's cardinality for downstream blocks.
-                estimate = cost.compound_cte_estimate(cte.name, cte.query, query.recursive)
-                infos.append(QueryPlanInfo(cte.name, estimate))
-                new_ctes.append(cte)
-                continue
             ordered, decision = cost.order_joins(cte.query)
             estimate = cost.estimate_select_rows(ordered)
             # Later blocks see this CTE's estimated cardinality.
@@ -132,7 +124,7 @@ class Optimizer:
                 "main", cost, ordered_main, cost.estimate_select_rows(ordered_main), decision
             )
         )
-        return WithSelect(tuple(new_ctes), ordered_main, query.recursive), infos
+        return WithSelect(tuple(new_ctes), ordered_main), infos
 
     @staticmethod
     def _block_info(label, cost, select, estimate, decision) -> QueryPlanInfo:

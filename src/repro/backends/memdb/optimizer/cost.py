@@ -35,7 +35,6 @@ import math
 from ..ast_nodes import (
     BinaryOp,
     ColumnRef,
-    CompoundSelect,
     Expression,
     InList,
     IsNull,
@@ -45,7 +44,7 @@ from ..ast_nodes import (
     TableSource,
     UnaryOp,
 )
-from ..executor import _self_reference_count, limit_bounds
+from ..executor import limit_bounds
 from ..table import Table
 from .rewrite import split_conjuncts
 from .stats import StatisticsCatalog, TableStats
@@ -58,11 +57,6 @@ RANGE_SELECTIVITY = 1.0 / 3.0
 GENERIC_SELECTIVITY = 0.25
 #: Estimated comparisons per row of a bounded-heap top-k pass.
 TOPK_ROW_COST = 1.0
-#: Assumed fixpoint depth of a recursive CTE when no better information is
-#: available — hierarchical workloads (trees with ~branching^depth fan-out)
-#: converge within a handful of levels, and UES-style pessimism on the
-#: per-step bound already guards the product against blow-ups.
-RECURSIVE_FIXPOINT_ITERATIONS = 8.0
 
 
 @dataclass(frozen=True)
@@ -321,10 +315,6 @@ class CostModel:
             return select, None
         if any(join.kind != "inner" for join in select.joins):
             return select, None
-        if select.has_windows:
-            # Tie-breaking inside window partitions follows the stable sort
-            # of the *input* order, which a join reorder would change.
-            return select, None
         all_bindings = [select.source.binding] + [join.source.binding for join in select.joins]
         if len(set(all_bindings)) != len(all_bindings):
             return select, None  # self-join reuses a binding; attribution is ambiguous
@@ -437,28 +427,6 @@ class CostModel:
         if grouped:
             rows = self._group_estimate(select, rows)
         return rows
-
-    def compound_cte_estimate(self, name: str, compound: CompoundSelect, recursive: bool) -> float:
-        """Cardinality heuristic for a ``UNION [ALL]`` CTE body.
-
-        The base term estimates normally; the recursive term is estimated
-        with the CTE's own name bound to the base estimate (its frontier is
-        at most the previous step's output) and, when it genuinely
-        self-references, multiplied by the assumed fixpoint depth.  The
-        total is registered as the CTE's derived cardinality so downstream
-        blocks see it.
-        """
-        base = self.estimate_select_rows(compound.left)
-        self.set_derived_rows(name, max(1.0, base))
-        step = self.estimate_select_rows(compound.right)
-        iterations = (
-            RECURSIVE_FIXPOINT_ITERATIONS
-            if recursive and _self_reference_count(compound.right, name)
-            else 1.0
-        )
-        total = base + step * iterations
-        self.set_derived_rows(name, total)
-        return total
 
     def _group_estimate(self, select: Select, input_rows: float) -> float:
         if not select.group_by:

@@ -136,22 +136,6 @@ def render_explain(
 
 def _physical_description(compiled) -> str:
     """One-line description of a CompiledQuery's physical strategy."""
-    compound = getattr(compiled, "compound", None)
-    if compound is not None:
-        # A CompiledCompoundCTE: base plan + (possibly recursive) step plan.
-        kind = "UNION ALL" if compound.all else "UNION"
-        if getattr(compiled, "recursive", False):
-            return (
-                f"recursive-fixpoint ({kind},"
-                f" iterations={getattr(compiled, 'last_iterations', 0)}):"
-                f" base [{_physical_description(compiled.base)}]"
-                f" step [{_physical_description(compiled.step)}]"
-            )
-        return (
-            f"compound ({kind}):"
-            f" [{_physical_description(compiled.base)}]"
-            f" + [{_physical_description(compiled.step)}]"
-        )
     topk: Optional[TopKDecision] = getattr(compiled, "topk", None)
     tail = "" if topk is None else f" -> {topk.describe()}"
     decision: Optional[FusionDecision] = getattr(compiled, "fusion", None)
@@ -163,11 +147,6 @@ def _physical_description(compiled) -> str:
         if joins:
             base += f" -> {joins} hash join(s)"
         return f"{base} -> hash aggregate{tail}"
-    if getattr(compiled, "windowed", False):
-        base = "scan"
-        if joins:
-            base += f" -> {joins} hash join(s)"
-        return f"{base} -> window{tail}"
     if joins:
         return f"scan -> {joins} hash join(s) -> project{tail}"
     return f"scan -> project{tail}"

@@ -37,7 +37,6 @@ from ..ast_nodes import (
     BinaryOp,
     ColumnRef,
     CommonTableExpression,
-    CompoundSelect,
     CreateTableAs,
     Expression,
     Join,
@@ -318,13 +317,7 @@ def referenced_stored_tables(query: Select | WithSelect) -> set[str]:
         return names
     cte_names: set[str] = set()
     for cte in query.ctes:
-        if isinstance(cte.query, CompoundSelect):
-            # The recursive term's self-reference resolves to the CTE's own
-            # frontier, never to a stored table — shadow it.
-            from_select(cte.query.left, cte_names)
-            from_select(cte.query.right, cte_names | {cte.name})
-        else:
-            from_select(cte.query, cte_names)
+        from_select(cte.query, cte_names)
         cte_names.add(cte.name)
     from_select(query.query, cte_names)
     return names
@@ -387,19 +380,13 @@ def push_predicates_into_scans(
 
 
 def _cte_is_filter_transparent(select: Select) -> bool:
-    """Can a predicate on this CTE's output move into its WHERE clause?
-
-    Window functions block the move: their partitions and frames are built
-    from the body's *unfiltered* rows, so filtering earlier would change
-    every rank / running total the consumer then filters on.
-    """
+    """Can a predicate on this CTE's output move into its WHERE clause?"""
     return not (
         select.group_by
         or select.having is not None
         or select.distinct
         or select.limit is not None
         or select.offset is not None
-        or select.has_windows
         or any(
             not isinstance(item.expression, Star) and item.expression.has_aggregate
             for item in select.items
@@ -635,13 +622,7 @@ def prune_cte_projections(statement: WithSelect) -> tuple[WithSelect, int]:
 
 
 def _cte_is_inlinable(select: Select) -> bool:
-    """Inlinable = a plain projection/filter over exactly one table.
-
-    Bodies with window functions never inline: splicing a window expression
-    into a consumer's WHERE/GROUP BY would move it out of the SELECT list
-    (illegal), and even a projection splice would re-scope its partitions
-    to the consumer's joined/filtered rows.
-    """
+    """Inlinable = a plain projection/filter over exactly one table."""
     return (
         select.source is not None
         and not select.joins
@@ -653,7 +634,6 @@ def _cte_is_inlinable(select: Select) -> bool:
         and not select.order_by
         and select.source.filter is None
         and select_output_names(select) is not None
-        and not select.has_windows
         and not any(item.expression.has_aggregate for item in select.items)
     )
 
@@ -938,39 +918,19 @@ def rewrite_query(
     log = RewriteLog()
 
     if isinstance(query, WithSelect):
-        if query.recursive or any(
-            isinstance(cte.query, CompoundSelect) or cte.columns for cte in query.ctes
-        ):
-            # Recursive / UNION-bodied / column-aliased WITH clauses only get
-            # constant folding: the structural rules (inlining, pushdown,
-            # pruning) all assume single-Select bodies whose output names are
-            # their item names, and a recursive term's self-reference must
-            # never be rewritten into a scan of a stored table.
-            new_ctes = []
-            for cte in query.ctes:
-                if isinstance(cte.query, CompoundSelect):
-                    left, left_folds = fold_select(cte.query.left)
-                    right, right_folds = fold_select(cte.query.right)
-                    log.constant_folds += left_folds + right_folds
-                    body: Select | CompoundSelect = CompoundSelect(
-                        left, right, cte.query.all
-                    )
-                else:
-                    body, folds = fold_select(cte.query)
-                    log.constant_folds += folds
-                new_ctes.append(CommonTableExpression(cte.name, body, cte.columns))
-            folded_main, folds = fold_select(query.query)
-            log.constant_folds += folds
-            return WithSelect(tuple(new_ctes), folded_main, query.recursive), log
-
         new_ctes = []
         for cte in query.ctes:
             folded, folds = fold_select(cte.query)
             log.constant_folds += folds
-            new_ctes.append(CommonTableExpression(cte.name, folded))
+            new_ctes.append(CommonTableExpression(cte.name, folded, cte.columns))
         folded_main, folds = fold_select(query.query)
         log.constant_folds += folds
         statement: WithSelect = WithSelect(tuple(new_ctes), folded_main)
+        if any(cte.columns for cte in statement.ctes):
+            # Column-aliased WITH clauses only get constant folding: the
+            # structural rules (inlining, pushdown, pruning) all assume
+            # bodies whose output names are their item names.
+            return statement, log
 
         # Duplicate CTE names (last definition wins at execution) defeat the
         # name-keyed bookkeeping of the WITH-level rules — skip them.  Scope

@@ -11,10 +11,13 @@ Grammar (informal)::
                    (OR < AND < NOT < comparison < | < & < shifts
                     < additive < multiplicative < || < unary)
 
-Statements are recursive descent; expressions are one precedence-climbing
-loop, so a leaf costs one frame instead of one per precedence level.  The
-bitwise-below-comparison order is what the translation layer's generated
-expressions (masks inside comparisons) rely on.
+Statements are parsed top-down, one method each; expressions are one
+precedence-climbing loop, so a leaf costs one frame instead of one per
+precedence level.  The bitwise-below-comparison order is what the
+translation layer's generated expressions (masks inside comparisons) rely
+on.  SQL the engine leaves out is rejected by name (:meth:`Parser._not_supported`);
+the words of the frame grammar (``OVER``, ``ROWS``, ``PARTITION``, ...) are
+plain identifiers, as in SQLite.
 """
 
 from __future__ import annotations
@@ -29,14 +32,12 @@ from .ast_nodes import (
     ColumnDefinition,
     ColumnRef,
     CommonTableExpression,
-    CompoundSelect,
     CreateTable,
     CreateTableAs,
     Delete,
     DropTable,
     Explain,
     Expression,
-    FrameBound,
     FunctionCall,
     InList,
     Insert,
@@ -50,8 +51,6 @@ from .ast_nodes import (
     Statement,
     TableSource,
     UnaryOp,
-    WindowFunction,
-    WindowSpec,
     WithSelect,
 )
 from .tokenizer import END, IDENTIFIER, KEYWORD, NUMBER, OPERATOR, PUNCT, STRING, scan
@@ -100,6 +99,21 @@ class Parser:
     def _unexpected(self) -> SQLParseError:
         _, text, position = self._tokens[self._index]
         return SQLParseError(f"unexpected token {text!r} at offset {position}")
+
+    def _word_before(self, word: str, kind: str, text: str | None = None) -> bool:
+        """At the unreserved word ``word``, followed by a token of ``kind`` (and ``text``)."""
+        current = self._tokens[self._index]
+        if current[0] != IDENTIFIER or current[1].lower() != word:
+            return False
+        # Not the END sentinel, so a following token exists.
+        following = self._tokens[self._index + 1]
+        return following[0] == kind and (text is None or following[1] == text)
+
+    def _not_supported(self, feature: str) -> SQLParseError:
+        return SQLParseError(
+            f"{feature}: not supported by the embedded engine "
+            f"(offset {self._tokens[self._index][2]})"
+        )
 
     def _comma_separated(self, parse_one):
         """``item [, item ...]`` as a tuple."""
@@ -164,22 +178,19 @@ class Parser:
 
     def _parse_with_select(self) -> WithSelect:
         self._expect(KEYWORD, "with")
-        recursive = self._accept(KEYWORD, "recursive")
+        if self._word_before("recursive", IDENTIFIER):
+            raise self._not_supported("WITH RECURSIVE")
         ctes = self._comma_separated(self._parse_cte)
-        return WithSelect(ctes, self._parse_select(), recursive=recursive)
+        return WithSelect(ctes, self._parse_select())
 
     def _parse_cte(self) -> CommonTableExpression:
         name = self._expect(IDENTIFIER)
         columns = self._column_list()
         self._expect(KEYWORD, "as")
         self._expect(PUNCT, "(")
-        query: Select | CompoundSelect = self._parse_select()
-        if self._accept(KEYWORD, "union"):
-            union_all = self._accept(KEYWORD, "all")
-            right = self._parse_select()
-            if self._check(KEYWORD, "union"):
-                raise SQLParseError("CTE bodies support a single UNION [ALL]")
-            query = CompoundSelect(query, right, all=union_all)
+        query = self._parse_select()
+        if self._check(KEYWORD, "union"):
+            raise self._not_supported("UNION in a CTE body")
         self._expect(PUNCT, ")")
         return CommonTableExpression(name, query, columns)
 
@@ -417,8 +428,8 @@ class Parser:
             return self._parse_case()
         raise self._unexpected()
 
-    def _parse_call(self) -> FunctionCall | WindowFunction:
-        """``name([DISTINCT] args | *)`` with an optional ``OVER (...)``."""
+    def _parse_call(self) -> FunctionCall:
+        """``name([DISTINCT] args | *)``."""
         name = self._expect(IDENTIFIER).lower()
         self._expect(PUNCT, "(")
         distinct = self._accept(KEYWORD, "distinct")
@@ -427,45 +438,9 @@ class Parser:
         if not is_star and not self._check(PUNCT, ")"):
             arguments = self._comma_separated(self._parse_expression)
         self._expect(PUNCT, ")")
-        if self._accept(KEYWORD, "over"):
-            if distinct:
-                raise SQLParseError("DISTINCT is not supported in window functions")
-            return WindowFunction(name, arguments, self._parse_window_spec(), is_star=is_star)
+        if self._word_before("over", PUNCT, "("):
+            raise self._not_supported("window functions (OVER)")
         return FunctionCall(name, arguments, is_star=is_star, distinct=distinct)
-
-    def _parse_window_spec(self) -> WindowSpec:
-        """``( [PARTITION BY exprs] [ORDER BY keys] [ROWS BETWEEN ... AND ...] )``."""
-        self._expect(PUNCT, "(")
-        partition: tuple[Expression, ...] = ()
-        if self._accept(KEYWORD, "partition"):
-            self._expect(KEYWORD, "by")
-            partition = self._comma_separated(self._parse_expression)
-        order = self._parse_order_by()
-        frame = None
-        if self._accept(KEYWORD, "rows"):
-            self._expect(KEYWORD, "between")
-            start = self._parse_frame_bound()
-            self._expect(KEYWORD, "and")
-            frame = (start, self._parse_frame_bound())
-        self._expect(PUNCT, ")")
-        return WindowSpec(partition, order, frame)
-
-    def _parse_frame_bound(self) -> FrameBound:
-        if self._accept(KEYWORD, "unbounded"):
-            if self._accept(KEYWORD, "preceding"):
-                return FrameBound("unbounded_preceding")
-            self._expect(KEYWORD, "following")
-            return FrameBound("unbounded_following")
-        if self._accept(KEYWORD, "current"):
-            self._expect(KEYWORD, "row")
-            return FrameBound("current")
-        offset = self._parse_signed_int()
-        if offset < 0:
-            raise SQLParseError("window frame offsets must be non-negative")
-        if self._accept(KEYWORD, "preceding"):
-            return FrameBound("preceding", offset)
-        self._expect(KEYWORD, "following")
-        return FrameBound("following", offset)
 
     def _parse_case(self) -> CaseExpression:
         self._expect(KEYWORD, "case")

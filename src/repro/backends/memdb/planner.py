@@ -43,7 +43,6 @@ from .ast_nodes import (
     BinaryOp,
     CaseExpression,
     ColumnRef,
-    CompoundSelect,
     CreateTableAs,
     Expression,
     FunctionCall,
@@ -58,7 +57,6 @@ from .ast_nodes import (
     WithSelect,
 )
 from .executor import (
-    DEFAULT_RECURSION_LIMIT,
     ExpressionEvaluator,
     Frame,
     apply_filter,
@@ -70,11 +68,8 @@ from .executor import (
     join_indices,
     plain_projection,
     postprocess_select,
-    run_compound_cte,
     select_has_aggregates,
     split_join_condition,
-    validate_window_usage,
-    windowed_projection,
 )
 from .optimizer.cost import CostModel, FusionDecision, TopKDecision
 from .table import Table, TransientTable
@@ -315,7 +310,6 @@ class CompiledQuery:
         "fused",
         "has_aggregates",
         "grouped",
-        "windowed",
         "fusion",
         "topk",
     )
@@ -324,9 +318,6 @@ class CompiledQuery:
         self.select = select
         self.has_aggregates = select_has_aggregates(select)
         self.grouped = bool(select.group_by) or self.has_aggregates
-        # Raises SQLExecutionError for invalid placements (windows outside
-        # the SELECT list, windows mixed with grouping).
-        self.windowed = validate_window_usage(select, self.has_aggregates)
         self.fusion: FusionDecision | None = None
         model = cost if cost is not None else CostModel()
         self.topk: TopKDecision | None = model.topk_decision(select)
@@ -392,8 +383,6 @@ class CompiledQuery:
 
         if self.grouped:
             names, vectors = grouped_projection(select, frame, length)
-        elif self.windowed:
-            names, vectors, frame = windowed_projection(select, frame, length)
         else:
             names, vectors = plain_projection(select.items, frame, length)
         return postprocess_select(
@@ -453,10 +442,6 @@ class CompiledQuery:
             with tracer.span("operator", op="aggregate") as span:
                 names, vectors = grouped_projection(select, frame, length)
                 span.set(rows=len(vectors[0]) if vectors else 0)
-        elif self.windowed:
-            with tracer.span("operator", op="window") as span:
-                names, vectors, frame = windowed_projection(select, frame, length)
-                span.set(rows=length)
         else:
             with tracer.span("operator", op="project") as span:
                 names, vectors = plain_projection(select.items, frame, length)
@@ -467,97 +452,20 @@ class CompiledQuery:
         )
 
 
-class CompiledCompoundCTE:
-    """A compiled ``UNION [ALL]`` CTE body — the recursive-fixpoint operator.
-
-    Holds one compiled plan per branch: ``base`` runs once, ``step`` runs
-    once per fixpoint iteration with the CTE's own name bound to the current
-    frontier (see :func:`~.executor.run_compound_cte`, which also applies
-    the CTE's column alias list).  ``last_iterations`` records the most
-    recent execution's fixpoint depth for EXPLAIN ANALYZE.
-    """
-
-    __slots__ = ("name", "compound", "recursive", "alias_columns", "base", "step", "last_iterations")
-
-    def __init__(
-        self,
-        name: str,
-        compound: CompoundSelect,
-        recursive: bool,
-        alias_columns: Sequence[str],
-        cost: CostModel | None = None,
-    ) -> None:
-        self.name = name
-        self.compound = compound
-        self.recursive = recursive
-        self.alias_columns = tuple(alias_columns)
-        self.base = CompiledQuery(compound.left, cost)
-        self.step = CompiledQuery(compound.right, cost)
-        self.last_iterations = 0
-
-    def execute(
-        self,
-        resolve: Resolver,
-        observe=None,
-        tracer=None,
-        recursion_limit: int = DEFAULT_RECURSION_LIMIT,
-    ) -> tuple[list[str], list[np.ndarray]]:
-        self.last_iterations = 0
-        iteration_box = [0]
-
-        def run_base() -> tuple[list[str], list[np.ndarray]]:
-            return self.base.execute(resolve, tracer=tracer)
-
-        def run_step(
-            frontier: TransientTable | None,
-        ) -> tuple[list[str], list[np.ndarray]]:
-            if frontier is None:
-                step_resolve = resolve
-            else:
-                def step_resolve(name: str, frontier=frontier) -> Table | TransientTable:
-                    return frontier if name == self.name else resolve(name)
-            if tracer is not None and frontier is not None:
-                iteration_box[0] += 1
-                with tracer.span(
-                    "operator", op="recursive-step", iteration=iteration_box[0]
-                ) as span:
-                    names, vectors = self.step.execute(step_resolve, tracer=tracer)
-                    span.set(rows=len(vectors[0]) if vectors else 0)
-                    return names, vectors
-            return self.step.execute(step_resolve, tracer=tracer)
-
-        def note(iteration: int, _new_rows: int) -> None:
-            self.last_iterations = iteration
-
-        names, vectors = run_compound_cte(
-            self.name,
-            self.compound,
-            self.recursive,
-            self.alias_columns,
-            run_base,
-            run_step,
-            recursion_limit=recursion_limit,
-            observe_iteration=note,
-        )
-        if observe is not None:
-            observe(len(vectors[0]) if vectors else 0)
-        return names, vectors
-
-
 class CompiledScript:
     """A compiled ``WithSelect``: CTE plans executed in order, then the query.
 
     Each CTE entry is ``(name, plan, alias_columns)``.  ``alias_columns``
     is the declared column list of a ``WITH u(p, q) AS (SELECT ...)`` CTE,
     renaming the body's output names; it is empty when the CTE declares
-    none and for UNION bodies, whose fixpoint operator applies its own.
+    none.
     """
 
     __slots__ = ("ctes", "query")
 
     def __init__(
         self,
-        ctes: "list[tuple[str, CompiledQuery | CompiledCompoundCTE, tuple[str, ...]]]",
+        ctes: list[tuple[str, CompiledQuery, tuple[str, ...]]],
         query: CompiledQuery,
     ) -> None:
         self.ctes = ctes
@@ -568,7 +476,6 @@ class CompiledScript:
         catalog: Mapping[str, Table],
         trace: Callable[[str, int], None] | None = None,
         tracer=None,
-        recursion_limit: int = DEFAULT_RECURSION_LIMIT,
     ) -> tuple[list[str], list[np.ndarray]]:
         """Run CTEs then the main query against a table catalog.
 
@@ -594,24 +501,15 @@ class CompiledScript:
         observed: list[int] = []
         observe = observed.append if (trace is not None or tracer is not None) else None
         for name, plan, alias_columns in self.ctes:
-            extra = (
-                {"recursion_limit": recursion_limit}
-                if isinstance(plan, CompiledCompoundCTE)
-                else {}
-            )
             if tracer is not None:
                 with tracer.span("block", block=name) as span:
-                    names, vectors = plan.execute(
-                        resolve, observe=observe, tracer=tracer, **extra
-                    )
+                    names, vectors = plan.execute(resolve, observe=observe, tracer=tracer)
                     if alias_columns:
                         names = cte_output_names(name, alias_columns, names)
                     ctes[name] = TransientTable(name, names, vectors)
                     span.attrs["rows"] = observed[-1] if observed else ctes[name].num_rows
-                    if isinstance(plan, CompiledCompoundCTE):
-                        span.attrs["iterations"] = plan.last_iterations
             else:
-                names, vectors = plan.execute(resolve, observe=observe, **extra)
+                names, vectors = plan.execute(resolve, observe=observe)
                 if alias_columns:
                     names = cte_output_names(name, alias_columns, names)
                 ctes[name] = TransientTable(name, names, vectors)
@@ -738,15 +636,7 @@ def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
 def _compile_script(query: Select | WithSelect, cost: CostModel | None = None) -> CompiledScript:
     """Compile a query (with any CTEs) into one executable script."""
     if isinstance(query, WithSelect):
-        ctes: list[tuple[str, CompiledQuery | CompiledCompoundCTE, tuple[str, ...]]] = []
-        for cte in query.ctes:
-            if isinstance(cte.query, CompoundSelect):
-                compound = CompiledCompoundCTE(
-                    cte.name, cte.query, query.recursive, cte.columns, cost
-                )
-                ctes.append((cte.name, compound, ()))
-            else:
-                ctes.append((cte.name, CompiledQuery(cte.query, cost), cte.columns))
+        ctes = [(cte.name, CompiledQuery(cte.query, cost), cte.columns) for cte in query.ctes]
         return CompiledScript(ctes, CompiledQuery(query.query, cost))
     return CompiledScript([], CompiledQuery(query, cost))
 

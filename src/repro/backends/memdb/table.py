@@ -308,10 +308,9 @@ class Table:
 class TransientTable:
     """A query block's result handed to the next block as its column vectors.
 
-    CTE results (and the recursive frontier) live for one statement and are
-    only ever scanned, so they skip everything a stored :class:`Table`
-    pays for — chunking, validity bitmaps, a schema signature — and expose
-    just the scan surface: :meth:`frame` and :attr:`num_rows`.  The vectors
+    CTE results live for one statement and are only ever scanned, so they
+    skip everything a stored :class:`Table` pays for — chunking, validity
+    bitmaps, a schema signature — and expose just the scan surface: :meth:`frame` and :attr:`num_rows`.  The vectors
     are shared, not copied; ``CREATE TABLE AS`` builds a real
     :class:`Table` from copies instead.
     """

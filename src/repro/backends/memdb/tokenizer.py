@@ -32,8 +32,6 @@ KEYWORDS = {
     "delete", "drop", "if", "exists", "not", "null", "and", "or", "asc", "desc",
     "limit", "offset", "union", "all", "distinct", "having", "case", "when", "then", "else", "end",
     "between", "in", "is", "like", "primary", "key", "explain", "analyze",
-    "over", "partition", "rows", "unbounded", "preceding", "following",
-    "current", "row", "recursive",
 }
 
 _SKIP = r"\s*(?:--[^\n]*\s*)*"

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..circuits import (
     dense_phase_circuit,
     ghz_circuit,
@@ -194,118 +192,3 @@ def workload_names() -> list[str]:
 def workloads_by_sparsity(sparsity: str) -> list[Workload]:
     """All workloads of one sparsity class."""
     return [workload for workload in _WORKLOADS.values() if workload.sparsity == sparsity]
-
-
-# ---------------------------------------------------------------------------
-# Hierarchical (XPath-style) relational workload
-# ---------------------------------------------------------------------------
-#
-# A DBLP-style document tree flattened into one relation, with pre/post-order
-# node encodings.  XPath axes map onto the SQL features this workload
-# exercises: the descendant axis is the pre/post interval containment
-# predicate, the following-sibling axis is a window over
-# ``PARTITION BY parent ORDER BY pre``, and unbounded reachability is a
-# recursive CTE over the ``parent`` edge.  ``benchmarks/bench_window.py``
-# gates the vectorized window kernels against a per-partition Python loop on
-# exactly this table.
-
-#: Element names by tree depth, echoing DBLP's document structure.
-TREE_LEVELS = ("dblp", "proceedings", "inproceedings", "author", "title")
-
-#: Venue partition keys; the non-ASCII entries keep the dictionary-encoded
-#: text path honest about unicode collation in partition keys.
-TREE_VENUES = ("SIGMOD", "VLDB", "ICDE", "EDBT", "CIDR", "Grundlagen", "Théorie", "データベース")
-
-#: Root's ``parent`` sentinel (no node has id -1, so joins never match it).
-TREE_NO_PARENT = -1
-
-
-def dblp_tree_columns(num_nodes: int, seed: int = 7) -> dict[str, np.ndarray]:
-    """A random recursive tree as columnar arrays (``load_table``).
-
-    Node 0 is the root; every later node attaches uniformly at random to an
-    earlier node, which keeps the expected depth logarithmic — recursive-CTE
-    reachability converges in ``O(log n)`` breadth-first iterations, far from
-    the engine's iteration cap.  Columns: ``id``, ``parent`` (-1 for the
-    root), ``pre``/``post`` order ranks, ``depth``, ``kind`` (element name by
-    depth), ``venue`` (text partition key) and ``score`` (numeric payload).
-    """
-    if num_nodes < 1:
-        raise BenchmarkError("the tree workload needs at least 1 node")
-    rng = np.random.default_rng(seed)
-    parent = np.full(num_nodes, TREE_NO_PARENT, dtype=np.int64)
-    if num_nodes > 1:
-        parent[1:] = rng.integers(0, np.arange(1, num_nodes))
-
-    children: list[list[int]] = [[] for _ in range(num_nodes)]
-    for node in range(1, num_nodes):
-        children[parent[node]].append(node)
-
-    pre = np.zeros(num_nodes, dtype=np.int64)
-    post = np.zeros(num_nodes, dtype=np.int64)
-    depth = np.zeros(num_nodes, dtype=np.int64)
-    clock = 0
-    # Iterative DFS: (node, next-child index) so post ranks close after subtrees.
-    stack: list[list[int]] = [[0, 0]]
-    pre[0] = clock
-    clock += 1
-    while stack:
-        node, child_index = stack[-1]
-        if child_index < len(children[node]):
-            stack[-1][1] += 1
-            child = children[node][child_index]
-            depth[child] = depth[node] + 1
-            pre[child] = clock
-            clock += 1
-            stack.append([child, 0])
-        else:
-            post[node] = clock
-            clock += 1
-            stack.pop()
-
-    kinds = np.array(TREE_LEVELS, dtype=object)
-    venues = np.array(TREE_VENUES, dtype=object)
-    return {
-        "id": np.arange(num_nodes, dtype=np.int64),
-        "parent": parent,
-        "pre": pre,
-        "post": post,
-        "depth": depth,
-        "kind": kinds[np.minimum(depth, len(TREE_LEVELS) - 1)],
-        "venue": venues[rng.integers(0, len(TREE_VENUES), num_nodes)],
-        "score": np.round(rng.normal(size=num_nodes), 4),
-    }
-
-
-def tree_sibling_window_sql(table: str = "tree") -> str:
-    """Sibling position, venue rank and running score in one window query.
-
-    ``row_number() OVER (PARTITION BY parent ORDER BY pre)`` is the XPath
-    following-sibling position; the venue rank and running sum exercise the
-    ranking and prefix-aggregate kernels over the same scan.
-    """
-    return (
-        "SELECT parent, pre, id, "
-        "row_number() OVER (PARTITION BY parent ORDER BY pre) AS sibling_pos, "
-        "rank() OVER (PARTITION BY venue ORDER BY score DESC, id) AS venue_rank, "
-        "sum(score) OVER (PARTITION BY parent ORDER BY pre) AS running_score "
-        f"FROM {table} ORDER BY parent, pre"
-    )
-
-
-def tree_descendants_recursive_sql(root: int, table: str = "tree") -> str:
-    """Descendant axis as a recursive CTE over the parent edge."""
-    return (
-        "WITH RECURSIVE reach(node) AS ("
-        f"SELECT id FROM {table} WHERE id = {root} "
-        f"UNION SELECT t.id FROM {table} AS t JOIN reach AS r ON t.parent = r.node"
-        ") SELECT node FROM reach ORDER BY node"
-    )
-
-
-def tree_descendants_interval_sql(root: int, table: str = "tree") -> str:
-    """Descendant axis as the pre/post interval containment predicate."""
-    return (
-        f"SELECT t.id AS node FROM {table} AS t JOIN {table} AS a ON a.id = {root} "
-        "WHERE t.pre >= a.pre AND t.post <= a.post ORDER BY t.id"
-    )

@@ -57,8 +57,8 @@ DIALECTS = ("memdb", "sqlite", "duckdb")
 COLLAPSING = ("qft5", "qaoa6", "sparse8")
 
 #: Statement kinds the circuit and fuzz corpora do not reach: EXPLAIN /
-#: ANALYZE, DDL and DML (every statement of ``test_parser.py``), window
-#: frames, recursion, and the corners of the expression grammar.
+#: ANALYZE, DDL and DML (every statement of ``test_parser.py``), and the
+#: corners of the expression grammar.
 HANDWRITTEN = [
     "SELECT s, r FROM T0",
     "SELECT 1 FROM t WHERE a & 3 = 2",
@@ -105,15 +105,6 @@ HANDWRITTEN = [
     "SELECT COUNT(DISTINCT a), coalesce(a, b, 0), ROUND(a, 2), power(a, 2) FROM t HAVING SUM(a) > 1",
     "SELECT a FROM t ORDER BY a ASC, b DESC, c LIMIT - 1 OFFSET + 2.0",
     "SELECT CASE WHEN a THEN 1 WHEN b THEN 2 END, CASE WHEN a IS NULL THEN b ELSE c END FROM t",
-    "SELECT row_number() OVER (PARTITION BY a, b ORDER BY c DESC, d) AS n, "
-    "SUM(x) OVER (ORDER BY c ROWS BETWEEN 2 PRECEDING AND CURRENT ROW), "
-    "COUNT(*) OVER (), "
-    "AVG(x) OVER (PARTITION BY a ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING), "
-    "lag(x, 1) OVER (ORDER BY c ROWS BETWEEN 1 FOLLOWING AND 3 FOLLOWING) FROM t",
-    "WITH RECURSIVE reach (node, depth) AS (SELECT 1, 0 UNION ALL "
-    "SELECT e.dst, reach.depth + 1 FROM reach JOIN e ON e.src = reach.node WHERE reach.depth < 5) "
-    "SELECT node, MIN(depth) FROM reach GROUP BY node",
-    "WITH u AS (SELECT a FROM t UNION SELECT a FROM v) SELECT a FROM u",
 ]
 
 #: Texts the current parser builds differently from the recorded one, on

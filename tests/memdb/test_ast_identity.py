@@ -2,6 +2,9 @@
 
 The fixture was recorded at 5e898c6 (the recursive-descent ladder); see
 ``ast_identity.py`` for the corpus and how to regenerate it on purpose.
+When window functions, ``WITH RECURSIVE`` and CTE ``UNION`` were deleted
+their texts left the corpus, and every ``WITH`` text was re-hashed: its
+``WithSelect`` repr lost ``, recursive=False`` and nothing else.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ def test_translator_corpus_reproduces_recorded_asts(fixture):
 
 def test_stored_corpus_reproduces_recorded_asts(fixture):
     stored = dict(fixture["stored"])
-    assert len(stored) > 1300
+    assert len(stored) >= 1250
     assert set(HANDWRITTEN) <= set(stored)
     changed = [text for text, recorded in stored.items() if ast_hash(text) != recorded]
     assert not changed, f"{len(changed)} ASTs changed, first: {changed[0]!r}"

@@ -196,7 +196,7 @@ def test_cold_prepare_visits_each_node_a_bounded_number_of_times(monkeypatch):
         db, query = _gate_chain(blocks)
         counter.reset()
         assert db.prepare(query) == "prepared"
-        # has_aggregate, has_window, column_refs, and the constant-folding pass.
+        # has_aggregate, column_refs, and the constant-folding pass.
         assert max(count for _, count in counter.visits.values()) <= 4
         totals[blocks] = counter.calls
     assert totals[60] <= 2.1 * totals[30]

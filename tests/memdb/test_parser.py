@@ -1,6 +1,10 @@
 """Tests for the embedded engine's SQL parser."""
 
+import sqlite3
+
 import pytest
+
+from repro.backends.memdb import MemDatabase
 
 from repro.backends.memdb.ast_nodes import (
     BinaryOp,
@@ -62,6 +66,11 @@ class TestSelectParsing:
         assert len(statement.group_by) == 1
         assert statement.order_by[0].descending
         assert statement.limit == 5
+
+    def test_call_at_the_end_of_the_input(self):
+        assert parse_one("SELECT abs(a)").items[0].expression == FunctionCall(
+            "abs", (ColumnRef("a"),)
+        )
 
     def test_aggregate_count_star(self):
         statement = parse_one("SELECT COUNT(*) FROM t")
@@ -147,3 +156,71 @@ class TestParserErrors:
     def test_two_statements_for_parse_one(self):
         with pytest.raises(SQLParseError):
             parse_one("SELECT 1; SELECT 2")
+
+
+#: Words the engine reads as plain identifiers, as SQLite does: window-frame
+#: and recursion vocabulary the engine does not implement.
+FREED_WORDS = "rows range over partition preceding following unbounded current row recursive".split()
+
+
+class TestUnreservedWords:
+    @pytest.mark.parametrize("word", FREED_WORDS)
+    def test_word_is_a_column_name_and_an_alias_as_in_sqlite(self, word):
+        statements = [
+            f"CREATE TABLE t (w BIGINT, {word} BIGINT)",
+            f"INSERT INTO t (w, {word}) VALUES (1, 20), (3, 40), (5, 60)",
+        ]
+        queries = [
+            f"SELECT {word}, t.{word} + 1 AS k FROM t WHERE {word} > 20 ORDER BY {word}",
+            f"SELECT w AS {word} FROM t ORDER BY {word} DESC",
+            f"SELECT COUNT(*) AS {word}, SUM(t.{word}) AS total FROM t",
+            f"WITH c AS (SELECT w AS {word} FROM t) SELECT {word} FROM c ORDER BY {word}",
+        ]
+        reference = sqlite3.connect(":memory:")
+        db = MemDatabase()
+        for statement in statements:
+            reference.execute(statement)
+            db.execute(statement)
+        for query in queries:
+            cursor = reference.execute(query)
+            result = db.execute(query)
+            assert result.columns == [column[0] for column in cursor.description], query
+            assert result.rows == cursor.fetchall(), query
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT COUNT(*) over FROM t",
+            "SELECT SUM(w) over FROM t",
+            "SELECT abs(w) rows FROM t ORDER BY rows",
+        ],
+    )
+    def test_word_after_a_call_is_its_alias_as_in_sqlite(self, query):
+        statements = ["CREATE TABLE t (w BIGINT)", "INSERT INTO t (w) VALUES (1), (-3)"]
+        reference = sqlite3.connect(":memory:")
+        db = MemDatabase()
+        for statement in statements:
+            reference.execute(statement)
+            db.execute(statement)
+        cursor = reference.execute(query)
+        result = db.execute(query)
+        assert result.columns == [column[0] for column in cursor.description]
+        assert result.rows == cursor.fetchall()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT row_number() OVER (ORDER BY a) FROM t",
+            "select sum(a) over (partition by b) from t",
+            "SELECT COUNT(*) OVER () FROM t",
+            "WITH RECURSIVE r AS (SELECT 1 AS n) SELECT n FROM r",
+            "with recursive r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) SELECT n FROM r",
+            "WITH u AS (SELECT a FROM t UNION SELECT a FROM v) SELECT a FROM u",
+            "WITH u AS (SELECT a FROM t UNION ALL SELECT a FROM v) SELECT a FROM u",
+        ],
+        ids=["window", "window-lower", "window-empty", "recursive", "recursive-lower",
+             "union", "union-all"],
+    )
+    def test_unsupported_feature_is_named(self, sql):
+        with pytest.raises(SQLParseError, match="not supported"):
+            parse_one(sql)

@@ -8,16 +8,6 @@ engine returns exactly the rows SQLite returns, with the optimizer on and
 off, cold and plan-cache-warm, and across a mid-test data shift (which
 exercises statistics invalidation).
 
-The grammar also produces window functions (``row_number``/``rank``/
-``dense_rank``/``lag``/``lead`` and running aggregates, with PARTITION BY /
-ORDER BY / ROWS frames) and ``WITH RECURSIVE`` CTEs (bounded counters,
-accumulators, UNION reachability over finite value domains).  Productions
-whose value depends on the order *within* ORDER-BY peer groups
-(``row_number``, ``lag``/``lead``, explicit ROWS frames) always end the
-OVER ORDER BY in the table's unique ``id``; tie-invariant functions ride
-tie-heavy keys on purpose.  A mutation test verifies the oracle catches
-deliberately broken rank tie handling.
-
 Two table families drive the grammar: the original NOT NULL numeric
 tables, and a NULL-heavy family with nullable DOUBLE and TEXT columns
 (empty strings, unicode, and NULL literals in the INSERTed data) whose
@@ -30,7 +20,9 @@ kernels against SQLite's reference semantics.
 A join-aggregate production generates the paper's gate step itself — a
 small dense-integer build side joined on a bit field of a BIGINT column,
 grouped by an expression that mixes the two sides, SUMs of mixed products —
-over data with NULL amplitudes, NULL keys and keys that match nothing.
+over data with NULL amplitudes, NULL keys and keys that match nothing.  Two
+mutation tests verify the oracle catches a gate-step join that drops one
+match and grouped aggregates that stop skipping NULLs.
 
 The generated subset deliberately stays inside the semantics both engines
 share (documented divergences are excluded by construction):
@@ -818,211 +810,6 @@ def _join_aggregate_query(draw, tables):
 
 
 # ---------------------------------------------------------------------------
-# Window-function and recursive-CTE query shapes
-# ---------------------------------------------------------------------------
-#
-# Tie discipline: ``row_number``, ``lag``/``lead`` and explicit ROWS frames
-# depend on the order *within* ORDER-BY peer groups, which is
-# implementation-defined — those productions always end the OVER ORDER BY
-# in the table's unique ``id``.  ``rank``/``dense_rank`` and default-frame
-# aggregates (peer-inclusive RANGE semantics) are tie-invariant, so they may
-# ride on tie-heavy keys alone, which is exactly where broken peer handling
-# would diverge from SQLite.
-
-#: Valid ROWS frames (start never after end; both engines accept these).
-_ROWS_FRAMES = [
-    "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
-    "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 FOLLOWING",
-    "ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING",
-    "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW",
-    "ROWS BETWEEN 3 PRECEDING AND 1 PRECEDING",
-    "ROWS BETWEEN 1 PRECEDING AND 2 FOLLOWING",
-    "ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING",
-    "ROWS BETWEEN CURRENT ROW AND 2 FOLLOWING",
-    "ROWS BETWEEN 1 FOLLOWING AND 3 FOLLOWING",
-]
-
-
-@st.composite
-def _over_clause(draw, partition_columns, order_columns, unique_key, tie_dependent, with_frame):
-    """An ``OVER (...)`` clause; tie-dependent callers get a unique ORDER BY tail."""
-    parts = []
-    if partition_columns:
-        keys = draw(st.lists(st.sampled_from(partition_columns), min_size=0, max_size=2, unique=True))
-        if keys:
-            parts.append("PARTITION BY " + ", ".join(keys))
-    order = []
-    if order_columns:
-        for column in draw(st.lists(st.sampled_from(order_columns), min_size=0, max_size=2, unique=True)):
-            order.append(f"{column} {draw(st.sampled_from(['ASC', 'DESC']))}")
-    if tie_dependent:
-        order.append(f"{unique_key} {draw(st.sampled_from(['ASC', 'DESC']))}")
-    if order:
-        parts.append("ORDER BY " + ", ".join(order))
-    if with_frame:
-        parts.append(draw(st.sampled_from(_ROWS_FRAMES)))
-    return "(" + " ".join(parts) + ")"
-
-
-@st.composite
-def _window_items(draw, numeric_columns, partition_columns, order_columns, unique_key, text_columns=()):
-    """1-3 window projection items, each aliased ``w{i}``."""
-    items = []
-    for position in range(draw(st.integers(min_value=1, max_value=3))):
-        choice = draw(st.integers(min_value=0, max_value=3))
-        if choice == 0:
-            function = draw(st.sampled_from(["row_number", "rank", "dense_rank"]))
-            over = draw(
-                _over_clause(
-                    partition_columns,
-                    order_columns,
-                    unique_key,
-                    tie_dependent=function == "row_number",
-                    with_frame=False,
-                )
-            )
-            items.append(f"{function}() OVER {over} AS w{position}")
-        elif choice == 1:
-            function = draw(st.sampled_from(["lag", "lead"]))
-            if text_columns and draw(st.booleans()):
-                argument = draw(st.sampled_from(text_columns))
-                default = repr(draw(st.sampled_from(_TEXT_VALUES)))
-            else:
-                argument, _kind = draw(st.sampled_from(numeric_columns))
-                default = str(draw(st.integers(min_value=-9, max_value=9)))
-            pieces = [argument]
-            form = draw(st.integers(min_value=0, max_value=2))
-            if form >= 1:
-                pieces.append(str(draw(st.integers(min_value=0, max_value=3))))
-            if form == 2:
-                pieces.append(default)
-            over = draw(
-                _over_clause(
-                    partition_columns, order_columns, unique_key, tie_dependent=True, with_frame=False
-                )
-            )
-            items.append(f"{function}({', '.join(pieces)}) OVER {over} AS w{position}")
-        else:
-            function = draw(st.sampled_from(["sum", "count", "avg", "min", "max"]))
-            if function == "count" and draw(st.booleans()):
-                argument = "*"
-            else:
-                argument, _kind = draw(st.sampled_from(numeric_columns))
-            # Explicit ROWS frames slice inside peer groups: tie-dependent.
-            framed = draw(st.booleans())
-            over = draw(
-                _over_clause(
-                    partition_columns,
-                    order_columns,
-                    unique_key,
-                    tie_dependent=framed,
-                    with_frame=framed,
-                )
-            )
-            items.append(f"{function}({argument}) OVER {over} AS w{position}")
-    return items
-
-
-@st.composite
-def _window_query(draw, tables):
-    """Window functions over one NOT NULL numeric table (tie-heavy keys)."""
-    table = tables[0]
-    columns = _columns_of(table)
-    unique_key = f"{table['name']}.id"
-    value_columns = [column for column, _kind in columns if not column.endswith(".id")]
-    items = [f"{unique_key} AS id0"]
-    items += draw(_window_items(columns, value_columns, value_columns, unique_key))
-    sql = f"SELECT {', '.join(items)} FROM {table['name']}"
-    if draw(st.booleans()):
-        sql += f" WHERE {draw(_predicate(columns))}"
-    tail, _limited = draw(_limit_tail(["id0"], []))
-    if draw(st.booleans()):
-        sql += tail
-        return sql, True
-    return sql, False
-
-
-@st.composite
-def _null_window_query(draw, tables):
-    """Window functions over a NULL-heavy table: text partition keys (unicode
-    and NULL included), NULL-skipping window aggregates, lag/lead over text."""
-    table = tables[0]
-    numeric, texts, _nullable = _split_null_columns(table)
-    unique_key = f"{table['name']}.id"
-    value_numeric = [column for column, _kind in numeric if not column.endswith(".id")]
-    items = [f"{unique_key} AS id0"]
-    items += draw(
-        _window_items(
-            numeric,
-            texts + value_numeric,
-            value_numeric + texts,
-            unique_key,
-            text_columns=texts,
-        )
-    )
-    sql = f"SELECT {', '.join(items)} FROM {table['name']}"
-    if draw(st.booleans()):
-        sql += f" WHERE {draw(_null_predicate(numeric, _nullable, texts))}"
-    tail, _limited = draw(_limit_tail(["id0"], []))
-    if draw(st.booleans()):
-        sql += tail
-        return sql, True
-    return sql, False
-
-
-@st.composite
-def _recursive_query(draw, tables):
-    """WITH RECURSIVE shapes: counters (UNION ALL with a bound), accumulator
-    recursion consumed by a window function, and UNION reachability over the
-    table's finite value domain (dedup is the only terminator)."""
-    table = tables[0]
-    shape = draw(st.integers(min_value=0, max_value=2))
-    int_value_columns = [
-        column for column, _kind in _columns_of(table, _INT) if not column.endswith(".id")
-    ]
-    if shape == 2 and not int_value_columns:
-        shape = 0
-    if shape == 0:
-        start = draw(st.integers(min_value=-3, max_value=3))
-        step = draw(st.integers(min_value=1, max_value=3))
-        bound = start + step * draw(st.integers(min_value=0, max_value=40))
-        union = "UNION ALL" if draw(st.booleans()) else "UNION"
-        sql = (
-            f"WITH RECURSIVE r(n) AS (SELECT {start} {union} "
-            f"SELECT n + {step} FROM r WHERE n < {bound}) SELECT n FROM r ORDER BY n"
-        )
-        return sql, True
-    if shape == 1:
-        seed = draw(st.integers(min_value=-4, max_value=4))
-        depth = draw(st.integers(min_value=0, max_value=30))
-        items = ["n", "acc"]
-        if draw(st.booleans()):
-            direction = draw(st.sampled_from(["ASC", "DESC"]))
-            items.append(f"row_number() OVER (ORDER BY n {direction}) AS w0")
-        sql = (
-            f"WITH RECURSIVE r(n, acc) AS (SELECT 0, {seed} UNION ALL "
-            f"SELECT n + 1, acc + n FROM r WHERE n < {depth}) "
-            f"SELECT {', '.join(items)} FROM r ORDER BY n"
-        )
-        return sql, True
-    column = draw(st.sampled_from(int_value_columns)).split(".", 1)[1]
-    seed = draw(st.integers(min_value=0, max_value=20))
-    name = table["name"]
-    if draw(st.booleans()):
-        consumer = "SELECT x FROM r ORDER BY x"
-    else:
-        consumer = (
-            f"SELECT r.x AS x, {name}.id AS id0 FROM r "
-            f"JOIN {name} ON {name}.id = r.x ORDER BY x, id0"
-        )
-    sql = (
-        f"WITH RECURSIVE r(x) AS (SELECT {seed} UNION "
-        f"SELECT {name}.{column} FROM {name} JOIN r ON {name}.id = r.x) {consumer}"
-    )
-    return sql, True
-
-
-# ---------------------------------------------------------------------------
 # Differential harness
 # ---------------------------------------------------------------------------
 
@@ -1188,60 +975,83 @@ def test_fuzz_cte_chains_match_sqlite(data):
     _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
 
 
-@given(data=st.data())
-@_FAST
-def test_fuzz_window_functions_match_sqlite(data):
-    """Ranking / lag-lead / framed aggregates over tie-heavy numeric tables."""
-    tables = data.draw(_tables(count=1))
-    query = data.draw(_window_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+def test_fuzz_oracle_catches_gate_join_mutation(monkeypatch):
+    """Mutation test: a gate-step join that drops one match must trip the oracle.
 
-
-@given(data=st.data())
-@_FAST
-def test_fuzz_null_window_functions_match_sqlite(data):
-    """Windows over NULL-heavy tables: text/NULL partition keys, NULL-skipping
-    aggregates, lag/lead defaults."""
-    tables = data.draw(_null_tables(count=1))
-    query = data.draw(_null_window_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-
-
-@given(data=st.data())
-@_FAST
-def test_fuzz_recursive_ctes_match_sqlite(data):
-    """WITH RECURSIVE counters, accumulators and UNION reachability."""
-    tables = data.draw(_tables(count=1))
-    query = data.draw(_recursive_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-
-
-def test_fuzz_oracle_catches_rank_tie_mutation(monkeypatch):
-    """Mutation test: breaking rank's peer handling must trip the oracle.
-
-    Collapses every ORDER-BY peer group to a single row (rank degenerates to
-    row_number) and asserts the differential check catches the divergence on
-    a tie-heavy table — evidence the harness actually guards tie semantics
-    rather than vacuously passing.
+    The hand-written gate step passes the differential check as written;
+    with the fused operator's join kernel dropping its last match pair the
+    same check must report a divergence — evidence the harness guards the
+    paper's kernel rather than vacuously passing.
     """
-    from repro.backends.memdb import executor as executor_module
+    import numpy as np
 
-    original = executor_module._sorted_partitions
+    from repro.backends.memdb import planner
 
-    def broken(evaluator, partition_by, order_by, length):
-        win = original(evaluator, partition_by, order_by, length)
-        win.peer_start = win.part_start + win.pos  # every row its own peer
-        return win
-
-    monkeypatch.setattr(executor_module, "_sorted_partitions", broken)
     tables = [
         {
             "name": "t0",
-            "columns": [("id", _INT), ("c0", _INT)],
-            "rows": [[0, 1], [1, 1], [2, 1], [3, 2]],
+            "columns": [("id", _INT), ("s", _INT), ("f", _FLOAT), ("r", _FLOAT), ("i", _FLOAT)],
+            "rows": [[0, 0, 0.0, 0.5, 0.0], [1, 1, 1.0, 0.25, 0.5], [2, 2, 2.0, -0.5, 0.25]],
+        },
+        {
+            "name": "t1",
+            "columns": [("id", _INT), ("k", _INT), ("o", _INT), ("r", _FLOAT), ("i", _FLOAT)],
+            "rows": [
+                [0, 0, 0, 0.5, 0.0], [1, 0, 1, 0.5, 0.0], [2, 1, 0, 0.5, 0.0], [3, 1, 1, -0.5, 0.0]
+            ],
+        },
+    ]
+    key = "((t0.s & ~1) | t1.o)"
+    query = (
+        f"SELECT {key} AS k0, SUM((t0.r * t1.r) - (t0.i * t1.i)) AS a0, "
+        f"SUM((t0.r * t1.i) + (t0.i * t1.r)) AS a1 "
+        f"FROM t0 JOIN t1 ON t1.k = (t0.s & 1) GROUP BY {key}",
+        False,
+    )
+    _differential_check(tables, query, False, [])
+
+    original = planner.join_indices
+    calls = []
+
+    def drop_last_match(left_keys, right_keys):
+        calls.append(len(left_keys))
+        left_idx, right_idx = original(left_keys, right_keys)
+        if isinstance(left_idx, slice):
+            left_idx = np.arange(len(left_keys))[left_idx]
+        return left_idx[:-1], right_idx[:-1]
+
+    monkeypatch.setattr(planner, "join_indices", drop_last_match)
+    with pytest.raises(AssertionError, match="diverged"):
+        _differential_check(tables, query, False, [])
+    assert calls, "the fused gate-step operator never ran"
+
+
+def test_fuzz_oracle_catches_null_counting_mutation(monkeypatch):
+    """Mutation test: aggregates that stop skipping NULLs must trip the oracle.
+
+    With the executor's NULL mask reporting no NULLs, the generic grouped
+    SUM / COUNT fold NULL inputs in; a group mixing NULLs and values then
+    diverges from SQLite.  The unmutated check passes on the same table.
+    """
+    import numpy as np
+
+    from repro.backends.memdb import executor
+
+    tables = [
+        {
+            "name": "t0",
+            "columns": [("id", _INT), ("c0", _INT), ("f0", _FLOAT)],
+            "rows": [[0, 1, 1.5], [1, 1, None], [2, 2, None], [3, 2, 2.0], [4, 3, -0.5]],
+            "nullable": {"f0"},
         }
     ]
-    query = ("SELECT t0.id AS id0, rank() OVER (ORDER BY t0.c0) AS w0 FROM t0", False)
+    query = (
+        "SELECT t0.c0 AS k0, SUM(t0.f0) AS a0, COUNT(t0.f0) AS n FROM t0 GROUP BY t0.c0",
+        False,
+    )
+    _differential_check(tables, query, False, [])
+
+    monkeypatch.setattr(executor, "null_mask", lambda values: np.zeros(len(values), dtype=bool))
     with pytest.raises(AssertionError, match="diverged"):
         _differential_check(tables, query, False, [])
 
@@ -1349,31 +1159,6 @@ def test_fuzz_deep_null_profile(shape):
     @_DEEP
     def run(data):
         tables = data.draw(_null_tables(count=count))
-        query = data.draw(shape_strategy(tables))
-        _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
-
-    run()
-
-
-#: Window/recursion shapes: shape -> (table family, strategy).
-_WINDOW_RECURSION_SHAPES = {
-    "window": (_tables, _window_query),
-    "null_window": (_null_tables, _null_window_query),
-    "recursive": (_tables, _recursive_query),
-}
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "shape", sorted(_WINDOW_RECURSION_SHAPES), ids=sorted(_WINDOW_RECURSION_SHAPES)
-)
-def test_fuzz_deep_window_recursion_profile(shape):
-    family, shape_strategy = _WINDOW_RECURSION_SHAPES[shape]
-
-    @given(data=st.data())
-    @_DEEP
-    def run(data):
-        tables = data.draw(family(count=1))
         query = data.draw(shape_strategy(tables))
         _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
 
