@@ -268,17 +268,10 @@ class SelectItem:
 
 @dataclass(frozen=True)
 class TableSource:
-    """A table (or CTE) appearing in FROM/JOIN, with an optional alias.
-
-    ``filter`` is never produced by the parser: the optimizer's predicate
-    pushdown installs it, and the compiled scan applies it
-    to the scanned rows *before* any join — the relational identity
-    ``sigma_p(A) JOIN B = sigma_p(A JOIN B)`` for inner joins.
-    """
+    """A table (or CTE) appearing in FROM/JOIN, with an optional alias."""
 
     name: str
     alias: Optional[str] = None
-    filter: Optional[Expression] = None
 
     @property
     def binding(self) -> str:
@@ -393,13 +386,6 @@ class DropTable:
 
 
 @dataclass(frozen=True)
-class Analyze:
-    """``ANALYZE [table]`` — refresh the optimizer's statistics catalog."""
-
-    table: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Explain:
     """``EXPLAIN [ANALYZE] <statement>``.
 
@@ -420,6 +406,5 @@ Statement = (
     | Insert
     | Delete
     | DropTable
-    | Analyze
     | Explain
 )

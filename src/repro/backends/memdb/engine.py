@@ -1,10 +1,9 @@
-"""The embedded columnar database: catalog, optimizer, plan cache, dispatch.
+"""The embedded columnar database: catalog, rewrites, plan cache, dispatch.
 
 :class:`MemDatabase` is the top-level object backends talk to.  It keeps the
-table catalog, parses incoming SQL, runs each statement through the
-cost-based optimizer (see :mod:`.optimizer`: logical rewrites, statistics,
-join ordering), compiles every query to a physical plan (see
-:mod:`.planner`) and runs DDL / DML itself.  Compiled scripts are memoized
+table catalog, parses incoming SQL, runs each statement through the logical
+rewrites (see :mod:`.optimizer`), compiles every query to a physical plan
+(see :mod:`.planner`) and runs DDL / DML itself.  Compiled scripts are memoized
 in an LRU
 :class:`PlanCache` keyed by SQL text *and validated against a schema
 fingerprint* of every referenced table, so the structurally identical
@@ -29,7 +28,6 @@ from ...errors import SQLExecutionError
 from ...obs.schema import ENGINE_STATS_SCHEMA_VERSION
 from ...obs.tracing import Tracer, current_span, shared_tracer, tracing_env_enabled
 from .ast_nodes import (
-    Analyze,
     CreateTable,
     CreateTableAs,
     Delete,
@@ -44,18 +42,12 @@ from .ast_nodes import (
     WithSelect,
 )
 from .executor import ExpressionEvaluator, QueryResult
-from .optimizer import (
-    ActualRun,
-    Optimizer,
-    OptimizerReport,
-    StatisticsCatalog,
-    render_explain,
-)
+from .optimizer import ActualRun, RewriteLog, render_explain, rewrite_statement
 from .optimizer.rewrite import referenced_stored_tables
 from .column import EncodedColumn
 from .parser import Parser, parse_sql
 from .planner import CompiledCreateTableAs, CompiledScript, compile_statement
-from .table import Table, dtype_for_sql_type
+from .table import Table
 from .tokenizer import scan
 
 
@@ -65,7 +57,7 @@ class CompiledStatement:
 
     statement: Statement
     plan: "CompiledScript | CompiledCreateTableAs | None"
-    report: Optional[OptimizerReport] = None
+    report: Optional[RewriteLog] = None
 
 
 class CachedScript:
@@ -77,23 +69,14 @@ class CachedScript:
     table are excluded — a replay reproduces that product itself).  The
     cache revalidates the fingerprint on every hit, so the same SQL text
     executed against a structurally different catalog recompiles instead of
-    re-binding stale plans.  ``flavor`` records which compilation pipeline
-    produced the plans (see :meth:`MemDatabase.plan_flavor`), so an
-    optimizer-off database never executes optimizer-rewritten plans from a
-    shared cache.
+    re-binding stale plans.
     """
 
-    __slots__ = ("items", "schemas", "flavor")
+    __slots__ = ("items", "schemas")
 
-    def __init__(
-        self,
-        items: list[CompiledStatement],
-        schemas: dict[str, tuple],
-        flavor: bool = True,
-    ) -> None:
+    def __init__(self, items: list[CompiledStatement], schemas: dict[str, tuple]) -> None:
         self.items = items
         self.schemas = schemas
-        self.flavor = flavor
 
     def is_valid(self, catalog: Mapping[str, Table]) -> bool:
         """True when every fingerprinted table still has its compile-time shape."""
@@ -110,9 +93,8 @@ class CachedScript:
 def _referenced_tables(statement: Statement) -> set[str]:
     """Stored-table names a plannable statement's scans resolve against.
 
-    Delegates to the optimizer's shared walker so the plan-cache schema
-    fingerprint and the rewrite rules can never disagree about which
-    catalog tables a query reads.
+    Delegates to the rewriter's walker, which resolves CTE names exactly as
+    compiled plans do.
     """
     if isinstance(statement, (Select, WithSelect)):
         return referenced_stored_tables(statement)
@@ -157,42 +139,26 @@ class PlanCache:
         "_lock",
     )
 
-    #: Cache keys are ``(flavor, sql)``: the optimizer-on (``True``) and
-    #: optimizer-off (``False``) compilations of the same text are distinct
-    #: entries, so an ablation pair sharing one cache can both stay warm
-    #: instead of thrashing.
-    _Key = tuple[bool, str]
-
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = int(maxsize)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self._plans: OrderedDict[PlanCache._Key, CachedScript] = OrderedDict()
-        self._parsed: OrderedDict[PlanCache._Key, CachedScript] = OrderedDict()
+        self._plans: OrderedDict[str, CachedScript] = OrderedDict()
+        self._parsed: OrderedDict[str, CachedScript] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(
-        self,
-        sql: str,
-        catalog: Mapping[str, Table] | None = None,
-        flavor: bool = True,
-    ) -> CachedScript | None:
+    def get(self, sql: str, catalog: Mapping[str, Table] | None = None) -> CachedScript | None:
         """The cached compilation of a script, updating LRU order and stats.
 
         ``catalog`` (the calling database's tables) enables the schema
         fingerprint check; a stale entry is dropped and reported as a miss.
-        ``flavor`` selects the compilation flavor being looked up (the
-        engine's :meth:`MemDatabase.plan_flavor`: its ``enable_optimizer``).
         """
-        return self.get_with_state(sql, catalog, flavor)[0]
+        return self.get_with_state(sql, catalog)[0]
 
     def get_with_state(
-        self,
-        sql: str,
-        catalog: Mapping[str, Table] | None = None,
-        flavor: bool = True,
+        self, sql: str, catalog: Mapping[str, Table] | None = None
     ) -> "tuple[CachedScript | None, str]":
         """Like :meth:`get`, also reporting the lookup's provenance.
 
@@ -201,17 +167,16 @@ class PlanCache:
         real lookup so a traced execution does not pay the schema-fingerprint
         validation twice.
         """
-        key = (flavor, sql)
         with self._lock:
             for store in (self._plans, self._parsed):
-                entry = store.get(key)
+                entry = store.get(sql)
                 if entry is not None:
                     if catalog is not None and not entry.is_valid(catalog):
-                        del store[key]
+                        del store[sql]
                         self.invalidations += 1
                         self.misses += 1
                         return None, "stale"
-                    store.move_to_end(key)
+                    store.move_to_end(sql)
                     self.hits += 1
                     return entry, "hit"
             self.misses += 1
@@ -223,23 +188,21 @@ class PlanCache:
         catalog: Mapping[str, Table] | None = None,
         flavor: bool = True,
     ) -> str:
-        """Provenance of a text without touching counters: hit / stale / miss."""
-        key = (flavor, sql)
+        """Provenance of a text without touching counters: hit / stale / miss.
+
+        ``flavor`` is ignored: there is one compilation flavor.  The
+        benchmark harness still passes :attr:`MemDatabase.plan_flavor`.
+        """
         with self._lock:
             for store in (self._plans, self._parsed):
-                entry = store.get(key)
+                entry = store.get(sql)
                 if entry is not None:
                     if catalog is not None and not entry.is_valid(catalog):
                         return "stale"
                     return "hit"
             return "miss"
 
-    def peek_entry(
-        self,
-        sql: str,
-        catalog: Mapping[str, Table] | None = None,
-        flavor: bool = True,
-    ) -> "CachedScript | None":
+    def peek_entry(self, sql: str) -> "CachedScript | None":
         """The cached entry without touching counters or LRU order.
 
         The slow-query log's plan-snapshot provider uses this: rendering a
@@ -247,10 +210,9 @@ class PlanCache:
         statistics or keep the entry artificially warm.  Stale entries are
         still returned — the snapshot describes the plan that actually ran.
         """
-        key = (flavor, sql)
         with self._lock:
             for store in (self._plans, self._parsed):
-                entry = store.get(key)
+                entry = store.get(sql)
                 if entry is not None:
                     return entry
             return None
@@ -271,10 +233,9 @@ class PlanCache:
             if len(sql) > self.PARSE_ONLY_MAX_SQL_CHARS:
                 return
             store = self._parsed
-        key = (entry.flavor, sql)
         with self._lock:
-            store[key] = entry
-            store.move_to_end(key)
+            store[sql] = entry
+            store.move_to_end(sql)
             while len(store) > self.maxsize:
                 store.popitem(last=False)
                 self.evictions += 1
@@ -308,11 +269,9 @@ class PlanCache:
             return len(self._plans) + len(self._parsed)
 
     def __contains__(self, sql: str) -> bool:
-        """True when any compilation flavor of the text is cached."""
+        """True when the text is cached."""
         with self._lock:
-            return any(
-                key[1] == sql for store in (self._plans, self._parsed) for key in store
-            )
+            return sql in self._plans or sql in self._parsed
 
 
 #: Process-wide cache shared by every MemDatabase that is not given its own.
@@ -347,18 +306,13 @@ class MemDatabase:
         to the process-wide shared cache so plans survive database teardown
         (a fresh database per sweep point still hits warm plans); pass
         ``PlanCache(0)`` to disable caching or a private instance to isolate.
-    enable_optimizer:
-        When False, statements compile exactly as written (no rewrites, no
-        join reordering); physical operator choices still run through the
-        cost model with default estimates.  Used by benchmarks to ablate
-        the optimizer.
     enable_tracing / tracer:
         Span-based query tracing (see :mod:`repro.obs`).  An explicit
         ``tracer`` wins; otherwise ``enable_tracing=True`` attaches the
         process-shared tracer, ``False`` disables tracing, and ``None``
         (the default) follows ``REPRO_TRACE`` (off when unset).  Every
         traced execution produces a span tree — cache provenance, parse /
-        optimize / plan stages on cold compilations, per-block and
+        optimize (rewrite) / plan stages on cold compilations, per-block and
         per-operator execute spans whose row counts match EXPLAIN ANALYZE
         actuals exactly — dispatched to the tracer's ring buffer, slow-query
         log and export sinks.  Disabled tracing costs one branch per
@@ -368,17 +322,14 @@ class MemDatabase:
     def __init__(
         self,
         plan_cache: PlanCache | None = None,
-        enable_optimizer: bool = True,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self._tables: dict[str, Table] = {}
         self._plan_cache = _SHARED_PLAN_CACHE if plan_cache is None else plan_cache
-        self._statistics = StatisticsCatalog()
-        self.enable_optimizer = bool(enable_optimizer)
         # Every counter starts at zero, so engine_stats() has one key set
         # whatever has run.
-        self._optimizer_counters: dict[str, int] = dict.fromkeys(OptimizerReport().counters(), 0)
+        self._optimizer_counters: dict[str, int] = dict.fromkeys(RewriteLog().as_dict(), 0)
         if tracer is not None:
             self._tracer: Tracer | None = tracer
         else:
@@ -393,8 +344,12 @@ class MemDatabase:
 
     @property
     def plan_flavor(self) -> bool:
-        """This engine's plan-cache compilation flavor: ``enable_optimizer``."""
-        return self.enable_optimizer
+        """Always True: there is one compilation flavor.
+
+        Kept for the benchmark harness, which passes it to
+        :meth:`PlanCache.peek_state`.
+        """
+        return True
 
     @property
     def tracer(self) -> Tracer | None:
@@ -415,11 +370,7 @@ class MemDatabase:
         return {
             "schema_version": ENGINE_STATS_SCHEMA_VERSION,
             "plan_cache": self._plan_cache.stats(),
-            "optimizer": {
-                "enabled": self.enable_optimizer,
-                "counters": dict(self._optimizer_counters),
-                "statistics": self._statistics.summary(),
-            },
+            "optimizer": {"counters": dict(self._optimizer_counters)},
             "storage": {
                 "total_bytes": sum(stats["total_bytes"] for stats in tables.values()),
                 "dictionary_rebuilds": sum(
@@ -432,30 +383,8 @@ class MemDatabase:
             "tracing": self._tracer.stats() if self._tracer is not None else {"enabled": False},
         }
 
-    @property
-    def statistics(self) -> StatisticsCatalog:
-        """The optimizer's statistics catalog (refreshed by ANALYZE)."""
-        return self._statistics
-
-    def analyze_statistics(self, table: str | None = None) -> dict:
-        """Programmatic ANALYZE: refresh statistics for one or all tables."""
-        self._refresh_statistics(table)
-        return self._statistics.summary()
-
-    def _refresh_statistics(self, table: str | None) -> int:
-        """Shared ANALYZE core; returns how many tables were analyzed."""
-        names = [table] if table is not None else self.table_names()
-        for name in names:
-            self._statistics.analyze(self.table(name))
-        return len(names)
-
-    def _optimizer(self) -> Optimizer:
-        return Optimizer(self._tables, self._statistics, enabled=self.enable_optimizer)
-
-    def _record_report(self, report: OptimizerReport | None) -> None:
-        if report is None:
-            return
-        for key, value in report.counters().items():
+    def _record_report(self, report: RewriteLog) -> None:
+        for key, value in report.as_dict().items():
             self._optimizer_counters[key] += value
 
     # ------------------------------------------------------------- catalogue
@@ -489,7 +418,7 @@ class MemDatabase:
 
         The columnar way in.  The catalog ends up exactly as if the
         equivalent DDL and INSERT texts had been executed — same schema
-        signature, same storage, statistics invalidated — but nothing is
+        signature, same storage — but nothing is
         tokenized or parsed and the plan cache is not touched, so a sweep
         point swapping its gate tables pays for the rows, not for a
         program text describing them.  Integer arrays store as ``BIGINT``,
@@ -508,7 +437,6 @@ class MemDatabase:
             encoded[column] = EncodedColumn.empty(values.dtype)
             encoded[column].append(values)
         self._tables[name] = table = Table(name, encoded)
-        self._statistics.invalidate(name)
         return table
 
     @staticmethod
@@ -532,16 +460,15 @@ class MemDatabase:
         return array.astype(np.int64 if kind == "i" else np.float64 if kind == "f" else object)
 
     def clear(self) -> None:
-        """Drop every table and its statistics."""
+        """Drop every table."""
         self._tables.clear()
-        self._statistics.clear()
 
     # -------------------------------------------------------------- execution
 
     def execute(self, sql: str) -> QueryResult:
         """Execute a SQL script; returns the result of the last statement.
 
-        Scripts are compiled once (parse + optimize + plan) and memoized in
+        Scripts are compiled once (parse + rewrite + plan) and memoized in
         the plan cache; repeated executions of the same text re-bind the
         cached plans against the current catalog after the schema
         fingerprint of every referenced table revalidates.
@@ -567,10 +494,10 @@ class MemDatabase:
 
     def _render_plan_snapshot(self, sql: str) -> list[str]:
         """EXPLAIN-style lines for a script's cached plans (slow-log forensics)."""
-        entry = self._plan_cache.peek_entry(sql, self._tables, self.plan_flavor)
+        entry = self._plan_cache.peek_entry(sql)
         if entry is None:
             return ["<plan not cached>"]
-        state = self._plan_cache.peek_state(sql, self._tables, self.plan_flavor)
+        state = self._plan_cache.peek_state(sql, self._tables)
         lines: list[str] = []
         for item in entry.items:
             lines.extend(render_explain(sql, item.report, item.plan, state, None))
@@ -578,24 +505,22 @@ class MemDatabase:
 
     def _execute_script(self, sql: str, tracer: Tracer | None = None) -> QueryResult:
         if tracer is not None:
-            cached, cache_state = self._plan_cache.get_with_state(
-                sql, self._tables, self.plan_flavor
-            )
+            cached, cache_state = self._plan_cache.get_with_state(sql, self._tables)
             root = current_span()
             if root is not None:
                 root.set(cache=cache_state)
         else:
-            cached = self._plan_cache.get(sql, self._tables, self.plan_flavor)
+            cached = self._plan_cache.get(sql, self._tables)
         result = QueryResult([])
         if cached is not None:
             for item in cached.items:
                 result = self._execute_compiled(item.statement, item.plan, tracer=tracer)
             return result
-        # Cold path: optimize + compile each statement just before executing
+        # Cold path: rewrite + compile each statement just before executing
         # it, so a compile-time error in statement k still leaves the effects
         # of statements 1..k-1.
-        # Only fully successful scripts enter the cache; EXPLAIN / ANALYZE
-        # statements are never cached (their output depends on live state).
+        # Only fully successful scripts enter the cache; EXPLAIN statements
+        # are never cached (their output depends on live state).
         if tracer is not None:
             with tracer.span("parse") as span:
                 tokens = scan(sql)
@@ -603,8 +528,7 @@ class MemDatabase:
                 span.set(chars=len(sql), tokens=len(tokens) - 1, statements=len(statements))
         else:
             statements = parse_sql(sql)
-        cacheable = not any(isinstance(s, (Explain, Analyze)) for s in statements)
-        optimizer = self._optimizer()
+        cacheable = not any(isinstance(s, Explain) for s in statements)
         items: list[CompiledStatement] = []
         schemas: dict[str, tuple] = {}
         # Tables the script itself has created/dropped *so far*: statements
@@ -613,29 +537,26 @@ class MemDatabase:
         # any in-script DDL on a table fingerprint its pre-script schema.
         touched_by_ddl: set[str] = set()
         for statement in statements:
-            if isinstance(statement, (Explain, Analyze)):
-                result = self._execute_statement(statement)
+            if isinstance(statement, Explain):
+                result = self._explain(statement)
                 continue
-            compiled = self._compile_one(
-                optimizer, statement, schemas, touched_by_ddl, tracer=tracer
-            )
+            compiled = self._compile_one(statement, schemas, touched_by_ddl, tracer=tracer)
             items.append(compiled)
             result = self._execute_compiled(compiled.statement, compiled.plan, tracer=tracer)
             if isinstance(statement, (CreateTable, CreateTableAs, DropTable)):
                 touched_by_ddl.add(statement.name)
         if cacheable:
-            self._plan_cache.put(sql, CachedScript(items, schemas, flavor=self.plan_flavor))
+            self._plan_cache.put(sql, CachedScript(items, schemas))
         return result
 
     def _compile_one(
         self,
-        optimizer: Optimizer,
         statement: Statement,
         schemas: dict[str, tuple],
         touched_by_ddl: set[str],
         tracer: Tracer | None = None,
     ) -> CompiledStatement:
-        """Optimize + plan one statement, accumulating its schema fingerprint.
+        """Rewrite + plan one statement, accumulating its schema fingerprint.
 
         Shared by :meth:`execute`'s cold path and :meth:`prepare` so the
         cache-entry construction (plans, report recording, fingerprinting)
@@ -643,16 +564,15 @@ class MemDatabase:
         """
         if tracer is not None:
             with tracer.span("optimize", statement=type(statement).__name__) as span:
-                optimized, report, cost = optimizer.optimize(statement)
-                if report is not None:
-                    span.set(**{k: v for k, v in report.counters().items() if v})
+                optimized, report = rewrite_statement(statement)
+                span.set(**{k: v for k, v in report.as_dict().items() if v})
             with tracer.span("plan") as span:
-                plan = compile_statement(optimized, cost)
+                plan = compile_statement(optimized)
                 if plan is not None:
                     span.set(kind=type(plan).__name__)
         else:
-            optimized, report, cost = optimizer.optimize(statement)
-            plan = compile_statement(optimized, cost)
+            optimized, report = rewrite_statement(statement)
+            plan = compile_statement(optimized)
         self._record_report(report)
         if plan is not None:
             for name in _referenced_tables(optimized) - touched_by_ddl:
@@ -674,7 +594,7 @@ class MemDatabase:
         Returns ``"hit"`` when the text was already cached and ``"prepared"``
         after a fresh compilation.
         """
-        if self._plan_cache.get(sql, self._tables, self.plan_flavor) is not None:
+        if self._plan_cache.get(sql, self._tables) is not None:
             return "hit"
         statements = parse_sql(sql)
         offenders = [type(s).__name__ for s in statements if not isinstance(s, (Select, WithSelect))]
@@ -682,14 +602,11 @@ class MemDatabase:
             raise SQLExecutionError(
                 f"prepare only supports SELECT/WITH query statements, got {offenders}"
             )
-        optimizer = self._optimizer()
         items: list[CompiledStatement] = []
         schemas: dict[str, tuple] = {}
         for statement in statements:
-            items.append(self._compile_one(optimizer, statement, schemas, set()))
-        self._plan_cache.put(
-            sql, CachedScript(items, schemas, flavor=self.plan_flavor)
-        )
+            items.append(self._compile_one(statement, schemas, set()))
+        self._plan_cache.put(sql, CachedScript(items, schemas))
         return "prepared"
 
     def _execute_compiled(
@@ -724,7 +641,7 @@ class MemDatabase:
         return [self.execute(sql) for sql in statements]
 
     def _execute_statement(self, statement: Statement) -> QueryResult:
-        """Run a statement that has no compiled plan (DDL, DML, ANALYZE, EXPLAIN)."""
+        """Run a statement that has no compiled plan (DDL, DML)."""
         if isinstance(statement, CreateTable):
             return self._create_table(statement)
         if isinstance(statement, Insert):
@@ -733,10 +650,6 @@ class MemDatabase:
             return self._delete(statement)
         if isinstance(statement, DropTable):
             return self._drop(statement)
-        if isinstance(statement, Analyze):
-            return self._analyze(statement)
-        if isinstance(statement, Explain):
-            return self._explain(statement)
         raise SQLExecutionError(f"unsupported statement type {type(statement).__name__}")
 
     # --------------------------------------------------------------- handlers
@@ -762,7 +675,6 @@ class MemDatabase:
         self._tables[name] = table = Table(
             name, {column: values.copy() for column, values in zip(names, vectors)}
         )
-        self._statistics.invalidate(name)
         return QueryResult([], rowcount=table.num_rows)
 
     def _create_table(self, statement: CreateTable) -> QueryResult:
@@ -770,15 +682,12 @@ class MemDatabase:
             raise SQLExecutionError(f"table {statement.name!r} already exists")
         column_types = [(column.name, column.type_name) for column in statement.columns]
         self._tables[statement.name] = Table.empty(statement.name, column_types)
-        self._statistics.invalidate(statement.name)
         return QueryResult([], rowcount=0)
 
     def _insert(self, statement: Insert) -> QueryResult:
         table = self.table(statement.table)
         rows = [tuple(_literal_value(value) for value in row) for row in statement.rows]
         inserted = table.append_rows(statement.columns, rows)
-        if inserted:
-            self._statistics.invalidate(statement.table)
         return QueryResult([], rowcount=inserted)
 
     def _delete(self, statement: Delete) -> QueryResult:
@@ -792,8 +701,6 @@ class MemDatabase:
             mask = evaluator.evaluate(statement.where).astype(bool, copy=False)
             deleted = int(mask.sum())
         table.delete_where(mask)
-        if deleted:
-            self._statistics.invalidate(statement.table)
         return QueryResult([], rowcount=deleted)
 
     def _drop(self, statement: DropTable) -> QueryResult:
@@ -802,27 +709,20 @@ class MemDatabase:
                 return QueryResult([], rowcount=0)
             raise SQLExecutionError(f"no such table: {statement.name}")
         del self._tables[statement.name]
-        self._statistics.invalidate(statement.name)
         return QueryResult([], rowcount=0)
 
-    # ------------------------------------------------- optimizer statements
-
-    def _analyze(self, statement: Analyze) -> QueryResult:
-        """ANALYZE [table]: refresh the statistics catalog."""
-        return QueryResult([], rowcount=self._refresh_statistics(statement.table))
+    # ---------------------------------------------------------------- explain
 
     def _explain(self, statement: Explain) -> QueryResult:
-        """EXPLAIN [ANALYZE]: optimize, compile, (optionally execute), render.
+        """EXPLAIN [ANALYZE]: rewrite, compile, (optionally execute), render.
 
         Plain EXPLAIN never executes the statement; EXPLAIN ANALYZE executes
         it for real (DML included, matching PostgreSQL) and reports actual
-        per-relation cardinalities plus wall time next to the estimates.
+        per-block cardinalities plus wall time.
         """
-        cache_state = self._plan_cache.peek_state(
-            statement.inner_sql, self._tables, self.plan_flavor
-        )
-        optimized, report, cost = self._optimizer().optimize(statement.statement)
-        plan = compile_statement(optimized, cost)
+        cache_state = self._plan_cache.peek_state(statement.inner_sql, self._tables)
+        optimized, report = rewrite_statement(statement.statement)
+        plan = compile_statement(optimized)
         self._record_report(report)
 
         actual = None

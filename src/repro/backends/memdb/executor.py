@@ -612,7 +612,7 @@ class GroupedEvaluator:
 
 
 def apply_filter(frame: Frame, length: int, predicate: Expression) -> tuple[Frame, int]:
-    """Filter a frame by a predicate (used for optimizer-pushed scan filters)."""
+    """Filter a frame by a predicate (a WHERE clause)."""
     mask = ExpressionEvaluator(frame, length).evaluate(predicate).astype(bool, copy=False)
     return {key: values[mask] for key, values in frame.items()}, int(mask.sum())
 
@@ -1051,19 +1051,16 @@ def postprocess_select(
     frame: Frame | None,
     length: int,
     has_aggregates: bool,
-    use_topk: bool = False,
     observe: "Callable[[int], None] | None" = None,
 ) -> tuple[list[str], list[np.ndarray]]:
     """Apply the SELECT tail: HAVING validation, DISTINCT, ORDER BY, LIMIT.
 
-    ``use_topk`` carries the compiled plan's costed top-k decision (push the
-    LIMIT+OFFSET prefix below ORDER BY via a bounded selection).  Both
-    strategies produce identical rows — top-k reproduces the stable full
-    sort exactly — so the choice is purely a matter of cost.
+    Under a LIMIT, ORDER BY selects the ``LIMIT + OFFSET`` prefix with the
+    bounded top-k pass whenever the input is longer (see
+    :func:`order_vectors`); it reproduces the stable full sort exactly.
 
     ``observe`` (EXPLAIN ANALYZE and block spans) receives the block's
-    *pre-limit* row count — the cardinality the optimizer's pre-limit
-    estimate predicts, which the LIMIT would otherwise mask.
+    *pre-limit* row count, which the LIMIT would otherwise mask.
     """
     result_length = len(vectors[0]) if vectors else 0
 
@@ -1097,7 +1094,7 @@ def postprocess_select(
         order_frame.update(zip(reversed(names), reversed(vectors)))
         vectors = order_vectors(
             vectors, select.order_by, result_length, order_frame,
-            prefix=stop if use_topk else None,
+            prefix=stop,
         )
 
     if select.limit is not None or start:

@@ -3,7 +3,7 @@
 Grammar (informal)::
 
     statement   := select | with_select | create_table | create_table_as
-                 | insert | delete | drop | analyze | explain statement
+                 | insert | delete | drop | explain statement
     select      := SELECT [DISTINCT] items FROM source join* [WHERE expr]
                    [GROUP BY expr_list] [HAVING expr]
                    [ORDER BY order_list] [LIMIT n [OFFSET m]]
@@ -26,7 +26,6 @@ from typing import Sequence
 
 from ...errors import SQLParseError
 from .ast_nodes import (
-    Analyze,
     BinaryOp,
     CaseExpression,
     ColumnDefinition,
@@ -166,15 +165,11 @@ class Parser:
         analyze = self._accept(KEYWORD, "analyze")
         start = self._tokens[self._index][2]
         statement = self.parse_statement()
-        if isinstance(statement, (Analyze, Explain)):
-            raise SQLParseError("EXPLAIN cannot wrap EXPLAIN or ANALYZE statements")
+        if isinstance(statement, Explain):
+            raise SQLParseError("EXPLAIN cannot wrap EXPLAIN statements")
         end = self._tokens[self._index][2]
         inner_sql = self._sql[start:end].strip().rstrip(";").strip()
         return Explain(statement, analyze=analyze, inner_sql=inner_sql)
-
-    def _parse_analyze(self) -> Analyze:
-        self._expect(KEYWORD, "analyze")
-        return Analyze(self._expect(IDENTIFIER) if self._check(IDENTIFIER) else None)
 
     def _parse_with_select(self) -> WithSelect:
         self._expect(KEYWORD, "with")
@@ -486,7 +481,6 @@ _NOT_INFIX = (-1, "")
 #: Leading keyword -> statement parser.
 _STATEMENTS = {
     "explain": Parser._parse_explain,
-    "analyze": Parser._parse_analyze,
     "with": Parser._parse_with_select,
     "select": Parser._parse_select,
     "create": Parser._parse_create,

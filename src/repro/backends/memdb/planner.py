@@ -23,7 +23,7 @@ kernels of :mod:`.executor`:
 
 Every ``Select`` / ``WithSelect`` / ``CreateTableAs`` compiles — only the
 *fused* operator is conditional, degrading to the generic pipeline.  The
-other statement kinds (INSERT, DELETE, DDL, ANALYZE, EXPLAIN) return ``None``
+other statement kinds (INSERT, DELETE, DDL, EXPLAIN) return ``None``
 from ``compile_statement`` and the engine runs them directly.  The
 differential tests check compiled results against ``sqlite3``.
 """
@@ -41,19 +41,12 @@ from ...obs.tracing import current_span
 from .column import encoded_codes
 from .ast_nodes import (
     BinaryOp,
-    CaseExpression,
     ColumnRef,
     CreateTableAs,
     Expression,
     FunctionCall,
-    InList,
-    IsNull,
-    Literal,
     Select,
-    SelectItem,
-    Star,
     Statement,
-    UnaryOp,
     WithSelect,
 )
 from .executor import (
@@ -71,7 +64,6 @@ from .executor import (
     select_has_aggregates,
     split_join_condition,
 )
-from .optimizer.cost import CostModel, FusionDecision, TopKDecision
 from .table import Table, TransientTable
 
 #: Resolves a table name to a stored table or an earlier block's result.
@@ -85,15 +77,6 @@ class PlanNotSupported(Exception):
 # ---------------------------------------------------------------------------
 # Compile-time expression analysis
 # ---------------------------------------------------------------------------
-
-
-def _qualified_refs(expression: Expression) -> list[ColumnRef]:
-    """Column refs of an expression, or raise if any is unqualified."""
-    refs = expression.column_refs
-    for ref in refs:
-        if ref.table is None:
-            raise PlanNotSupported("unqualified column reference")
-    return list(refs)
 
 
 def _split_by_binding(
@@ -145,25 +128,17 @@ def _split_by_binding(
 
 
 class _ScanOp:
-    """Resolve one table and expose its columns under a binding.
+    """Resolve one table and expose its columns under a binding."""
 
-    ``filter`` holds a predicate the optimizer pushed below the join; it is
-    applied to the scanned columns before anything downstream sees them.
-    """
+    __slots__ = ("name", "binding")
 
-    __slots__ = ("name", "binding", "filter")
-
-    def __init__(self, name: str, binding: str, filter: Expression | None = None) -> None:
+    def __init__(self, name: str, binding: str) -> None:
         self.name = name
         self.binding = binding
-        self.filter = filter
 
     def run(self, resolve: Resolver) -> tuple[Frame, int]:
         table = resolve(self.name)
-        frame, length = table.frame(self.binding), table.num_rows
-        if self.filter is not None:
-            frame, length = apply_filter(frame, length, self.filter)
-        return frame, length
+        return table.frame(self.binding), table.num_rows
 
 
 class _JoinOp:
@@ -209,7 +184,7 @@ class _FusedJoinAggregateOp:
 
     __slots__ = (
         "left_scan", "right_scan", "left_key", "right_key", "left_keys", "left_parts",
-        "right_keys", "right_parts", "key_expr", "outputs", "columns_read",
+        "right_keys", "right_parts", "key_expr", "outputs",
     )
 
     def __init__(
@@ -221,7 +196,6 @@ class _FusedJoinAggregateOp:
         right_parts: Mapping[str, Expression],
         key_expr: Expression,
         outputs: list[tuple[str, str, Expression | None]],
-        columns_read: int,
     ) -> None:
         self.left_scan = left_scan
         self.right_scan = right_scan
@@ -234,8 +208,6 @@ class _FusedJoinAggregateOp:
         #: {"key", "sum", "count"}, argument) triples — over the joined frame.
         self.key_expr = key_expr
         self.outputs = outputs
-        #: Distinct columns the block reads (the cost model's gather width).
-        self.columns_read = columns_read
 
     def run(self, resolve: Resolver) -> tuple[list[str], list[np.ndarray]]:
         left_frame, left_length = self.left_scan.run(resolve)
@@ -293,56 +265,34 @@ class _FusedJoinAggregateOp:
 class CompiledQuery:
     """A compiled ``Select``: scans/joins/filter plus a projection strategy.
 
-    When the per-gate join-aggregate shape is *eligible* for fusion, the
-    actual choice between the fused operator and the generic pipeline is
-    made by the cost model (:meth:`CostModel.fusion_decision`), not by the
-    syntactic match alone; the decision is kept on ``self.fusion`` so
-    ``EXPLAIN`` can show both estimated costs.  The same applies to
-    ``ORDER BY ... LIMIT`` tails: the cost model chooses between the
-    bounded top-k selection and full sort-then-slice at compile time
-    (``self.topk``), and the compiled plan executes whichever was chosen.
+    The per-gate join-aggregate shape compiles to the fused operator
+    (``self.fused``); every other shape runs the generic pipeline.  An
+    ``ORDER BY ... LIMIT`` tail selects the ordered prefix with the bounded
+    top-k pass whenever the input is longer than the prefix (see
+    :func:`~.executor.order_vectors`).
     """
 
-    __slots__ = (
-        "select",
-        "source",
-        "joins",
-        "fused",
-        "has_aggregates",
-        "grouped",
-        "fusion",
-        "topk",
-    )
+    __slots__ = ("select", "source", "joins", "fused", "has_aggregates", "grouped")
 
-    def __init__(self, select: Select, cost: CostModel | None = None) -> None:
+    def __init__(self, select: Select) -> None:
         self.select = select
         self.has_aggregates = select_has_aggregates(select)
         self.grouped = bool(select.group_by) or self.has_aggregates
-        self.fusion: FusionDecision | None = None
-        model = cost if cost is not None else CostModel()
-        self.topk: TopKDecision | None = model.topk_decision(select)
-        fused = _compile_fused(select) if self.grouped else None
-        if fused is not None:
-            self.fusion = model.fusion_decision(select, fused.columns_read)
-            if not self.fusion.use_fused:
-                fused = None
-        self.fused = fused
+        self.fused = _compile_fused(select) if self.grouped else None
         if self.fused is not None:
             self.source = None
             self.joins: list[_JoinOp] = []
             return
 
         self.source = (
-            _ScanOp(select.source.name, select.source.binding, select.source.filter)
-            if select.source
-            else None
+            _ScanOp(select.source.name, select.source.binding) if select.source else None
         )
         self.joins = []
         bindings = [select.source.binding] if select.source else []
         for join in select.joins:
             if join.kind != "inner":
                 raise SQLExecutionError(f"{join.kind.upper()} JOIN is not supported by the embedded engine")
-            scan = _ScanOp(join.source.name, join.source.binding, join.source.filter)
+            scan = _ScanOp(join.source.name, join.source.binding)
             split = _split_by_binding(join.condition, bindings, join.source.binding)
             self.joins.append(_JoinOp(scan, join.condition, split))
             bindings.append(join.source.binding)
@@ -359,15 +309,13 @@ class CompiledQuery:
         spans, so enabling tracing can never change a result.
         """
         select = self.select
-        use_topk = self.topk is not None and self.topk.use_topk
         if tracer is not None:
-            return self._execute_traced(resolve, observe, use_topk, tracer)
+            return self._execute_traced(resolve, observe, tracer)
 
         if self.fused is not None:
             names, vectors = self.fused.run(resolve)
             return postprocess_select(
-                select, names, vectors, None, 0, self.has_aggregates,
-                use_topk=use_topk, observe=observe,
+                select, names, vectors, None, 0, self.has_aggregates, observe=observe
             )
 
         if self.source is None:
@@ -386,12 +334,11 @@ class CompiledQuery:
         else:
             names, vectors = plain_projection(select.items, frame, length)
         return postprocess_select(
-            select, names, vectors, frame, length, self.has_aggregates,
-            use_topk=use_topk, observe=observe,
+            select, names, vectors, frame, length, self.has_aggregates, observe=observe
         )
 
     def _execute_traced(
-        self, resolve: Resolver, observe, use_topk, tracer
+        self, resolve: Resolver, observe, tracer
     ) -> tuple[list[str], list[np.ndarray]]:
         """The :meth:`execute` pipeline with a span per physical operator.
 
@@ -417,8 +364,7 @@ class CompiledQuery:
                 attrs["join_table"] = self.fused.right_scan.name
             names, vectors = self.fused.run(resolve)
             return postprocess_select(
-                select, names, vectors, None, 0, self.has_aggregates,
-                use_topk=use_topk, observe=observe,
+                select, names, vectors, None, 0, self.has_aggregates, observe=observe
             )
 
         if self.source is None:
@@ -447,8 +393,7 @@ class CompiledQuery:
                 names, vectors = plain_projection(select.items, frame, length)
                 span.set(rows=length)
         return postprocess_select(
-            select, names, vectors, frame, length, self.has_aggregates,
-            use_topk=use_topk, observe=observe,
+            select, names, vectors, frame, length, self.has_aggregates, observe=observe
         )
 
 
@@ -480,13 +425,12 @@ class CompiledScript:
         """Run CTEs then the main query against a table catalog.
 
         ``trace`` (EXPLAIN ANALYZE) receives ``(block label, actual row
-        count)`` for every CTE and finally for ``"main"``.  The reported count is the block's *pre-limit*
-        cardinality — for blocks without LIMIT that is simply the output
-        size, and for limited blocks it is the number the optimizer's
-        pre-limit estimate predicts (the output size would mask any
-        misestimate behind the cap).  ``tracer`` adds a ``block`` span per
-        CTE/main carrying the *same* pre-limit count on its ``rows`` attr —
-        a traced span tree and an EXPLAIN ANALYZE of the same execution can
+        count)`` for every CTE and finally for ``"main"``.  The reported
+        count is the block's *pre-limit* cardinality — for blocks without
+        LIMIT that is simply the output size.  ``tracer`` adds a ``block``
+        span per CTE/main carrying the *same* pre-limit count on its
+        ``rows`` attr — a traced span tree and an EXPLAIN ANALYZE of the
+        same execution can
         never disagree, because they read one observation.
         """
         ctes: dict[str, TransientTable] = {}
@@ -599,7 +543,6 @@ def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
         if split is None:
             return None
         parts: dict[str, dict[str, Expression]] = {left.binding: {}, right.binding: {}}
-        needed = _qualified_refs(key_expr)
         outputs: list[tuple[str, str, Expression | None]] = []
         for position, item in enumerate(select.items):
             name = item_output_name(item, position)
@@ -615,51 +558,42 @@ def _compile_fused(select: Select) -> _FusedJoinAggregateOp | None:
             if expression.name != "sum" or len(expression.arguments) != 1:
                 return None
             argument = expression.arguments[0]
-            needed.extend(_qualified_refs(argument))
             outputs.append((name, "sum", _joined_rest(argument, parts)))
         key_expr = _joined_rest(key_expr, parts)
     except PlanNotSupported:
         return None
 
     return _FusedJoinAggregateOp(
-        left_scan=_ScanOp(left.name, left.binding, left.filter),
-        right_scan=_ScanOp(right.name, right.binding, right.filter),
+        left_scan=_ScanOp(left.name, left.binding),
+        right_scan=_ScanOp(right.name, right.binding),
         split=split,
         left_parts=parts[left.binding],
         right_parts=parts[right.binding],
         key_expr=key_expr,
         outputs=outputs,
-        columns_read=len({ref.key() for ref in needed}),
     )
 
 
-def _compile_script(query: Select | WithSelect, cost: CostModel | None = None) -> CompiledScript:
+def _compile_script(query: Select | WithSelect) -> CompiledScript:
     """Compile a query (with any CTEs) into one executable script."""
     if isinstance(query, WithSelect):
-        ctes = [(cte.name, CompiledQuery(cte.query, cost), cte.columns) for cte in query.ctes]
-        return CompiledScript(ctes, CompiledQuery(query.query, cost))
-    return CompiledScript([], CompiledQuery(query, cost))
+        ctes = [(cte.name, CompiledQuery(cte.query), cte.columns) for cte in query.ctes]
+        return CompiledScript(ctes, CompiledQuery(query.query))
+    return CompiledScript([], CompiledQuery(query))
 
 
-def compile_statement(
-    statement: Statement, cost: CostModel | None = None
-) -> CompiledScript | CompiledCreateTableAs | None:
+def compile_statement(statement: Statement) -> CompiledScript | CompiledCreateTableAs | None:
     """Compile one parsed statement into a physical plan.
 
-    ``cost`` is the optimizer's cost model for physical operator choices
-    (fused join-aggregate vs generic pipeline); when omitted, a default
-    model with no statistics is used, so the choice is still cost-based but
-    falls back to conservative estimates.
-
     Every ``Select`` / ``WithSelect`` / ``CreateTableAs`` compiles; the
-    other statement kinds (INSERT, DELETE, DDL, ANALYZE, EXPLAIN) return
-    ``None`` and the engine runs them directly.  Statement shapes that are
-    outright invalid (e.g. LEFT JOIN) raise :class:`SQLExecutionError`.
+    other statement kinds (INSERT, DELETE, DDL, EXPLAIN) return ``None``
+    and the engine runs them directly.  Statement shapes that are outright
+    invalid (e.g. LEFT JOIN) raise :class:`SQLExecutionError`.
     """
     if isinstance(statement, (Select, WithSelect)):
-        return _compile_script(statement, cost)
+        return _compile_script(statement)
     if isinstance(statement, CreateTableAs):
         return CompiledCreateTableAs(
-            statement.name, statement.temporary, _compile_script(statement.query, cost)
+            statement.name, statement.temporary, _compile_script(statement.query)
         )
     return None

@@ -56,7 +56,6 @@ class MemDBBackend(RelationalBackend):
         max_state_bytes: int | None = None,
         prune_atol: float = 1e-12,
         plan_cache: PlanCache | None = None,
-        enable_optimizer: bool = True,
         enable_tracing: bool | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -71,7 +70,6 @@ class MemDBBackend(RelationalBackend):
         )
         self._database = MemDatabase(
             plan_cache=plan_cache,
-            enable_optimizer=enable_optimizer,
             enable_tracing=enable_tracing,
             tracer=tracer,
         )
@@ -97,7 +95,7 @@ class MemDBBackend(RelationalBackend):
         In CTE mode the hot query is a pure WITH-SELECT, so ``compile()``
         sets up the gate/state tables exactly as a run would and prepares
         the query plan eagerly: even the executable's *first* execution
-        re-binds a cached plan instead of paying tokenize/parse/optimize.
+        re-binds a cached plan instead of paying tokenize/parse/rewrite.
         When the query text is already cached (a recompile of the same
         circuit structure) the table setup is skipped entirely, so repeated
         one-shot ``run()`` calls never pay it twice.  Materialized mode
@@ -112,21 +110,16 @@ class MemDBBackend(RelationalBackend):
             provenance["plan_cache"] = {"prepared": False, "reason": "plan cache disabled"}
             return
         query = translation.cte_query(pretty=False)
-        # Peek with the engine's flavor (optimizer on or off).
         # Text-only peek (no catalog): a stale entry is caught and recompiled
         # by the schema-fingerprint check at execution time.
-        if database.plan_cache.peek_state(query, catalog=None, flavor=database.plan_flavor) == "hit":
+        if database.plan_cache.peek_state(query) == "hit":
             provenance["plan_cache"] = {"prepared": True, "state_at_compile": "hit"}
             return
         self._connect()
         try:
-            # The tables are loaded with their rows (not created empty): the
-            # cost model falls back to live catalog row counts when ANALYZE
-            # has not run, so preparing against empty tables would cache
-            # plans costed at zero cardinality for every later execution.
-            # Gate tables are tiny (<= 4 rows each, deduplicated per
-            # distinct gate), so a cold compile's extra setup is bounded;
-            # warm compiles return early above.
+            # Compiling fingerprints the referenced tables' schemas, so
+            # they must exist; gate tables are tiny and warm compiles
+            # return early above.
             self._load_tables(translation)
             outcome = database.prepare(query)
         finally:
@@ -134,7 +127,7 @@ class MemDBBackend(RelationalBackend):
         provenance["plan_cache"] = {"prepared": True, "state_at_compile": outcome}
 
     def _execution_provenance(self, executable) -> dict:
-        # The engine's stats document: plan-cache state, optimizer counters,
+        # The engine's stats document: plan-cache state, rewrite counters,
         # storage and tracing.
         return self._database.engine_stats()
 
@@ -154,28 +147,37 @@ class MemDBBackend(RelationalBackend):
 
     # --------------------------------------------------------------- explain
 
-    def explain_circuit(self, circuit, analyze: bool = False, refresh_statistics: bool = True) -> str:
+    def explain_circuit(self, circuit, analyze: bool = False) -> str:
         """EXPLAIN (optionally ANALYZE) the circuit's generated CTE query.
 
-        Sets up the gate/state tables exactly as a run would, optionally
-        refreshes the optimizer's statistics catalog (``ANALYZE``), and
-        returns the engine's plan rendering — chosen rewrites, join order,
-        the costed fused-vs-generic decision, estimated (vs actual)
-        cardinalities and plan-cache provenance.
+        Sets up the gate/state tables exactly as a run would and returns
+        the engine's plan rendering — the rewrites, each block's physical
+        operators (with ``analyze``, its actual rows) and plan-cache
+        provenance — with each ``T{k}`` block's row bound
+        (:meth:`~repro.sql.translator.SQLTranslation.row_bounds`) added to
+        its header.
         """
         translation = self.translate(circuit)
+        bounds = {
+            step.output_table: bound
+            for step, bound in zip(translation.steps, translation.row_bounds())
+        }
         self._connect()
         try:
             self._load_tables(translation)
-            if refresh_statistics:
-                self._require_database().execute("ANALYZE")
             keyword = "EXPLAIN ANALYZE" if analyze else "EXPLAIN"
             result = self._require_database().execute(
                 f"{keyword} {translation.cte_query(pretty=False)}"
             )
-            return "\n".join(row[0] for row in result.rows)
         finally:
             self._disconnect()
+        lines = []
+        for (line,) in result.rows:
+            label, colon, rest = line.partition(":")
+            if colon and label in bounds:
+                line = f"{label}: row bound {bounds[label]}{',' if rest else ''}{rest}"
+            lines.append(line)
+        return "\n".join(lines)
 
     def _require_database(self) -> MemDatabase:
         if not self._connected:

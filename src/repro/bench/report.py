@@ -204,102 +204,6 @@ def tenant_table(snapshot: dict) -> str:
     return comparison_table(rows, columns=columns)
 
 
-def trace_tree_table(trace: dict, max_depth: int | None = None) -> str:
-    """Render one query trace (a :meth:`Span.to_dict` tree) as indented text.
-
-    One line per span: indented name, wall time in milliseconds, and the
-    span's attributes (rows, operator kind, cache provenance)
-    in ``key=value`` form — the textual analogue of a flame graph, suitable
-    for benchmark reports and the slow-query log.
-    """
-    if not trace or "name" not in trace:
-        raise BenchmarkError("empty trace")
-    lines: list[str] = []
-
-    def render(span: dict, depth: int) -> None:
-        if max_depth is not None and depth > max_depth:
-            return
-        duration = span.get("duration_s")
-        timing = f"{duration * 1e3:.3f}ms" if isinstance(duration, (int, float)) else "-"
-        attrs = span.get("attrs", {}) or {}
-        detail = " ".join(f"{key}={value}" for key, value in attrs.items())
-        line = f"{'  ' * depth}{span.get('name', '?')}  {timing}"
-        if detail:
-            line += f"  [{detail}]"
-        lines.append(line)
-        for child in span.get("children", []) or []:
-            render(child, depth + 1)
-
-    render(trace, 0)
-    return "\n".join(lines)
-
-
-def trace_waterfall_table(assembled: dict, width: int = 40) -> str:
-    """Render one assembled request trace as a latency waterfall.
-
-    ``assembled`` is the document ``/v1/traces/{job_id}`` returns (a
-    :meth:`~repro.obs.sinks.RequestTraceStore.assemble` summary): the root
-    ``request`` span with ingress / admission / queue-wait / job / engine
-    children.  Each span becomes one row — indented name, offset from the
-    request start, duration, and a proportional bar — so where a request's
-    milliseconds went reads at a glance.  Spans shipped home from worker
-    processes carry a ``worker_pid`` attribute and use their own clock;
-    their offsets are rendered as ``~`` (not comparable with the parent's).
-    """
-    root = assembled.get("root") if isinstance(assembled, dict) else None
-    if not root:
-        raise BenchmarkError("assembled trace has no root span")
-    total = root.get("duration_s") or 0.0
-    base = root.get("start_s", 0.0)
-    lines: list[str] = []
-    header = (
-        f"trace {assembled.get('trace_id', '?')}  job={assembled.get('job_id')}  "
-        f"tenant={assembled.get('tenant')}  status={assembled.get('status')}  "
-        f"total={total * 1e3:.3f}ms"
-    )
-    lines.append(header)
-
-    def render(span: dict, depth: int, foreign_clock: bool) -> None:
-        duration = float(span.get("duration_s") or 0.0)
-        attrs = span.get("attrs", {}) or {}
-        foreign = foreign_clock or "worker_pid" in attrs
-        start = span.get("start_s")
-        if foreign or not isinstance(start, (int, float)):
-            offset_text = "     ~"
-        else:
-            offset_text = f"{max(0.0, (start - base)) * 1e3:10.3f}"
-        if total > 0:
-            span_width = max(1, min(width, int(round(width * duration / total))))
-        else:
-            span_width = 1
-        bar = "#" * span_width
-        name = f"{'  ' * depth}{span.get('name', '?')}"
-        pid = f" pid={attrs['worker_pid']}" if "worker_pid" in attrs else ""
-        orphan = " orphan" if attrs.get("orphan") else ""
-        lines.append(
-            f"{name:<28} +{offset_text}ms  {duration * 1e3:10.3f}ms  {bar}{pid}{orphan}"
-        )
-        for child in span.get("children", []) or []:
-            render(child, depth + 1, foreign)
-
-    render(root, 0, False)
-    breakdown = assembled.get("breakdown") or {}
-    if breakdown:
-        lines.append(
-            "stages: "
-            + "  ".join(
-                f"{stage}={breakdown.get(key, 0.0) * 1e3:.3f}ms"
-                for stage, key in (
-                    ("admission", "admission_s"),
-                    ("queue_wait", "queue_wait_s"),
-                    ("execute", "execute_s"),
-                    ("total", "total_s"),
-                )
-            )
-        )
-    return "\n".join(lines)
-
-
 def capacity_table(max_qubits_by_method: dict[str, int], budget_bytes: int) -> str:
     """Render the "max qubits under a fixed memory budget" comparison."""
     if not max_qubits_by_method:

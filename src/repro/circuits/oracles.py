@@ -52,7 +52,7 @@ def bernstein_vazirani_circuit(secret: Sequence[int] | str, measure: bool = True
         circuit.h(qubit)
     if measure:
         for qubit in range(num_data):
-            circuit.measure(qubit, qubit)
+            circuit.measure(qubit)  # into the clbit of the same index
     return circuit
 
 
@@ -112,7 +112,7 @@ def deutsch_jozsa_circuit(
         circuit.h(qubit)
     if measure:
         for qubit in range(num_data):
-            circuit.measure(qubit, qubit)
+            circuit.measure(qubit)  # into the clbit of the same index
     return circuit
 
 

@@ -42,7 +42,9 @@ def parity_check_circuit(bits: Sequence[int] | str, measure: bool = True) -> Qua
         bits = [int(ch) for ch in bits]
     values = _validate_bits(bits)
     num_data = len(values)
-    circuit = QuantumCircuit(num_data + 1, name=f"parity_{''.join(str(b) for b in values)}")
+    circuit = QuantumCircuit(
+        num_data + 1, 1 if measure else 0, name=f"parity_{''.join(str(b) for b in values)}"
+    )
     for qubit, bit in enumerate(values):
         if bit:
             circuit.x(qubit)

@@ -47,7 +47,7 @@ def phase_estimation_circuit(num_counting: int, phase: float, measure: bool = Fa
     circuit.name = f"qpe_{num_counting}_{phase:g}"
     if measure:
         for qubit in range(num_counting):
-            circuit.measure(qubit, qubit)
+            circuit.measure(qubit)  # into the clbit of the same index
     return circuit
 
 

@@ -58,6 +58,14 @@ class SimulationError(QymeraError):
     """A baseline simulator (state-vector, sparse, MPS, DD) failed."""
 
 
+class MidCircuitOperationError(SimulationError):
+    """A circuit measures a qubit and then acts on it again, or resets a qubit.
+
+    Every method computes the pre-measurement pure state, which is exact
+    only when all measurements are terminal, so these circuits are refused.
+    """
+
+
 class ResourceLimitExceeded(SimulationError):
     """A simulation exceeded its configured memory or amplitude-count budget."""
 

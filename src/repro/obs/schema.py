@@ -26,22 +26,25 @@ from numbers import Number
 #: ``adaptive_replans`` / ``feedback_corrections`` / ``feedback_decays``
 #: optimizer counters and the statistics catalog's ``corrections``,
 #: ``feedback_count`` and ``decay_count``.
-ENGINE_STATS_SCHEMA_VERSION = 4
+#: Version 5 dropped ``optimizer["enabled"]``, ``optimizer["statistics"]``
+#: (there is no statistics catalog) and the ``predicates_pushed``,
+#: ``cte_filters_pushed``, ``columns_pruned`` and ``join_reorders``
+#: counters; ``optimizer["counters"]`` holds ``constant_folds`` and
+#: ``ctes_inlined``.
+ENGINE_STATS_SCHEMA_VERSION = 5
 
 
-#: Per-entity maps rather than counters: per-table storage, trace sinks,
-#: and the statistics catalog's per-table digest.
+#: Per-entity maps rather than counters: per-table storage and trace sinks.
 _PER_ENTITY_PATHS = frozenset({
     "storage.tables",
     "tracing.sinks",
-    "optimizer.statistics.tables",
 })
 
 
 def flatten_counters(stats: dict, prefix: str = "") -> dict[str, float]:
     """Project the nested stats document onto flat dotted numeric names.
 
-    Booleans flatten to 0/1 (``optimizer.enabled``); non-numeric leaves and
+    Booleans flatten to 0/1 (``tracing.enabled``); non-numeric leaves and
     per-entity detail are dropped.  The result is ready to diff, render as
     a table, or mirror into a :class:`~.metrics.MetricsRegistry`.
     """

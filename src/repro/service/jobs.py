@@ -781,7 +781,7 @@ class JobService:
 
                 raise AdmissionRejected(
                     f"admission control rejected the submit ({decision.reason}; "
-                    f"cost {decision.cost:.1f} units)",
+                    f"cost {decision.cost:.0f} rows)",
                     retry_after=decision.retry_after,
                     reason=decision.reason,
                 )

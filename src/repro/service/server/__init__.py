@@ -6,8 +6,8 @@ Composes the four serving subsystems into one deployable unit:
   cancel / stats), stdlib only;
 * :mod:`.scheduler` — per-tenant weighted-fair (deficit round-robin)
   queues with quotas: in-flight caps, queue bounds, token-bucket rates;
-* :mod:`.admission` — cost-model-backed admission control (queue when
-  fair, 429 + Retry-After before melting);
+* :mod:`.admission` — row-priced admission control (queue when fair,
+  429 + Retry-After before melting);
 * :mod:`.journal` — durable append-only JSONL job journal with restart
   replay;
 * :mod:`.shard` — consistent-hash sharded engine pools keeping warm plan
@@ -34,8 +34,7 @@ from .admission import (
     AdmissionController,
     AdmissionDecision,
     AdmissionRejected,
-    MemdbCostEstimator,
-    StructuralCostEstimator,
+    job_cost,
 )
 from .http import JobServer, ServerThread, parse_job_payload
 from .journal import JobJournal
@@ -50,14 +49,13 @@ __all__ = [
     "FairScheduler",
     "JobJournal",
     "JobServer",
-    "MemdbCostEstimator",
     "QuotaExceeded",
     "ServerThread",
     "ShardedEnginePool",
-    "StructuralCostEstimator",
     "TenantQuota",
     "TokenBucket",
     "build_server",
+    "job_cost",
     "parse_job_payload",
 ]
 
@@ -68,7 +66,7 @@ def build_server(
     port: int = 0,
     max_workers: int = 4,
     shards: int = 2,
-    max_queued_cost: float | None = 10_000.0,
+    max_queued_cost: float | None = float(1 << 20),
     max_queued_jobs: int | None = 1024,
     default_quota: TenantQuota | None = None,
     process_workers: int | None = None,
@@ -81,8 +79,9 @@ def build_server(
     """Assemble the full serving stack and return the (unstarted) server.
 
     The returned :class:`JobServer` owns a :class:`JobService` configured
-    with a :class:`FairScheduler`, an :class:`AdmissionController` over the
-    memdb cost estimator, a :class:`ShardedEnginePool`, and — when
+    with a :class:`FairScheduler`, an :class:`AdmissionController` pricing
+    jobs in rows (a backlog of at most ``max_queued_cost`` of them), a
+    :class:`ShardedEnginePool`, and — when
     ``journal_path`` is given — a :class:`JobJournal`; with ``replay=True``
     the journal's incomplete jobs are re-enqueued before the server ever
     accepts traffic.  Start it with ``await server.start()`` /
@@ -99,7 +98,6 @@ def build_server(
     admission = AdmissionController(
         max_queued_cost=max_queued_cost,
         max_queued_jobs=max_queued_jobs,
-        estimator=MemdbCostEstimator(),
     )
     metrics = service_kwargs.pop("metrics", None) or MetricsRegistry()
     tracer = service_kwargs.pop("tracer", None)

@@ -1,33 +1,26 @@
-"""Cost-model-backed admission control: queue when fair, reject before melting.
+"""Row-priced admission control: queue when fair, reject before melting.
 
 Quotas (scheduler.py) protect tenants from each other; admission control
 protects the *service* from its aggregate backlog.  Every submit is priced
-in cost units by a :class:`CostEstimator` — grid jobs cost their full fan
-out — and compared against the cost already queued: under the ceiling the
-job is admitted into the fair queue, over it the submit is rejected with a
-``retry_after`` derived from the observed service rate, so clients back
-off instead of piling onto a melting server.
-
-For memdb-backed jobs the default estimator is genuinely optimizer-backed:
-the circuit is translated to its CTE chain once per structure, parsed with
-the engine's parser, and priced by the optimizer's
-:class:`~repro.backends.memdb.optimizer.cost.CostModel` cardinality
-estimates (``estimate_select_input_rows`` per block, CTE outputs chained
-via ``set_derived_rows`` exactly like the planner does).  Structures are
-memoized, so pricing a sweep's thousandth submit is a dict lookup.  Other
-methods — and any translation/parse failure — fall back to a structural
-estimate (gates x points, scaled by state width).
+in rows by :func:`job_cost` — the sum of the circuit's per-gate row bounds
+(:mod:`repro.sql.bounds`), times the grid's points — and compared against
+the cost already queued: under the ceiling the job is admitted into the
+fair queue, over it the submit is rejected with a ``retry_after`` derived
+from the observed service rate, so clients back off instead of piling onto
+a melting server.  The ceiling bounds the *backlog*: a submit to an empty
+queue is never cost-rejected, however large, since waiting would not make
+it fit.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ...errors import QymeraError
+from ...sql.bounds import circuit_row_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..jobs import JobRequest
@@ -57,99 +50,20 @@ class AdmissionDecision:
     elapsed_s: float = 0.0
 
 
-class StructuralCostEstimator:
-    """Method-agnostic cost proxy: work scales with gates, points and width."""
+def job_cost(request: "JobRequest") -> float:
+    """A request's price in rows: its per-point work times its grid points.
 
-    def estimate(self, request: "JobRequest") -> float:
-        circuit = request.circuit
-        gates = max(1, len(circuit.instructions))
-        # Wide circuits touch exponentially more state rows; clamp the
-        # exponent so a 30-qubit submit prices as "very expensive", not inf.
-        width_factor = 1.0 + min(circuit.num_qubits, 16) / 8.0
-        return float(request.total_points) * gates * width_factor
-
-
-class MemdbCostEstimator(StructuralCostEstimator):
-    """Optimizer-backed pricing for memdb jobs, structural fallback otherwise.
-
-    One circuit *structure* (the translated CTE text — parameter values do
-    not change it) is priced once and memoized; the estimate sums
-    ``log2(1 + estimated_input_rows)`` per block — the same quantity EXPLAIN
-    prints as ``est_rows``, log-scaled because UES upper bounds compound
-    multiplicatively over a deep CTE chain (a 30-block chain estimates
-    astronomically many rows; what admission needs is a monotone, bounded
-    work ranking, which the per-block log sum is).
+    The per-point work is the sum of the circuit's per-gate row bounds
+    (:func:`~repro.sql.bounds.circuit_row_bounds`), computed from gate kinds
+    in O(gates), so an unbound grid template is priced without binding it.
+    The statevector method touches all ``2**n`` amplitudes at every gate.
     """
-
-    def __init__(self, max_cached_structures: int = 256) -> None:
-        self._max_cached = int(max_cached_structures)
-        self._cache: dict[str, float] = {}
-        self._lock = threading.Lock()
-        self._plan_priced = 0
-        self._fallbacks = 0
-
-    def estimate(self, request: "JobRequest") -> float:
-        if request.method != "memdb":
-            return super().estimate(request)
-        per_point = self._per_point_units(request)
-        if per_point is None:
-            with self._lock:
-                self._fallbacks += 1
-            return super().estimate(request)
-        return per_point * float(request.total_points)
-
-    def _per_point_units(self, request: "JobRequest") -> float | None:
-        try:
-            from ...backends.memdb_backend import MemDBBackend
-
-            translation = MemDBBackend(**dict(request.options)).translate(request.circuit)
-            query = translation.cte_query(pretty=False)
-        except Exception:
-            return None
-        with self._lock:
-            cached = self._cache.get(query)
-        if cached is not None:
-            return cached
-        units = self._price_query(query)
-        if units is None:
-            return None
-        with self._lock:
-            if len(self._cache) >= self._max_cached:
-                self._cache.clear()
-            self._cache[query] = units
-            self._plan_priced += 1
-        return units
-
-    def _price_query(self, query: str) -> float | None:
-        try:
-            from ...backends.memdb.ast_nodes import Select, WithSelect
-            from ...backends.memdb.optimizer.cost import CostModel
-            from ...backends.memdb.parser import parse_one
-
-            statement = parse_one(query)
-            model = CostModel()
-            units = 0.0
-            if isinstance(statement, WithSelect):
-                for cte in statement.ctes:
-                    units += math.log2(1.0 + model.estimate_select_input_rows(cte.query))
-                    model.set_derived_rows(cte.name, model.estimate_select_rows(cte.query))
-                units += math.log2(1.0 + model.estimate_select_input_rows(statement.query))
-            elif isinstance(statement, Select):
-                units = math.log2(1.0 + model.estimate_select_input_rows(statement))
-            else:
-                return None
-            return max(1.0, units)
-        except Exception:
-            return None
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "estimator": "memdb-cost-model",
-                "structures_cached": len(self._cache),
-                "plan_priced": self._plan_priced,
-                "fallbacks": self._fallbacks,
-            }
+    circuit = request.circuit
+    if request.method == "statevector":
+        per_point = circuit.size() << circuit.num_qubits
+    else:
+        per_point = sum(circuit_row_bounds(circuit))
+    return float(max(1, per_point) * request.total_points)
 
 
 class AdmissionController:
@@ -158,13 +72,12 @@ class AdmissionController:
     Parameters
     ----------
     max_queued_cost:
-        Total cost units allowed to wait in the fair queues; a submit that
-        would push the backlog past this is rejected.  ``None`` disables
-        cost-based rejection (quotas still apply).
+        Total rows (see :func:`job_cost`) allowed to wait in the fair
+        queues; a submit that would push a non-empty backlog past this is
+        rejected.  ``None`` disables cost-based rejection (quotas still
+        apply).
     max_queued_jobs:
         Coarse job-count ceiling on the backlog, independent of cost.
-    estimator:
-        Prices each request; defaults to :class:`MemdbCostEstimator`.
     min_retry_after:
         Floor for the backoff hint returned with rejections.
     """
@@ -173,7 +86,6 @@ class AdmissionController:
         self,
         max_queued_cost: float | None = None,
         max_queued_jobs: int | None = None,
-        estimator: StructuralCostEstimator | None = None,
         min_retry_after: float = 0.25,
     ) -> None:
         if max_queued_cost is not None and max_queued_cost <= 0:
@@ -182,7 +94,6 @@ class AdmissionController:
             raise QymeraError("max_queued_jobs must be positive when given")
         self.max_queued_cost = max_queued_cost
         self.max_queued_jobs = max_queued_jobs
-        self.estimator = estimator if estimator is not None else MemdbCostEstimator()
         self.min_retry_after = float(min_retry_after)
         self._lock = threading.Lock()
         self._admitted = 0
@@ -193,13 +104,14 @@ class AdmissionController:
     def assess(self, request: "JobRequest", queued_cost: float, queued_jobs: int) -> AdmissionDecision:
         """Price the request and decide against the current backlog.
 
-        The decision carries its own wall time (``elapsed_s``): pricing may
-        translate + parse + cost-model a never-seen circuit structure, and
-        the tracing layer attributes that to the request as an ``admission``
-        span rather than letting it hide inside end-to-end latency.
+        The decision carries its own wall time (``elapsed_s``), which the
+        tracing layer attributes to the request as an ``admission`` span.
+        A submit to an empty queue is never cost-rejected: the ceiling
+        bounds the backlog, and a job priced above it alone would otherwise
+        be told to retry forever.
         """
         started = time.perf_counter()
-        cost = self.estimator.estimate(request)
+        cost = job_cost(request)
         if self.max_queued_jobs is not None and queued_jobs >= self.max_queued_jobs:
             retry = self._retry_after(queued_cost)
             with self._lock:
@@ -208,7 +120,11 @@ class AdmissionController:
                 REJECT, cost, reason="queue full", retry_after=retry,
                 elapsed_s=time.perf_counter() - started,
             )
-        if self.max_queued_cost is not None and queued_cost + cost > self.max_queued_cost:
+        if (
+            self.max_queued_cost is not None
+            and queued_jobs > 0
+            and queued_cost + cost > self.max_queued_cost
+        ):
             retry = self._retry_after(queued_cost + cost - self.max_queued_cost)
             with self._lock:
                 self._rejected += 1
@@ -240,14 +156,10 @@ class AdmissionController:
 
     def stats(self) -> dict:
         with self._lock:
-            stats = {
+            return {
                 "admitted": self._admitted,
                 "rejected": self._rejected,
                 "served_cost": round(self._served_cost, 6),
                 "max_queued_cost": self.max_queued_cost,
                 "max_queued_jobs": self.max_queued_jobs,
             }
-        estimator_stats = getattr(self.estimator, "stats", None)
-        if estimator_stats is not None:
-            stats["estimator"] = estimator_stats()
-        return stats

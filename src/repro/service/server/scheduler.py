@@ -20,6 +20,7 @@ which the HTTP front end turns into ``429 Retry-After``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -276,34 +277,39 @@ class FairScheduler:
         ]
 
     def _pick_locked(self) -> "JobHandle | None":
-        """One DRR pass: rotate, accrue weighted quantum, dispatch when funded.
+        """Dispatch the head the DRR passes would fund first, with their credits.
 
         Deficits only accrue for *eligible* tenants (backlogged and under
         their in-flight cap), and reset when a tenant's queue drains — an
         idle tenant cannot hoard credit and then monopolize the pool.
         """
-        eligible = self._eligible_locked()
+        eligible = set(self._eligible_locked())
         if not eligible:
             return None
-        # Bounded rounds: each full pass adds >= quantum * min_weight to
-        # every eligible deficit, so some head job gets funded; the bound
-        # only guards against a pathological cost/quantum ratio.
-        for drr_round in range(1024):
-            for _ in range(len(self._rotation)):
-                name = self._rotation[self._cursor % len(self._rotation)]
-                self._cursor = (self._cursor + 1) % len(self._rotation)
+        # The passes are computed, not run: a job costs as many rows as it
+        # may produce, so it can take thousands of quantum-sized passes.
+        # Visiting the rotation from the cursor, each eligible tenant needs
+        # ``passes`` credits to fund its head; the first tenant needing the
+        # fewest wins, tenants visited before it in the last pass get that
+        # many credits and the ones after it one fewer.
+        size = len(self._rotation)
+        order = [self._rotation[(self._cursor + offset) % size] for offset in range(size)]
+        needed: dict[str, int] = {}
+        for name in order:
+            if name in eligible:
                 state = self._tenants[name]
-                if name not in eligible:
-                    continue
-                state.deficit += self.quantum * state.quota.weight
-                head = state.queue[0]
-                if state.deficit >= head._cost_units:
-                    state.deficit -= head._cost_units
-                    return self._dequeue_head_locked(state, drr_round + 1)
-        # Fund the cheapest head directly rather than spinning forever.
-        name = min(eligible, key=lambda n: self._tenants[n].queue[0]._cost_units)
-        state = self._tenants[name]
-        return self._dequeue_head_locked(state, 1024)
+                shortfall = state.queue[0]._cost_units - state.deficit
+                needed[name] = max(1, math.ceil(shortfall / (self.quantum * state.quota.weight)))
+        passes, last = min((count, order.index(name)) for name, count in needed.items())
+        for position, name in enumerate(order):
+            if name in needed:
+                state = self._tenants[name]
+                credits = passes if position <= last else passes - 1
+                state.deficit += credits * self.quantum * state.quota.weight
+        state = self._tenants[order[last]]
+        state.deficit -= state.queue[0]._cost_units
+        self._cursor = (self._cursor + last + 1) % size
+        return self._dequeue_head_locked(state, passes)
 
     def _dequeue_head_locked(self, state: _TenantState, drr_rounds: int) -> "JobHandle":
         """Pop a funded head, attributing queue wait and DRR rounds to it."""

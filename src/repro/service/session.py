@@ -171,11 +171,11 @@ class SimulationPanel:
         return backend.translate(self._circuits.get(circuit_name))
 
     def explain(self, circuit_name: str, analyze: bool = False, **options) -> str:
-        """The memdb optimizer's plan for a circuit's generated query.
+        """The memdb plan for a circuit's generated query.
 
-        Shows the chosen logical rewrites, join order, the costed
-        fused-vs-generic operator decision, estimated (and with
-        ``analyze=True`` actual) cardinalities, and plan-cache provenance.
+        Shows the logical rewrites, each block's physical operators and row
+        bound (with ``analyze=True`` also its actual rows), and plan-cache
+        provenance.
         Uses the pooled memdb method instance so provenance reflects the
         same plan cache the runs hit.
         """

@@ -28,7 +28,8 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Mapping
 
 from ..core.circuit import QuantumCircuit
-from ..errors import ResourceLimitExceeded, SimulationError
+from ..core.instruction import KIND_RESET
+from ..errors import MidCircuitOperationError, ResourceLimitExceeded, SimulationError
 from ..obs.tracing import maybe_span
 from ..output.result import SimulationResult, SparseState
 
@@ -227,6 +228,24 @@ class BoundExecutable:
         return f"BoundExecutable(method={self._executable.method.name!r}, point={{{point}}})"
 
 
+def refuse_mid_circuit_operations(circuit: QuantumCircuit) -> None:
+    """Raise :class:`MidCircuitOperationError` on a reset or a gate after a measurement."""
+    measured: set[int] = set()
+    for instruction in circuit.instructions:
+        if instruction.kind == KIND_RESET:
+            raise MidCircuitOperationError(
+                f"reset of qubit {instruction.qubits[0]} in {circuit.name!r}: reset is not simulated"
+            )
+        if instruction.is_measurement:
+            measured.update(instruction.qubits)
+        elif instruction.is_gate and not measured.isdisjoint(instruction.qubits):
+            again = sorted(measured.intersection(instruction.qubits))
+            raise MidCircuitOperationError(
+                f"gate {instruction.name!r} acts on measured qubit(s) {again} in {circuit.name!r}: "
+                "only terminal measurements are simulated"
+            )
+
+
 class BaseSimulator(ABC):
     """Abstract simulator.
 
@@ -260,7 +279,13 @@ class BaseSimulator(ABC):
         only depends on the circuit *structure* (gate scatter indices, SQL
         translation shape, engine plans) is done here and shared by every
         subsequent :meth:`Executable.bind`.
+
+        A circuit that resets a qubit, or applies a gate to a qubit it has
+        measured, raises :class:`MidCircuitOperationError`: every method
+        computes the pre-measurement state, which is exact only when every
+        measurement is terminal.
         """
+        refuse_mid_circuit_operations(circuit)
         started = time.perf_counter()
         with maybe_span(
             "compile", method=self.name, circuit=circuit.name, gates=circuit.size()
@@ -273,10 +298,11 @@ class BaseSimulator(ABC):
 
         Back-compat wrapper over the compile–bind–execute lifecycle: exactly
         ``compile(circuit).bind().execute(initial_state=initial_state)``.
-        Measurement instructions are ignored for state evolution (the final
-        state returned is the pre-measurement state; use
-        :mod:`repro.output.sampling` to draw shots from it); they are listed
-        in the result metadata.  Parameterized circuits must be bound first.
+        Measurements must be terminal (see :meth:`compile`) and are ignored
+        for state evolution (the final state returned is the pre-measurement
+        state; use :mod:`repro.output.sampling` to draw shots from it); they
+        are listed in the result metadata.  Parameterized circuits must be
+        bound first.
         """
         return self.compile(circuit).bind().execute(initial_state=initial_state)
 

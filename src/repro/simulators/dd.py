@@ -249,10 +249,8 @@ class DecisionDiagramSimulator(BaseSimulator):
         return self._extract_state(edge, num_qubits)
 
     def _apply_instruction(self, edge: Edge, instruction: Instruction, num_qubits: int) -> Edge:
-        if not instruction.is_gate or instruction.gate is None:
-            if instruction.kind == "barrier" or instruction.is_measurement:
-                return edge
-            raise SimulationError(f"decision-diagram simulator does not support {instruction.kind!r}")
+        if not instruction.is_gate:
+            return edge  # barriers and terminal measurements
         gate = instruction.gate
         top = num_qubits - 1
         if gate.num_qubits == 1:

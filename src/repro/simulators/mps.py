@@ -121,10 +121,8 @@ class MPSSimulator(BaseSimulator):
         truncation_error = 0.0
 
         for instruction in working.instructions:
-            if not instruction.is_gate or instruction.gate is None:
-                if instruction.kind in ("barrier",) or instruction.is_measurement:
-                    continue
-                raise SimulationError(f"MPS simulator does not support {instruction.kind!r} instructions")
+            if not instruction.is_gate:
+                continue  # barriers and terminal measurements
             truncation_error += self._apply_instruction(tensors, instruction)
             size_bytes = sum(tensor.nbytes for tensor in tensors)
             max_bond = max(tensor.shape[2] for tensor in tensors)

@@ -17,6 +17,7 @@ from ..core.circuit import QuantumCircuit
 from ..core.instruction import Instruction
 from ..errors import SimulationError
 from ..output.result import SparseState
+from ..sql.bounds import circuit_row_bounds
 from .base import BaseSimulator, EvolutionStats, Executable
 
 #: Estimated bytes per stored amplitude: dict entry overhead + key + complex.
@@ -166,34 +167,19 @@ class SparseSimulator(BaseSimulator):
         return SparseState(circuit.num_qubits, amplitudes)
 
     def _apply(self, amplitudes: dict[int, complex], instruction: Instruction) -> dict[int, complex]:
-        if instruction.kind == "barrier" or instruction.is_measurement:
-            return amplitudes
-        if instruction.kind == "reset":
-            return self._reset(amplitudes, instruction.qubits[0])
+        if not instruction.is_gate:
+            return amplitudes  # barriers and terminal measurements
         gate = instruction.gate
         assert gate is not None
         return apply_gate_to_mapping(
             amplitudes, gate.nonzero_entries(atol=self.prune_atol), instruction.qubits, self.prune_atol
         )
 
-    @staticmethod
-    def _reset(amplitudes: dict[int, complex], qubit: int) -> dict[int, complex]:
-        """Reset a qubit to |0> (keeps the higher-probability branch, then clears the bit)."""
-        probability_one = sum(abs(a) ** 2 for index, a in amplitudes.items() if (index >> qubit) & 1)
-        keep = 1 if probability_one > 0.5 else 0
-        kept = {index: a for index, a in amplitudes.items() if ((index >> qubit) & 1) == keep}
-        norm = sum(abs(a) ** 2 for a in kept.values()) ** 0.5
-        if norm == 0:
-            raise SimulationError("reset projected onto a zero-probability branch")
-        result: dict[int, complex] = {}
-        for index, amplitude in kept.items():
-            result[index & ~(1 << qubit)] = amplitude / norm
-        return result
-
     def peak_rows_estimate(self, circuit: QuantumCircuit) -> int:
-        """Upper bound on nonzero amplitudes: ``2**min(branching gates, n)``.
+        """Upper bound on nonzero amplitudes: the largest per-gate row bound.
 
-        Useful for capacity planning in the benchmarks without running the
-        simulation.
+        :func:`~repro.sql.bounds.circuit_row_bounds` over this simulator's
+        own instruction list, one step per gate; useful for capacity
+        planning without running the simulation.
         """
-        return 1 << min(circuit.branching_gate_count(), circuit.num_qubits)
+        return max(circuit_row_bounds(circuit), default=1)

@@ -198,35 +198,11 @@ class StatevectorSimulator(BaseSimulator):
         return SparseState.from_dense(vector, atol=self.prune_atol)
 
     def _apply(self, vector: np.ndarray, instruction: Instruction, num_qubits: int) -> np.ndarray:
-        if instruction.kind == "barrier" or instruction.is_measurement:
-            return vector
-        if instruction.kind == "reset":
-            return self._reset(vector, instruction.qubits[0], num_qubits)
+        if not instruction.is_gate:
+            return vector  # barriers and terminal measurements
         gate = instruction.gate
         assert gate is not None
         return apply_gate_to_vector(vector, gate.matrix(), instruction.qubits, num_qubits)
-
-    @staticmethod
-    def _reset(vector: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-        """Reset a qubit to |0> along a deterministic measurement trajectory.
-
-        The branch with the larger probability is kept (ties keep 0), then
-        mapped onto the qubit's |0> subspace and renormalized.
-        """
-        indices = np.arange(1 << num_qubits)
-        bit = (indices >> qubit) & 1
-        probability_one = float(np.sum(np.abs(vector[bit == 1]) ** 2))
-        keep = 1 if probability_one > 0.5 else 0
-        projected = np.where(bit == keep, vector, 0.0)
-        norm = np.linalg.norm(projected)
-        if norm == 0:
-            raise SimulationError("reset projected onto a zero-probability branch")
-        projected = projected / norm
-        if keep == 1:
-            flipped = np.zeros_like(projected)
-            flipped[indices & ~(1 << qubit)] = projected[indices]
-            projected = flipped
-        return projected
 
     def statevector(self, circuit: QuantumCircuit) -> np.ndarray:
         """Convenience: the dense final state vector of a circuit."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core.gates import Gate
 from ..errors import TranslationError
+from .bounds import table_kind
 from .schema import is_valid_identifier, sanitize_identifier
 
 #: Default tolerance below which a transition amplitude is treated as zero.
@@ -39,11 +40,10 @@ class GateTable:
         """Number of nonzero transition amplitudes."""
         return len(self.rows)
 
-    def is_permutation(self) -> bool:
-        """True when each input maps to exactly one output (no branching)."""
-        inputs = [row[0] for row in self.rows]
-        outputs = [row[1] for row in self.rows]
-        return len(set(inputs)) == len(inputs) and len(set(outputs)) == len(outputs)
+    @property
+    def kind(self) -> str:
+        """Branching, permutation or diagonal (see :func:`~repro.sql.bounds.table_kind`)."""
+        return table_kind(self.rows)
 
     def __repr__(self) -> str:
         return f"GateTable({self.name!r}, gate={self.gate_name!r}, qubits={self.num_qubits}, rows={self.num_rows})"

@@ -36,11 +36,11 @@ Two execution shapes are produced from the same steps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..core.circuit import QuantumCircuit, circuit_from_instructions
 from ..errors import TranslationError
 from ..output.result import SparseState
+from .bounds import PERMUTATION, row_bounds
 from .collapse import collapse
 from .dialect import Dialect, get_dialect
 from .encoding import extract_expression, output_index_expression, permutation_expression
@@ -115,6 +115,11 @@ class RelabelStep:
     input_table: str
     output_table: str
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        """The bits the relabelling moves."""
+        return tuple(qubit for qubit, bit in enumerate(self.physical) if bit != qubit)
+
     def select_sql(self, pretty: bool = False) -> str:
         """The projection renaming the state's bits (the body of CTE ``T{index}``)."""
         state = self.input_table
@@ -166,6 +171,21 @@ class SQLTranslation:
     def final_table(self) -> str:
         """Name of the table holding the final state."""
         return self.steps[-1].output_table if self.steps else state_table_name(0)
+
+    def row_bounds(self) -> list[int]:
+        """An upper bound on each step's output rows, in step order (see :mod:`.bounds`).
+
+        Computed from the gate tables' kinds and the steps' qubits, with no
+        SQL; the relabel step is a permutation of the bits it moves.
+        """
+        return row_bounds(
+            (
+                (step.gate_table.kind if isinstance(step, GateStep) else PERMUTATION, step.qubits)
+                for step in self.steps
+            ),
+            self.num_qubits,
+            len(self.initial_rows),
+        )
 
     def tables(self) -> list[TableData]:
         """The gate tables and the initial state ``T0`` as data, in creation order.

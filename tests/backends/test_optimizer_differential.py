@@ -1,13 +1,13 @@
-"""Differential tests: every optimizer rewrite preserves results vs SQLite.
+"""Differential tests: memdb's rewrites preserve results vs SQLite.
 
-Each query below is crafted to trigger exactly one (or a known combination)
-of the memdb optimizer's rewrite rules on gate-table-shaped workloads — the
+Each query below is crafted to exercise one of memdb's rewrite rules, or a
+shape its former rules (predicate pushdown, projection pruning, join
+reordering) used to rewrite, on gate-table-shaped workloads — the
 ``T0(s, r, i)`` state tables and ``G(in_s, out_s, r, i)`` gate tables the
 translation layer generates.  The same script runs on SQLite (and DuckDB
 when installed), and every value must agree to 1e-9.  Because SQLite sees
-the *original* SQL while memdb optimizes it (constant folding, predicate
-pushdown, projection pruning, CTE inlining, join reordering), agreement
-proves the rewrites are observationally sound, not just plausible.
+the *original* SQL while memdb rewrites it (unary-literal folding, CTE
+inlining), agreement proves the rewrites are observationally sound.
 """
 
 import pytest
@@ -111,14 +111,6 @@ class TestRewritesPreserveResults:
     def test_matches_sqlite(self, rule, query):
         statements = _SETUP + [query]
         expected = SQLiteBackend().run_script(statements)
-        actual = MemDBBackend().run_script(statements)
-        _assert_rows_match(expected, actual, rule)
-
-    @pytest.mark.parametrize("rule,query", _REWRITE_QUERIES, ids=[r for r, _ in _REWRITE_QUERIES])
-    def test_optimizer_on_equals_optimizer_off(self, rule, query):
-        """memdb with rewrites vs memdb compiled as written (same engine)."""
-        statements = _SETUP + [query]
-        expected = MemDBBackend(enable_optimizer=False).run_script(statements)
         actual = MemDBBackend().run_script(statements)
         _assert_rows_match(expected, actual, rule)
 

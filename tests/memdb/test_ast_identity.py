@@ -4,7 +4,11 @@ The fixture was recorded at 5e898c6 (the recursive-descent ladder); see
 ``ast_identity.py`` for the corpus and how to regenerate it on purpose.
 When window functions, ``WITH RECURSIVE`` and CTE ``UNION`` were deleted
 their texts left the corpus, and every ``WITH`` text was re-hashed: its
-``WithSelect`` repr lost ``, recursive=False`` and nothing else.
+``WithSelect`` repr lost ``, recursive=False`` and nothing else.  When
+the ``ANALYZE`` statement and ``TableSource.filter`` were deleted, the two
+``ANALYZE`` texts left the corpus and every text was re-hashed: with
+``, filter=None`` put back into ``TableSource``'s repr, every remaining
+text reproduced its previous hash.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ def test_translator_corpus_reproduces_recorded_asts(fixture):
 
 def test_stored_corpus_reproduces_recorded_asts(fixture):
     stored = dict(fixture["stored"])
-    assert len(stored) >= 1250
+    assert len(stored) >= 1248
     assert set(HANDWRITTEN) <= set(stored)
     changed = [text for text, recorded in stored.items() if ast_hash(text) != recorded]
     assert not changed, f"{len(changed)} ASTs changed, first: {changed[0]!r}"

@@ -198,7 +198,6 @@ class TestSameNamedResultColumns:
         "INSERT INTO y (id, s) VALUES (1, 7), (2, 8), (3, 9)",
     ]
 
-    @pytest.mark.parametrize("enable_optimizer", [True, False])
     @pytest.mark.parametrize(
         "query",
         [
@@ -210,13 +209,13 @@ class TestSameNamedResultColumns:
             "SELECT s, s + 1 AS s FROM x ORDER BY id",
         ],
     )
-    def test_matches_sqlite(self, query, enable_optimizer):
+    def test_matches_sqlite(self, query):
         import sqlite3
 
         from repro.backends.memdb.engine import PlanCache
 
         reference = sqlite3.connect(":memory:")
-        database = MemDatabase(plan_cache=PlanCache(8), enable_optimizer=enable_optimizer)
+        database = MemDatabase(plan_cache=PlanCache(8))
         for statement in self.SETUP:
             reference.execute(statement)
             database.execute(statement)

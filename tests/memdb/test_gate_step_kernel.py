@@ -62,10 +62,7 @@ def _null_normalized(rows) -> list[tuple]:
 
 
 def _engines() -> list[tuple[str, MemDatabase]]:
-    return [
-        ("optimizer", MemDatabase(plan_cache=PlanCache(maxsize=16))),
-        ("plain", MemDatabase(plan_cache=PlanCache(maxsize=16), enable_optimizer=False)),
-    ]
+    return [("memdb", MemDatabase(plan_cache=PlanCache(maxsize=16)))]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +188,8 @@ class TestCteEdges:
                 rows = _null_normalized(db.execute(sql).rows)
                 assert rows == expected, f"{label}[{attempt}]: {sql}"
 
-    @pytest.mark.parametrize("optimizer", [True, False])
-    def test_create_table_as_does_not_alias_its_source(self, optimizer):
-        db = MemDatabase(plan_cache=PlanCache(maxsize=8), enable_optimizer=optimizer)
+    def test_create_table_as_does_not_alias_its_source(self):
+        db = MemDatabase(plan_cache=PlanCache(maxsize=8))
         for statement in self.SETUP:
             db.execute(statement)
         before = db.execute("SELECT s, r, i FROM T0 ORDER BY s").rows
@@ -625,4 +621,3 @@ class TestEvaluationBelowTheJoin:
         # their results, and a SUM argument of bare columns is not rebuilt.
         assert fused.key_expr == BinaryOp("|", ColumnRef("#4"), ColumnRef("#5"))
         assert fused.outputs[1][2] is select.items[1].expression.arguments[0]
-        assert fused.columns_read == 6

@@ -1,8 +1,8 @@
 """``MemDatabase.load_table`` is ``CREATE TABLE`` + ``INSERT`` without the text.
 
 The bulk load must leave the catalog exactly as the equivalent SQL script
-does — schema signature, storage accounting, query results, statistics
-invalidation — in both text-storage modes, while never touching the
+does — schema signature, storage accounting, query results — in both
+text-storage modes, while never touching the
 tokenizer, the parser or the plan cache.
 """
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.backends.memdb import MemDatabase
 from repro.backends.memdb.engine import PlanCache
-from repro.backends.memdb.table import Table
 from repro.errors import SQLExecutionError
 
 _IDS = [5, -3, 2**62 - 1, 0, 7]
@@ -82,23 +81,6 @@ class TestEquivalentToTheSqlText:
             db.execute("DELETE FROM t WHERE id = 0")
         assert loaded.engine_stats()["storage"] == scripted.engine_stats()["storage"]
         assert _rows(loaded, _QUERIES[0]) == _rows(scripted, _QUERIES[0])
-
-    def test_statistics_are_invalidated(self):
-        loaded = MemDatabase(plan_cache=PlanCache(8))
-        scripted = MemDatabase(plan_cache=PlanCache(8))
-        for db in (loaded, scripted):
-            # Statistics left under the name by an earlier table of another shape.
-            db.statistics.analyze(Table("t", {"id": np.arange(3)}))
-            assert db.statistics.table_names() == ["t"]
-        loaded.load_table("t", _columns())
-        for statement in _SCRIPT:
-            scripted.execute(statement)
-        assert loaded.statistics.table_names() == scripted.statistics.table_names() == []
-        assert loaded.statistics.summary() == scripted.statistics.summary()
-        for db in (loaded, scripted):
-            db.execute("ANALYZE")
-        assert loaded.statistics.summary() == scripted.statistics.summary()
-        assert loaded.statistics.summary()["tables"]["t"]["rows"] == 5
 
 
 def test_load_never_touches_parser_or_plan_cache(monkeypatch):

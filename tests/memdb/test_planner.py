@@ -246,7 +246,6 @@ class TestPlanVsSqlite:
 class TestCteColumnAliasList:
     """``WITH u(p, q) AS (SELECT ...)`` renames the body's output columns."""
 
-    @pytest.mark.parametrize("enable_optimizer", [True, False])
     @pytest.mark.parametrize(
         "query",
         [
@@ -267,8 +266,8 @@ class TestCteColumnAliasList:
             "SELECT d FROM v ORDER BY d",
         ],
     )
-    def test_matches_sqlite_cold_and_warm(self, query, enable_optimizer):
-        db = _fresh_db(enable_optimizer=enable_optimizer)
+    def test_matches_sqlite_cold_and_warm(self, query):
+        db = _fresh_db()
         expected = _sqlite_rows(query)
         cold = db.execute(query).rows
         hits = db.plan_cache.stats()["hits"]
@@ -306,7 +305,7 @@ class TestCteColumnAliasList:
                 "EXPLAIN WITH u(p) AS (SELECT s FROM T0) SELECT p FROM u ORDER BY p"
             ).rows
         ]
-        assert "u: estimated rows ~4" in lines
+        assert "u:" in lines and "  physical: scan -> project" in lines
         assert not any("interpreted statement" in line for line in lines)
 
     def test_traced_run_has_a_block_span_for_the_cte(self):

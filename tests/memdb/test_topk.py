@@ -13,10 +13,9 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.backends.memdb import MemDatabase
+from repro.backends.memdb import MemDatabase, executor
 from repro.backends.memdb.engine import PlanCache
 from repro.backends.memdb.executor import order_vectors, top_k_indices
-from repro.backends.memdb.optimizer.cost import CostModel
 from repro.backends.memdb.parser import parse_one
 
 
@@ -162,46 +161,47 @@ class TestTopKIndicesUnit:
         assert np.array_equal(top_k_indices(keys, 3), np.lexsort(keys)[:3])
 
 
+def _explain(db, query) -> str:
+    return "\n".join(row[0] for row in db.execute(f"EXPLAIN {query}").rows)
+
+
 class TestTopKDecision:
-    def test_large_input_small_k_chooses_topk(self):
-        model = CostModel({}, None)
-        select = parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT 5")
-        decision = model.topk_decision(select)
-        assert decision is not None and decision.use_topk  # default 1000-row estimate
+    """Top-k is chosen at run time: whenever LIMIT + OFFSET is below the input length."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(keys, k):
+            seen.append(k)
+            return top_k_indices(keys, k)
+
+        monkeypatch.setattr(executor, "top_k_indices", spy)
+        return seen
+
+    def test_large_input_small_k_chooses_topk(self, calls):
+        db = _db(rows=_ROWS * 30)
+        rows = db.execute("SELECT id FROM t ORDER BY k, v, id LIMIT 5").rows
+        assert calls == [5]
+        assert rows == _sqlite(_ROWS * 30).execute("SELECT id FROM t ORDER BY k, v, id LIMIT 5").fetchall()
+
+    def test_limit_at_or_above_the_row_count_sorts(self, calls):
+        db = _db(rows=_ROWS)
+        db.execute(f"SELECT id FROM t ORDER BY k LIMIT {len(_ROWS)}")
+        assert calls == []
 
     def test_no_limit_means_no_decision(self):
-        model = CostModel({}, None)
-        assert model.topk_decision(parse_one("SELECT t.a FROM t ORDER BY t.a")) is None
+        assert "top-k" not in _explain(_db(), "SELECT t.id FROM t ORDER BY t.k")
 
     def test_negative_limit_means_no_decision(self):
-        model = CostModel({}, None)
-        assert model.topk_decision(parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT -1")) is None
-
-    def test_limit_near_the_row_count_chooses_sort(self):
-        model = CostModel({}, None)
-        decision = model.topk_decision(parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT 900"))
-        assert decision is not None and not decision.use_topk  # default 1000-row estimate
+        assert "top-k" not in _explain(_db(), "SELECT t.id FROM t ORDER BY t.k LIMIT -1")
 
     def test_offset_extends_k(self):
-        model = CostModel({}, None)
-        decision = model.topk_decision(
-            parse_one("SELECT t.a FROM t ORDER BY t.a LIMIT 5 OFFSET 7")
-        )
-        assert decision.k == 12
+        assert "top-k (k=12)" in _explain(_db(), "SELECT t.id FROM t ORDER BY t.k LIMIT 5 OFFSET 7")
 
     def test_explain_reports_topk(self):
         db = _db(rows=_ROWS * 30)
-        plan = "\n".join(
-            row[0] for row in db.execute("EXPLAIN SELECT id FROM t ORDER BY k LIMIT 3").rows
-        )
-        assert "top-k (k=3)" in plan
-
-    def test_explain_reports_sort_for_a_limit_near_the_row_count(self):
-        db = _db(rows=_ROWS * 30)
-        plan = "\n".join(
-            row[0] for row in db.execute("EXPLAIN SELECT id FROM t ORDER BY k LIMIT 290").rows
-        )
-        assert "sort+limit" in plan
+        assert "top-k (k=3)" in _explain(db, "SELECT id FROM t ORDER BY k LIMIT 3")
 
 
 class TestLimitLiteralValidation:

@@ -35,7 +35,7 @@ _CTE_EDGE_QUERY = (
     "SELECT q.k AS k, SUM(q.v) AS total FROM q GROUP BY q.k ORDER BY k LIMIT 5"
 )
 
-_ACTUAL_LINE = re.compile(r"^(\w+):.*actual (\d+) \(pre-limit\)")
+_ACTUAL_LINE = re.compile(r"^(\w+): actual rows (\d+)")
 
 
 def _make_tracer(threshold_s: float = 10.0) -> Tracer:

@@ -206,11 +206,8 @@ class TestEngineStatsSchema:
         db.load_table("u", {"s": np.array(["x", "y"], dtype=object)})
         stats = db.engine_stats()
         assert list(stats) == ["schema_version", "plan_cache", "optimizer", "storage", "tracing"]
-        assert stats["schema_version"] == ENGINE_STATS_SCHEMA_VERSION == 4
-        assert list(stats["optimizer"]) == ["enabled", "counters", "statistics"]
-        assert list(stats["optimizer"]["statistics"]) == [
-            "analyzed_tables", "analyze_count", "invalidation_count", "tables",
-        ]
+        assert stats["schema_version"] == ENGINE_STATS_SCHEMA_VERSION == 5
+        assert stats["optimizer"] == {"counters": {"constant_folds": 0, "ctes_inlined": 0}}
         assert stats["tracing"] == {"enabled": False}
         rebuilds = db.table("t").storage_stats()["columns"]["s"]["dictionary_rebuilds"]
         assert rebuilds >= 1
@@ -224,13 +221,7 @@ class TestEngineStatsSchema:
         stats = {
             "plan_cache": {"hits": 3, "misses": 1},
             "storage": {"tables": {"ignored": 1}, "total_bytes": 9},
-            "optimizer": {
-                "enabled": True,
-                "statistics": {
-                    "analyze_count": 2,
-                    "tables": {"t": {"rows": 5}},
-                },
-            },
+            "optimizer": {"counters": {"constant_folds": 2}},
             "tracing": {"enabled": True, "sinks": {"ring": {"retained": 4}}},
         }
         # Counters stay; per-entity maps (per-table detail, trace sinks)
@@ -239,13 +230,12 @@ class TestEngineStatsSchema:
             "plan_cache.hits": 3,
             "plan_cache.misses": 1,
             "storage.total_bytes": 9,
-            "optimizer.enabled": 1,
-            "optimizer.statistics.analyze_count": 2,
+            "optimizer.counters.constant_folds": 2,
             "tracing.enabled": 1,
         }
 
     @pytest.mark.parametrize(
-        "options", [{}, {"enable_optimizer": False}], ids=["defaults", "no-optimizer"]
+        "options", [{}, {"enable_tracing": False}], ids=["defaults", "no-tracing"]
     )
     def test_backend_engine_stats_same_before_and_after_first_run(self, options):
         # No environment is pinned: under REPRO_TRACE the document must
@@ -254,7 +244,7 @@ class TestEngineStatsSchema:
         from repro.circuits import ghz_circuit
 
         def configuration(stats: dict) -> tuple:
-            return stats["optimizer"]["enabled"], stats["tracing"]["enabled"]
+            return stats["plan_cache"]["maxsize"], stats["tracing"]["enabled"]
 
         backend = MemDBBackend(plan_cache=PlanCache(maxsize=16), **options)
         before = backend.engine_stats()
@@ -262,4 +252,5 @@ class TestEngineStatsSchema:
         after = backend.engine_stats()
         assert set(flatten_counters(before)) == set(flatten_counters(after))
         assert configuration(before) == configuration(after)
-        assert before["optimizer"]["enabled"] is options.get("enable_optimizer", True)
+        if options:
+            assert before["tracing"] == {"enabled": False}

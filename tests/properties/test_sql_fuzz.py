@@ -4,9 +4,8 @@ Hypothesis generates random typed tables plus random SELECT / WITH queries
 (joins, group-by, order-by / limit / offset, scalar expressions, CTE
 chains) at the AST level — shrinking therefore simplifies the *query
 structure*, not characters of a string — and asserts that the embedded
-engine returns exactly the rows SQLite returns, with the optimizer on and
-off, cold and plan-cache-warm, and across a mid-test data shift (which
-exercises statistics invalidation).
+engine returns exactly the rows SQLite returns, cold and plan-cache-warm,
+and across a mid-test data shift (which re-binds warm plans to new data).
 
 Two table families drive the grammar: the original NOT NULL numeric
 tables, and a NULL-heavy family with nullable DOUBLE and TEXT columns
@@ -20,9 +19,11 @@ kernels against SQLite's reference semantics.
 A join-aggregate production generates the paper's gate step itself — a
 small dense-integer build side joined on a bit field of a BIGINT column,
 grouped by an expression that mixes the two sides, SUMs of mixed products —
-over data with NULL amplitudes, NULL keys and keys that match nothing.  Two
-mutation tests verify the oracle catches a gate-step join that drops one
-match and grouped aggregates that stop skipping NULLs.
+over data with NULL amplitudes, NULL keys and keys that match nothing.
+Mutation tests verify the oracle catches a gate-step join that drops one
+match, grouped aggregates that stop skipping NULLs, and each of memdb's two
+rewrites gone wrong: ``~`` folded as negation, and a CTE inlined without its
+WHERE.
 
 The generated subset deliberately stays inside the semantics both engines
 share (documented divergences are excluded by construction):
@@ -51,7 +52,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backends import duckdb_available
-from repro.backends.memdb import MemDatabase
+from repro.backends.memdb import MemDatabase, parse_one
 from repro.backends.memdb.engine import PlanCache
 
 # ---------------------------------------------------------------------------
@@ -883,7 +884,7 @@ def _shift_statements(tables, draw_rows):
     return statements
 
 
-def _differential_check(tables, query, draw_analyze: bool, shift_rows) -> None:
+def _differential_check(tables, query, shift_rows) -> None:
     sql, ordered = query
     setup = [statement for table in tables for statement in _ddl(table)]
 
@@ -891,15 +892,10 @@ def _differential_check(tables, query, draw_analyze: bool, shift_rows) -> None:
     for statement in setup:
         sqlite_connection.execute(statement)
 
-    engines = [
-        ("memdb[optimizer]", MemDatabase(plan_cache=PlanCache(maxsize=32))),
-        ("memdb[plain]", MemDatabase(plan_cache=PlanCache(maxsize=32), enable_optimizer=False)),
-    ]
+    engines = [("memdb", MemDatabase(plan_cache=PlanCache(maxsize=32)))]
     for _label, engine in engines:
         for statement in setup:
             engine.execute(statement)
-    if draw_analyze:
-        engines[0][1].execute("ANALYZE")
 
     expected = _run_sqlite(sqlite_connection, sql)
     for label, engine in engines:
@@ -939,7 +935,7 @@ _shift_strategy = st.lists(st.integers(min_value=-30, max_value=30), min_size=0,
 def test_fuzz_single_table_matches_sqlite(data):
     tables = data.draw(_tables(count=1))
     query = data.draw(_simple_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -947,7 +943,7 @@ def test_fuzz_single_table_matches_sqlite(data):
 def test_fuzz_joins_match_sqlite(data):
     tables = data.draw(_tables(count=2))
     query = data.draw(_join_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -956,7 +952,7 @@ def test_fuzz_same_named_columns_match_sqlite(data):
     """Two result columns may share a name; they are still two columns."""
     tables = data.draw(_tables(count=2))
     query = data.draw(_same_name_join_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -964,7 +960,7 @@ def test_fuzz_same_named_columns_match_sqlite(data):
 def test_fuzz_group_by_matches_sqlite(data):
     tables = data.draw(_tables(count=1))
     query = data.draw(_grouped_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -972,7 +968,7 @@ def test_fuzz_group_by_matches_sqlite(data):
 def test_fuzz_cte_chains_match_sqlite(data):
     tables = data.draw(_tables(count=2))
     query = data.draw(_cte_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 def test_fuzz_oracle_catches_gate_join_mutation(monkeypatch):
@@ -1008,7 +1004,7 @@ def test_fuzz_oracle_catches_gate_join_mutation(monkeypatch):
         f"FROM t0 JOIN t1 ON t1.k = (t0.s & 1) GROUP BY {key}",
         False,
     )
-    _differential_check(tables, query, False, [])
+    _differential_check(tables, query, [])
 
     original = planner.join_indices
     calls = []
@@ -1022,7 +1018,7 @@ def test_fuzz_oracle_catches_gate_join_mutation(monkeypatch):
 
     monkeypatch.setattr(planner, "join_indices", drop_last_match)
     with pytest.raises(AssertionError, match="diverged"):
-        _differential_check(tables, query, False, [])
+        _differential_check(tables, query, [])
     assert calls, "the fused gate-step operator never ran"
 
 
@@ -1049,11 +1045,71 @@ def test_fuzz_oracle_catches_null_counting_mutation(monkeypatch):
         "SELECT t0.c0 AS k0, SUM(t0.f0) AS a0, COUNT(t0.f0) AS n FROM t0 GROUP BY t0.c0",
         False,
     )
-    _differential_check(tables, query, False, [])
+    _differential_check(tables, query, [])
 
     monkeypatch.setattr(executor, "null_mask", lambda values: np.zeros(len(values), dtype=bool))
     with pytest.raises(AssertionError, match="diverged"):
-        _differential_check(tables, query, False, [])
+        _differential_check(tables, query, [])
+
+
+def test_fuzz_oracle_catches_unary_folding_mutation(monkeypatch):
+    """Mutation test: folding ``~1`` as ``-1`` must trip the oracle.
+
+    Unary-literal folding is one of memdb's two rewrites; the translator's
+    ``s & ~mask`` runs through it at every gate step.
+    """
+    from repro.backends.memdb.ast_nodes import Literal, UnaryOp
+    from repro.backends.memdb.optimizer import rewrite
+
+    tables = [
+        {
+            "name": "t0",
+            "columns": [("id", _INT), ("c0", _INT)],
+            "rows": [[0, 0], [1, 1], [2, 2], [3, 3], [4, 6]],
+        }
+    ]
+    query = ("SELECT t0.id AS k0, (t0.c0 & ~1) AS e0 FROM t0 ORDER BY t0.id", True)
+    _differential_check(tables, query, [])
+
+    fold = rewrite._fold_node
+
+    def fold_not_as_negation(expression, counter):
+        if (
+            isinstance(expression, UnaryOp)
+            and expression.operator == "~"
+            and isinstance(expression.operand, Literal)
+        ):
+            return fold(UnaryOp("-", expression.operand), counter)
+        return fold(expression, counter)
+
+    monkeypatch.setattr(rewrite, "_fold_node", fold_not_as_negation)
+    with pytest.raises(AssertionError, match="diverged"):
+        _differential_check(tables, query, [])
+
+
+def test_fuzz_oracle_catches_cte_inlining_mutation(monkeypatch):
+    """Mutation test: inlining a CTE without its WHERE must trip the oracle.
+
+    Single-use CTE inlining is memdb's other rewrite; the mutant splices
+    the body into its consumer but keeps only the consumer's WHERE.
+    """
+    from repro.backends.memdb.optimizer import rewrite
+
+    tables = [
+        {
+            "name": "t0",
+            "columns": [("id", _INT), ("c0", _INT)],
+            "rows": [[0, 5], [1, -2], [2, 7], [3, 0]],
+        }
+    ]
+    sql = "WITH c AS (SELECT t0.id AS id FROM t0 WHERE t0.c0 > 0) SELECT c.id AS k0 FROM c ORDER BY c.id"
+    _statement, log = rewrite.rewrite_statement(parse_one(sql))
+    assert log.ctes_inlined == 1
+    _differential_check(tables, (sql, True), [])
+
+    monkeypatch.setattr(rewrite, "_conjoin", lambda consumer_where, body_where: consumer_where)
+    with pytest.raises(AssertionError, match="diverged"):
+        _differential_check(tables, (sql, True), [])
 
 
 @given(data=st.data())
@@ -1062,7 +1118,7 @@ def test_fuzz_nulls_single_table_matches_sqlite(data):
     """NULL-heavy projections/filters: IS [NOT] NULL, text compares, ||."""
     tables = data.draw(_null_tables(count=1))
     query = data.draw(_null_simple_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -1071,7 +1127,7 @@ def test_fuzz_null_text_joins_match_sqlite(data):
     """Equality joins on nullable TEXT keys: NULL keys never match."""
     tables = data.draw(_null_tables(count=2))
     query = data.draw(_null_text_join_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -1080,7 +1136,7 @@ def test_fuzz_null_group_by_matches_sqlite(data):
     """GROUP BY nullable text/float keys; NULL-skipping and text MIN/MAX."""
     tables = data.draw(_null_tables(count=1))
     query = data.draw(_null_grouped_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -1088,12 +1144,12 @@ def test_fuzz_null_group_by_matches_sqlite(data):
 def test_fuzz_bitwise_expressions_match_sqlite(data):
     """``& | << >> ~`` over nullable operands and literal-only subtrees.
 
-    Engines with the optimizer on and off (constant folding vs the
-    evaluator's scalar subtrees) against SQLite.
+    Unary literals are folded before planning, the rest are the evaluator's
+    scalar subtrees; both against SQLite.
     """
     tables = data.draw(_null_tables(count=1))
     query = data.draw(_bitwise_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 @given(data=st.data())
@@ -1107,7 +1163,7 @@ def test_fuzz_join_aggregate_matches_sqlite(data):
     """
     tables = data.draw(_gate_tables())
     query = data.draw(_join_aggregate_query(tables))
-    _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+    _differential_check(tables, query, data.draw(_shift_strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -1133,7 +1189,7 @@ def test_fuzz_deep_profile(shape):
     def run(data):
         tables = data.draw(_tables(count=count))
         query = data.draw(shape_strategy(tables))
-        _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+        _differential_check(tables, query, data.draw(_shift_strategy))
 
     run()
 
@@ -1145,7 +1201,7 @@ def test_fuzz_deep_join_aggregate_profile():
     def run(data):
         tables = data.draw(_gate_tables())
         query = data.draw(_join_aggregate_query(tables))
-        _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+        _differential_check(tables, query, data.draw(_shift_strategy))
 
     run()
 
@@ -1160,6 +1216,6 @@ def test_fuzz_deep_null_profile(shape):
     def run(data):
         tables = data.draw(_null_tables(count=count))
         query = data.draw(shape_strategy(tables))
-        _differential_check(tables, query, data.draw(st.booleans()), data.draw(_shift_strategy))
+        _differential_check(tables, query, data.draw(_shift_strategy))
 
     run()

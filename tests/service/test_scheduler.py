@@ -5,17 +5,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.circuits import ghz_circuit, hardware_efficient_ansatz
+from repro.circuits import ghz_circuit, hardware_efficient_ansatz, qft_circuit
 from repro.errors import QymeraError
 from repro.service import JobRequest, JobService
 from repro.service.server import (
     AdmissionController,
     FairScheduler,
-    MemdbCostEstimator,
     QuotaExceeded,
-    StructuralCostEstimator,
     TenantQuota,
     TokenBucket,
+    job_cost,
 )
 from repro.service.server.admission import ADMIT, REJECT
 
@@ -70,6 +69,62 @@ class TestFairness:
             served[handle.request.tenant] += 1
             scheduler.on_finish(handle)
         assert served["gold"] == pytest.approx(3 * served["basic"], rel=0.2)
+
+    def test_weights_hold_when_a_job_costs_thousands_of_quanta(self):
+        # Jobs are priced in rows, so a head may need thousands of passes
+        # to be funded; the passes are computed, and the shares are exact.
+        scheduler = FairScheduler()
+        scheduler.configure("gold", TenantQuota(weight=3.0))
+        for _ in range(60):
+            scheduler.submit(_handle("gold", cost=30_000.0), cost=30_000.0)
+            scheduler.submit(_handle("basic", cost=30_000.0), cost=30_000.0)
+        served = {"gold": 0, "basic": 0}
+        rounds = []
+        for _ in range(40):
+            handle = scheduler.next_job(timeout=0.1)
+            served[handle.request.tenant] += 1
+            rounds.append(handle._drr_rounds)
+            scheduler.on_finish(handle)
+        assert served == {"gold": 30, "basic": 10}
+        assert max(rounds) == 10_000  # gold earns 3 credits a pass
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_computed_passes_pick_what_running_them_picks(self, seed):
+        """The pick equals the one-pass-at-a-time DRR loop, credits included."""
+        import random
+
+        rng = random.Random(seed)
+        tenants = [f"t{k}" for k in range(4)]
+        computed = FairScheduler(quantum=rng.choice([1.0, 7.5, 100.0]))
+        weights = {tenant: rng.choice([0.5, 1.0, 3.0]) for tenant in tenants}
+        for tenant in tenants:
+            computed.configure(tenant, TenantQuota(weight=weights[tenant]))
+        deficits = dict.fromkeys(tenants, 0.0)
+        queues = {tenant: [] for tenant in tenants}
+        for _ in range(40):
+            tenant = rng.choice(tenants)
+            cost = float(rng.choice([1, 3, 64, 4350, 30_000]))
+            computed.submit(_handle(tenant, cost=cost), cost=cost)
+            queues[tenant].append(cost)
+        cursor = 0
+        for _ in range(40):
+            # The reference: visit the rotation one tenant at a time.
+            while True:
+                tenant = tenants[cursor % len(tenants)]
+                cursor += 1
+                if not queues[tenant]:
+                    continue
+                deficits[tenant] += computed.quantum * weights[tenant]
+                if deficits[tenant] >= queues[tenant][0]:
+                    deficits[tenant] -= queues[tenant].pop(0)
+                    if not queues[tenant]:
+                        deficits[tenant] = 0.0
+                    break
+            handle = computed.next_job(timeout=0.1)
+            assert handle.request.tenant == tenant
+            computed.on_finish(handle)
+            for name in tenants:
+                assert computed._tenants[name].deficit == pytest.approx(deficits[name], abs=1e-6)
 
     def test_cost_weighted_service_not_job_counts(self):
         """Equal *cost* service: a tenant of 5x-cost jobs gets ~1/5 the jobs."""
@@ -195,11 +250,9 @@ class TestTokenBucket:
 
 class TestAdmission:
     def test_reject_vs_queue_boundary_on_cost(self):
-        controller = AdmissionController(
-            max_queued_cost=100.0, estimator=StructuralCostEstimator()
-        )
+        controller = AdmissionController(max_queued_cost=100.0)
         request = JobRequest(circuit=ghz_circuit(3), method="statevector")
-        cost = StructuralCostEstimator().estimate(request)
+        cost = job_cost(request)
         # Exactly at the ceiling: admitted; one unit past: rejected.
         admitted = controller.assess(request, queued_cost=100.0 - cost, queued_jobs=1)
         assert admitted.action == ADMIT
@@ -207,6 +260,16 @@ class TestAdmission:
         assert rejected.action == REJECT
         assert rejected.reason == "cost ceiling"
         assert rejected.retry_after >= controller.min_retry_after
+
+    def test_lone_job_priced_above_the_ceiling_is_admitted(self):
+        # The ceiling bounds the backlog: a job alone in the queue could
+        # never fit by waiting, so rejecting it would loop a client forever.
+        controller = AdmissionController(max_queued_cost=1024.0)
+        request = JobRequest(circuit=qft_circuit(14), method="memdb")
+        assert job_cost(request) > 1024.0
+        assert controller.assess(request, queued_cost=0.0, queued_jobs=0).action == ADMIT
+        behind = controller.assess(request, queued_cost=1.0, queued_jobs=1)
+        assert behind.action == REJECT and behind.reason == "cost ceiling"
 
     def test_queue_count_ceiling(self):
         controller = AdmissionController(max_queued_jobs=2)
@@ -224,28 +287,28 @@ class TestAdmission:
         # excess / (huge rate) is tiny
         assert decision.retry_after < 1.0
 
-    def test_memdb_estimator_prices_by_circuit_size_and_memoizes(self):
-        estimator = MemdbCostEstimator()
-        small = JobRequest(circuit=ghz_circuit(3), method="memdb")
-        large = JobRequest(circuit=ghz_circuit(6), method="memdb")
-        small_cost = estimator.estimate(small)
-        assert estimator.estimate(large) > small_cost
-        before = estimator.stats()["plan_priced"]
-        estimator.estimate(small)  # same structure: cached, not re-priced
-        assert estimator.stats()["plan_priced"] == before
-        # Grid jobs cost their full fan-out.
-        grid = [{"g": 0.1}, {"g": 0.2}, {"g": 0.3}]
-        sweep = JobRequest(circuit=ghz_circuit(3), method="memdb", param_grid=grid)
-        assert estimator.estimate(sweep) == pytest.approx(3 * small_cost)
+    def test_jobs_are_priced_by_their_row_work(self):
+        # GHZ-40 moves 80 rows, QFT-12 tens of thousands: the price agrees.
+        ghz40 = job_cost(JobRequest(circuit=ghz_circuit(40), method="memdb"))
+        qft12 = job_cost(JobRequest(circuit=qft_circuit(12), method="memdb"))
+        assert ghz40 == 80.0
+        assert ghz40 < qft12
+        # The statevector touches every amplitude at every gate.
+        assert job_cost(JobRequest(circuit=ghz_circuit(3), method="statevector")) == 3 * 8
 
-    def test_unbound_parameterized_circuit_falls_back_structural(self):
-        estimator = MemdbCostEstimator()
-        request = JobRequest(
-            circuit=hardware_efficient_ansatz(3, rotation_gates=("ry",)), method="memdb"
-        )
-        cost = estimator.estimate(request)
-        assert cost == StructuralCostEstimator().estimate(request)
-        assert estimator.stats()["fallbacks"] == 1
+    @pytest.mark.parametrize("method", ["sparse", "mps", "dd", "sqlite", "duckdb", "memdb"])
+    def test_relational_and_sparse_methods_are_priced_by_the_row_bounds(self, method):
+        from repro.sql.bounds import circuit_row_bounds
+
+        circuit = qft_circuit(6)
+        assert job_cost(JobRequest(circuit=circuit, method=method)) == sum(circuit_row_bounds(circuit))
+
+    def test_grid_is_priced_at_points_times_one_point(self):
+        template = hardware_efficient_ansatz(4, rotation_gates=("ry",))
+        grid = [{p.name: 0.1 * k + 0.05 * j for j, p in enumerate(template.parameters)} for k in range(1, 4)]
+        sweep = job_cost(JobRequest(circuit=template, method="memdb", param_grid=grid))
+        point = job_cost(JobRequest(circuit=template.bind_parameters(grid[0]), method="memdb"))
+        assert sweep == 3 * point
 
 
 class TestServiceIntegration:

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import threading
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.service.server import (
     JobJournal,
     JobServer,
     ServerThread,
-    StructuralCostEstimator,
     TenantQuota,
     build_server,
     parse_job_payload,
@@ -152,6 +152,7 @@ class TestErrorPaths:
         [
             ("memdb", {"enable_parallel": True}, "enable_parallel"),
             ("memdb", {"enable_adaptive": False}, "enable_adaptive"),
+            ("memdb", {"enable_optimizer": False}, "enable_optimizer"),
             ("sqlite", {"mode": "cte", "plan_cache": None}, "plan_cache"),
             ("nosuch", {}, "nosuch"),
         ],
@@ -204,18 +205,34 @@ class TestQuotaAndAdmissionOverHttp:
 
     def test_admission_ceiling_is_429(self):
         scheduler = FairScheduler()
-        admission = AdmissionController(
-            max_queued_cost=1.0, estimator=StructuralCostEstimator()
-        )
+        # Hold the dispatcher so that the first job stays queued: the
+        # ceiling bounds a backlog, and this builds one.
+        release = threading.Event()
+        next_job = scheduler.next_job
+
+        def held_next_job(timeout=None):
+            if not release.wait(timeout):
+                return None
+            return next_job(timeout=timeout)
+
+        scheduler.next_job = held_next_job
+        admission = AdmissionController(max_queued_cost=10.0)
         service = JobService(max_workers=1, scheduler=scheduler, admission=admission)
         try:
             with ServerThread(JobServer(service)) as (host, port):
-                # A 3-qubit circuit prices above the 1-unit ceiling outright.
-                status, body = ServingClient(host, port).submit(ghz_circuit(3))
+                client = ServingClient(host, port)
+                # GHZ-3 is priced at 6 rows: alone in the queue it is
+                # admitted, behind another it would take the backlog to 12.
+                status, first = client.submit(ghz_circuit(3))
+                assert status == 202
+                status, body = client.submit(ghz_circuit(3))
                 assert status == 429
                 assert body["reason"] == "cost ceiling"
                 assert body["retry_after"] > 0
+                release.set()
+                assert client.wait(first["job_id"])["status"] == "done"
         finally:
+            release.set()
             service.shutdown(wait=True)
 
 
@@ -260,6 +277,6 @@ class TestJournalOverHttp:
                 stats = client.stats()["service"]
                 assert stats["journal"]["incomplete"] == 0
                 assert stats["scheduler"]["policy"] == "deficit-round-robin"
-                assert stats["admission"]["estimator"]["estimator"] == "memdb-cost-model"
+                assert stats["admission"]["max_queued_cost"] == float(1 << 20)
         finally:
             server.service.shutdown(wait=True)

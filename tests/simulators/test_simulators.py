@@ -13,7 +13,7 @@ from repro.circuits import (
 )
 from repro.core import QuantumCircuit, standard_gate
 from repro.core.parameters import Parameter
-from repro.errors import ResourceLimitExceeded, SimulationError
+from repro.errors import MidCircuitOperationError, ResourceLimitExceeded, SimulationError
 from repro.output import SparseState, states_agree
 from repro.simulators import (
     DecisionDiagramSimulator,
@@ -56,8 +56,8 @@ class TestStatevectorSimulator:
         circuit = QuantumCircuit(1)
         circuit.x(0)
         circuit.reset(0)
-        state = StatevectorSimulator().run(circuit).state
-        assert state.probability_of(0) == pytest.approx(1.0)
+        with pytest.raises(MidCircuitOperationError, match="reset"):
+            StatevectorSimulator().run(circuit)
 
     def test_measurements_do_not_alter_state(self, statevector_simulator):
         circuit = ghz_circuit(3)
@@ -108,8 +108,8 @@ class TestSparseSimulator:
         circuit = QuantumCircuit(2)
         circuit.x(0)
         circuit.reset(0)
-        state = SparseSimulator().run(circuit).state
-        assert state.probability_of(0) == pytest.approx(1.0)
+        with pytest.raises(MidCircuitOperationError, match="reset"):
+            SparseSimulator().run(circuit)
 
     def test_apply_gate_to_mapping_matches_sql_semantics(self):
         rows = standard_gate("h").nonzero_entries()
@@ -218,3 +218,56 @@ class TestRegistryAndResultMetadata:
         assert result.wall_time_s > 0
         assert result.num_gates == 3
         assert result.circuit_name == "ghz_3"
+
+
+_ALL_METHODS = ("statevector", "sparse", "mps", "dd", "sqlite", "memdb")
+
+
+def _measure_then_gate() -> QuantumCircuit:
+    """``H; measure; H``: the right answer is 50/50, the pre-measurement state says |0>."""
+    circuit = QuantumCircuit(1)
+    circuit.h(0)
+    circuit.measure(0)
+    circuit.h(0)
+    circuit.measure(0)
+    return circuit
+
+
+def _bell_then_reset() -> QuantumCircuit:
+    circuit = ghz_circuit(2)
+    circuit.reset(0)
+    return circuit
+
+
+class TestMidCircuitOperationsAreRefused:
+    """Every method computes the pre-measurement state, exact only for terminal measurements."""
+
+    @pytest.mark.parametrize("method", _ALL_METHODS)
+    @pytest.mark.parametrize("build", [_measure_then_gate, _bell_then_reset], ids=["gate-after-measure", "reset"])
+    def test_every_method_refuses(self, method, build):
+        from repro.service.jobs import make_method
+
+        with pytest.raises(MidCircuitOperationError):
+            make_method(method).compile(build())
+
+    @pytest.mark.parametrize("method", _ALL_METHODS)
+    def test_terminal_measurements_still_run(self, method):
+        from repro.circuits import bernstein_vazirani_circuit, parity_check_circuit, phase_estimation_circuit
+        from repro.service.jobs import make_method
+
+        circuits = [parity_check_circuit("1011"), bernstein_vazirani_circuit("101")]
+        if method != "dd":
+            # The decision-diagram simulator cannot decompose the inverse
+            # QFT's ``swap_dg``, measured or not.
+            circuits.append(phase_estimation_circuit(3, 0.25, measure=True))
+        for circuit in circuits:
+            assert any(instruction.is_measurement for instruction in circuit.instructions)
+            reference = StatevectorSimulator().run(circuit.without_measurements()).state
+            assert states_agree(reference, make_method(method).run(circuit).state)
+
+    def test_a_gate_on_another_qubit_after_a_measurement_runs(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0)
+        circuit.measure(0)
+        circuit.x(1)
+        assert StatevectorSimulator().run(circuit).state.probability_of(2) == pytest.approx(0.5)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.gates import standard_gate
 from repro.core.parameters import Parameter
 from repro.errors import TranslationError
+from repro.sql.bounds import BRANCHING, DIAGONAL, PERMUTATION
 from repro.sql.gate_tables import GateTableRegistry, gate_rows
 
 
@@ -57,8 +58,9 @@ class TestRegistry:
 
     def test_permutation_detection(self):
         registry = GateTableRegistry()
-        assert registry.register(standard_gate("cx")).is_permutation()
-        assert not registry.register(standard_gate("h")).is_permutation()
+        assert registry.register(standard_gate("cx")).kind == PERMUTATION
+        assert registry.register(standard_gate("h")).kind == BRANCHING
+        assert registry.register(standard_gate("cz")).kind == DIAGONAL
 
     def test_lookup_and_total_rows(self):
         registry = GateTableRegistry()
